@@ -1,4 +1,4 @@
-"""The three model graphs on one toy patient.
+"""One model in its three configurations, on one toy patient.
 
 Run with: python demos/04_model_forwards.py
 """
@@ -8,7 +8,9 @@ from datetime import datetime
 import numpy as np
 
 from notemort import models
-from notemort.cohort import ClinicalTimeSeries, N_TS_VARIABLES, TS_NORMALS
+from notemort.cohort import (
+    ClinicalTimeSeries, N_TS_VARIABLES, TS_NORMALS, standardize_values,
+)
 from notemort.embed import EmbeddingMatrix
 from notemort.notesproc import CleanNote, PatientFile, truncate_pad
 
@@ -36,27 +38,36 @@ ts = ClinicalTimeSeries(
     mask=rng.random((24, N_TS_VARIABLES)) > 0.25,
 )
 
-notes_params = models.init_notes_hcr(cfg, seed=1)
-cts_params = models.init_cts_rnn(cfg, seed=2)
-mm_params = models.init_mm_hcr(cfg, seed=3)
+# a batch of one stay: notes [1, T, L] for the notes branch, standardized
+# physiology [1, W, F] for the CTS branch; each model reads what it uses
+inputs = dict(
+    ids=np.stack([n.tokens for n in notes])[None],
+    token_masks=np.stack([n.mask for n in notes])[None],
+    values=standardize_values(ts.values)[None],
+    obs_masks=ts.mask[None],
+)
+
+notes_params = models.init_model(models.NOTES_HCR, cfg, seed=1)
+cts_params = models.init_model(models.CTS_RNN, cfg, seed=2)
+mm_params = models.init_model(models.MM_HCR, cfg, seed=3)
 
 print("parameter counts")
 for name, params in (("notes-hcr", notes_params), ("cts-rnn", cts_params),
                      ("mm-hcr", mm_params)):
     print(f"  {name:10s} {models.parameter_count(params):7d}")
 
-p_notes = models.notes_hcr_forward(file, embeddings, notes_params, cfg)
-features, p_cts = models.cts_rnn_forward(ts, cts_params, cfg)
-p_mm = models.mm_hcr_forward(file, ts, embeddings, mm_params, cfg)
+p_notes = models.forward(notes_params, cfg, embeddings, **inputs)
+p_cts = models.forward(cts_params, cfg, **inputs)
+p_mm = models.forward(mm_params, cfg, embeddings, **inputs)
+features = models.cts_forward(inputs["values"], inputs["obs_masks"], cts_params.cts, cfg)
 
 print("\nmortality probabilities (untrained weights)")
-print(f"  notes-hcr  {float(p_notes.data):.4f}   (3 notes -> shared encoder -> GRU)")
-print(f"  cts-rnn    {float(p_cts.data):.4f}   (24h physiology, features {features.shape})")
-print(f"  mm-hcr     {float(p_mm.data):.4f}   (patient vector || cts features)")
+print(f"  notes-hcr  {p_notes.item():.4f}   (3 notes -> shared encoder -> GRU)")
+print(f"  cts-rnn    {p_cts.item():.4f}   (24h physiology, features {features.shape[1:]})")
+print(f"  mm-hcr     {p_mm.item():.4f}   (patient vector || cts features)")
 
 # with the default configuration these are the full-scale sizes
 full = models.ModelConfig()
 print("\nfull-scale parameter counts (default configuration)")
-print(f"  notes-hcr  {models.parameter_count(models.init_notes_hcr(full)):7d}")
-print(f"  cts-rnn    {models.parameter_count(models.init_cts_rnn(full)):7d}")
-print(f"  mm-hcr     {models.parameter_count(models.init_mm_hcr(full)):7d}")
+for kind in models.MODEL_KINDS:
+    print(f"  {kind:10s} {models.parameter_count(models.init_model(kind, full)):7d}")

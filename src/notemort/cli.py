@@ -137,11 +137,7 @@ def parse_config(text: str) -> RunConfig:
         if values:
             attr = _GROUP_ATTR[group]
             current = getattr(config, attr)
-            try:
-                setattr(config, attr, replace(current, **values))
-            except TypeError:
-                # SynthConfig is mutable; replace works for it too, keep uniform
-                raise
+            setattr(config, attr, replace(current, **values))
     return config
 
 
@@ -368,7 +364,7 @@ def _build_stage_dataset(config: RunConfig, work: Path):
     )
     wc = pipeline.build_window_cohort(clean_notes, admissions, icustays, config.window)
     timeseries = None
-    if config.model in (models.CTS_RNN, models.MM_HCR):
+    if "cts" in models.branches(config.model):
         timeseries = cohort.read_timeseries_csv(tables["tables/timeseries.csv"])
     return pipeline.build_dataset(wc, timeseries)
 
@@ -378,7 +374,7 @@ def cmd_train(config: RunConfig) -> int:
     _, _, folds = _load_cohort(work, config.window, config.train_cfg.k)
     dataset = _build_stage_dataset(config, work)
     embeddings = None
-    if config.model in (models.NOTES_HCR, models.MM_HCR):
+    if "notes" in models.branches(config.model):
         emb_files = require_stage(work, "embed", ["embeddings/embeddings.txt"])
         _, embeddings = load_embeddings(emb_files["embeddings/embeddings.txt"])
     results = traineval.train(

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .ndcore.tensor import _sigmoid
 from .notesproc import OOV_ID, PAD_ID
 
 PAD_TOKEN = "<pad>"
@@ -291,31 +292,6 @@ def _sgd_batch(vec_in, vec_out, gram_vecs, grams, centers, contexts, negs, lr) -
     vec_in[PAD_ID] = 0.0
     vec_out[PAD_ID] = 0.0
     return loss
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-# -- note embedding -------------------------------------------------------------------
-
-
-def embed_note(token_ids: np.ndarray, emb: EmbeddingMatrix) -> np.ndarray:
-    """Map one note's token ids to its [note_len, d] matrix.
-
-    PAD positions hit the zero pad row; OOV_ID maps to the zero vector;
-    anything outside [OOV_ID, |V|) is corrupt data.
-    """
-    ids = np.asarray(token_ids)
-    if ids.min(initial=0) < OOV_ID or ids.max(initial=0) >= emb.vocab_size:
-        raise DataError("embed_note: token id out of vocabulary range")
-    safe = np.where(ids == OOV_ID, PAD_ID, ids)
-    return emb.vectors[safe]
 
 
 # -- embedding file format ---------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""The three model graphs over ndcore layers.
+"""One model graph over ndcore layers, in three configurations.
 
-Notes-HCR: a per-note encoder (stacked Conv1D / SpatialDropout /
+Notes branch: a per-note encoder (stacked Conv1D / SpatialDropout /
 BatchNorm / ReLU blocks with residual connections, then masked global
 average pooling) shared across all notes of a stay, feeding a
-bidirectional GRU over the note sequence and a sigmoid head.
+bidirectional GRU over the note sequence.
 
-CTS-RNN: a two-layer bidirectional GRU over hourly physiology channels
-concatenated with their missingness indicators.
+CTS branch: a two-layer bidirectional GRU over hourly physiology
+channels concatenated with their missingness indicators.
 
-MM-HCR: both branches, their final vectors concatenated before dropout
-and the sigmoid head.
+A sigmoid head reads the concatenated final vectors of the present
+branches. Notes-HCR has the notes branch, CTS-RNN the CTS branch and
+MM-HCR both (BRANCHES); dropout precedes the head whenever CTS is there.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -38,13 +39,22 @@ from .ndcore import (
     spatial_dropout,
 )
 from .ndcore.layers import dropout
-from .notesproc import OOV_ID, PAD_ID, PatientFile
-from .cohort import ClinicalTimeSeries, N_TS_VARIABLES, standardize_values
+from .notesproc import OOV_ID, PAD_ID
+from .cohort import N_TS_VARIABLES
 
 NOTES_HCR = "notes-hcr"
 CTS_RNN = "cts-rnn"
 MM_HCR = "mm-hcr"
-MODEL_KINDS = (NOTES_HCR, CTS_RNN, MM_HCR)
+# kind -> branches it has; every per-kind structural choice reads this table
+BRANCHES = {NOTES_HCR: ("notes",), CTS_RNN: ("cts",), MM_HCR: ("notes", "cts")}
+MODEL_KINDS = tuple(BRANCHES)
+
+
+def branches(kind: str) -> tuple[str, ...]:
+    """The branches ("notes", "cts") of a model kind."""
+    if kind not in BRANCHES:
+        raise ConfigurationError(f"unknown model kind {kind!r}")
+    return BRANCHES[kind]
 
 
 @dataclass(frozen=True)
@@ -91,38 +101,31 @@ class ModelConfig:
 @dataclass
 class ConvBlockParams:
     conv: Conv1dParams
-    norm: BatchNormParams
     shortcut: Conv1dParams | None  # 1x1 projection when channel counts differ
+    norm: BatchNormParams
 
 
 @dataclass
-class SemanticalParams:
-    blocks: list[ConvBlockParams]
-
-
-@dataclass
-class NotesHcrParams:
-    semantical: SemanticalParams
-    temporal: BiGruParams
-    head: DenseParams
-    embedding: Tensor | None = None  # present only when fine-tuning embeddings
-
-
-@dataclass
-class CtsRnnParams:
+class CtsParams:
     layer1: BiGruParams
     layer2: BiGruParams
-    head: DenseParams
 
 
 @dataclass
-class MmHcrParams:
-    semantical: SemanticalParams
-    temporal: BiGruParams
-    cts_layer1: BiGruParams
-    cts_layer2: BiGruParams
+class Model:
+    """Parameters of one model; an absent branch, or an embedding that is
+    not fine-tuned, is None.
+
+    Field order is checkpoint entry order and field names are entry-name
+    prefixes. Every tensor with two or more axes under a field whose
+    metadata names a decay is L2-penalised at that ModelConfig rate.
+    """
+
+    semantical: list[ConvBlockParams] | None = field(metadata={"decay": "conv_decay"})
+    temporal: BiGruParams | None
+    cts: CtsParams | None = field(metadata={"decay": "cts_decay"})
     head: DenseParams
-    embedding: Tensor | None = None
+    embedding: Tensor | None = field(metadata={"entry": "embedding.vectors"})
 
 
 # -- initialization -------------------------------------------------------------------
@@ -171,158 +174,81 @@ def _init_bigru(rng, dim_in: int, hidden: int) -> BiGruParams:
     )
 
 
-def _init_semantical(rng, cfg: ModelConfig) -> SemanticalParams:
-    blocks = []
-    c_in = cfg.embed_dim
-    for _ in range(cfg.conv_blocks):
-        shortcut = None
-        if c_in != cfg.filters:
-            shortcut = _init_conv(rng, 1, c_in, cfg.filters)
-        blocks.append(
-            ConvBlockParams(
-                conv=_init_conv(rng, cfg.kernel_size, c_in, cfg.filters),
-                norm=_init_bn(cfg.filters, cfg),
-                shortcut=shortcut,
-            )
-        )
-        c_in = cfg.filters
-    return SemanticalParams(blocks=blocks)
-
-
-def _maybe_embedding(cfg: ModelConfig, embeddings: EmbeddingMatrix | None) -> Tensor | None:
-    if not cfg.train_embeddings:
-        return None
-    if embeddings is None:
-        raise ConfigurationError("train_embeddings requires an embedding matrix")
-    return parameter(embeddings.vectors.copy())
-
-
-def init_notes_hcr(
-    cfg: ModelConfig, seed: int = 0, embeddings: EmbeddingMatrix | None = None
-) -> NotesHcrParams:
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    return NotesHcrParams(
-        semantical=_init_semantical(rng, cfg),
-        temporal=_init_bigru(rng, cfg.filters, cfg.temporal_hidden),
-        head=DenseParams(
-            weight=_glorot(rng, (2 * cfg.temporal_hidden, 1)),
-            bias=parameter(np.zeros(1)),
-        ),
-        embedding=_maybe_embedding(cfg, embeddings),
-    )
-
-
-def init_cts_rnn(cfg: ModelConfig, seed: int = 0) -> CtsRnnParams:
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    h1, h2 = cfg.cts_hidden
-    return CtsRnnParams(
-        layer1=_init_bigru(rng, 2 * cfg.cts_features, h1),
-        layer2=_init_bigru(rng, 2 * h1, h2),
-        head=DenseParams(
-            weight=_glorot(rng, (2 * h2, 1)), bias=parameter(np.zeros(1))
-        ),
-    )
-
-
-def init_mm_hcr(
-    cfg: ModelConfig, seed: int = 0, embeddings: EmbeddingMatrix | None = None
-) -> MmHcrParams:
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    h1, h2 = cfg.cts_hidden
-    fused = 2 * cfg.temporal_hidden + 2 * h2
-    return MmHcrParams(
-        semantical=_init_semantical(rng, cfg),
-        temporal=_init_bigru(rng, cfg.filters, cfg.temporal_hidden),
-        cts_layer1=_init_bigru(rng, 2 * cfg.cts_features, h1),
-        cts_layer2=_init_bigru(rng, 2 * h1, h2),
-        head=DenseParams(weight=_glorot(rng, (fused, 1)), bias=parameter(np.zeros(1))),
-        embedding=_maybe_embedding(cfg, embeddings),
-    )
+def _init_block(rng, c_in: int, cfg: ModelConfig) -> ConvBlockParams:
+    # the shortcut draws before the conv: the stream older weights came from
+    shortcut = _init_conv(rng, 1, c_in, cfg.filters) if c_in != cfg.filters else None
+    conv = _init_conv(rng, cfg.kernel_size, c_in, cfg.filters)
+    return ConvBlockParams(conv, shortcut, _init_bn(cfg.filters, cfg))
 
 
 def init_model(
     kind: str, cfg: ModelConfig, seed: int = 0, embeddings: EmbeddingMatrix | None = None
-):
-    if kind == NOTES_HCR:
-        return init_notes_hcr(cfg, seed, embeddings)
-    if kind == CTS_RNN:
-        return init_cts_rnn(cfg, seed)
-    if kind == MM_HCR:
-        return init_mm_hcr(cfg, seed, embeddings)
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+) -> Model:
+    """Fresh parameters of one kind, drawn in a fixed order: conv blocks,
+    temporal GRU, CTS layers 1 and 2, head. Fine-tuning embeddings
+    (notes branch with cfg.train_embeddings) copies `embeddings`."""
+    has = branches(kind)
+    cfg.validate()
+    rng = np.random.default_rng(seed)
+    semantical = temporal = cts = embedding = None
+    head_in = 0
+    if "notes" in has:
+        c_ins = [cfg.embed_dim] + [cfg.filters] * (cfg.conv_blocks - 1)
+        semantical = [_init_block(rng, c_in, cfg) for c_in in c_ins]
+        temporal = _init_bigru(rng, cfg.filters, cfg.temporal_hidden)
+        head_in += 2 * cfg.temporal_hidden
+        if cfg.train_embeddings:
+            if embeddings is None:
+                raise ConfigurationError("train_embeddings requires an embedding matrix")
+            embedding = parameter(embeddings.vectors.copy())
+    if "cts" in has:
+        h1, h2 = cfg.cts_hidden
+        layer1 = _init_bigru(rng, 2 * cfg.cts_features, h1)
+        cts = CtsParams(layer1, _init_bigru(rng, 2 * h1, h2))
+        head_in += 2 * h2
+    head = DenseParams(weight=_glorot(rng, (head_in, 1)), bias=parameter(np.zeros(1)))
+    return Model(semantical, temporal, cts, head, embedding)
 
 
 # -- parameter walking ------------------------------------------------------------------
 
 
-def _conv_entries(prefix: str, p: Conv1dParams) -> dict[str, Tensor]:
-    return {f"{prefix}.kernels": p.kernels, f"{prefix}.bias": p.bias}
+def _leaves(node, prefix: str = "", decay: str | None = None):
+    """(entry name, leaf, decay field name or None) for every Tensor and
+    ndarray under node, depth first in field order; list items are the
+    conv blocks."""
+    if isinstance(node, (Tensor, np.ndarray)):
+        yield prefix, node, decay
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, f"{prefix}.block{i}", decay)
+    elif is_dataclass(node):
+        for f in fields(node):
+            name = f"{prefix}.{f.metadata.get('entry', f.name)}".lstrip(".")
+            yield from _leaves(getattr(node, f.name), name, f.metadata.get("decay", decay))
 
 
-def _bigru_entries(prefix: str, p: BiGruParams) -> dict[str, Tensor]:
-    out = {}
-    for direction, dp in (("fwd", p.fwd), ("bwd", p.bwd)):
-        for name, tensor in dp.all_tensors().items():
-            out[f"{prefix}.{direction}.{name}"] = tensor
-    return out
-
-
-def named_parameters(params) -> dict[str, Tensor]:
+def named_parameters(params: Model) -> dict[str, Tensor]:
     """Flat name -> trainable tensor map, stable order."""
-    out: dict[str, Tensor] = {}
-    if isinstance(params, (NotesHcrParams, MmHcrParams)):
-        for i, block in enumerate(params.semantical.blocks):
-            out.update(_conv_entries(f"semantical.block{i}.conv", block.conv))
-            if block.shortcut is not None:
-                out.update(_conv_entries(f"semantical.block{i}.shortcut", block.shortcut))
-            out[f"semantical.block{i}.norm.gamma"] = block.norm.gamma
-            out[f"semantical.block{i}.norm.beta"] = block.norm.beta
-        out.update(_bigru_entries("temporal", params.temporal))
-    if isinstance(params, (CtsRnnParams, MmHcrParams)):
-        layer1 = params.layer1 if isinstance(params, CtsRnnParams) else params.cts_layer1
-        layer2 = params.layer2 if isinstance(params, CtsRnnParams) else params.cts_layer2
-        out.update(_bigru_entries("cts.layer1", layer1))
-        out.update(_bigru_entries("cts.layer2", layer2))
-    out["head.weight"] = params.head.weight
-    out["head.bias"] = params.head.bias
-    if getattr(params, "embedding", None) is not None:
-        out["embedding.vectors"] = params.embedding
-    return out
+    return {n: t for n, t, _ in _leaves(params) if isinstance(t, Tensor)}
 
 
-def named_buffers(params) -> dict[str, np.ndarray]:
+def named_buffers(params: Model) -> dict[str, np.ndarray]:
     """Non-trainable state (batchnorm running statistics)."""
-    out: dict[str, np.ndarray] = {}
-    if isinstance(params, (NotesHcrParams, MmHcrParams)):
-        for i, block in enumerate(params.semantical.blocks):
-            out[f"semantical.block{i}.norm.running_mean"] = block.norm.running_mean
-            out[f"semantical.block{i}.norm.running_var"] = block.norm.running_var
-    return out
+    return {n: a for n, a, _ in _leaves(params) if isinstance(a, np.ndarray)}
 
 
-def decayed_weights(params, cfg: ModelConfig) -> list[tuple[Tensor, float]]:
+def decayed_weights(params: Model, cfg: ModelConfig) -> list[tuple[Tensor, float]]:
     """(weight tensor, decay coefficient) pairs for the L2 penalty:
     convolution kernels decay at conv_decay, time-series GRU matrices at
     cts_decay; biases and norm parameters are never decayed."""
-    out: list[tuple[Tensor, float]] = []
-    if isinstance(params, (NotesHcrParams, MmHcrParams)):
-        for block in params.semantical.blocks:
-            out.append((block.conv.kernels, cfg.conv_decay))
-            if block.shortcut is not None:
-                out.append((block.shortcut.kernels, cfg.conv_decay))
-    if isinstance(params, (CtsRnnParams, MmHcrParams)):
-        layer1 = params.layer1 if isinstance(params, CtsRnnParams) else params.cts_layer1
-        layer2 = params.layer2 if isinstance(params, CtsRnnParams) else params.cts_layer2
-        for layer in (layer1, layer2):
-            for direction in (layer.fwd, layer.bwd):
-                out.extend((w, cfg.cts_decay) for w in direction.weight_tensors())
-    return out
+    return [
+        (t, getattr(cfg, decay)) for _, t, decay in _leaves(params)
+        if decay and isinstance(t, Tensor) and len(t.shape) >= 2
+    ]
 
 
-def parameter_count(params) -> int:
+def parameter_count(params: Model) -> int:
     return sum(t.size for t in named_parameters(params).values())
 
 
@@ -353,7 +279,7 @@ def lookup_note_embeddings(
 
 def semantical_forward(
     notes: Tensor,
-    params: SemanticalParams,
+    blocks: list[ConvBlockParams],
     cfg: ModelConfig,
     *,
     training: bool,
@@ -372,7 +298,7 @@ def semantical_forward(
         if not mask.any(axis=-1).all():
             raise DataError("semantical_forward: a note has no unmasked tokens")
     x = notes
-    for block in params.blocks:
+    for block in blocks:
         y = conv1d(x, block.conv)
         y = spatial_dropout(y, cfg.spatial_dropout, training=training, rng=rng)
         y = batchnorm(y, block.norm, training=training)
@@ -390,51 +316,15 @@ def temporal_forward(doc_vectors: Tensor, params: BiGruParams) -> Tensor:
     return final
 
 
-def notes_hcr_batch_forward(
-    ids: np.ndarray,
-    token_masks: np.ndarray,
-    embeddings: EmbeddingMatrix,
-    params: NotesHcrParams,
-    cfg: ModelConfig,
-    *,
-    training: bool,
-    rng: np.random.Generator | None = None,
+def cts_forward(
+    values: np.ndarray, obs_masks: np.ndarray, params: CtsParams, cfg: ModelConfig
 ) -> Tensor:
-    """ids [B, T, L] -> probabilities [B]. All notes share the encoder."""
-    n_files, n_notes, note_len = ids.shape
-    embedded = lookup_note_embeddings(ids, embeddings, params.embedding)
-    flat = embedded.reshape((n_files * n_notes, note_len, embeddings.dim))
-    docs = semantical_forward(
-        flat, params.semantical, cfg,
-        training=training, rng=rng,
-        mask=token_masks.reshape(n_files * n_notes, note_len),
-    )
-    docs = docs.reshape((n_files, n_notes, cfg.filters))
-    patient = temporal_forward(docs, params.temporal)
-    return dense_sigmoid(patient, params.head)
+    """values/obs_masks [B, W, F] -> time-series features [B, 2 * h2].
 
-
-def notes_hcr_forward(
-    file: PatientFile,
-    embeddings: EmbeddingMatrix,
-    params: NotesHcrParams,
-    cfg: ModelConfig,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """One patient file -> scalar mortality probability."""
-    if not file.notes:
-        raise DataError(f"hadm {file.hadm_id}: empty patient file")
-    ids = np.stack([n.tokens for n in file.notes])[None, :, :]
-    masks = np.stack([n.mask for n in file.notes])[None, :, :]
-    probs = notes_hcr_batch_forward(
-        ids, masks, embeddings, params, cfg, training=training, rng=rng
-    )
-    return probs.reshape(())
-
-
-def _cts_input(values: np.ndarray, obs_masks: np.ndarray, cfg: ModelConfig) -> Tensor:
+    values are already standardized; the input concatenates them with
+    their missingness indicators, layer 1 emits per-step outputs that
+    layer 2 consumes.
+    """
     if values.shape[-2] == 0:
         raise DataError("cts_rnn: empty time series")
     if values.shape[-1] != cfg.cts_features:
@@ -442,119 +332,58 @@ def _cts_input(values: np.ndarray, obs_masks: np.ndarray, cfg: ModelConfig) -> T
             f"time series has {values.shape[-1]} channels, "
             f"config expects {cfg.cts_features}"
         )
-    return Tensor(np.concatenate([values, obs_masks.astype(np.float64)], axis=-1))
-
-
-def cts_rnn_batch_forward(
-    values: np.ndarray,
-    obs_masks: np.ndarray,
-    params: CtsRnnParams,
-    cfg: ModelConfig,
-    *,
-    training: bool,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """values/obs_masks [B, T, F] -> (features [B, 2*h2], probabilities [B]).
-
-    values are already standardized; the input concatenates them with
-    their missingness indicators, layer 1 emits per-step outputs that
-    layer 2 consumes.
-    """
-    x = _cts_input(values, obs_masks, cfg)
+    x = Tensor(np.concatenate([values, obs_masks.astype(np.float64)], axis=-1))
     step_outputs, _ = bigru(x, params.layer1)
     _, features = bigru(step_outputs, params.layer2)
-    dropped = dropout(features, cfg.fusion_dropout, training=training, rng=rng)
-    return features, dense_sigmoid(dropped, params.head)
+    return features
 
 
-def cts_rnn_forward(
-    ts: ClinicalTimeSeries,
-    params: CtsRnnParams,
-    cfg: ModelConfig,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """One imputed series (all physiology channels) -> (features, probability)."""
-    features, probs = cts_rnn_batch_forward(
-        standardize_values(ts.values)[None], ts.mask[None], params, cfg,
-        training=training, rng=rng,
-    )
-    return features.reshape(features.shape[1:]), probs.reshape(())
-
-
-def mm_hcr_batch_forward(
-    ids: np.ndarray,
-    token_masks: np.ndarray,
-    values: np.ndarray,
-    obs_masks: np.ndarray,
-    embeddings: EmbeddingMatrix,
-    params: MmHcrParams,
-    cfg: ModelConfig,
-    *,
-    training: bool,
-    rng: np.random.Generator | None = None,
+def forward(
+    model: Model, cfg: ModelConfig, embeddings: EmbeddingMatrix | None = None, *,
+    ids: np.ndarray | None = None, token_masks: np.ndarray | None = None,
+    values: np.ndarray | None = None, obs_masks: np.ndarray | None = None,
+    training: bool = False, rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Fused branch: [patient vector || cts features] -> dropout -> sigmoid.
-    values are already standardized, as in cts_rnn_batch_forward."""
-    n_files, n_notes, note_len = ids.shape
-    embedded = lookup_note_embeddings(ids, embeddings, params.embedding)
-    flat = embedded.reshape((n_files * n_notes, note_len, embeddings.dim))
-    docs = semantical_forward(
-        flat, params.semantical, cfg,
-        training=training, rng=rng,
-        mask=token_masks.reshape(n_files * n_notes, note_len),
-    )
-    docs = docs.reshape((n_files, n_notes, cfg.filters))
-    patient = temporal_forward(docs, params.temporal)
+    """Probabilities [B] for one batch; each branch reads only its inputs.
 
-    x = _cts_input(values, obs_masks, cfg)
-    step_outputs, _ = bigru(x, params.cts_layer1)
-    _, cts_features = bigru(step_outputs, params.cts_layer2)
-
-    fused = concat([patient, cts_features], axis=-1)
-    dropped = dropout(fused, cfg.fusion_dropout, training=training, rng=rng)
-    return dense_sigmoid(dropped, params.head)
-
-
-def mm_hcr_forward(
-    file: PatientFile,
-    ts: ClinicalTimeSeries | None,
-    embeddings: EmbeddingMatrix,
-    params: MmHcrParams,
-    cfg: ModelConfig,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    if not file.notes:
-        raise DataError(f"hadm {file.hadm_id}: empty patient file")
-    if ts is None:
-        raise DataError(
-            f"hadm {file.hadm_id}: multi-modal model requires the time series"
+    Notes branch: token ids/token_masks [B, T, L]; all notes share the
+    encoder. CTS branch: standardized values/obs_masks [B, W, F]. The
+    head reads [patient vector || cts features], with dropout first
+    whenever the CTS branch is present.
+    """
+    features = []
+    if model.temporal is not None:
+        n_files, n_notes, note_len = ids.shape
+        embedded = lookup_note_embeddings(ids, embeddings, model.embedding)
+        flat = embedded.reshape((n_files * n_notes, note_len, embeddings.dim))
+        docs = semantical_forward(
+            flat, model.semantical, cfg,
+            training=training, rng=rng,
+            mask=token_masks.reshape(n_files * n_notes, note_len),
         )
-    ids = np.stack([n.tokens for n in file.notes])[None, :, :]
-    masks = np.stack([n.mask for n in file.notes])[None, :, :]
-    probs = mm_hcr_batch_forward(
-        ids, masks, standardize_values(ts.values)[None], ts.mask[None],
-        embeddings, params, cfg, training=training, rng=rng,
-    )
-    return probs.reshape(())
+        docs = docs.reshape((n_files, n_notes, cfg.filters))
+        features.append(temporal_forward(docs, model.temporal))
+    if model.cts is not None:
+        features.append(cts_forward(values, obs_masks, model.cts, cfg))
+    x = concat(features, axis=-1) if len(features) > 1 else features[0]
+    if model.cts is not None:
+        x = dropout(x, cfg.fusion_dropout, training=training, rng=rng)
+    return dense_sigmoid(x, model.head)
 
 
 # -- checkpoint wiring ---------------------------------------------------------------------
 
 
-def params_to_entries(params) -> dict[str, np.ndarray]:
+def params_to_entries(params: Model) -> dict[str, np.ndarray]:
     entries = {name: t.data for name, t in named_parameters(params).items()}
     entries.update(named_buffers(params))
     return entries
 
 
 def load_params_from_entries(kind: str, cfg: ModelConfig, entries: dict[str, np.ndarray]):
-    """Rebuild a parameter container and overwrite it with saved arrays."""
+    """Rebuild a model of this kind and overwrite it with saved arrays."""
     embeddings = None
-    if cfg.train_embeddings:
+    if cfg.train_embeddings and "notes" in branches(kind):
         if "embedding.vectors" not in entries:
             raise DataError("checkpoint lacks the fine-tuned embedding matrix")
         embeddings = EmbeddingMatrix(entries["embedding.vectors"])

@@ -56,9 +56,6 @@ class GruDirectionParams:
     u_h: Tensor
     b_h: Tensor
 
-    def weight_tensors(self) -> list[Tensor]:
-        return [self.w_z, self.u_z, self.w_r, self.u_r, self.w_h, self.u_h]
-
     def all_tensors(self) -> dict[str, Tensor]:
         return {
             "w_z": self.w_z, "u_z": self.u_z, "b_z": self.b_z,

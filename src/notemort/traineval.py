@@ -257,9 +257,10 @@ def fold_class_weights(
 
 
 def _require_modalities(kind: str, stay: StayData) -> None:
-    if kind in (models.NOTES_HCR, models.MM_HCR) and stay.note_ids is None:
+    has = models.branches(kind)
+    if "notes" in has and stay.note_ids is None:
         raise DataError(f"hadm {stay.hadm_id}: notes required for {kind}")
-    if kind in (models.CTS_RNN, models.MM_HCR) and stay.ts_values is None:
+    if "cts" in has and stay.ts_values is None:
         raise DataError(f"hadm {stay.hadm_id}: time series required for {kind}")
 
 
@@ -273,7 +274,7 @@ def make_batches(
     """Batches of stays; note models bucket stays by note count so each
     batch stacks rectangular [B, T, L] arrays. Pass an rng to shuffle."""
     hadm_ids = sorted(hadm_ids)
-    if kind == models.CTS_RNN:
+    if "notes" not in models.branches(kind):
         ids = np.array(hadm_ids)
         if rng is not None:
             ids = ids[rng.permutation(len(ids))]
@@ -302,7 +303,7 @@ def batch_forward(
     kind: str,
     batch: Sequence[int],
     dataset: Mapping[int, StayData],
-    params,
+    params: models.Model,
     model_cfg: models.ModelConfig,
     embeddings: EmbeddingMatrix | None,
     *,
@@ -313,29 +314,14 @@ def batch_forward(
     stays = [dataset[h] for h in batch]
     for stay in stays:
         _require_modalities(kind, stay)
-    if kind == models.NOTES_HCR:
-        ids = np.stack([s.note_ids for s in stays])
-        masks = np.stack([s.note_masks for s in stays])
-        return models.notes_hcr_batch_forward(
-            ids, masks, embeddings, params, model_cfg, training=training, rng=rng
-        )
-    if kind == models.CTS_RNN:
-        values = np.stack([s.ts_values for s in stays])
-        obs = np.stack([s.ts_mask for s in stays])
-        _, probs = models.cts_rnn_batch_forward(
-            values, obs, params, model_cfg, training=training, rng=rng
-        )
-        return probs
-    if kind == models.MM_HCR:
-        ids = np.stack([s.note_ids for s in stays])
-        masks = np.stack([s.note_masks for s in stays])
-        values = np.stack([s.ts_values for s in stays])
-        obs = np.stack([s.ts_mask for s in stays])
-        return models.mm_hcr_batch_forward(
-            ids, masks, values, obs, embeddings, params, model_cfg,
-            training=training, rng=rng,
-        )
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+    inputs = {}
+    if "notes" in models.branches(kind):
+        inputs["ids"] = np.stack([s.note_ids for s in stays])
+        inputs["token_masks"] = np.stack([s.note_masks for s in stays])
+    if "cts" in models.branches(kind):
+        inputs["values"] = np.stack([s.ts_values for s in stays])
+        inputs["obs_masks"] = np.stack([s.ts_mask for s in stays])
+    return models.forward(params, model_cfg, embeddings, training=training, rng=rng, **inputs)
 
 
 def predict_scores(

@@ -10,12 +10,12 @@ from notemort.embed import (
     SubwordConfig,
     _sgd_batch,
     build_vocab,
-    embed_note,
     load_embeddings,
     ngram_buckets,
     save_embeddings,
     train_skipgram,
 )
+from notemort.models import lookup_note_embeddings
 from notemort.notesproc import OOV_ID, PAD_ID
 
 
@@ -218,20 +218,20 @@ class TestEmbedNote:
 
     def test_pad_positions_are_zero(self):
         ids = np.array([2, 3, PAD_ID, PAD_ID])
-        out = embed_note(ids, self.emb)
+        out = lookup_note_embeddings(ids, self.emb, None).data
         np.testing.assert_array_equal(out[2:], np.zeros((2, 4)))
         np.testing.assert_array_equal(out[0], self.emb.vectors[2])
 
     def test_oov_maps_to_zero(self):
-        out = embed_note(np.array([OOV_ID, 1]), self.emb)
+        out = lookup_note_embeddings(np.array([OOV_ID, 1]), self.emb, None).data
         np.testing.assert_array_equal(out[0], np.zeros(4))
         np.testing.assert_array_equal(out[1], self.emb.vectors[1])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            embed_note(np.array([5]), self.emb)
+            lookup_note_embeddings(np.array([5]), self.emb, None)
         with pytest.raises(DataError):
-            embed_note(np.array([-2]), self.emb)
+            lookup_note_embeddings(np.array([-2]), self.emb, None)
 
 
 def test_embedding_file_round_trip(tmp_path):

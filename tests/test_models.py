@@ -7,7 +7,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from notemort import models
+from notemort import models, traineval
 from notemort.embed import EmbeddingMatrix
 from notemort.errors import DataError
 from notemort.models import ModelConfig
@@ -24,7 +24,7 @@ from notemort.ndcore import (
     save_checkpoint,
 )
 from notemort.notesproc import CleanNote, PatientFile, truncate_pad
-from notemort.cohort import ClinicalTimeSeries, N_TS_VARIABLES
+from notemort.cohort import ClinicalTimeSeries, N_TS_VARIABLES, standardize_values
 
 from oracles import finite_diff_grad, max_rel_err
 
@@ -32,7 +32,7 @@ TOY = ModelConfig(
     note_len=8, embed_dim=4, conv_blocks=3, filters=2, kernel_size=3,
     spatial_dropout=0.0, temporal_hidden=3, cts_features=3, cts_hidden=(3, 2),
 )
-# wrapper-level tests consume full ClinicalTimeSeries objects, which
+# stay-level tests consume full ClinicalTimeSeries objects, which
 # always carry every physiology channel
 TOY_FULL_TS = dataclasses.replace(TOY, cts_features=N_TS_VARIABLES)
 
@@ -68,6 +68,23 @@ def toy_ts(seed=0, steps=5, features=3):
         values=rng.standard_normal((steps, N_TS_VARIABLES)) + 80.0,
         mask=rng.random((steps, N_TS_VARIABLES)) > 0.3,
     )
+
+
+def stay_inputs(file=None, ts=None) -> dict:
+    """One patient file and/or time series -> forward() inputs, batch of one."""
+    inputs = {}
+    if file is not None:
+        inputs["ids"] = np.stack([n.tokens for n in file.notes])[None]
+        inputs["token_masks"] = np.stack([n.mask for n in file.notes])[None]
+    if ts is not None:
+        inputs["values"] = standardize_values(ts.values)[None]
+        inputs["obs_masks"] = ts.mask[None]
+    return inputs
+
+
+def stay_forward(params, cfg, emb=None, file=None, ts=None, **kwargs) -> Tensor:
+    """One stay through models.forward -> scalar probability."""
+    return models.forward(params, cfg, emb, **stay_inputs(file, ts), **kwargs).reshape(())
 
 
 # -- parameter counts: independent shape-walk oracle, frozen regression values --
@@ -117,19 +134,22 @@ class TestParameterCounts:
         assert notes_hcr_count(cfg) == 463_689
         assert cts_rnn_count(cfg) == 20_673
         assert mm_hcr_count(cfg) == 484_361
-        assert models.parameter_count(models.init_notes_hcr(cfg)) == 463_689
-        assert models.parameter_count(models.init_cts_rnn(cfg)) == 20_673
-        assert models.parameter_count(models.init_mm_hcr(cfg)) == 484_361
+        assert models.parameter_count(models.init_model(models.NOTES_HCR, cfg)) == 463_689
+        assert models.parameter_count(models.init_model(models.CTS_RNN, cfg)) == 20_673
+        assert models.parameter_count(models.init_model(models.MM_HCR, cfg)) == 484_361
 
     def test_toy_config_matches_oracle(self):
-        assert models.parameter_count(models.init_notes_hcr(TOY)) == notes_hcr_count(TOY)
-        assert models.parameter_count(models.init_cts_rnn(TOY)) == cts_rnn_count(TOY)
-        assert models.parameter_count(models.init_mm_hcr(TOY)) == mm_hcr_count(TOY)
+        for kind, oracle in (
+            (models.NOTES_HCR, notes_hcr_count),
+            (models.CTS_RNN, cts_rnn_count),
+            (models.MM_HCR, mm_hcr_count),
+        ):
+            assert models.parameter_count(models.init_model(kind, TOY)) == oracle(TOY)
 
 
 class TestShapes:
     def test_semantical_output_shape(self):
-        params = models.init_notes_hcr(TOY, seed=1)
+        params = models.init_model(models.NOTES_HCR, TOY, seed=1)
         rng = np.random.default_rng(0)
         out = models.semantical_forward(
             Tensor(rng.standard_normal((5, 8, 4))), params.semantical, TOY,
@@ -138,7 +158,7 @@ class TestShapes:
         assert out.shape == (5, TOY.filters)
 
     def test_patient_vector_shape(self):
-        params = models.init_notes_hcr(TOY, seed=1)
+        params = models.init_model(models.NOTES_HCR, TOY, seed=1)
         rng = np.random.default_rng(0)
         out = models.temporal_forward(
             Tensor(rng.standard_normal((4, 3, TOY.filters))), params.temporal
@@ -154,17 +174,18 @@ class TestShapes:
     def test_probabilities_in_unit_interval(self):
         emb = toy_embeddings()
         file = toy_file()
-        p_notes = models.notes_hcr_forward(
-            file, emb, models.init_notes_hcr(TOY, 1), TOY
-        )
+        p_notes = stay_forward(models.init_model(models.NOTES_HCR, TOY, 1), TOY, emb, file)
         assert 0.0 < float(p_notes.data) < 1.0
         cfg = TOY_FULL_TS
-        feats, p_cts = models.cts_rnn_forward(toy_ts(), models.init_cts_rnn(cfg, 2), cfg)
+        cts_params = models.init_model(models.CTS_RNN, cfg, 2)
+        inputs = stay_inputs(ts=toy_ts())
+        feats = models.cts_forward(
+            inputs["values"], inputs["obs_masks"], cts_params.cts, cfg
+        )[0]
+        p_cts = stay_forward(cts_params, cfg, ts=toy_ts())
         assert feats.shape == (2 * cfg.cts_hidden[1],)
         assert 0.0 < float(p_cts.data) < 1.0
-        p_mm = models.mm_hcr_forward(
-            file, toy_ts(), emb, models.init_mm_hcr(cfg, 3), cfg
-        )
+        p_mm = stay_forward(models.init_model(models.MM_HCR, cfg, 3), cfg, emb, file, toy_ts())
         assert 0.0 < float(p_mm.data) < 1.0
 
 
@@ -172,16 +193,16 @@ def test_single_note_pipeline_matches_layer_composition():
     """Compose the layers by hand for a one-note file and compare."""
     cfg = TOY
     emb = toy_embeddings(seed=4)
-    params = models.init_notes_hcr(cfg, seed=5)
+    params = models.init_model(models.NOTES_HCR, cfg, seed=5)
     file = toy_file(n_notes=1, seed=6)
     note = file.notes[0]
 
     with no_grad():
-        got = float(models.notes_hcr_forward(file, emb, params, cfg).data)
+        got = float(stay_forward(params, cfg, emb, file).data)
 
         safe = np.where(note.tokens == -1, 0, note.tokens)
         x = Tensor(emb.vectors[safe] * note.mask[:, None])
-        for block in params.semantical.blocks:
+        for block in params.semantical:
             y = conv1d(x, block.conv)
             y = batchnorm(y, block.norm, training=False)
             shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
@@ -195,7 +216,7 @@ def test_single_note_pipeline_matches_layer_composition():
 
 
 def test_note_order_matters_to_temporal_module():
-    params = models.init_notes_hcr(TOY, seed=7)
+    params = models.init_model(models.NOTES_HCR, TOY, seed=7)
     rng = np.random.default_rng(8)
     docs = rng.standard_normal((1, 3, TOY.filters))
     out = models.temporal_forward(Tensor(docs), params.temporal)
@@ -206,7 +227,7 @@ def test_note_order_matters_to_temporal_module():
 def test_shared_weights_accumulate_gradients_across_notes():
     cfg = TOY
     emb = toy_embeddings()
-    params = models.init_notes_hcr(cfg, seed=9)
+    params = models.init_model(models.NOTES_HCR, cfg, seed=9)
     named = models.named_parameters(params)
     file_a = toy_file(n_notes=1, seed=10)
     file_b = toy_file(n_notes=1, seed=11)
@@ -214,8 +235,8 @@ def test_shared_weights_accumulate_gradients_across_notes():
     def grads_for(files):
         ids = np.stack([f.notes[0].tokens for f in files])[:, None, :]
         masks = np.stack([f.notes[0].mask for f in files])[:, None, :]
-        probs = models.notes_hcr_batch_forward(
-            ids, masks, emb, params, cfg, training=False
+        probs = models.forward(
+            params, cfg, emb, ids=ids, token_masks=masks, training=False
         )
         loss = probs.sum()
         backward(loss, named.values())
@@ -242,18 +263,18 @@ def test_eval_mode_is_deterministic():
     emb = toy_embeddings()
     file = toy_file()
     ts = toy_ts()
-    notes_params = models.init_notes_hcr(cfg, 1)
-    mm_params = models.init_mm_hcr(cfg, 2)
-    cts_params = models.init_cts_rnn(cfg, 3)
+    notes_params = models.init_model(models.NOTES_HCR, cfg, 1)
+    mm_params = models.init_model(models.MM_HCR, cfg, 2)
+    cts_params = models.init_model(models.CTS_RNN, cfg, 3)
     for _ in range(2):
-        a = float(models.notes_hcr_forward(file, emb, notes_params, cfg).data)
-        b = float(models.notes_hcr_forward(file, emb, notes_params, cfg).data)
+        a = float(stay_forward(notes_params, cfg, emb, file).data)
+        b = float(stay_forward(notes_params, cfg, emb, file).data)
         assert a == b
-        _, c1 = models.cts_rnn_forward(ts, cts_params, cfg)
-        _, c2 = models.cts_rnn_forward(ts, cts_params, cfg)
+        c1 = stay_forward(cts_params, cfg, ts=ts)
+        c2 = stay_forward(cts_params, cfg, ts=ts)
         assert float(c1.data) == float(c2.data)
-        m1 = models.mm_hcr_forward(file, ts, emb, mm_params, cfg)
-        m2 = models.mm_hcr_forward(file, ts, emb, mm_params, cfg)
+        m1 = stay_forward(mm_params, cfg, emb, file, ts)
+        m2 = stay_forward(mm_params, cfg, emb, file, ts)
         assert float(m1.data) == float(m2.data)
 
 
@@ -261,30 +282,36 @@ def test_mm_reduces_to_notes_when_cts_branch_zeroed():
     cfg = TOY_FULL_TS
     emb = toy_embeddings(seed=1)
     file = toy_file(n_notes=3, seed=2)
-    mm = models.init_mm_hcr(cfg, seed=3)
+    mm = models.init_model(models.MM_HCR, cfg, seed=3)
     # zero the time-series branch and the fusion weights over its features
-    for layer in (mm.cts_layer1, mm.cts_layer2):
+    for layer in (mm.cts.layer1, mm.cts.layer2):
         for direction in (layer.fwd, layer.bwd):
             for tensor in direction.all_tensors().values():
                 tensor.data[...] = 0.0
     mm.head.weight.data[2 * cfg.temporal_hidden :, :] = 0.0
 
-    notes = models.init_notes_hcr(cfg, seed=4)
+    notes = models.init_model(models.NOTES_HCR, cfg, seed=4)
     notes.semantical = mm.semantical
     notes.temporal = mm.temporal
     notes.head.weight.data = mm.head.weight.data[: 2 * cfg.temporal_hidden, :].copy()
     notes.head.bias.data = mm.head.bias.data.copy()
 
-    p_mm = float(models.mm_hcr_forward(file, toy_ts(seed=5), emb, mm, cfg).data)
-    p_notes = float(models.notes_hcr_forward(file, emb, notes, cfg).data)
+    p_mm = float(stay_forward(mm, cfg, emb, file, toy_ts(seed=5)).data)
+    p_notes = float(stay_forward(notes, cfg, emb, file).data)
     assert p_mm == pytest.approx(p_notes, abs=1e-15)
 
 
 def test_mm_requires_both_modalities():
+    inputs = stay_inputs(toy_file())
+    notes_only = traineval.StayData(
+        hadm_id=1, label=True,
+        note_ids=inputs["ids"][0], note_masks=inputs["token_masks"][0],
+    )
     with pytest.raises(DataError):
-        models.mm_hcr_forward(
-            toy_file(), None, toy_embeddings(),
-            models.init_mm_hcr(TOY_FULL_TS, 1), TOY_FULL_TS,
+        traineval.batch_forward(
+            models.MM_HCR, [1], {1: notes_only},
+            models.init_model(models.MM_HCR, TOY_FULL_TS, 1), TOY_FULL_TS,
+            toy_embeddings(), training=False,
         )
 
 
@@ -297,12 +324,8 @@ class TestCheckpointRoundTrip:
         # a train-mode forward perturbs batchnorm running stats first
         file, ts = toy_file(seed=7), toy_ts(seed=8)
         rng = np.random.default_rng(9)
-        if kind == models.NOTES_HCR:
-            models.notes_hcr_forward(file, emb, params, cfg, training=True, rng=rng)
-        elif kind == models.MM_HCR:
-            models.mm_hcr_forward(file, ts, emb, params, cfg, training=True, rng=rng)
-        else:
-            models.cts_rnn_forward(ts, params, cfg, training=True, rng=rng)
+        # each kind reads only the inputs of its own branches
+        stay_forward(params, cfg, emb, file, ts, training=True, rng=rng)
 
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, models.params_to_entries(params), cfg.hash())
@@ -311,19 +334,64 @@ class TestCheckpointRoundTrip:
         reloaded = models.load_params_from_entries(kind, cfg, entries)
 
         def forward(p):
-            if kind == models.NOTES_HCR:
-                return float(models.notes_hcr_forward(file, emb, p, cfg).data)
-            if kind == models.MM_HCR:
-                return float(models.mm_hcr_forward(file, ts, emb, p, cfg).data)
-            return float(models.cts_rnn_forward(ts, p, cfg)[1].data)
+            return float(stay_forward(p, cfg, emb, file, ts).data)
 
         assert forward(params) == forward(reloaded)
 
     def test_mismatched_entries_rejected(self):
-        entries = models.params_to_entries(models.init_notes_hcr(TOY, 1))
+        entries = models.params_to_entries(models.init_model(models.NOTES_HCR, TOY, 1))
         entries.pop("head.bias")
         with pytest.raises(DataError):
             models.load_params_from_entries(models.NOTES_HCR, TOY, entries)
+
+
+def gru_entries(prefix, gates=("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")):
+    return [f"{prefix}.{d}.{g}" for d in ("fwd", "bwd") for g in gates]
+
+
+NOTES_ENTRIES = [
+    "semantical.block0.conv.kernels", "semantical.block0.conv.bias",
+    "semantical.block0.shortcut.kernels", "semantical.block0.shortcut.bias",
+    "semantical.block0.norm.gamma", "semantical.block0.norm.beta",
+    "semantical.block1.conv.kernels", "semantical.block1.conv.bias",
+    "semantical.block1.norm.gamma", "semantical.block1.norm.beta",
+    "semantical.block2.conv.kernels", "semantical.block2.conv.bias",
+    "semantical.block2.norm.gamma", "semantical.block2.norm.beta",
+    *gru_entries("temporal"),
+]
+CTS_ENTRIES = [*gru_entries("cts.layer1"), *gru_entries("cts.layer2")]
+TAIL_ENTRIES = [
+    "head.weight", "head.bias", "embedding.vectors",
+    "semantical.block0.norm.running_mean", "semantical.block0.norm.running_var",
+    "semantical.block1.norm.running_mean", "semantical.block1.norm.running_var",
+    "semantical.block2.norm.running_mean", "semantical.block2.norm.running_var",
+]
+
+
+@pytest.mark.parametrize("kind, names", [
+    (models.NOTES_HCR, NOTES_ENTRIES + TAIL_ENTRIES),
+    (models.CTS_RNN, CTS_ENTRIES + ["head.weight", "head.bias"]),
+    (models.MM_HCR, NOTES_ENTRIES + CTS_ENTRIES + TAIL_ENTRIES),
+])
+def test_checkpoint_entry_names_are_frozen(kind, names):
+    """Checkpoints written by earlier runs load only if these names and
+    their order never change."""
+    cfg = dataclasses.replace(TOY, train_embeddings=kind != models.CTS_RNN)
+    params = models.init_model(kind, cfg, seed=0, embeddings=toy_embeddings())
+    assert list(models.params_to_entries(params)) == names
+
+
+def test_mm_decay_groups_are_conv_kernels_and_cts_gru_matrices():
+    params = models.init_model(models.MM_HCR, TOY, seed=0)
+    name_of = {id(t): name for name, t in models.named_parameters(params).items()}
+    got = [(name_of[id(w)], lam) for w, lam in models.decayed_weights(params, TOY)]
+    conv = [
+        "semantical.block0.conv.kernels", "semantical.block0.shortcut.kernels",
+        "semantical.block1.conv.kernels", "semantical.block2.conv.kernels",
+    ]
+    matrices = ("w_z", "u_z", "w_r", "u_r", "w_h", "u_h")
+    gru = gru_entries("cts.layer1", matrices) + gru_entries("cts.layer2", matrices)
+    assert got == [(n, TOY.conv_decay) for n in conv] + [(n, TOY.cts_decay) for n in gru]
 
 
 class TestFullModelGradients:
@@ -339,14 +407,14 @@ class TestFullModelGradients:
 
     def test_notes_hcr_gradients(self):
         emb = toy_embeddings(seed=20)
-        params = models.init_notes_hcr(TOY, seed=21)
+        params = models.init_model(models.NOTES_HCR, TOY, seed=21)
         file = toy_file(n_notes=2, seed=22)
         ids = np.stack([n.tokens for n in file.notes])[None]
         masks = np.stack([n.mask for n in file.notes])[None]
 
         def loss():
-            probs = models.notes_hcr_batch_forward(
-                ids, masks, emb, params, TOY, training=True,
+            probs = models.forward(
+                params, TOY, emb, ids=ids, token_masks=masks, training=True,
                 rng=np.random.default_rng(0),
             )
             return (probs * probs).sum()
@@ -354,14 +422,14 @@ class TestFullModelGradients:
         self.check(loss, params)
 
     def test_cts_rnn_gradients(self):
-        params = models.init_cts_rnn(TOY, seed=23)
+        params = models.init_model(models.CTS_RNN, TOY, seed=23)
         rng = np.random.default_rng(24)
         values = rng.standard_normal((1, 4, 3))  # T=4, F=3, standardized
         mask = rng.random((1, 4, 3)) > 0.3
 
         def loss():
-            _, probs = models.cts_rnn_batch_forward(
-                values, mask, params, TOY, training=False
+            probs = models.forward(
+                params, TOY, values=values, obs_masks=mask, training=False
             )
             return (probs * 2.0).sum()
 
@@ -374,13 +442,13 @@ class TestFullModelGradients:
             train_embeddings=True,
         )
         emb = toy_embeddings(seed=25)
-        params = models.init_notes_hcr(cfg, seed=26, embeddings=emb)
+        params = models.init_model(models.NOTES_HCR, cfg, seed=26, embeddings=emb)
         file = toy_file(n_notes=1, seed=27)
         ids = np.stack([n.tokens for n in file.notes])[None]
         masks = np.stack([n.mask for n in file.notes])[None]
 
-        probs = models.notes_hcr_batch_forward(
-            ids, masks, emb, params, cfg, training=False
+        probs = models.forward(
+            params, cfg, emb, ids=ids, token_masks=masks, training=False
         )
         backward(probs.sum(), [params.embedding])
         grad = params.embedding.grad

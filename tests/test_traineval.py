@@ -1,5 +1,6 @@
 """Loss, schedule, metrics, t-test, report, and the training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -331,6 +332,19 @@ class TestTrainFold:
         assert sorted(result.test_scores) == sorted(test_ids)
         assert all(0.0 < p < 1.0 for p in result.test_scores.values())
 
+    def test_cts_rnn_ignores_train_embeddings(self):
+        """cts-rnn has no notes branch, so fine-tuning embeddings changes
+        nothing and its best-weight restore needs no embedding matrix."""
+        dataset = toy_dataset()
+        cfg = TrainConfig(epochs=2, seed=0, early_stop_patience=2,
+                          hcr_batch_size=8, cts_batch_size=8)
+        tuned_cfg = dataclasses.replace(TOY_CFG, train_embeddings=True)
+        tuned = train_fold(models.CTS_RNN, toy_fold(dataset), dataset, tuned_cfg, cfg)
+        plain, _ = self.run(kind=models.CTS_RNN, epochs=2)
+        assert "embedding.vectors" not in tuned.entries
+        assert tuned.history == plain.history
+        assert tuned.test_scores == plain.test_scores
+
 
 def test_class_weights_ignore_val_and_test_labels():
     dataset = toy_dataset(n=50, seed=3)
@@ -350,7 +364,7 @@ def test_single_batch_loss_decreases_over_first_ten_steps():
     batch = [h for h in sorted(dataset) if dataset[h].note_ids.shape[0] == 2][:8]
     assert len(batch) == 8
     labels = np.array([dataset[h].label for h in batch], dtype=np.float64)
-    params = models.init_notes_hcr(TOY_CFG, seed=1)
+    params = models.init_model(models.NOTES_HCR, TOY_CFG, seed=1)
     named = models.named_parameters(params)
     optimizer = AmsGrad(named, lr=1e-3)
     emb = toy_emb()
