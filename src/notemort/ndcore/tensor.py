@@ -88,10 +88,20 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` into this tensor's gradient.
+
+        The first gradient is stored without a zero-fill. `fresh=True`
+        says that no one else holds `g` (a new array made by the
+        backward closure), so it is adopted as it is; anything else --
+        the output's own gradient, a view or a slice of it -- is copied,
+        because later accumulations write into the stored array. A numpy
+        scalar (what a full reduction returns) becomes a 0-d array.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g if fresh and isinstance(g, np.ndarray) else np.array(g)
+        else:
+            self.grad += g
 
     # -- backward ------------------------------------------------------------
 
@@ -138,7 +148,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return _make(
             -self.data, (self,), "neg",
-            lambda g, a=self: a._accum(-g),
+            lambda g, a=self: a._accum(-g, fresh=True),
         )
 
     def __sub__(self, other) -> "Tensor":
@@ -152,8 +162,10 @@ class Tensor:
         out = _make(
             self.data * other.data, (self, other), "mul",
             lambda g, a=self, b=other: (
-                a._accum(_unbroadcast(g * b.data, a.shape)) if a.requires_grad else None,
-                b._accum(_unbroadcast(g * a.data, b.shape)) if b.requires_grad else None,
+                a._accum(_unbroadcast(g * b.data, a.shape), fresh=True)
+                if a.requires_grad else None,
+                b._accum(_unbroadcast(g * a.data, b.shape), fresh=True)
+                if b.requires_grad else None,
             ),
         )
         return out
@@ -165,8 +177,9 @@ class Tensor:
         out = _make(
             self.data / other.data, (self, other), "div",
             lambda g, a=self, b=other: (
-                a._accum(_unbroadcast(g / b.data, a.shape)) if a.requires_grad else None,
-                b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+                a._accum(_unbroadcast(g / b.data, a.shape), fresh=True)
+                if a.requires_grad else None,
+                b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
                 if b.requires_grad else None,
             ),
         )
@@ -180,7 +193,7 @@ class Tensor:
             raise ConfigurationError("only scalar exponents are supported")
         return _make(
             self.data ** exponent, (self,), "pow",
-            lambda g, a=self, e=exponent: a._accum(g * e * a.data ** (e - 1)),
+            lambda g, a=self, e=exponent: a._accum(g * e * a.data ** (e - 1), fresh=True),
         )
 
     def __matmul__(self, other) -> "Tensor":
@@ -188,9 +201,9 @@ class Tensor:
 
         def back(g, a=self, b=other):
             if a.requires_grad:
-                a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+                a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), fresh=True)
             if b.requires_grad:
-                b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+                b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), fresh=True)
 
         return _make(self.data @ other.data, (self, other), "matmul", back)
 
@@ -198,40 +211,42 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         value = np.exp(self.data)
-        return _make(value, (self,), "exp", lambda g, a=self, v=value: a._accum(g * v))
+        return _make(
+            value, (self,), "exp", lambda g, a=self, v=value: a._accum(g * v, fresh=True)
+        )
 
     def log(self) -> "Tensor":
         return _make(
             np.log(self.data), (self,), "log",
-            lambda g, a=self: a._accum(g / a.data),
+            lambda g, a=self: a._accum(g / a.data, fresh=True),
         )
 
     def sqrt(self) -> "Tensor":
         value = np.sqrt(self.data)
         return _make(
             value, (self,), "sqrt",
-            lambda g, a=self, v=value: a._accum(g / (2.0 * v)),
+            lambda g, a=self, v=value: a._accum(g / (2.0 * v), fresh=True),
         )
 
     def tanh(self) -> "Tensor":
         value = np.tanh(self.data)
         return _make(
             value, (self,), "tanh",
-            lambda g, a=self, v=value: a._accum(g * (1.0 - v * v)),
+            lambda g, a=self, v=value: a._accum(g * (1.0 - v * v), fresh=True),
         )
 
     def sigmoid(self) -> "Tensor":
         value = _sigmoid(self.data)
         return _make(
             value, (self,), "sigmoid",
-            lambda g, a=self, v=value: a._accum(g * v * (1.0 - v)),
+            lambda g, a=self, v=value: a._accum(g * v * (1.0 - v), fresh=True),
         )
 
     def relu(self) -> "Tensor":
         value = np.maximum(self.data, 0.0)
         return _make(
             value, (self,), "relu",
-            lambda g, a=self: a._accum(g * (a.data > 0.0)),
+            lambda g, a=self: a._accum(g * (a.data > 0.0), fresh=True),
         )
 
     def clip(self, lo: float, hi: float) -> "Tensor":
@@ -239,7 +254,9 @@ class Tensor:
         value = np.clip(self.data, lo, hi)
         return _make(
             value, (self,), "clip",
-            lambda g, a=self: a._accum(g * ((a.data >= lo) & (a.data <= hi))),
+            lambda g, a=self: a._accum(
+                g * ((a.data >= lo) & (a.data <= hi)), fresh=True
+            ),
         )
 
     # -- reductions and shape ops ----------------------------------------------
@@ -248,7 +265,7 @@ class Tensor:
         def back(g, a=self):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.shape).copy())
+            a._accum(np.broadcast_to(g, a.shape))
 
         return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", back)
 
@@ -269,24 +286,32 @@ class Tensor:
         )
 
     def __getitem__(self, key) -> "Tensor":
+        basic = _is_basic_key(key)
+
         def back(g, a=self):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, key, g)
+            if basic:
+                a.grad[key] += g
+            else:
+                np.add.at(a.grad, key, g)
 
         return _make(self.data[key], (self,), "getitem", back)
 
-    def pad_axis(self, before: int, after: int, axis: int) -> "Tensor":
-        """Zero-pad along one axis."""
-        widths = [(0, 0)] * self.data.ndim
-        widths[axis] = (before, after)
-        index = [slice(None)] * self.data.ndim
-        index[axis] = slice(before, before + self.data.shape[axis])
-        index = tuple(index)
-        return _make(
-            np.pad(self.data, widths), (self,), "pad",
-            lambda g, a=self: a._accum(g[index]),
-        )
+
+def _is_basic_key(key) -> bool:
+    """True for keys of ints, slices, None and Ellipsis only.
+
+    Such a key selects each element at most once, so its backward can add
+    into the selected view; a fancy key may repeat an index (a token id
+    looked up twice) and needs `np.add.at`.
+    """
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts
+    )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -425,6 +425,8 @@ def train_fold(
             optimizer.step()
             loss_sum += float(loss.data) * len(batch)
             n_examples += len(batch)
+            # drop this step's graph before the next forward builds its own
+            del probs, loss
         train_loss = loss_sum / max(n_examples, 1)
         val_loss = _split_loss(
             kind, val_ids, dataset, params, model_cfg, embeddings,
@@ -445,6 +447,10 @@ def train_fold(
             if patience_left <= 0:
                 break
 
+    if best_entries is None:
+        raise DataError(
+            f"fold {fold_split.fold}: no epoch gave a finite validation loss"
+        )
     params = models.load_params_from_entries(kind, model_cfg, best_entries)
     result.entries = best_entries
     result.val_scores = predict_scores(

@@ -2,12 +2,15 @@
 
 Everything here is written as plainly as possible (explicit loops,
 scalar math) and stays independent of the implementation paths it
-verifies.
+verifies. The `*_composed` references are the unfused tape compositions
+of generic ndcore ops that the fused layers replace.
 """
 
 import math
 
 import numpy as np
+
+from notemort.ndcore import concat, constant
 
 
 def finite_diff_grad(f, param, h=1e-5):
@@ -53,6 +56,43 @@ def conv1d_loops(x, kernels, bias):
     for co in range(c_out):
         out[:, co] += bias[co]
     return out
+
+
+def conv1d_composed(x, params):
+    """conv1d as the plain tape composition the fused op replaces.
+
+    Zero-pads the lexical axis by concatenating constant zeros, then
+    sums one slice @ kernels[k] node per tap and adds the bias.
+    """
+    kernels = params.kernels
+    k_size = kernels.shape[0]
+    length = x.shape[-2]
+    pad = (k_size - 1) // 2
+    if pad:
+        zeros = constant(np.zeros(x.shape[:-2] + (pad, x.shape[-1])))
+        x = concat([zeros, x, zeros], axis=-2)
+    out = None
+    for k in range(k_size):
+        term = x[..., k : k + length, :] @ kernels[k]
+        out = term if out is None else out + term
+    return out + params.bias
+
+
+def batchnorm_train_composed(x, params):
+    """Train-mode batchnorm as the plain mean/var/sqrt node chain the
+    fused op replaces, with the same running-statistics update."""
+    axes = tuple(range(x.data.ndim - 1))
+    count = int(np.prod(x.shape[:-1]))
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    xhat = centered / (var + params.eps).sqrt()
+    mom = params.momentum
+    params.running_mean *= mom
+    params.running_mean += (1.0 - mom) * mu.data.reshape(-1)
+    params.running_var *= mom
+    params.running_var += (1.0 - mom) * var.data.reshape(-1) * (count / (count - 1))
+    return params.gamma * xhat + params.beta
 
 
 def _sig(v):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from notemort.errors import ConfigurationError, DataError
+from notemort.ndcore import layers
 from notemort.ndcore import (
     BiGruParams,
     Conv1dParams,
@@ -24,7 +25,9 @@ from notemort.ndcore import (
 )
 
 from oracles import (
+    batchnorm_train_composed,
     bigru_scalar,
+    conv1d_composed,
     conv1d_loops,
     finite_diff_grad,
     gru_scalar_step,
@@ -120,6 +123,51 @@ def test_conv1d_gradients(seed):
     for t in tensors:
         assert max_rel_err(t.grad, finite_diff_grad(loss, t)) < TOL
         t.grad = None
+
+
+# (input shape, kernel size): 2-D [L, C], 3-D and 4-D leading axes, the
+# 1x1 shortcut projection, K = 5, a single position and L < K
+FUSED_CONV_CASES = [
+    ((7, 3), 3),
+    ((2, 7, 3), 3),
+    ((2, 3, 7, 3), 3),
+    ((2, 7, 3), 1),
+    ((2, 7, 3), 5),
+    ((3, 1, 3), 3),
+    ((2, 2, 3), 5),
+]
+
+
+def run_with_grads(op, x_data, leaves, grad_out):
+    """Forward `op(x, leaves)` and backward sum(out * grad_out); returns
+    the output and the gradients of x and of every leaf."""
+    x = parameter(x_data.copy())
+    out = op(x, leaves)
+    (out * grad_out).sum().backward()
+    return out.data, [x.grad] + [t.grad for t in vars(leaves).values() if isinstance(t, Tensor)]
+
+
+@pytest.mark.parametrize("one_index_per_chunk", [False, True])
+@pytest.mark.parametrize("shape,k", FUSED_CONV_CASES)
+def test_conv1d_fused_matches_composition(shape, k, one_index_per_chunk, monkeypatch):
+    if one_index_per_chunk:
+        monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    rng = np.random.default_rng(k * 100 + len(shape))
+    x = rng.standard_normal(shape)
+    kernels = rng.standard_normal((k, shape[-1], 4))
+    bias = rng.standard_normal(4)
+    grad_out = rng.standard_normal(shape[:-1] + (4,))
+    results = [
+        run_with_grads(
+            op, x, Conv1dParams(parameter(kernels.copy()), parameter(bias.copy())), grad_out
+        )
+        for op in (conv1d, conv1d_composed)
+    ]
+    (out, grads), (want_out, want_grads) = results
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    assert len(grads) == len(want_grads) == 3
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # -- spatial dropout --------------------------------------------------------
@@ -234,6 +282,47 @@ def test_batchnorm_gradients(seed):
     for t in tensors:
         assert max_rel_err(t.grad, finite_diff_grad(loss, t)) < TOL
         t.grad = None
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (2, 7, 3), (2, 3, 7, 3), (3, 1, 3)])
+def test_batchnorm_train_fused_matches_composition(shape):
+    rng = np.random.default_rng(len(shape))
+    batches = [rng.standard_normal(shape) * 2.0 + 0.5 for _ in range(2)]
+    gamma = rng.standard_normal(3) + 1.0
+    beta = rng.standard_normal(3)
+    grad_out = rng.standard_normal(shape)
+    fused_bn, composed_bn = make_bn(3), make_bn(3)
+    for x in batches:  # two steps, so the running statistics compound
+        results = []
+        for op, bn in (
+            (lambda t, p: batchnorm(t, p, training=True), fused_bn),
+            (batchnorm_train_composed, composed_bn),
+        ):
+            bn.gamma, bn.beta = parameter(gamma.copy()), parameter(beta.copy())
+            results.append(run_with_grads(op, x, bn, grad_out))
+        (out, grads), (want_out, want_grads) = results
+        np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+        assert len(grads) == len(want_grads) == 3
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for got, want in ((fused_bn.running_mean, composed_bn.running_mean),
+                          (fused_bn.running_var, composed_bn.running_var)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_fused_conv1d_and_batchnorm_add_one_tape_node_each():
+    rng = np.random.default_rng(9)
+    x = parameter(rng.standard_normal((2, 5, 3)))
+    conv = make_conv(rng, 3, 3, 4)
+    bn = make_bn(4)
+    start = Tensor(0.0)._id
+    y = conv1d(x, conv)
+    assert y._id == start + 1
+    assert y._parents == (x, conv.kernels, conv.bias)
+    start = Tensor(0.0)._id
+    z = batchnorm(y, bn, training=True)
+    assert z._id == start + 1
+    assert z._parents == (y, bn.gamma, bn.beta)
 
 
 # -- pooling ----------------------------------------------------------------------

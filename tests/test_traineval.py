@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -344,6 +345,30 @@ class TestTrainFold:
         assert "embedding.vectors" not in tuned.entries
         assert tuned.history == plain.history
         assert tuned.test_scores == plain.test_scores
+
+    def test_nan_vital_sign_without_finite_val_loss_is_a_data_error(self):
+        dataset = toy_dataset(n=30)
+        roles = toy_fold(dataset).roles
+        first_train = next(h for h in sorted(roles) if roles[h] == "train")
+        dataset[first_train].ts_values[0, 0] = np.nan
+        with pytest.raises(DataError, match="finite validation loss"):
+            self.run(kind=models.CTS_RNN, epochs=2, dataset=dataset)
+
+    def test_previous_step_graph_is_released_before_next_forward(self, monkeypatch):
+        real_forward = traineval.batch_forward
+        previous = []
+
+        def spy(*args, training=False, **kwargs):
+            if training and previous:
+                assert previous[-1]() is None, "the previous step's graph is still alive"
+            probs = real_forward(*args, training=training, **kwargs)
+            if training:  # Tensor has __slots__ and no weak references; its array does
+                previous.append(weakref.ref(probs.data))
+            return probs
+
+        monkeypatch.setattr(traineval, "batch_forward", spy)
+        self.run(epochs=2)
+        assert len(previous) > 2
 
 
 def test_class_weights_ignore_val_and_test_labels():
