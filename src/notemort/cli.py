@@ -178,28 +178,29 @@ def write_manifest(work: Path, stage: str, config: RunConfig, inputs: list[Path]
 
 
 def require_stage(work: Path, stage: str, needed: list[str]) -> dict[str, Path]:
-    """Verify a predecessor stage's manifest and the artifacts this stage
-    consumes; returns resolved paths keyed by relative name."""
+    """Verify a predecessor stage's manifest, the inputs it recorded and
+    the artifacts this stage consumes; returns resolved paths keyed by
+    relative name."""
     manifest_path = work / f"{stage}.manifest.json"
     if not manifest_path.exists():
         raise MissingArtifactError(
             f"missing manifest {manifest_path.name}: run the `{stage.split('_')[0]}` stage first"
         )
     manifest = json.loads(manifest_path.read_text())
-    resolved = {}
     for rel in needed:
-        recorded = manifest["outputs"].get(rel)
-        path = work / rel
-        if recorded is None or not path.exists():
+        if rel not in manifest["outputs"] or not (work / rel).exists():
             raise MissingArtifactError(
                 f"stage `{stage}` did not produce {rel}: re-run it"
             )
-        if _sha256(path) != recorded:
+    # an input that changed since the stage ran makes its outputs stale
+    recorded = {**manifest["inputs"], **{rel: manifest["outputs"][rel] for rel in needed}}
+    for rel, digest in recorded.items():
+        path = work / rel
+        if not path.exists() or _sha256(path) != digest:
             raise MissingArtifactError(
                 f"{rel} changed since stage `{stage}` ran: re-run `{stage.split('_')[0]}`"
             )
-        resolved[rel] = path
-    return resolved
+    return {rel: work / rel for rel in needed}
 
 
 # -- stages ------------------------------------------------------------------------
@@ -318,13 +319,12 @@ def cmd_cohort(config: RunConfig) -> int:
                 "subject_id": wc.subject_of[hadm_id],
                 "label": int(wc.labels[hadm_id]),
                 "roles": {str(f.fold): f.roles[hadm_id] for f in folds},
+                "row_ids": [n.row_id for n in wc.files[hadm_id].notes],
             }
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-    files_path = out / f"files_W{window}.jsonl"
-    notesproc.write_patient_file_index(files_path, [wc.files[h] for h in wc.eligible])
     write_manifest(
         work, f"cohort_W{window}", config,
-        list(tables.values()) + list(prep.values()), [manifest_path, files_path],
+        list(tables.values()) + list(prep.values()), [manifest_path],
     )
     prevalence = float(np.mean([wc.labels[h] for h in wc.eligible])) if wc.eligible else 0.0
     print(
@@ -334,49 +334,58 @@ def cmd_cohort(config: RunConfig) -> int:
     return 0
 
 
-def _load_cohort(work: Path, window: int, k: int):
+def _load_cohort(config: RunConfig, work: Path):
+    """The cohort stage's stays, patient files and folds, plus the files
+    they were read from."""
+    window = config.window
     rel = f"cohorts/cohort_W{window}.jsonl"
     resolved = require_stage(work, f"cohort_W{window}", [rel])
-    labels: dict[int, bool] = {}
-    subject_of: dict[int, int] = {}
-    roles: dict[int, dict[int, str]] = {f: {} for f in range(k)}
-    for line in open(resolved[rel], encoding="utf-8"):
-        record = json.loads(line)
-        hadm_id = record["hadm_id"]
-        labels[hadm_id] = bool(record["label"])
-        subject_of[hadm_id] = record["subject_id"]
-        for fold_str, role in record["roles"].items():
-            roles[int(fold_str)][hadm_id] = role
-    folds = [cohort.FoldSplit(fold=f, roles=roles[f]) for f in sorted(roles)]
-    return labels, subject_of, folds
-
-
-def _build_stage_dataset(config: RunConfig, work: Path):
-    tables = require_stage(
-        work, "synth",
-        ["tables/admissions.csv", "tables/icustays.csv", "tables/timeseries.csv"],
-    )
     prep = require_stage(work, "preprocess", ["prep/clean_notes.jsonl"])
-    admissions = cohort.read_admissions_csv(tables["tables/admissions.csv"])
-    icustays = cohort.read_icustays_csv(tables["tables/icustays.csv"])
     clean_notes = notesproc.read_clean_notes(
         prep["prep/clean_notes.jsonl"], note_len=config.model_cfg.note_len
     )
-    wc = pipeline.build_window_cohort(clean_notes, admissions, icustays, config.window)
-    timeseries = None
-    if "cts" in models.branches(config.model):
-        timeseries = cohort.read_timeseries_csv(tables["tables/timeseries.csv"])
-    return pipeline.build_dataset(wc, timeseries)
+    note_of = {note.row_id: note for note in clean_notes}
+    wc = pipeline.WindowCohort(window_hours=window, eligible=[], files={})
+    roles: dict[int, dict[int, str]] = {}
+    for line in open(resolved[rel], encoding="utf-8"):
+        record = json.loads(line)
+        hadm_id = record["hadm_id"]
+        wc.eligible.append(hadm_id)
+        wc.labels[hadm_id] = bool(record["label"])
+        wc.subject_of[hadm_id] = record["subject_id"]
+        wc.files[hadm_id] = notesproc.PatientFile(
+            hadm_id=hadm_id,
+            subject_id=record["subject_id"],
+            notes=[note_of[row_id] for row_id in record["row_ids"]],
+            label=bool(record["label"]),
+            window_hours=window,
+        )
+        for fold_str, role in record["roles"].items():
+            roles.setdefault(int(fold_str), {})[hadm_id] = role
+    if sorted(roles) != list(range(config.train_cfg.k)):
+        raise MissingArtifactError(
+            f"{rel} holds {len(roles)} folds but train.k is {config.train_cfg.k}: "
+            f"re-run `cohort`"
+        )
+    folds = [cohort.FoldSplit(fold=f, roles=roles[f]) for f in sorted(roles)]
+    return wc, folds, [resolved[rel], prep["prep/clean_notes.jsonl"]]
 
 
 def cmd_train(config: RunConfig) -> int:
     work = Path(config.work_dir)
-    _, _, folds = _load_cohort(work, config.window, config.train_cfg.k)
-    dataset = _build_stage_dataset(config, work)
+    wc, folds, inputs = _load_cohort(config, work)
+    timeseries = None
+    if "cts" in models.branches(config.model):
+        tables = require_stage(work, "synth", ["tables/timeseries.csv"])
+        timeseries = cohort.read_timeseries_csv(tables["tables/timeseries.csv"])
+        inputs += tables.values()
+    dataset = pipeline.build_dataset(wc, timeseries)
+    del wc, timeseries  # free the raw time-series rows before training
     embeddings = None
     if "notes" in models.branches(config.model):
         emb_files = require_stage(work, "embed", ["embeddings/embeddings.txt"])
         _, embeddings = load_embeddings(emb_files["embeddings/embeddings.txt"])
+        inputs += emb_files.values()
     results = traineval.train(
         config.model, folds, dataset, config.model_cfg, config.train_cfg,
         embeddings, jobs=config.jobs,
@@ -408,7 +417,7 @@ def cmd_train(config: RunConfig) -> int:
             f"best epoch {res.best_epoch}, val loss {res.best_val_loss:.4f}, "
             f"test AUROC {traineval.auroc(test_scores, test_labels):.4f}"
         )
-    write_manifest(work, f"train_{config.model}_W{config.window}", config, [], outputs)
+    write_manifest(work, f"train_{config.model}_W{config.window}", config, inputs, outputs)
     return 0
 
 
@@ -425,17 +434,12 @@ def cmd_evaluate(config: RunConfig) -> int:
             continue
         model, window_str = run_dir.name.rsplit("_W", 1)
         window = int(window_str)
-        require_stage(
+        scores = require_stage(
             work, f"train_{model}_W{window}",
-            [f"train/{run_dir.name}/fold0.scores.jsonl"],
+            [f"train/{run_dir.name}/fold{fold}.scores.jsonl" for fold in range(k)],
         )
         aurocs, auprcs = [], []
-        for fold in range(k):
-            scores_path = run_dir / f"fold{fold}.scores.jsonl"
-            if not scores_path.exists():
-                raise MissingArtifactError(
-                    f"{scores_path} missing: re-run `train` for {model} W={window}"
-                )
+        for fold, scores_path in enumerate(scores.values()):
             probs, labels = [], []
             for line in open(scores_path, encoding="utf-8"):
                 record = json.loads(line)
@@ -521,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 4
+    except (OSError, ArithmeticError) as exc:
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -11,6 +11,7 @@ window. Splits are grouped by patient so no subject spans roles.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -106,6 +107,21 @@ def label_mortality(admission: Admission) -> bool:
     )
 
 
+def _passes_criteria(
+    admission: Admission, stays: Sequence[IcuStay], file: PatientFile | None
+) -> bool:
+    """The exclusion criteria: one ICU stay with no care-unit transfer,
+    age above 18, no death in the first 72 hours, at least one note."""
+    if len(stays) != 1 or len(set(stays[0].care_units)) > 1:
+        return False
+    if admission.age_at_admission <= ADULT_AGE_CUTOFF:
+        return False
+    early = stays[0].intime + timedelta(hours=EARLY_DEATH_HOURS)
+    if admission.death_time is not None and admission.death_time < early:
+        return False
+    return file is not None and len(file.notes) > 0
+
+
 def select_cohort(
     admissions: Mapping[int, Admission],
     icustays: Sequence[IcuStay],
@@ -123,20 +139,8 @@ def select_cohort(
 
     eligible: set[int] = set()
     for hadm_id, stays in stays_by_hadm.items():
-        if len(stays) > 1:
-            continue
-        stay = stays[0]
-        if len(set(stay.care_units)) > 1:
-            continue
-        adm = admissions[hadm_id]
-        if adm.age_at_admission <= ADULT_AGE_CUTOFF:
-            continue
-        if adm.death_time is not None and adm.death_time < stay.intime + timedelta(
-            hours=EARLY_DEATH_HOURS
-        ):
-            continue
         file = patient_files.get(hadm_id)
-        if file is None or not file.notes:
+        if not _passes_criteria(admissions[hadm_id], stays, file):
             continue
         if file.window_hours != window_hours:
             raise DataError(
@@ -153,36 +157,22 @@ def validate_cohort(
     icustays: Sequence[IcuStay],
     patient_files: Mapping[int, PatientFile],
 ) -> None:
-    """Re-check every criterion for every selected stay; raises on any
-    violation. Run after assembly as a belt-and-braces guard."""
+    """Re-check every criterion for every selected stay, plus notes
+    inside the window and in chart order; raises on any violation. Run
+    after assembly as a belt-and-braces guard."""
     stays_by_hadm: dict[int, list[IcuStay]] = {}
     for stay in icustays:
         stays_by_hadm.setdefault(stay.hadm_id, []).append(stay)
     for hadm_id in eligible:
-        adm = admissions[hadm_id]
-        stays = stays_by_hadm[hadm_id]
-        file = patient_files[hadm_id]
-        horizon = stays[0].intime + timedelta(hours=file.window_hours)
-        ok = (
-            len(stays) == 1
-            and len(set(stays[0].care_units)) == 1
-            and adm.age_at_admission > ADULT_AGE_CUTOFF
-            and (
-                adm.death_time is None
-                or adm.death_time
-                >= stays[0].intime + timedelta(hours=EARLY_DEATH_HOURS)
-            )
-            and len(file.notes) > 0
-            and all(
-                stays[0].intime <= n.charted_at < horizon for n in file.notes
-            )
-            and all(
-                a.charted_at <= b.charted_at
-                for a, b in zip(file.notes, file.notes[1:])
-            )
-        )
-        if not ok:
-            raise DataError(f"hadm {hadm_id}: cohort criteria violated post-assembly")
+        stays = stays_by_hadm.get(hadm_id, [])
+        file = patient_files.get(hadm_id)
+        if _passes_criteria(admissions[hadm_id], stays, file):
+            intime = stays[0].intime
+            times = [n.charted_at for n in file.notes]
+            horizon = intime + timedelta(hours=file.window_hours)
+            if times == sorted(times) and intime <= times[0] and times[-1] < horizon:
+                continue
+        raise DataError(f"hadm {hadm_id}: cohort criteria violated post-assembly")
 
 
 # -- grouped cross validation ------------------------------------------------------
@@ -331,6 +321,8 @@ def read_admissions_csv(path) -> dict[int, Admission]:
                 death_time=parse_timestamp(row["death_time"]) if row["death_time"] else None,
                 age_at_admission=float(row["age_at_admission"]),
             )
+            if not math.isfinite(adm.age_at_admission):
+                raise DataError(f"{path}: admission {adm.hadm_id}: non-finite age")
             if adm.admit_time >= adm.discharge_time:
                 raise DataError(f"admission {adm.hadm_id}: admit !< discharge")
             admissions[adm.hadm_id] = adm
@@ -399,9 +391,10 @@ def read_timeseries_csv(path) -> dict[int, list[tuple[float, int, float]]]:
             name = row["variable"]
             if name not in TS_INDEX:
                 raise DataError(f"{path}: unknown variable {name!r}")
-            series.setdefault(int(row["hadm_id"]), []).append(
-                (float(row["hour"]), TS_INDEX[name], float(row["value"]))
-            )
+            hadm_id, hour, value = int(row["hadm_id"]), float(row["hour"]), float(row["value"])
+            if not (math.isfinite(hour) and math.isfinite(value)):
+                raise DataError(f"{path}: hadm {hadm_id}: non-finite hour or value")
+            series.setdefault(hadm_id, []).append((hour, TS_INDEX[name], value))
     return series
 
 

@@ -306,16 +306,3 @@ def read_clean_notes(path, note_len: int = NOTE_LEN) -> list[CleanNote]:
             )
     return notes
 
-
-def write_patient_file_index(path, files: list[PatientFile]) -> None:
-    """Per-stay index: label, window, and member note row ids."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for f in files:
-            record = {
-                "hadm_id": f.hadm_id,
-                "subject_id": f.subject_id,
-                "label": int(f.label),
-                "window_hours": f.window_hours,
-                "row_ids": [n.row_id for n in f.notes],
-            }
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")

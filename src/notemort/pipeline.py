@@ -17,6 +17,7 @@ from .cohort import (
     Admission,
     IcuStay,
     impute_timeseries,
+    label_mortality,
     select_cohort,
     standardize_values,
     validate_cohort,
@@ -94,8 +95,6 @@ def build_patient_files(
 ) -> dict[int, PatientFile]:
     """Assemble per-stay files for one window; stays whose notes all fall
     outside the window produce no file."""
-    from .cohort import label_mortality
-
     notes_by_hadm: dict[int, list[CleanNote]] = {}
     for note in clean_notes:
         notes_by_hadm.setdefault(note.hadm_id, []).append(note)

@@ -2,11 +2,12 @@
 and the full small-pipeline smoke run."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from notemort import models
+from notemort import cohort, models, pipeline
 from notemort.cli import main, parse_config, render_config
 from notemort.errors import ConfigurationError
 
@@ -140,6 +141,69 @@ def test_checkpoints_reload_against_config(work):
         models.NOTES_HCR, config.model_cfg, entries
     )
     assert models.parameter_count(params) > 0
+
+
+def copy_run(work, tmp_path):
+    """A private copy of the shared run, for tests that change it."""
+    work_dir, config_path = work
+    copy = tmp_path / "run"
+    shutil.copytree(work_dir, copy)
+    return ["--config", str(config_path), "--work-dir", str(copy)], copy
+
+
+def test_train_reads_the_cohort_file_not_the_tables(work, tmp_path, monkeypatch):
+    args, _ = copy_run(work, tmp_path)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("train rebuilt the cohort")
+
+    for owner, name in ((cohort, "read_admissions_csv"), (cohort, "read_icustays_csv"),
+                        (pipeline, "build_window_cohort")):
+        monkeypatch.setattr(owner, name, refuse)
+    for kind in models.MODEL_KINDS:
+        assert main(args + ["--model", kind, "train"]) == 0
+
+
+def test_cohort_file_lists_note_row_ids(work):
+    work_dir, _ = work
+    records = [
+        json.loads(line)
+        for line in (work_dir / "cohorts" / "cohort_W24.jsonl").read_text().splitlines()
+    ]
+    assert records and all(r["row_ids"] for r in records)
+    assert not (work_dir / "cohorts" / "files_W24.jsonl").exists()
+
+
+def test_fold_count_mismatch_refused(work, tmp_path, capsys):
+    work_dir, _ = work
+    config = tmp_path / "k3.cfg"
+    config.write_text(SMALL_CONFIG + f"\ntrain.k = 3\nwork_dir = {work_dir}\n")
+    assert main(["--config", str(config), "train"]) == 3
+    assert "re-run `cohort`" in capsys.readouterr().err
+
+
+def test_stale_training_results_refused(work, tmp_path):
+    args, _ = copy_run(work, tmp_path)
+    assert main(args + ["--seed", "99", "embed"]) == 0
+    assert main(args + ["evaluate"]) == 3
+
+
+def test_changed_score_of_a_later_fold_refused(work, tmp_path):
+    args, copy = copy_run(work, tmp_path)
+    scores = copy / "train" / "notes-hcr_W24" / "fold1.scores.jsonl"
+    lines = scores.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["prob"] = 0.5 if record["prob"] != 0.5 else 0.25
+    scores.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    assert main(args + ["evaluate"]) == 3
+
+
+def test_work_dir_that_is_a_file_exits_4_without_traceback(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(["--work-dir", str(not_a_dir), "synth"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_train_before_cohort_refused(tmp_path):

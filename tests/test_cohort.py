@@ -15,9 +15,11 @@ from notemort.cohort import (
     grouped_kfold,
     impute_timeseries,
     label_mortality,
+    read_admissions_csv,
     read_timeseries_csv,
     select_cohort,
     standardize_values,
+    validate_cohort,
     validate_folds,
 )
 from notemort.errors import ConfigurationError, DataError
@@ -115,6 +117,40 @@ class TestSelectCohort:
         c24 = run_select(adm, stays, files_by_window[24], 24)
         c48 = run_select(adm, stays, files_by_window[48], 48)
         assert c12 <= c24 <= c48
+
+
+# Stay 1 under each case: the first six are the TestSelectCohort
+# exclusions, the last two break the post-assembly window and order checks.
+VIOLATIONS = {
+    "age": lambda: ([admission(1, age=18.0)], [icustay(1)], [patient_file(1)]),
+    "early_death": lambda: ([admission(1, death_hours=71.0)], [icustay(1)], [patient_file(1)]),
+    "multiple_icustays": lambda: (
+        [admission(1)], [icustay(1, icu_id=11), icustay(1, icu_id=12)], [patient_file(1)]
+    ),
+    "transfers": lambda: ([admission(1)], [icustay(1, units=("MICU", "SICU"))], [patient_file(1)]),
+    "no_note_in_window": lambda: ([admission(1)], [icustay(1)], []),
+    "no_icustay": lambda: ([admission(1)], [icustay(2)], [patient_file(1)]),
+    "note_outside_window": lambda: (
+        [admission(1)], [icustay(1)], [patient_file(1, note_hours=(2.0, 30.0))]
+    ),
+    "notes_out_of_chart_order": lambda: (
+        [admission(1)], [icustay(1)], [patient_file(1, note_hours=(5.0, 2.0))]
+    ),
+}
+
+
+def run_validate(adm, stays, files):
+    validate_cohort({1}, {a.hadm_id: a for a in adm}, stays, {f.hadm_id: f for f in files})
+
+
+class TestValidateCohort:
+    def test_eligible_stay_passes(self):
+        run_validate([admission(1)], [icustay(1)], [patient_file(1, note_hours=(2.0, 5.0))])
+
+    @pytest.mark.parametrize("case", sorted(VIOLATIONS))
+    def test_violation_rejected(self, case):
+        with pytest.raises(DataError):
+            run_validate(*VIOLATIONS[case]())
 
 
 class TestLabelMortality:
@@ -303,3 +339,25 @@ class TestSyntheticGenerator:
         # every stay has at least one observation inside any window
         for hadm, obs in series.items():
             assert any(hour < 12 for hour, _, _ in obs)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["hour", "value"])
+def test_non_finite_timeseries_value_rejected(tmp_path, column, text):
+    row = {"hadm_id": "7", "hour": "1.50", "variable": "heart_rate", "value": "80.0"}
+    row[column] = text
+    path = tmp_path / "timeseries.csv"
+    path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(DataError, match=r"timeseries\.csv: hadm 7"):
+        read_timeseries_csv(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_age_rejected(tmp_path, text):
+    path = tmp_path / "admissions.csv"
+    path.write_text(
+        "hadm_id,subject_id,admit_time,discharge_time,death_time,age_at_admission\n"
+        f"7,3,2150-03-12 06:00:00,2150-03-20 10:00:00,,{text}\n"
+    )
+    with pytest.raises(DataError, match=r"admissions\.csv: admission 7"):
+        read_admissions_csv(path)
