@@ -6,7 +6,7 @@ Run with: python demos/02_note_cleaning.py
 from datetime import date
 
 from notemort.notesproc import (
-    RawNote, clean_text, impute_charttime, tokenize_filter, truncate_pad,
+    PAD_ID, RawNote, clean_text, impute_charttime, tokenize_filter, truncate_pad,
 )
 
 raw = (
@@ -27,8 +27,8 @@ print("\nTOKENS (alphabetic, mixed alphanumeric, or numbers below 1000):")
 print(tokens)
 # note: 1500 and 350000 are gone, 90 and 11 and 24mg survive
 
-ids, mask = truncate_pad(list(range(1, len(tokens) + 1)))
-print(f"\nfixed-length form: {len(ids)} slots, {int(mask.sum())} real tokens")
+ids = truncate_pad(list(range(1, len(tokens) + 1)))
+print(f"\nfixed-length form: {len(ids)} slots, {(ids != PAD_ID).sum()} real tokens")
 
 dated = RawNote(
     row_id=1, subject_id=1, hadm_id=1, category="Nursing",

@@ -25,9 +25,9 @@ embeddings = EmbeddingMatrix(vectors)
 
 notes = []
 for i in range(3):  # three notes charted over the stay
-    ids, mask = truncate_pad(rng.integers(1, 60, size=20).tolist(), max_len=32)
+    ids = truncate_pad(rng.integers(1, 60, size=20).tolist(), max_len=32)
     notes.append(CleanNote(
-        tokens=ids, mask=mask, charted_at=datetime(2150, 1, 1, 2 + 7 * i),
+        tokens=ids, charted_at=datetime(2150, 1, 1, 2 + 7 * i),
         category="Nursing", hadm_id=1, row_id=i + 1,
     ))
 file = PatientFile(hadm_id=1, subject_id=1, notes=notes, label=False, window_hours=24)
@@ -38,11 +38,11 @@ ts = ClinicalTimeSeries(
     mask=rng.random((24, N_TS_VARIABLES)) > 0.25,
 )
 
-# a batch of one stay: notes [1, T, L] for the notes branch, standardized
-# physiology [1, W, F] for the CTS branch; each model reads what it uses
+# a batch of one stay: token ids [1, T, L] for the notes branch (pad
+# positions, id 0, are left out of the pooling), standardized physiology
+# [1, W, F] for the CTS branch; each model reads what it uses
 inputs = dict(
     ids=np.stack([n.tokens for n in notes])[None],
-    token_masks=np.stack([n.mask for n in notes])[None],
     values=standardize_values(ts.values)[None],
     obs_masks=ts.mask[None],
 )

@@ -39,7 +39,6 @@ class EmbedConfig:
     lr: float = 0.3
     min_count: int = 20
     batch_pairs: int = 256
-    subsample: float = 0.0
     subword: bool = False
 
 
@@ -275,7 +274,7 @@ def cmd_embed(config: RunConfig) -> int:
         corpus, vocab,
         dim=ecfg.dim, window=ecfg.window, epochs=ecfg.epochs,
         negatives=ecfg.negatives, lr=ecfg.lr, seed=config.seed,
-        batch_pairs=ecfg.batch_pairs, subsample=ecfg.subsample,
+        batch_pairs=ecfg.batch_pairs,
         subword=SubwordConfig() if ecfg.subword else None,
     )
     out = work / "embeddings"

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .notesproc import PatientFile, format_timestamp, parse_timestamp
+from .notesproc import PatientFile, format_timestamp, parse_timestamp, read_csv_records
 
 EARLY_DEATH_HOURS = 72
 ADULT_AGE_CUTOFF = 18.0
@@ -307,26 +307,25 @@ ICUSTAY_COLUMNS = ["hadm_id", "icustay_id", "intime", "outtime", "care_units"]
 TIMESERIES_COLUMNS = ["hadm_id", "hour", "variable", "value"]
 
 
+def _parse_admission(row: dict) -> Admission:
+    adm = Admission(
+        hadm_id=int(row["hadm_id"]),
+        subject_id=int(row["subject_id"]),
+        admit_time=parse_timestamp(row["admit_time"]),
+        discharge_time=parse_timestamp(row["discharge_time"]),
+        death_time=parse_timestamp(row["death_time"]) if row["death_time"] else None,
+        age_at_admission=float(row["age_at_admission"]),
+    )
+    if not math.isfinite(adm.age_at_admission):
+        raise DataError(f"admission {adm.hadm_id}: non-finite age")
+    if adm.admit_time >= adm.discharge_time:
+        raise DataError(f"admission {adm.hadm_id}: admit !< discharge")
+    return adm
+
+
 def read_admissions_csv(path) -> dict[int, Admission]:
-    admissions = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(path, reader.fieldnames, ADMISSION_COLUMNS)
-        for row in reader:
-            adm = Admission(
-                hadm_id=int(row["hadm_id"]),
-                subject_id=int(row["subject_id"]),
-                admit_time=parse_timestamp(row["admit_time"]),
-                discharge_time=parse_timestamp(row["discharge_time"]),
-                death_time=parse_timestamp(row["death_time"]) if row["death_time"] else None,
-                age_at_admission=float(row["age_at_admission"]),
-            )
-            if not math.isfinite(adm.age_at_admission):
-                raise DataError(f"{path}: admission {adm.hadm_id}: non-finite age")
-            if adm.admit_time >= adm.discharge_time:
-                raise DataError(f"admission {adm.hadm_id}: admit !< discharge")
-            admissions[adm.hadm_id] = adm
-    return admissions
+    records = read_csv_records(path, ADMISSION_COLUMNS, _parse_admission)
+    return {adm.hadm_id: adm for adm in records}
 
 
 def write_admissions_csv(path, admissions: Iterable[Admission]) -> None:
@@ -346,23 +345,21 @@ def write_admissions_csv(path, admissions: Iterable[Admission]) -> None:
             )
 
 
+def _parse_icustay(row: dict) -> IcuStay:
+    stay = IcuStay(
+        hadm_id=int(row["hadm_id"]),
+        icustay_id=int(row["icustay_id"]),
+        intime=parse_timestamp(row["intime"]),
+        outtime=parse_timestamp(row["outtime"]),
+        care_units=row["care_units"].split(";") if row["care_units"] else [],
+    )
+    if stay.intime >= stay.outtime:
+        raise DataError(f"icustay {stay.icustay_id}: intime !< outtime")
+    return stay
+
+
 def read_icustays_csv(path) -> list[IcuStay]:
-    stays = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(path, reader.fieldnames, ICUSTAY_COLUMNS)
-        for row in reader:
-            stay = IcuStay(
-                hadm_id=int(row["hadm_id"]),
-                icustay_id=int(row["icustay_id"]),
-                intime=parse_timestamp(row["intime"]),
-                outtime=parse_timestamp(row["outtime"]),
-                care_units=row["care_units"].split(";") if row["care_units"] else [],
-            )
-            if stay.intime >= stay.outtime:
-                raise DataError(f"icustay {stay.icustay_id}: intime !< outtime")
-            stays.append(stay)
-    return stays
+    return list(read_csv_records(path, ICUSTAY_COLUMNS, _parse_icustay))
 
 
 def write_icustays_csv(path, stays: Iterable[IcuStay]) -> None:
@@ -381,20 +378,21 @@ def write_icustays_csv(path, stays: Iterable[IcuStay]) -> None:
             )
 
 
+def _parse_observation(row: dict) -> tuple[int, tuple[float, int, float]]:
+    name = row["variable"]
+    if name not in TS_INDEX:
+        raise DataError(f"unknown variable {name!r}")
+    hadm_id, hour, value = int(row["hadm_id"]), float(row["hour"]), float(row["value"])
+    if not (math.isfinite(hour) and math.isfinite(value)):
+        raise DataError(f"hadm {hadm_id}: non-finite hour or value")
+    return hadm_id, (hour, TS_INDEX[name], value)
+
+
 def read_timeseries_csv(path) -> dict[int, list[tuple[float, int, float]]]:
     """Per-stay (hour, variable index, value) observation lists."""
     series: dict[int, list[tuple[float, int, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(path, reader.fieldnames, TIMESERIES_COLUMNS)
-        for row in reader:
-            name = row["variable"]
-            if name not in TS_INDEX:
-                raise DataError(f"{path}: unknown variable {name!r}")
-            hadm_id, hour, value = int(row["hadm_id"]), float(row["hour"]), float(row["value"])
-            if not (math.isfinite(hour) and math.isfinite(value)):
-                raise DataError(f"{path}: hadm {hadm_id}: non-finite hour or value")
-            series.setdefault(hadm_id, []).append((hour, TS_INDEX[name], value))
+    for hadm_id, observation in read_csv_records(path, TIMESERIES_COLUMNS, _parse_observation):
+        series.setdefault(hadm_id, []).append(observation)
     return series
 
 
@@ -405,8 +403,3 @@ def write_timeseries_csv(path, rows: Iterable[tuple[int, float, str, float]]) ->
         for hadm_id, hour, variable, value in rows:
             writer.writerow([hadm_id, f"{hour:.2f}", variable, f"{value:.4f}"])
 
-
-def _require_columns(path, fieldnames, wanted) -> None:
-    missing = set(wanted) - set(fieldnames or [])
-    if missing:
-        raise DataError(f"{path}: missing columns {sorted(missing)}")

@@ -165,7 +165,6 @@ def train_skipgram(
     lr: float = 0.3,
     seed: int = 0,
     batch_pairs: int = 256,
-    subsample: float = 0.0,
     subword: SubwordConfig | None = None,
 ) -> SkipgramResult:
     """Minimize the negative-sampling loss over (center, context) pairs.
@@ -194,13 +193,6 @@ def train_skipgram(
         grams[PAD_ID] = np.empty(0, dtype=np.int64)
         gram_vecs = (rng.random((subword.buckets, dim)) - 0.5) / dim
 
-    keep_prob = None
-    if subsample > 0.0:
-        freqs = np.asarray(vocab.frequencies, dtype=np.float64)
-        rel = freqs / max(freqs.sum(), 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keep_prob = np.minimum(1.0, np.sqrt(subsample / np.where(rel > 0, rel, 1.0)))
-
     sentences = [np.asarray(s, dtype=np.int64) for s in corpus if len(s) > 0]
     epoch_losses: list[float] = []
     for _ in range(epochs):
@@ -227,10 +219,6 @@ def train_skipgram(
             n_pairs += len(centers)
 
         for sentence in sentences:
-            if keep_prob is not None:
-                sentence = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
-                if len(sentence) == 0:
-                    continue
             c, x = _collect_pairs(sentence, window, rng)
             if len(c) == 0:
                 continue

@@ -71,7 +71,6 @@ class ModelConfig:
     cts_hidden: tuple[int, int] = (32, 16)
     cts_decay: float = 1e-3
     fusion_dropout: float = 0.3
-    use_masks: bool = True
     train_embeddings: bool = False
     bn_eps: float = 1e-5
     bn_momentum: float = 0.99
@@ -290,13 +289,10 @@ def semantical_forward(
 
     Each block runs Conv1D, SpatialDropout, BatchNorm, then adds the
     block input (identity shortcut, or a 1x1 projection when channel
-    counts differ) and applies ReLU after the addition. A masked global
-    average pool over the lexical axis produces the document vector.
+    counts differ) and applies ReLU after the addition. A global average
+    pool over the lexical axis, over the `mask` positions when given,
+    produces the document vector.
     """
-    if mask is not None and cfg.use_masks:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=-1).all():
-            raise DataError("semantical_forward: a note has no unmasked tokens")
     x = notes
     for block in blocks:
         y = conv1d(x, block.conv)
@@ -304,7 +300,7 @@ def semantical_forward(
         y = batchnorm(y, block.norm, training=training)
         shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
         x = (y + shortcut).relu()
-    return global_avg_pool(x, mask=mask if cfg.use_masks else None)
+    return global_avg_pool(x, mask=mask)
 
 
 def temporal_forward(doc_vectors: Tensor, params: BiGruParams) -> Tensor:
@@ -340,26 +336,25 @@ def cts_forward(
 
 def forward(
     model: Model, cfg: ModelConfig, embeddings: EmbeddingMatrix | None = None, *,
-    ids: np.ndarray | None = None, token_masks: np.ndarray | None = None,
+    ids: np.ndarray | None = None,
     values: np.ndarray | None = None, obs_masks: np.ndarray | None = None,
     training: bool = False, rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Probabilities [B] for one batch; each branch reads only its inputs.
 
-    Notes branch: token ids/token_masks [B, T, L]; all notes share the
-    encoder. CTS branch: standardized values/obs_masks [B, W, F]. The
-    head reads [patient vector || cts features], with dropout first
-    whenever the CTS branch is present.
+    Notes branch: token ids [B, T, L]; all notes share the encoder, which
+    pools over the ids that are not PAD_ID. CTS branch: standardized
+    values/obs_masks [B, W, F]. The head reads [patient vector || cts
+    features], with dropout first whenever the CTS branch is present.
     """
     features = []
     if model.temporal is not None:
         n_files, n_notes, note_len = ids.shape
-        embedded = lookup_note_embeddings(ids, embeddings, model.embedding)
-        flat = embedded.reshape((n_files * n_notes, note_len, embeddings.dim))
+        flat_ids = ids.reshape(n_files * n_notes, note_len)
+        embedded = lookup_note_embeddings(flat_ids, embeddings, model.embedding)
         docs = semantical_forward(
-            flat, model.semantical, cfg,
-            training=training, rng=rng,
-            mask=token_masks.reshape(n_files * n_notes, note_len),
+            embedded, model.semantical, cfg,
+            training=training, rng=rng, mask=flat_ids != PAD_ID,
         )
         docs = docs.reshape((n_files, n_notes, cfg.filters))
         features.append(temporal_forward(docs, model.temporal))

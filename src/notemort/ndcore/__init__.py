@@ -14,7 +14,6 @@ from .tensor import (
     stack,
     no_grad,
     backward,
-    assert_finite,
 )
 from .layers import (
     Conv1dParams,
@@ -43,7 +42,6 @@ __all__ = [
     "stack",
     "no_grad",
     "backward",
-    "assert_finite",
     "Conv1dParams",
     "BatchNormParams",
     "GruDirectionParams",

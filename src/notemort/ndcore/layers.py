@@ -284,42 +284,27 @@ def gru_step(x: Tensor, h_prev: Tensor, params: GruDirectionParams) -> Tensor:
     return (1.0 - z) * h_prev + z * cand
 
 
-def bigru(
-    seq: Tensor,
-    params: BiGruParams,
-    seq_mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
+def bigru(seq: Tensor, params: BiGruParams) -> tuple[Tensor, Tensor]:
     """Bidirectional GRU over [B, T, D] (or [T, D]).
 
     Returns (outputs [B, T, 2H], final [B, 2H]); per-step outputs are the
-    concatenation [h_fwd; h_bwd]. Masked steps copy the previous hidden
-    state through unchanged, so `final` holds the forward state at the
-    last unmasked step and the backward state at the first unmasked step.
-    Hidden states start at zero.
+    concatenation [h_fwd; h_bwd], and `final` holds the forward state at
+    the last step and the backward state at the first. Hidden states
+    start at zero.
     """
     squeeze = seq.data.ndim == 2
     if squeeze:
         seq = seq.reshape((1,) + seq.shape)
-        if seq_mask is not None:
-            seq_mask = np.asarray(seq_mask, dtype=bool)[None, :]
     batch, steps, _ = seq.shape
     if steps == 0:
         raise DataError("bigru: empty sequence")
     hidden = params.fwd.b_z.shape[0]
-    if seq_mask is not None:
-        seq_mask = np.asarray(seq_mask, dtype=bool)
-        if not seq_mask.any(axis=1).all():
-            raise DataError("bigru: some sequence has every step masked")
 
     def run(direction: GruDirectionParams, order: range) -> list[Tensor]:
         h = Tensor(np.zeros((batch, hidden)))
         states: list[Tensor] = []
         for t in order:
-            h_new = gru_step(seq[:, t, :], h, direction)
-            if seq_mask is not None:
-                m = seq_mask[:, t].astype(np.float64)[:, None]
-                h_new = h_new * m + h * (1.0 - m)
-            h = h_new
+            h = gru_step(seq[:, t, :], h, direction)
             states.append(h)
         return states
 

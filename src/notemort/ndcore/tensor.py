@@ -383,8 +383,3 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
 
-
-def assert_finite(t: Tensor, what: str = "tensor") -> None:
-    """Debug check for the all-finite invariant."""
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"{what} contains NaN or Inf")

@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from typing import Iterator
 
 import numpy as np
 
@@ -52,19 +53,18 @@ class CleanNote:
     """Fixed-length token-id sequence for one note.
 
     tokens[i] is a vocabulary id, OOV_ID for out-of-vocabulary words, or
-    PAD_ID past the end; mask is a prefix of trues (real tokens) followed
-    by falses.
+    PAD_ID past the end: a position holds a real token exactly when its id
+    is not PAD_ID.
     """
 
     tokens: np.ndarray  # int32 [NOTE_LEN]
-    mask: np.ndarray  # bool [NOTE_LEN]
     charted_at: datetime
     category: str
     hadm_id: int
     row_id: int
 
     def n_tokens(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.tokens != PAD_ID))
 
 
 @dataclass
@@ -131,18 +131,16 @@ def tokenize_filter(cleaned: str) -> list[str]:
     return [tok for tok in _SPLIT.split(cleaned) if keep_token(tok)]
 
 
-def truncate_pad(
-    ids: list[int], max_len: int = NOTE_LEN, pad_id: int = PAD_ID
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the first max_len ids (head truncation), right-pad the rest."""
+def truncate_pad(ids: list[int], max_len: int = NOTE_LEN) -> np.ndarray:
+    """Keep the first max_len ids (head truncation), right-pad with PAD_ID."""
     if not ids:
         raise DataError("truncate_pad: empty token list")
     kept = ids[:max_len]
-    out = np.full(max_len, pad_id, dtype=np.int32)
+    if PAD_ID in kept:
+        raise DataError(f"truncate_pad: a real token has the pad id {PAD_ID}")
+    out = np.full(max_len, PAD_ID, dtype=np.int32)
     out[: len(kept)] = kept
-    mask = np.zeros(max_len, dtype=bool)
-    mask[: len(kept)] = True
-    return out, mask
+    return out
 
 
 def impute_charttime(raw: RawNote) -> datetime:
@@ -224,34 +222,51 @@ def format_timestamp(value: datetime) -> str:
     return value.strftime("%Y-%m-%d %H:%M:%S")
 
 
+def read_csv_records(path, columns: list[str], parse) -> Iterator:
+    """parse(row) for each data row of a header-first CSV table; a missing
+    column, a row of the wrong length or a ValueError from parse is a
+    DataError naming the file and the row's first line."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = set(columns) - set(header)
+        if missing:
+            raise DataError(f"{path}: missing columns {sorted(missing)}")
+        last = reader.line_num
+        for fields in reader:
+            # a quoted field may span lines: name the record's first one
+            line, last = last + 1, reader.line_num
+            if not fields:
+                continue  # a blank line
+            try:
+                if len(fields) != len(header):
+                    raise DataError(f"{len(fields)} fields, the header has {len(header)}")
+                record = parse(dict(zip(header, fields)))
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc} (line {line})") from exc
+            yield record
+
+
+def _parse_note(row: dict) -> RawNote:
+    chart_time = None
+    if row["chart_time"]:
+        hh, mm, ss = row["chart_time"].split(":")
+        chart_time = time(int(hh), int(mm), int(ss))
+    return RawNote(
+        row_id=int(row["row_id"]),
+        subject_id=int(row["subject_id"]),
+        hadm_id=int(row["hadm_id"]),
+        category=row["category"],
+        chart_date=datetime.strptime(row["chart_date"], "%Y-%m-%d").date(),
+        chart_time=chart_time,
+        is_error=row["is_error"] in ("1", "true", "True"),
+        text=row["text"],
+    )
+
+
 def read_notes_csv(path) -> list[RawNote]:
     """Read the raw note table (comma-separated, quoted, header row)."""
-    notes = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(NOTE_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise DataError(f"{path}: missing note columns {sorted(missing)}")
-        for row in reader:
-            if not row["chart_date"]:
-                raise DataError(f"{path}: note {row['row_id']} has no chart date")
-            chart_time = None
-            if row["chart_time"]:
-                hh, mm, ss = row["chart_time"].split(":")
-                chart_time = time(int(hh), int(mm), int(ss))
-            notes.append(
-                RawNote(
-                    row_id=int(row["row_id"]),
-                    subject_id=int(row["subject_id"]),
-                    hadm_id=int(row["hadm_id"]),
-                    category=row["category"],
-                    chart_date=datetime.strptime(row["chart_date"], "%Y-%m-%d").date(),
-                    chart_time=chart_time,
-                    is_error=row["is_error"] in ("1", "true", "True"),
-                    text=row["text"],
-                )
-            )
-    return notes
+    return list(read_csv_records(path, NOTE_COLUMNS, _parse_note))
 
 
 def write_notes_csv(path, notes: list[RawNote]) -> None:
@@ -274,7 +289,7 @@ def write_notes_csv(path, notes: list[RawNote]) -> None:
 
 
 def write_clean_notes(path, notes: list[CleanNote]) -> None:
-    """Line-delimited CleanNote records (mask is implied by n_tokens)."""
+    """Line-delimited CleanNote records holding the unpadded token ids."""
     with open(path, "w", encoding="utf-8") as handle:
         for note in notes:
             record = {
@@ -293,11 +308,9 @@ def read_clean_notes(path, note_len: int = NOTE_LEN) -> list[CleanNote]:
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             record = json.loads(line)
-            tokens, mask = truncate_pad(record["tokens"], max_len=note_len)
             notes.append(
                 CleanNote(
-                    tokens=tokens,
-                    mask=mask,
+                    tokens=truncate_pad(record["tokens"], max_len=note_len),
                     charted_at=parse_timestamp(record["charted_at"]),
                     category=record["category"],
                     hadm_id=record["hadm_id"],

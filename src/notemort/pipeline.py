@@ -67,11 +67,9 @@ def preprocess_notes(
     for note, tokens in tokenized:
         if notesproc.is_discharge_summary(note.category):
             continue
-        ids, mask = notesproc.truncate_pad(vocab.encode(tokens), max_len=note_len)
         model_notes.append(
             CleanNote(
-                tokens=ids,
-                mask=mask,
+                tokens=notesproc.truncate_pad(vocab.encode(tokens), max_len=note_len),
                 charted_at=notesproc.impute_charttime(note),
                 category=note.category,
                 hadm_id=note.hadm_id,
@@ -164,7 +162,6 @@ def build_dataset(
             hadm_id=hadm_id,
             label=file.label,
             note_ids=np.stack([n.tokens for n in file.notes]),
-            note_masks=np.stack([n.mask for n in file.notes]),
         )
         if timeseries is not None:
             observations = timeseries.get(hadm_id)

@@ -22,6 +22,7 @@ from .cohort import FoldSplit, class_weights
 from .embed import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
 from .ndcore import AmsGrad, Tensor, backward, l2_penalty, no_grad
+from .notesproc import PAD_ID
 
 
 @dataclass(frozen=True)
@@ -243,9 +244,13 @@ class StayData:
     hadm_id: int
     label: bool
     note_ids: np.ndarray | None = None  # [T, L] int32
-    note_masks: np.ndarray | None = None  # [T, L] bool
     ts_values: np.ndarray | None = None  # [W, F]
     ts_mask: np.ndarray | None = None  # [W, F] bool
+
+    @property
+    def note_masks(self) -> np.ndarray | None:
+        """[T, L] bool, True at the real tokens: the ids that are not PAD_ID."""
+        return None if self.note_ids is None else self.note_ids != PAD_ID
 
 
 def fold_class_weights(
@@ -317,7 +322,6 @@ def batch_forward(
     inputs = {}
     if "notes" in models.branches(kind):
         inputs["ids"] = np.stack([s.note_ids for s in stays])
-        inputs["token_masks"] = np.stack([s.note_masks for s in stays])
     if "cts" in models.branches(kind):
         inputs["values"] = np.stack([s.ts_values for s in stays])
         inputs["obs_masks"] = np.stack([s.ts_mask for s in stays])
@@ -374,19 +378,18 @@ def train_fold(
 ) -> FoldResult:
     """Train one fold to the early-stopping point and score val/test.
 
-    Up to `epochs` passes; each epoch records train/val loss and the
-    learning rate; training stops once the validation loss has not
-    improved for `early_stop_patience` epochs, and the best-epoch
-    weights (including batchnorm running statistics) are restored.
+    Up to `epochs` passes, each scoring the val stays once; training stops
+    once the validation loss has not improved for `early_stop_patience`
+    epochs. The best epoch's val scores are kept and its weights (with
+    batchnorm running statistics) restored to score the test stays.
     """
     train_cfg.validate()
     roles = fold_split.roles
-    train_ids = sorted(h for h, r in roles.items() if r == "train")
-    val_ids = sorted(h for h, r in roles.items() if r == "val")
-    test_ids = sorted(h for h, r in roles.items() if r == "test")
+    train_ids, val_ids, test_ids = map(fold_split.members, ("train", "val", "test"))
     if not train_ids or not val_ids or not test_ids:
         raise DataError(f"fold {fold_split.fold}: some role is empty")
     w_neg, w_pos = fold_class_weights(dataset, roles)
+    val_labels = np.array([dataset[h].label for h in val_ids], dtype=np.float64)
 
     seed_seq = np.random.SeedSequence((train_cfg.seed, fold_split.fold))
     init_seed, loop_seed = seed_seq.spawn(2)
@@ -428,16 +431,18 @@ def train_fold(
             # drop this step's graph before the next forward builds its own
             del probs, loss
         train_loss = loss_sum / max(n_examples, 1)
-        val_loss = _split_loss(
-            kind, val_ids, dataset, params, model_cfg, embeddings,
-            w_pos, w_neg, batch_size,
+        val_scores = predict_scores(
+            kind, val_ids, dataset, params, model_cfg, embeddings, batch_size
         )
+        val_probs = Tensor(np.array([val_scores[h] for h in val_ids]))
+        val_loss = weighted_bce(val_probs, val_labels, w_pos, w_neg).item()
         result.history.append(
             {"epoch": epoch, "lr": lr, "train_loss": train_loss, "val_loss": val_loss}
         )
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch
+            result.val_scores = val_scores
             best_entries = {
                 name: arr.copy() for name, arr in models.params_to_entries(params).items()
             }
@@ -453,30 +458,10 @@ def train_fold(
         )
     params = models.load_params_from_entries(kind, model_cfg, best_entries)
     result.entries = best_entries
-    result.val_scores = predict_scores(
-        kind, val_ids, dataset, params, model_cfg, embeddings, batch_size
-    )
     result.test_scores = predict_scores(
         kind, test_ids, dataset, params, model_cfg, embeddings, batch_size
     )
     return result
-
-
-def _split_loss(
-    kind, hadm_ids, dataset, params, model_cfg, embeddings, w_pos, w_neg, batch_size
-) -> float:
-    """Weighted BCE over a split in eval mode (no decay term)."""
-    total = 0.0
-    count = 0
-    with no_grad():
-        for batch in make_batches(kind, hadm_ids, dataset, batch_size):
-            labels = np.array([dataset[h].label for h in batch], dtype=np.float64)
-            probs = batch_forward(
-                kind, batch, dataset, params, model_cfg, embeddings, training=False
-            )
-            total += float(weighted_bce(probs, labels, w_pos, w_neg).data) * len(batch)
-            count += len(batch)
-    return total / max(count, 1)
 
 
 def _train_fold_job(args):

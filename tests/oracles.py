@@ -127,7 +127,7 @@ def gru_scalar_step(x, h_prev, p):
     return h_new
 
 
-def bigru_scalar(seq, p_fwd, p_bwd, mask=None):
+def bigru_scalar(seq, p_fwd, p_bwd):
     """Step-by-step scalar-loop bidirectional GRU over [T, D]."""
     steps = len(seq)
     hid = len(p_fwd["b_z"])
@@ -136,10 +136,7 @@ def bigru_scalar(seq, p_fwd, p_bwd, mask=None):
         h = np.zeros(hid)
         states = []
         for t in order:
-            h_new = gru_scalar_step(seq[t], h, p)
-            if mask is not None and not mask[t]:
-                h_new = h.copy()
-            h = h_new
+            h = gru_scalar_step(seq[t], h, p)
             states.append(h)
         return states
 

@@ -1,6 +1,8 @@
 """CLI: config parsing, stage sequencing, manifests, exit codes,
 and the full small-pipeline smoke run."""
 
+import csv
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -172,6 +174,66 @@ def test_cohort_file_lists_note_row_ids(work):
     ]
     assert records and all(r["row_ids"] for r in records)
     assert not (work_dir / "cohorts" / "files_W24.jsonl").exists()
+
+
+def test_jobs_do_not_change_train_outputs(work, tmp_path):
+    """Per-fold seeds derive from (seed, fold), so `--jobs 2` writes every
+    `train/` file byte for byte as the fixture's `--jobs 1` run did."""
+    work_dir, _ = work
+    args, copy = copy_run(work, tmp_path)
+    shutil.rmtree(copy / "train")
+    for kind in models.MODEL_KINDS:
+        assert main(args + ["--jobs", "2", "--model", kind, "train"]) == 0
+    files = sorted(p.relative_to(work_dir) for p in (work_dir / "train").rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(copy) for p in (copy / "train").rglob("*") if p.is_file())
+    for rel in files:
+        assert (copy / rel).read_bytes() == (work_dir / rel).read_bytes(), rel
+
+
+# table, the stage that reads it, a field to blank, a timestamp field
+TABLE_READERS = [
+    ("notes.csv", ["preprocess"], "hadm_id", "chart_date"),
+    ("admissions.csv", ["cohort"], "age_at_admission", "admit_time"),
+    ("icustays.csv", ["cohort"], "icustay_id", "intime"),
+    ("timeseries.csv", ["--model", "cts-rnn", "train"], "value", "hour"),
+]
+
+
+def _blank(header, row, field, _stamp):
+    return [("" if name == field else value) for name, value in zip(header, row)]
+
+
+def _bad_timestamp(header, row, _field, stamp):
+    return [("2150-02-30 25:61" if name == stamp else value) for name, value in zip(header, row)]
+
+
+def _truncated(_header, row, _field, _stamp):
+    return row[:2]
+
+
+@pytest.mark.parametrize("fault", [_blank, _bad_timestamp, _truncated])
+@pytest.mark.parametrize("table,stage,field,stamp", TABLE_READERS)
+def test_malformed_table_field_is_a_data_error(
+    work, tmp_path, capsys, table, stage, field, stamp, fault
+):
+    args, copy = copy_run(work, tmp_path)
+    path = copy / "tables" / table
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    rows[1] = fault(rows[0], rows[1], field, stamp)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    # record the edit in the synth manifest, so the table is not merely stale
+    manifest_path = copy / "synth.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"][f"tables/{table}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+
+    assert main(args + stage) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert f"{table}: " in err and err.strip().endswith("(line 2)")
 
 
 def test_fold_count_mismatch_refused(work, tmp_path, capsys):

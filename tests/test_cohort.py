@@ -50,9 +50,8 @@ def icustay(hadm=1, icu_id=None, units=("MICU",)):
 def patient_file(hadm=1, subject=1, window=24, note_hours=(2.0,), label=False):
     notes = []
     for i, h in enumerate(note_hours):
-        ids, mask = truncate_pad([1, 2, 3], max_len=8)
         notes.append(CleanNote(
-            tokens=ids, mask=mask, charted_at=INTIME + timedelta(hours=h),
+            tokens=truncate_pad([1, 2, 3], max_len=8), charted_at=INTIME + timedelta(hours=h),
             category="Nursing", hadm_id=hadm, row_id=i + 1,
         ))
     return PatientFile(hadm_id=hadm, subject_id=subject, notes=notes,

@@ -396,11 +396,9 @@ def test_bigru_matches_scalar_oracle(seed):
     steps, d, hid = int(rng.integers(1, 7)), 3, 4
     params = BiGruParams(fwd=make_gru_dir(rng, d, hid), bwd=make_gru_dir(rng, d, hid))
     seq = rng.standard_normal((steps, d))
-    mask = rng.random(steps) > 0.25
-    mask[int(rng.integers(steps))] = True
-    outputs, final = bigru(Tensor(seq), params, seq_mask=mask)
+    outputs, final = bigru(Tensor(seq), params)
     want_out, want_final = bigru_scalar(
-        seq, gru_dir_arrays(params.fwd), gru_dir_arrays(params.bwd), mask=mask
+        seq, gru_dir_arrays(params.fwd), gru_dir_arrays(params.bwd)
     )
     assert np.max(np.abs(outputs.data - want_out)) < 1e-10
     assert np.max(np.abs(final.data - want_final)) < 1e-10

@@ -49,11 +49,9 @@ def toy_file(hadm=1, n_notes=2, seed=0, note_len=8, vocab=12):
     notes = []
     for i in range(n_notes):
         n_real = int(rng.integers(3, note_len + 1))
-        ids, mask = truncate_pad(
-            rng.integers(1, vocab, size=n_real).tolist(), max_len=note_len
-        )
+        ids = truncate_pad(rng.integers(1, vocab, size=n_real).tolist(), max_len=note_len)
         notes.append(CleanNote(
-            tokens=ids, mask=mask,
+            tokens=ids,
             charted_at=datetime(2150, 1, 1, i + 1), category="Nursing",
             hadm_id=hadm, row_id=i + 1,
         ))
@@ -75,7 +73,6 @@ def stay_inputs(file=None, ts=None) -> dict:
     inputs = {}
     if file is not None:
         inputs["ids"] = np.stack([n.tokens for n in file.notes])[None]
-        inputs["token_masks"] = np.stack([n.mask for n in file.notes])[None]
     if ts is not None:
         inputs["values"] = standardize_values(ts.values)[None]
         inputs["obs_masks"] = ts.mask[None]
@@ -201,13 +198,14 @@ def test_single_note_pipeline_matches_layer_composition():
         got = float(stay_forward(params, cfg, emb, file).data)
 
         safe = np.where(note.tokens == -1, 0, note.tokens)
-        x = Tensor(emb.vectors[safe] * note.mask[:, None])
+        real = note.tokens != 0
+        x = Tensor(emb.vectors[safe] * real[:, None])
         for block in params.semantical:
             y = conv1d(x, block.conv)
             y = batchnorm(y, block.norm, training=False)
             shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
             x = (y + shortcut).relu()
-        doc = global_avg_pool(x, mask=note.mask)
+        doc = global_avg_pool(x, mask=real)
         _, patient = bigru(doc.reshape((1, 1, cfg.filters)), params.temporal)
         head = dense_sigmoid(patient, params.head)
         assert head.shape == (1,)
@@ -234,9 +232,8 @@ def test_shared_weights_accumulate_gradients_across_notes():
 
     def grads_for(files):
         ids = np.stack([f.notes[0].tokens for f in files])[:, None, :]
-        masks = np.stack([f.notes[0].mask for f in files])[:, None, :]
         probs = models.forward(
-            params, cfg, emb, ids=ids, token_masks=masks, training=False
+            params, cfg, emb, ids=ids, training=False
         )
         loss = probs.sum()
         backward(loss, named.values())
@@ -305,7 +302,7 @@ def test_mm_requires_both_modalities():
     inputs = stay_inputs(toy_file())
     notes_only = traineval.StayData(
         hadm_id=1, label=True,
-        note_ids=inputs["ids"][0], note_masks=inputs["token_masks"][0],
+        note_ids=inputs["ids"][0],
     )
     with pytest.raises(DataError):
         traineval.batch_forward(
@@ -410,11 +407,10 @@ class TestFullModelGradients:
         params = models.init_model(models.NOTES_HCR, TOY, seed=21)
         file = toy_file(n_notes=2, seed=22)
         ids = np.stack([n.tokens for n in file.notes])[None]
-        masks = np.stack([n.mask for n in file.notes])[None]
 
         def loss():
             probs = models.forward(
-                params, TOY, emb, ids=ids, token_masks=masks, training=True,
+                params, TOY, emb, ids=ids, training=True,
                 rng=np.random.default_rng(0),
             )
             return (probs * probs).sum()
@@ -445,10 +441,9 @@ class TestFullModelGradients:
         params = models.init_model(models.NOTES_HCR, cfg, seed=26, embeddings=emb)
         file = toy_file(n_notes=1, seed=27)
         ids = np.stack([n.tokens for n in file.notes])[None]
-        masks = np.stack([n.mask for n in file.notes])[None]
 
         probs = models.forward(
-            params, cfg, emb, ids=ids, token_masks=masks, training=False
+            params, cfg, emb, ids=ids, training=False
         )
         backward(probs.sum(), [params.embedding])
         grad = params.embedding.grad

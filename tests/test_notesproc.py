@@ -56,8 +56,8 @@ def test_golden_corpus(case):
         assert tokens == case["tokens"]
     if case.get("kept") is not None:
         ids = list(range(1, len(tokens) + 1))
-        out, mask = truncate_pad(ids)
-        assert int(mask.sum()) == case["kept"]
+        out = truncate_pad(ids)
+        assert np.count_nonzero(out != notesproc.PAD_ID) == case["kept"]
         assert len(out) == notesproc.NOTE_LEN
     if case.get("charted_at") is not None:
         note = raw_note(
@@ -103,17 +103,16 @@ def test_emitted_tokens_match_keep_grammar():
 
 
 def test_truncate_pad_contracts():
-    out, mask = truncate_pad([7] * 600)
-    assert int(mask.sum()) == 500 and np.all(out == 7)
-    out, mask = truncate_pad([3, 4, 5])
+    out = truncate_pad([7] * 600)
+    assert len(out) == 500 and np.all(out == 7)
+    out = truncate_pad([3, 4, 5])
     assert list(out[:3]) == [3, 4, 5]
     assert np.all(out[3:] == notesproc.PAD_ID)
-    assert list(mask[:3]) == [True] * 3 and not mask[3:].any()
-    # mask is a prefix of trues then falses
-    flips = np.flatnonzero(np.diff(mask.astype(int)))
-    assert len(flips) <= 1
     with pytest.raises(DataError):
         truncate_pad([])
+    # the pad id marks padding only, so no real token may carry it
+    with pytest.raises(DataError):
+        truncate_pad([3, notesproc.PAD_ID, 5])
 
 
 def test_impute_charttime_rules():
@@ -146,9 +145,8 @@ class TestDedupeAndFilter:
 
 
 def clean_note(row_id, hadm, charted, n_tokens=3):
-    ids, mask = truncate_pad(list(range(1, n_tokens + 1)), max_len=16)
     return CleanNote(
-        tokens=ids, mask=mask, charted_at=charted,
+        tokens=truncate_pad(list(range(1, n_tokens + 1)), max_len=16), charted_at=charted,
         category="Nursing", hadm_id=hadm, row_id=row_id,
     )
 
@@ -220,5 +218,5 @@ def test_clean_notes_round_trip(tmp_path):
     assert len(loaded) == 2
     for original, back in zip(notes, loaded):
         np.testing.assert_array_equal(original.tokens, back.tokens)
-        np.testing.assert_array_equal(original.mask, back.mask)
+        assert original.n_tokens() == back.n_tokens()
         assert original.charted_at == back.charted_at

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from notemort.cohort import FoldSplit
 from notemort.embed import EmbeddingMatrix
 from notemort.errors import ConfigurationError, DataError
 from notemort.ndcore import AmsGrad, Tensor, backward
+from notemort.notesproc import PAD_ID
 from notemort.traineval import (
     StayData,
     TrainConfig,
@@ -242,12 +244,10 @@ def toy_dataset(n=40, seed=0, note_len=8, vocab=10, steps=4):
         low = 3 if label else 1
         n_notes = int(rng.integers(1, 4))
         ids = rng.integers(low, high, size=(n_notes, note_len))
-        masks = np.ones((n_notes, note_len), dtype=bool)
-        masks[:, int(rng.integers(4, note_len)):] = False
-        ids[~masks] = 0
+        ids[:, int(rng.integers(4, note_len)):] = 0  # padding
         dataset[hadm] = StayData(
             hadm_id=hadm, label=bool(label),
-            note_ids=ids.astype(np.int32), note_masks=masks,
+            note_ids=ids.astype(np.int32),
             ts_values=rng.standard_normal((steps, 3)) + (0.8 if label else 0.0),
             ts_mask=rng.random((steps, 3)) > 0.2,
         )
@@ -299,12 +299,38 @@ class TestTrainFold:
         roles = toy_fold(dataset).roles
         val_ids = sorted(h for h, r in roles.items() if r == "val")
         w_neg, w_pos = fold_class_weights(dataset, roles)
-        loss = traineval._split_loss(
-            models.NOTES_HCR, val_ids, dataset, params, TOY_CFG, toy_emb(),
-            w_pos, w_neg, 8,
+        scores = traineval.predict_scores(
+            models.NOTES_HCR, val_ids, dataset, params, TOY_CFG, toy_emb(), 8
         )
-        assert loss == pytest.approx(result.best_val_loss, rel=1e-12)
+        labels = [dataset[h].label for h in val_ids]
+        loss = weighted_bce(Tensor(np.array([scores[h] for h in val_ids])), labels, w_pos, w_neg)
+        assert loss.item() == pytest.approx(result.best_val_loss, rel=1e-12)
         assert min(h["val_loss"] for h in result.history) == result.best_val_loss
+
+    def test_one_eval_pass_over_the_val_stays_per_epoch(self, monkeypatch):
+        dataset = toy_dataset()
+        val_ids = {h for h, r in toy_fold(dataset).roles.items() if r == "val"}
+        real_forward = traineval.batch_forward
+        scored = Counter()
+
+        def spy(kind, batch, *args, training=False, **kwargs):
+            if not training:
+                scored.update(h for h in batch if h in val_ids)
+            return real_forward(kind, batch, *args, training=training, **kwargs)
+
+        monkeypatch.setattr(traineval, "batch_forward", spy)
+        result, _ = self.run(epochs=3, dataset=dataset)
+        assert scored == {h: len(result.history) for h in val_ids}
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_val_scores_are_those_of_the_restored_weights(self, kind):
+        result, dataset = self.run(kind=kind, epochs=4)
+        params = models.load_params_from_entries(kind, TOY_CFG, result.entries)
+        val_ids = sorted(h for h, r in toy_fold(dataset).roles.items() if r == "val")
+        emb = toy_emb() if kind != models.CTS_RNN else None
+        assert traineval.predict_scores(
+            kind, val_ids, dataset, params, TOY_CFG, emb, 8
+        ) == result.val_scores
 
     def test_identical_seeds_identical_runs(self):
         a, _ = self.run(epochs=3, seed=7)
@@ -369,6 +395,13 @@ class TestTrainFold:
         monkeypatch.setattr(traineval, "batch_forward", spy)
         self.run(epochs=2)
         assert len(previous) > 2
+
+
+def test_note_masks_are_the_non_pad_ids():
+    ids = np.array([[4, 2, 0, 0], [-1, 3, 5, 0]], dtype=np.int32)  # -1: out of vocabulary
+    stay = StayData(hadm_id=1, label=False, note_ids=ids)
+    np.testing.assert_array_equal(stay.note_masks, ids != PAD_ID)
+    assert StayData(hadm_id=2, label=False).note_masks is None
 
 
 def test_class_weights_ignore_val_and_test_labels():
