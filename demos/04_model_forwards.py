@@ -33,7 +33,7 @@ for i in range(3):  # three notes charted over the stay
 file = PatientFile(hadm_id=1, subject_id=1, notes=notes, label=False, window_hours=24)
 
 ts = ClinicalTimeSeries(
-    hadm_id=1, hours=np.arange(24),
+    hadm_id=1,
     values=TS_NORMALS + rng.standard_normal((24, N_TS_VARIABLES)),
     mask=rng.random((24, N_TS_VARIABLES)) > 0.25,
 )

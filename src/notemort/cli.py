@@ -251,12 +251,15 @@ def read_vocab(path) -> Vocabulary:
     id_to_token: list[str] = []
     frequencies: list[int] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            token, idx, freq = line.rstrip("\n").split("\t")
-            if int(idx) != len(id_to_token):
-                raise DataError(f"{path}: vocabulary ids are not contiguous")
-            id_to_token.append(token)
-            frequencies.append(int(freq))
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                token, idx, freq = line.rstrip("\n").split("\t")
+                if int(idx) != len(id_to_token):
+                    raise ValueError("vocabulary ids are not contiguous")
+                frequencies.append(int(freq))
+                id_to_token.append(token)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc} (line {lineno})") from exc
     token_to_id = {tok: i for i, tok in enumerate(id_to_token) if i != 0}
     return Vocabulary(token_to_id, id_to_token, frequencies)
 
@@ -265,10 +268,7 @@ def cmd_embed(config: RunConfig) -> int:
     work = Path(config.work_dir)
     inputs = require_stage(work, "preprocess", ["prep/vocab.txt", "prep/embed_corpus.jsonl"])
     vocab = read_vocab(inputs["prep/vocab.txt"])
-    corpus = [
-        json.loads(line)
-        for line in open(inputs["prep/embed_corpus.jsonl"], encoding="utf-8")
-    ]
+    corpus = list(notesproc.read_jsonl(inputs["prep/embed_corpus.jsonl"], lambda ids: ids))
     ecfg = config.embed
     result = train_skipgram(
         corpus, vocab,
@@ -294,7 +294,7 @@ def cmd_cohort(config: RunConfig) -> int:
     work = Path(config.work_dir)
     tables = require_stage(
         work, "synth",
-        ["tables/admissions.csv", "tables/icustays.csv"],
+        ["tables/admissions.csv", "tables/icustays.csv", "tables/timeseries.csv"],
     )
     prep = require_stage(work, "preprocess", ["prep/clean_notes.jsonl"])
     admissions = cohort.read_admissions_csv(tables["tables/admissions.csv"])
@@ -304,6 +304,9 @@ def cmd_cohort(config: RunConfig) -> int:
     )
     window = config.window
     wc = pipeline.build_window_cohort(clean_notes, admissions, icustays, window)
+    dataset = pipeline.build_dataset(
+        wc, cohort.read_timeseries_csv(tables["tables/timeseries.csv"])
+    )
     folds = cohort.grouped_kfold(
         wc.eligible, wc.subject_of, k=config.train_cfg.k, seed=config.seed
     )
@@ -321,9 +324,10 @@ def cmd_cohort(config: RunConfig) -> int:
                 "row_ids": [n.row_id for n in wc.files[hadm_id].notes],
             }
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+    arrays = pipeline.save_dataset(out / f"dataset_W{window}", wc, dataset)
     write_manifest(
         work, f"cohort_W{window}", config,
-        list(tables.values()) + list(prep.values()), [manifest_path],
+        list(tables.values()) + list(prep.values()), [manifest_path, *arrays],
     )
     prevalence = float(np.mean([wc.labels[h] for h in wc.eligible])) if wc.eligible else 0.0
     print(
@@ -333,53 +337,40 @@ def cmd_cohort(config: RunConfig) -> int:
     return 0
 
 
+def _cohort_record(record: dict) -> tuple[int, bool, dict[int, str]]:
+    roles = {int(fold): role for fold, role in record["roles"].items()}
+    return int(record["hadm_id"]), bool(record["label"]), roles
+
+
 def _load_cohort(config: RunConfig, work: Path):
-    """The cohort stage's stays, patient files and folds, plus the files
-    they were read from."""
+    """The cohort stage's dataset and folds, plus the files they were
+    read from."""
     window = config.window
     rel = f"cohorts/cohort_W{window}.jsonl"
-    resolved = require_stage(work, f"cohort_W{window}", [rel])
-    prep = require_stage(work, "preprocess", ["prep/clean_notes.jsonl"])
-    clean_notes = notesproc.read_clean_notes(
-        prep["prep/clean_notes.jsonl"], note_len=config.model_cfg.note_len
+    directory = f"cohorts/dataset_W{window}"
+    resolved = require_stage(
+        work, f"cohort_W{window}",
+        [rel] + [f"{directory}/{name}.npy" for name in pipeline.DATASET_ARRAYS],
     )
-    note_of = {note.row_id: note for note in clean_notes}
-    wc = pipeline.WindowCohort(window_hours=window, eligible=[], files={})
+    labels: dict[int, bool] = {}
     roles: dict[int, dict[int, str]] = {}
-    for line in open(resolved[rel], encoding="utf-8"):
-        record = json.loads(line)
-        hadm_id = record["hadm_id"]
-        wc.eligible.append(hadm_id)
-        wc.labels[hadm_id] = bool(record["label"])
-        wc.subject_of[hadm_id] = record["subject_id"]
-        wc.files[hadm_id] = notesproc.PatientFile(
-            hadm_id=hadm_id,
-            subject_id=record["subject_id"],
-            notes=[note_of[row_id] for row_id in record["row_ids"]],
-            label=bool(record["label"]),
-            window_hours=window,
-        )
-        for fold_str, role in record["roles"].items():
-            roles.setdefault(int(fold_str), {})[hadm_id] = role
+    for hadm_id, label, stay_roles in notesproc.read_jsonl(resolved[rel], _cohort_record):
+        labels[hadm_id] = label
+        for fold, role in stay_roles.items():
+            roles.setdefault(fold, {})[hadm_id] = role
     if sorted(roles) != list(range(config.train_cfg.k)):
         raise MissingArtifactError(
             f"{rel} holds {len(roles)} folds but train.k is {config.train_cfg.k}: "
             f"re-run `cohort`"
         )
     folds = [cohort.FoldSplit(fold=f, roles=roles[f]) for f in sorted(roles)]
-    return wc, folds, [resolved[rel], prep["prep/clean_notes.jsonl"]]
+    dataset = pipeline.load_dataset(work / directory, labels)
+    return dataset, folds, list(resolved.values())
 
 
 def cmd_train(config: RunConfig) -> int:
     work = Path(config.work_dir)
-    wc, folds, inputs = _load_cohort(config, work)
-    timeseries = None
-    if "cts" in models.branches(config.model):
-        tables = require_stage(work, "synth", ["tables/timeseries.csv"])
-        timeseries = cohort.read_timeseries_csv(tables["tables/timeseries.csv"])
-        inputs += tables.values()
-    dataset = pipeline.build_dataset(wc, timeseries)
-    del wc, timeseries  # free the raw time-series rows before training
+    dataset, folds, inputs = _load_cohort(config, work)
     embeddings = None
     if "notes" in models.branches(config.model):
         emb_files = require_stage(work, "embed", ["embeddings/embeddings.txt"])
@@ -420,6 +411,10 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
+def _score_record(record: dict) -> tuple[str, float, int]:
+    return record["split"], record["prob"], record["label"]
+
+
 def cmd_evaluate(config: RunConfig) -> int:
     work = Path(config.work_dir)
     train_dir = work / "train"
@@ -440,11 +435,10 @@ def cmd_evaluate(config: RunConfig) -> int:
         aurocs, auprcs = [], []
         for fold, scores_path in enumerate(scores.values()):
             probs, labels = [], []
-            for line in open(scores_path, encoding="utf-8"):
-                record = json.loads(line)
-                if record["split"] == "test":
-                    probs.append(record["prob"])
-                    labels.append(record["label"])
+            for split, prob, label in notesproc.read_jsonl(scores_path, _score_record):
+                if split == "test":
+                    probs.append(prob)
+                    labels.append(label)
             roc = traineval.auroc(probs, labels)
             prc = traineval.auprc(probs, labels)
             aurocs.append(roc)

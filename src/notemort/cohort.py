@@ -53,7 +53,6 @@ class ClinicalTimeSeries:
     """
 
     hadm_id: int
-    hours: np.ndarray  # int [T]
     values: np.ndarray  # float64 [T, F]
     mask: np.ndarray  # bool [T, F]
 
@@ -271,18 +270,11 @@ def impute_timeseries(
     for (t, var), value in latest.items():
         values[t, var] = value
         mask[t, var] = True
-    for var in range(N_TS_VARIABLES):
-        filled = TS_NORMALS[var]
-        for t in range(window_hours):
-            if mask[t, var]:
-                filled = values[t, var]
-            else:
-                values[t, var] = filled
+    # the last observed hour at or before each cell, -1 before the first
+    last = np.maximum.accumulate(np.where(mask, np.arange(window_hours)[:, None], -1), axis=0)
+    filled = values[np.maximum(last, 0), np.arange(N_TS_VARIABLES)]
     return ClinicalTimeSeries(
-        hadm_id=hadm_id,
-        hours=np.arange(window_hours),
-        values=values,
-        mask=mask,
+        hadm_id=hadm_id, values=np.where(last >= 0, filled, TS_NORMALS), mask=mask
     )
 
 

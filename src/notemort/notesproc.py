@@ -222,10 +222,33 @@ def format_timestamp(value: datetime) -> str:
     return value.strftime("%Y-%m-%d %H:%M:%S")
 
 
+class _Row(dict):
+    """A CSV row that remembers the column read last."""
+
+    last = ""
+
+    def __getitem__(self, column: str) -> str:
+        self.last = column
+        return super().__getitem__(column)
+
+
+def _failed_column(parse, header: list[str], fields: list[str]) -> str:
+    """The column whose field made parse raise a ValueError. parse is
+    pure, so parsing the row again fails at the same field; only a
+    failed row pays for the tracking."""
+    row = _Row(zip(header, fields))
+    try:
+        parse(row)
+    except ValueError:
+        pass
+    return row.last
+
+
 def read_csv_records(path, columns: list[str], parse) -> Iterator:
     """parse(row) for each data row of a header-first CSV table; a missing
     column, a row of the wrong length or a ValueError from parse is a
-    DataError naming the file and the row's first line."""
+    DataError naming the file and the row's first line, and a field that
+    fails to convert also names its column."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -242,7 +265,25 @@ def read_csv_records(path, columns: list[str], parse) -> Iterator:
                 if len(fields) != len(header):
                     raise DataError(f"{len(fields)} fields, the header has {len(header)}")
                 record = parse(dict(zip(header, fields)))
-            except ValueError as exc:
+            except DataError as exc:  # about the whole row
+                raise DataError(f"{path}: {exc} (line {line})") from exc
+            except ValueError as exc:  # a field that did not convert
+                column = _failed_column(parse, header, fields)
+                raise DataError(f"{path}: {column}: {exc} (line {line})") from exc
+            yield record
+
+
+def read_jsonl(path, parse) -> Iterator:
+    """parse(record) for each line of a JSON-lines file; a line that is not
+    JSON, or whose record parse cannot read, is a DataError naming the
+    file and the line."""
+    with open(path, encoding="utf-8") as handle:
+        for line, text in enumerate(handle, start=1):
+            try:
+                record = parse(json.loads(text))
+            except KeyError as exc:
+                raise DataError(f"{path}: missing field {exc} (line {line})") from exc
+            except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: {exc} (line {line})") from exc
             yield record
 
@@ -304,18 +345,14 @@ def write_clean_notes(path, notes: list[CleanNote]) -> None:
 
 
 def read_clean_notes(path, note_len: int = NOTE_LEN) -> list[CleanNote]:
-    notes = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            record = json.loads(line)
-            notes.append(
-                CleanNote(
-                    tokens=truncate_pad(record["tokens"], max_len=note_len),
-                    charted_at=parse_timestamp(record["charted_at"]),
-                    category=record["category"],
-                    hadm_id=record["hadm_id"],
-                    row_id=record["row_id"],
-                )
-            )
-    return notes
+    def parse(record: dict) -> CleanNote:
+        return CleanNote(
+            tokens=truncate_pad(record["tokens"], max_len=note_len),
+            charted_at=parse_timestamp(record["charted_at"]),
+            category=record["category"],
+            hadm_id=record["hadm_id"],
+            row_id=record["row_id"],
+        )
+
+    return list(read_jsonl(path, parse))
 

@@ -2,18 +2,24 @@
 
 raw tables -> cleaned token corpora -> vocabulary + embeddings ->
 window-specific patient files and cohorts -> model-ready datasets.
-The CLI wraps these with on-disk artifacts and manifests; tests and the
-demo scripts call them directly.
+This module owns how a stay becomes model input: `build_dataset` turns
+a window cohort and its time-series rows into `StayData`, and
+`save_dataset` / `load_dataset` store that dataset as arrays, so the
+CLI's `cohort` stage builds it once and `train` only loads it. The CLI
+wraps these with on-disk artifacts and manifests; tests and the demo
+scripts call them directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import notesproc
 from .cohort import (
+    N_TS_VARIABLES,
     Admission,
     IcuStay,
     impute_timeseries,
@@ -170,4 +176,64 @@ def build_dataset(
                 stay.ts_values = standardize_values(ts.values)
                 stay.ts_mask = ts.mask
         dataset[hadm_id] = stay
+    return dataset
+
+
+# one .npy file per array, in the cohort's eligible order
+DATASET_ARRAYS = ("note_counts", "note_ids", "ts_values", "ts_mask")
+
+
+def save_dataset(
+    directory: Path, cohort: WindowCohort, dataset: dict[int, StayData]
+) -> list[Path]:
+    """Write the dataset as note_counts [S], note_ids [sum T, L] and
+    ts_values / ts_mask [S, W, F]. A stay without a time series is stored
+    as zeros under an all-False mask: `impute_timeseries` marks at least
+    one cell, so that mask means exactly "no time series". np.save, not
+    np.savez, keeps reruns byte-identical (zip entries carry a time)."""
+    stays = [dataset[h] for h in cohort.eligible]
+    shape = (len(stays), cohort.window_hours, N_TS_VARIABLES)
+    arrays = {
+        "note_counts": np.array([s.note_ids.shape[0] for s in stays], dtype=np.int64),
+        "note_ids": np.concatenate([s.note_ids for s in stays]),
+        "ts_values": np.zeros(shape),
+        "ts_mask": np.zeros(shape, dtype=bool),
+    }
+    for i, stay in enumerate(stays):
+        if stay.ts_values is not None:
+            arrays["ts_values"][i], arrays["ts_mask"][i] = stay.ts_values, stay.ts_mask
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / f"{name}.npy" for name in DATASET_ARRAYS]
+    for path, name in zip(paths, DATASET_ARRAYS):
+        np.save(path, arrays[name])
+    return paths
+
+
+def load_dataset(directory: Path, labels: dict[int, bool]) -> dict[int, StayData]:
+    """The dataset `save_dataset` wrote, for the stays of labels in its
+    order; each StayData holds views of the stored arrays."""
+    arrays = {}
+    for name in DATASET_ARRAYS:
+        path = directory / f"{name}.npy"
+        try:
+            arrays[name] = np.load(path)
+        except (EOFError, ValueError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+    counts = arrays["note_counts"]
+    if not (
+        len(counts) == len(arrays["ts_values"]) == len(arrays["ts_mask"]) == len(labels)
+        and counts.sum() == len(arrays["note_ids"])
+    ):
+        raise DataError(f"{directory}: arrays do not match the cohort's {len(labels)} stays")
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    dataset = {}
+    for i, (hadm_id, label) in enumerate(labels.items()):
+        has_ts = bool(arrays["ts_mask"][i].any())
+        dataset[hadm_id] = StayData(
+            hadm_id=hadm_id,
+            label=label,
+            note_ids=arrays["note_ids"][starts[i] : starts[i + 1]],
+            ts_values=arrays["ts_values"][i] if has_ts else None,
+            ts_mask=arrays["ts_mask"][i] if has_ts else None,
+        )
     return dataset

@@ -7,9 +7,10 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from notemort import cohort, models, pipeline
+from notemort import cli, cohort, models, notesproc, pipeline
 from notemort.cli import main, parse_config, render_config
 from notemort.errors import ConfigurationError
 
@@ -160,10 +161,84 @@ def test_train_reads_the_cohort_file_not_the_tables(work, tmp_path, monkeypatch)
         raise AssertionError("train rebuilt the cohort")
 
     for owner, name in ((cohort, "read_admissions_csv"), (cohort, "read_icustays_csv"),
-                        (pipeline, "build_window_cohort")):
+                        (cohort, "read_timeseries_csv"), (notesproc, "read_clean_notes"),
+                        (pipeline, "build_window_cohort"), (pipeline, "build_dataset")):
         monkeypatch.setattr(owner, name, refuse)
     for kind in models.MODEL_KINDS:
         assert main(args + ["--model", kind, "train"]) == 0
+
+
+def rehash(copy, stage, rel):
+    """Record an edited artifact in its stage's manifest, so it is not
+    merely stale."""
+    manifest_path = copy / f"{stage}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"][rel] = hashlib.sha256((copy / rel).read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def test_cohort_rerun_is_byte_identical(work, tmp_path):
+    work_dir, _ = work
+    args, copy = copy_run(work, tmp_path)
+    shutil.rmtree(copy / "cohorts")
+    assert main(args + ["cohort"]) == 0
+    arrays = sorted(p.name for p in (work_dir / "cohorts" / "dataset_W24").iterdir())
+    assert arrays == sorted(f"{name}.npy" for name in pipeline.DATASET_ARRAYS)
+    for name in arrays:
+        rel = Path("cohorts") / "dataset_W24" / name
+        assert (copy / rel).read_bytes() == (work_dir / rel).read_bytes(), rel
+    outputs = [json.loads((d / "cohort_W24.manifest.json").read_text())["outputs"]
+               for d in (work_dir, copy)]
+    assert outputs[0] == outputs[1]
+
+
+def test_train_loads_the_dataset_build_dataset_makes(work, tmp_path):
+    """The stored arrays give back every stay as `build_dataset` made it;
+    a stay whose time-series rows are removed comes back without one."""
+    args, copy = copy_run(work, tmp_path)
+    config = parse_config(work[1].read_text())
+    table = copy / "tables" / "timeseries.csv"
+    with open(table, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    dropped = rows[1][0]
+    with open(table, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(r for r in rows if r[0] != dropped)
+    rehash(copy, "synth", "tables/timeseries.csv")
+    assert main(args + ["cohort"]) == 0
+
+    wc = pipeline.build_window_cohort(
+        notesproc.read_clean_notes(copy / "prep" / "clean_notes.jsonl",
+                                   note_len=config.model_cfg.note_len),
+        cohort.read_admissions_csv(copy / "tables" / "admissions.csv"),
+        cohort.read_icustays_csv(copy / "tables" / "icustays.csv"),
+        config.window,
+    )
+    built = pipeline.build_dataset(wc, cohort.read_timeseries_csv(table))
+    loaded, _, _ = cli._load_cohort(config, copy)
+    assert list(loaded) == wc.eligible and int(dropped) in loaded
+    for hadm_id, want in built.items():
+        got = loaded[hadm_id]
+        assert type(hadm_id) is int and got.hadm_id == hadm_id
+        assert type(got.label) is bool and got.label == want.label
+        for name in ("note_ids", "ts_values", "ts_mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None, (hadm_id, name)
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b), (hadm_id, name)
+    assert loaded[int(dropped)].ts_values is None
+
+
+@pytest.mark.parametrize("artifact,stage", [
+    ("tables/timeseries.csv", ["--model", "cts-rnn", "train"]),
+    ("prep/clean_notes.jsonl", ["train"]),
+])
+def test_input_changed_after_cohort_refused_at_train(work, tmp_path, artifact, stage):
+    args, copy = copy_run(work, tmp_path)
+    path = copy / artifact
+    path.write_bytes(path.read_bytes() + b"\n")
+    assert main(args + stage) == 3
 
 
 def test_cohort_file_lists_note_row_ids(work):
@@ -195,7 +270,7 @@ TABLE_READERS = [
     ("notes.csv", ["preprocess"], "hadm_id", "chart_date"),
     ("admissions.csv", ["cohort"], "age_at_admission", "admit_time"),
     ("icustays.csv", ["cohort"], "icustay_id", "intime"),
-    ("timeseries.csv", ["--model", "cts-rnn", "train"], "value", "hour"),
+    ("timeseries.csv", ["cohort"], "value", "hour"),
 ]
 
 
@@ -223,17 +298,62 @@ def test_malformed_table_field_is_a_data_error(
     rows[1] = fault(rows[0], rows[1], field, stamp)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows(rows)
-    # record the edit in the synth manifest, so the table is not merely stale
-    manifest_path = copy / "synth.manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["outputs"][f"tables/{table}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
+    rehash(copy, "synth", f"tables/{table}")
     capsys.readouterr()
 
     assert main(args + stage) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert f"{table}: " in err and err.strip().endswith("(line 2)")
+    column = {_blank: field, _bad_timestamp: stamp}.get(fault)
+    if column is not None:
+        assert f"{table}: {column}: " in err
+
+
+def _cut_mid_line(data: bytes) -> bytes:
+    return data[: data.index(b"\n", len(data) // 2) - 1]
+
+
+def _cut_half(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _untab_line(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines[1] = lines[1].replace(b"\t", b" ")
+    return b"\n".join(lines)
+
+
+def _drop_last_line(data: bytes) -> bytes:
+    return data[: data.rindex(b"\n", 0, -1) + 1]
+
+
+# artifact, the stage that wrote it, the stage that reads it, the fault,
+# the name the error must give
+@pytest.mark.parametrize("artifact,producer,stage,fault,named", [
+    ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _cut_mid_line, "cohort_W24.jsonl"),
+    ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _drop_last_line, "dataset_W24"),
+    ("cohorts/dataset_W24/ts_values.npy", "cohort_W24", ["train"], _cut_half,
+     "ts_values.npy"),
+    ("prep/clean_notes.jsonl", "preprocess", ["cohort"], _cut_mid_line, "clean_notes.jsonl"),
+    ("prep/embed_corpus.jsonl", "preprocess", ["embed"], _cut_mid_line, "embed_corpus.jsonl"),
+    ("prep/vocab.txt", "preprocess", ["embed"], _untab_line, "vocab.txt"),
+    ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
+     _cut_mid_line, "fold0.scores.jsonl"),
+])
+def test_malformed_artifact_is_a_data_error(
+    work, tmp_path, capsys, artifact, producer, stage, fault, named
+):
+    args, copy = copy_run(work, tmp_path)
+    path = copy / artifact
+    path.write_bytes(fault(path.read_bytes()))
+    rehash(copy, producer, artifact)
+    capsys.readouterr()
+
+    assert main(args + stage) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert f"{named}: " in err
 
 
 def test_fold_count_mismatch_refused(work, tmp_path, capsys):

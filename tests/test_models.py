@@ -62,7 +62,7 @@ def toy_file(hadm=1, n_notes=2, seed=0, note_len=8, vocab=12):
 def toy_ts(seed=0, steps=5, features=3):
     rng = np.random.default_rng(seed)
     return ClinicalTimeSeries(
-        hadm_id=1, hours=np.arange(steps),
+        hadm_id=1,
         values=rng.standard_normal((steps, N_TS_VARIABLES)) + 80.0,
         mask=rng.random((steps, N_TS_VARIABLES)) > 0.3,
     )
