@@ -306,8 +306,6 @@ def semantical_forward(
 def temporal_forward(doc_vectors: Tensor, params: BiGruParams) -> Tensor:
     """Document vectors [B, T, filters] (or [T, filters]) -> patient
     vector [B, 2 * hidden]: the bidirectional GRU's final state."""
-    if doc_vectors.shape[-2] == 0:
-        raise DataError("temporal_forward: empty note sequence")
     _, final = bigru(doc_vectors, params)
     return final
 
@@ -321,8 +319,6 @@ def cts_forward(
     their missingness indicators, layer 1 emits per-step outputs that
     layer 2 consumes.
     """
-    if values.shape[-2] == 0:
-        raise DataError("cts_rnn: empty time series")
     if values.shape[-1] != cfg.cts_features:
         raise ConfigurationError(
             f"time series has {values.shape[-1]} channels, "

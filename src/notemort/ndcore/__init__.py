@@ -25,7 +25,6 @@ from .layers import (
     spatial_dropout,
     batchnorm,
     global_avg_pool,
-    gru_step,
     bigru,
     dense,
     dense_sigmoid,
@@ -51,7 +50,6 @@ __all__ = [
     "spatial_dropout",
     "batchnorm",
     "global_avg_pool",
-    "gru_step",
     "bigru",
     "dense",
     "dense_sigmoid",

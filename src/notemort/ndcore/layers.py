@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from .tensor import Tensor, _make, concat, stack
+from .tensor import Tensor, _make, _recording, _sigmoid, concat
 
 # -- parameter containers -----------------------------------------------------
 
@@ -272,52 +272,121 @@ def global_avg_pool(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 # -- recurrent layers -------------------------------------------------------------
 
 
-def gru_step(x: Tensor, h_prev: Tensor, params: GruDirectionParams) -> Tensor:
-    """One GRU step. x: [..., D], h_prev: [..., H] -> [..., H].
-
-    z = sigma(W_z x + U_z h + b_z); r = sigma(W_r x + U_r h + b_r);
-    cand = tanh(W_h x + U_h (r*h) + b_h); h' = (1-z)*h + z*cand.
-    """
-    z = (x @ params.w_z + h_prev @ params.u_z + params.b_z).sigmoid()
-    r = (x @ params.w_r + h_prev @ params.u_r + params.b_r).sigmoid()
-    cand = (x @ params.w_h + (r * h_prev) @ params.u_h + params.b_h).tanh()
-    return (1.0 - z) * h_prev + z * cand
-
-
 def bigru(seq: Tensor, params: BiGruParams) -> tuple[Tensor, Tensor]:
     """Bidirectional GRU over [B, T, D] (or [T, D]).
 
     Returns (outputs [B, T, 2H], final [B, 2H]); per-step outputs are the
     concatenation [h_fwd; h_bwd], and `final` holds the forward state at
     the last step and the backward state at the first. Hidden states
-    start at zero.
+    start at zero. Each direction runs the GRU of Cho et al. (2014):
+
+        z = sigma(x W_z + h U_z + b_z);  r = sigma(x W_r + h U_r + b_r);
+        cand = tanh(x W_h + (r*h) U_h + b_h);  h' = (1-z)*h + z*cand.
+
+    `outputs` is one tape node and `final` two slices of it. The two
+    directions' weights are stacked on a leading axis of 2, the input
+    projection x [W_z|W_r|W_h] + b of every step is computed before the
+    recurrence, and one Python loop over steps s updates the stacked
+    [2, B, H] state: the forward direction reads time s, the backward
+    one time T-1-s. The gates are kept only while the tape records, and
+    backpropagation through time is one reversed loop over the same
+    stack (Appleyard, Kocisky & Blunsom 2016). Every GEMM is one step's,
+    such as [B, D] @ [D, 3H], never one [B*T, D] product, and its
+    operands are contiguous: OpenBLAS runs such GEMMs on one thread,
+    while a large or transposed one can wake its other threads, which
+    then spin through the recurrence and cost CPU time.
     """
     squeeze = seq.data.ndim == 2
-    if squeeze:
-        seq = seq.reshape((1,) + seq.shape)
-    batch, steps, _ = seq.shape
+    xs = seq.data[None] if squeeze else seq.data
+    batch, steps, _ = xs.shape
     if steps == 0:
         raise DataError("bigru: empty sequence")
+    dirs = (params.fwd, params.bwd)
+    leaves = tuple(t for p in dirs for t in p.all_tensors().values())
     hidden = params.fwd.b_z.shape[0]
+    h2 = 2 * hidden
+    w = np.empty((2, xs.shape[-1], 3 * hidden))
+    u_zr = np.empty((2, hidden, h2))
+    u_h = np.empty((2, hidden, hidden))
+    b = np.empty((2, 3 * hidden))
+    for k, p in enumerate(dirs):
+        np.concatenate([p.w_z.data, p.w_r.data, p.w_h.data], axis=1, out=w[k])
+        np.concatenate([p.u_z.data, p.u_r.data], axis=1, out=u_zr[k])
+        u_h[k] = p.u_h.data
+        np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data], out=b[k])
+    # step-major inputs, the backward direction time-reversed: step s
+    # reads x[:, s] forward and x[:, T-1-s] backward
+    x_steps = np.empty((steps, 2, batch, xs.shape[-1]))
+    x_steps[:, 0] = xs.transpose(1, 0, 2)
+    x_steps[:, 1] = xs[:, ::-1].transpose(1, 0, 2)
+    pre = np.matmul(x_steps, w)  # [T, 2, B, 3H], one [B, D] @ [D, 3H] GEMM each
+    pre += b[:, None]
+    record = _recording((seq,) + leaves)
+    states = np.zeros((steps + 1, 2, batch, hidden))  # states[s + 1]: after step s
+    gates = []  # (z|r, r*h, cand - h) of each step, while the tape records
+    for s in range(steps):
+        h = states[s]
+        zr = _sigmoid(np.matmul(h, u_zr) + pre[s, :, :, :h2])
+        z, r = zr[..., :hidden], zr[..., hidden:]
+        rh = r * h
+        cand = np.matmul(rh, u_h)
+        cand += pre[s, :, :, h2:]
+        np.tanh(cand, out=cand)
+        diff = cand - h  # h' = (1-z)*h + z*cand = h + z*(cand - h)
+        np.add(h, z * diff, out=states[s + 1])
+        if record:
+            gates.append((zr, rh, diff))
+    out = np.empty((batch, steps, h2))
+    out[..., :hidden] = states[1:, 0].transpose(1, 0, 2)
+    out[..., hidden:] = states[:0:-1, 1].transpose(1, 0, 2)
 
-    def run(direction: GruDirectionParams, order: range) -> list[Tensor]:
-        h = Tensor(np.zeros((batch, hidden)))
-        states: list[Tensor] = []
-        for t in order:
-            h = gru_step(seq[:, t, :], h, direction)
-            states.append(h)
-        return states
+    def back(g):
+        g = g.reshape(batch, steps, h2)
+        g_steps = np.empty((steps, 2, batch, hidden))
+        g_steps[:, 0] = g[..., :hidden].transpose(1, 0, 2)
+        g_steps[:, 1] = g[:, ::-1, hidden:].transpose(1, 0, 2)
+        d_pre = np.empty_like(pre)
+        d_u_zr = np.zeros_like(u_zr)
+        d_u_h = np.zeros_like(u_h)
+        u_zr_t = u_zr.transpose(0, 2, 1)
+        u_h_t = u_h.transpose(0, 2, 1)
+        dh = np.zeros((2, batch, hidden))
+        for s in range(steps - 1, -1, -1):
+            zr, rh, diff = gates[s]
+            z = zr[..., :hidden]
+            h = states[s]
+            dh += g_steps[s]
+            cand = diff + h
+            d_a_h = d_pre[s, :, :, h2:]
+            np.multiply(dh * z, 1.0 - cand * cand, out=d_a_h)
+            d_rh = np.matmul(d_a_h, u_h_t)
+            d_u_h += np.matmul(rh.transpose(0, 2, 1), d_a_h)
+            d_a_zr = d_pre[s, :, :, :h2]
+            np.multiply(dh, diff, out=d_a_zr[..., :hidden])
+            np.multiply(d_rh, h, out=d_a_zr[..., hidden:])
+            d_a_zr *= zr * (1.0 - zr)
+            d_u_zr += np.matmul(h.transpose(0, 2, 1), d_a_zr)
+            dh = dh - dh * z + d_rh * zr[..., hidden:] + np.matmul(d_a_zr, u_zr_t)
+        if seq.requires_grad:
+            dx = np.matmul(d_pre, np.ascontiguousarray(w.transpose(0, 2, 1)))
+            dx = dx[:, 0].transpose(1, 0, 2) + dx[::-1, 1].transpose(1, 0, 2)
+            seq._accum(dx.reshape(seq.shape), fresh=True)
+        x_steps_t = np.ascontiguousarray(x_steps.transpose(0, 1, 3, 2))
+        d_w = np.matmul(x_steps_t, d_pre).sum(axis=0)
+        d_b = d_pre.sum(axis=(0, 2))
+        for k, p in enumerate(dirs):
+            grads = {
+                "w_z": d_w[k, :, :hidden], "w_r": d_w[k, :, hidden:h2],
+                "w_h": d_w[k, :, h2:], "u_z": d_u_zr[k, :, :hidden],
+                "u_r": d_u_zr[k, :, hidden:], "u_h": d_u_h[k],
+                "b_z": d_b[k, :hidden], "b_r": d_b[k, hidden:h2], "b_h": d_b[k, h2:],
+            }
+            for name, t in p.all_tensors().items():
+                if t.requires_grad:
+                    t._accum(grads[name], fresh=True)
 
-    states_f = run(params.fwd, range(steps))
-    states_b = run(params.bwd, range(steps - 1, -1, -1))
-    states_b.reverse()
-    outputs = stack(
-        [concat([hf, hb], axis=-1) for hf, hb in zip(states_f, states_b)], axis=1
-    )
-    final = concat([states_f[-1], states_b[0]], axis=-1)
-    if squeeze:
-        outputs = outputs.reshape(outputs.shape[1:])
-        final = final.reshape(final.shape[1:])
+    outputs = _make(out[0] if squeeze else out, (seq,) + leaves, "bigru", back)
+    final = concat([outputs[..., -1, :hidden], outputs[..., 0, hidden:]], axis=-1)
     return outputs, final
 
 
@@ -343,18 +412,29 @@ def dense_sigmoid(x: Tensor, params: DenseParams) -> Tensor:
 
 
 def l2_penalty(weights, lam: float) -> Tensor:
-    """lam * sum of squares over the given weight tensors.
+    """lam * sum of squares over the given weight tensors, as one tape node.
 
     Callers pass kernel and recurrent weight matrices only; biases and
-    normalization parameters are excluded by convention.
+    normalization parameters are excluded by convention. The squares are
+    summed per weight in the given order, and each weight's gradient is
+    c*w + c*w with c = g*lam, so value and gradients carry the same bits
+    as the mul/sum/add chain they replace.
     """
     if lam < 0:
         raise ConfigurationError(f"decay coefficient must be >= 0, got {lam}")
-    weights = list(weights)
+    weights = tuple(weights)
     if lam == 0.0 or not weights:
         return Tensor(0.0)
     total = None
     for w in weights:
-        term = (w * w).sum()
+        term = np.sum(w.data * w.data)
         total = term if total is None else total + term
-    return total * lam
+
+    def back(g):
+        c = g * lam
+        for w in weights:
+            if w.requires_grad:
+                cw = c * w.data
+                w._accum(cw + cw, fresh=True)
+
+    return _make(total * lam, weights, "l2_penalty", back)

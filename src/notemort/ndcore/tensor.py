@@ -315,17 +315,19 @@ def _is_basic_key(key) -> bool:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so
+    exp never overflows; both branches share e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _recording(parents: Iterable[Tensor]) -> bool:
+    """True when an op over these parents goes on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _make(value, parents: tuple[Tensor, ...], op: str, back) -> Tensor:
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
-    if not needs:
+    if not _recording(parents):
         return Tensor(value)
     return Tensor(value, requires_grad=True, _parents=parents, _backward=back, _op=op)
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from notemort.ndcore import concat, constant
+from notemort.ndcore import Tensor, concat, constant, stack
 
 
 def finite_diff_grad(f, param, h=1e-5):
@@ -93,6 +93,69 @@ def batchnorm_train_composed(x, params):
     params.running_var *= mom
     params.running_var += (1.0 - mom) * var.data.reshape(-1) * (count / (count - 1))
     return params.gamma * xhat + params.beta
+
+
+def sigmoid_masked(x):
+    """The logistic function by boolean-mask scatter: 1 / (1 + exp(-x))
+    where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def gru_step_composed(x, h_prev, params):
+    """One GRU step as generic tape ops. x: [..., D], h_prev: [..., H].
+
+    z = sigma(W_z x + U_z h + b_z); r = sigma(W_r x + U_r h + b_r);
+    cand = tanh(W_h x + U_h (r*h) + b_h); h' = (1-z)*h + z*cand.
+    """
+    z = (x @ params.w_z + h_prev @ params.u_z + params.b_z).sigmoid()
+    r = (x @ params.w_r + h_prev @ params.u_r + params.b_r).sigmoid()
+    cand = (x @ params.w_h + (r * h_prev) @ params.u_h + params.b_h).tanh()
+    return (1.0 - z) * h_prev + z * cand
+
+
+def bigru_composed(seq, params):
+    """bigru as the per-step tape composition the fused op replaces:
+    one direction after the other, then stack/concat of the states."""
+    squeeze = seq.data.ndim == 2
+    if squeeze:
+        seq = seq.reshape((1,) + seq.shape)
+    batch, steps, _ = seq.shape
+    hidden = params.fwd.b_z.shape[0]
+
+    def run(direction, order):
+        h = Tensor(np.zeros((batch, hidden)))
+        states = []
+        for t in order:
+            h = gru_step_composed(seq[:, t, :], h, direction)
+            states.append(h)
+        return states
+
+    states_f = run(params.fwd, range(steps))
+    states_b = run(params.bwd, range(steps - 1, -1, -1))
+    states_b.reverse()
+    outputs = stack(
+        [concat([hf, hb], axis=-1) for hf, hb in zip(states_f, states_b)], axis=1
+    )
+    final = concat([states_f[-1], states_b[0]], axis=-1)
+    if squeeze:
+        outputs = outputs.reshape(outputs.shape[1:])
+        final = final.reshape(final.shape[1:])
+    return outputs, final
+
+
+def l2_penalty_composed(weights, lam):
+    """lam * sum of squares as the mul/sum/add node chain the fused
+    l2_penalty replaces."""
+    total = None
+    for w in weights:
+        term = (w * w).sum()
+        total = term if total is None else total + term
+    return total * lam
 
 
 def _sig(v):

@@ -18,20 +18,25 @@ from notemort.ndcore import (
     conv1d,
     dense_sigmoid,
     global_avg_pool,
-    gru_step,
     l2_penalty,
     parameter,
     spatial_dropout,
 )
 
+from notemort.ndcore.tensor import _sigmoid
+
 from oracles import (
     batchnorm_train_composed,
+    bigru_composed,
     bigru_scalar,
     conv1d_composed,
     conv1d_loops,
     finite_diff_grad,
     gru_scalar_step,
+    gru_step_composed,
+    l2_penalty_composed,
     max_rel_err,
+    sigmoid_masked,
 )
 
 TOL = 1e-4
@@ -363,9 +368,9 @@ def test_global_avg_pool_gradient_with_mask():
 def test_gru_step_zero_params_halves_state():
     rng = np.random.default_rng(0)
     p = make_gru_dir(rng, 2, 1, zero=True)
-    h = gru_step(Tensor(np.zeros(2)), Tensor(np.array([1.0])), p)
+    h = gru_step_composed(Tensor(np.zeros(2)), Tensor(np.array([1.0])), p)
     np.testing.assert_allclose(h.data, [0.5])
-    h0 = gru_step(Tensor(np.zeros(2)), Tensor(np.zeros(1)), p)
+    h0 = gru_step_composed(Tensor(np.zeros(2)), Tensor(np.zeros(1)), p)
     np.testing.assert_allclose(h0.data, [0.0])
 
 
@@ -374,7 +379,7 @@ def test_gru_zero_params_geometric_decay():
     p = make_gru_dir(rng, 3, 4, zero=True)
     h = Tensor(np.array([1.0, -2.0, 0.5, 4.0]))
     for _ in range(6):
-        h = gru_step(Tensor(np.zeros(3)), h, p)
+        h = gru_step_composed(Tensor(np.zeros(3)), h, p)
     np.testing.assert_allclose(h.data, np.array([1.0, -2.0, 0.5, 4.0]) * 0.5**6)
 
 
@@ -385,7 +390,7 @@ def test_gru_step_matches_scalar_oracle(seed):
     p = make_gru_dir(rng, d, hid)
     x = rng.standard_normal(d)
     h_prev = rng.standard_normal(hid)
-    got = gru_step(Tensor(x), Tensor(h_prev), p).data
+    got = gru_step_composed(Tensor(x), Tensor(h_prev), p).data
     want = gru_scalar_step(x, h_prev, gru_dir_arrays(p))
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -402,6 +407,56 @@ def test_bigru_matches_scalar_oracle(seed):
     )
     assert np.max(np.abs(outputs.data - want_out)) < 1e-10
     assert np.max(np.abs(final.data - want_final)) < 1e-10
+
+
+# (input shape, hidden): T = 1, the [T, D] form, the desk CTS layer 1
+# and layer 2 shapes, and the desk temporal shape (stays x notes x filters)
+FUSED_GRU_CASES = [
+    ((3, 1, 5), 4),
+    ((6, 5), 3),
+    ((64, 24, 34), 8),
+    ((64, 24, 16), 4),
+    ((8, 4, 16), 8),
+]
+
+
+@pytest.mark.parametrize("shape,hidden", FUSED_GRU_CASES)
+def test_bigru_fused_matches_composition(shape, hidden):
+    rng = np.random.default_rng(sum(shape) + hidden)
+    seq = rng.standard_normal(shape)
+    dirs = [make_gru_dir(rng, shape[-1], hidden) for _ in range(2)]
+    g_out = rng.standard_normal(shape[:-1] + (2 * hidden,))
+    g_final = rng.standard_normal(shape[:-2] + (2 * hidden,))
+    results = []
+    for op in (bigru, bigru_composed):
+        x = parameter(seq.copy())
+        params = BiGruParams(
+            *(GruDirectionParams(**{k: parameter(t.data.copy())
+                                    for k, t in d.all_tensors().items()}) for d in dirs)
+        )
+        outputs, final = op(x, params)
+        ((outputs * g_out).sum() + (final * g_final).sum()).backward()
+        leaves = [x] + [t for d in (params.fwd, params.bwd) for t in d.all_tensors().values()]
+        results.append((outputs.data, final.data, [t.grad for t in leaves]))
+    (out, final, grads), (want_out, want_final, want_grads) = results
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(final, want_final, rtol=1e-12, atol=1e-12)
+    assert len(grads) == len(want_grads) == 19
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_bigru_outputs_are_one_tape_node():
+    rng = np.random.default_rng(3)
+    params = BiGruParams(fwd=make_gru_dir(rng, 2, 3), bwd=make_gru_dir(rng, 2, 3))
+    x = Tensor(rng.standard_normal((4, 6, 2)))
+    start = Tensor(0.0)._id
+    outputs, final = bigru(x, params)
+    assert outputs._id == start + 1
+    assert outputs._parents == (x,) + tuple(params.fwd.all_tensors().values()) + tuple(
+        params.bwd.all_tensors().values()
+    )
+    assert [part._parents for part in final._parents] == [(outputs,), (outputs,)]
 
 
 def test_bigru_single_step_final_equals_outputs():
@@ -437,11 +492,9 @@ def test_bigru_rejects_empty_sequence():
         bigru(Tensor(np.zeros((0, 2))), params)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_bigru_gradients(seed):
-    rng = np.random.default_rng(seed)
+def check_bigru_gradients(rng, shape):
     params = BiGruParams(fwd=make_gru_dir(rng, 2, 3), bwd=make_gru_dir(rng, 2, 3))
-    seq = parameter(rng.standard_normal((2, 4, 2)))
+    seq = parameter(rng.standard_normal(shape))
     tensors = [seq] + list(params.fwd.all_tensors().values()) + list(
         params.bwd.all_tensors().values()
     )
@@ -455,6 +508,16 @@ def test_bigru_gradients(seed):
     for t in tensors:
         assert max_rel_err(t.grad, finite_diff_grad(loss, t)) < TOL
         t.grad = None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bigru_gradients(seed):
+    check_bigru_gradients(np.random.default_rng(seed), (2, 4, 2))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 1, 2)])
+def test_bigru_gradients_unbatched_and_single_step(shape):
+    check_bigru_gradients(np.random.default_rng(len(shape)), shape)
 
 
 # -- dense head -----------------------------------------------------------------
@@ -493,3 +556,41 @@ def test_l2_penalty_values_and_gradient():
     np.testing.assert_allclose(w.grad, [0.2, 0.4])
     with pytest.raises(ConfigurationError):
         l2_penalty([w], -1.0)
+
+
+@pytest.mark.parametrize("with_data_term", [False, True])
+def test_l2_penalty_bit_identical_to_composition(with_data_term):
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4), (4, 4), (5,), (2, 3, 4)]
+    arrays = [rng.standard_normal(s) for s in shapes]
+    x = rng.standard_normal((3, 4))
+    results = []
+    for op in (l2_penalty, l2_penalty_composed):
+        weights = [parameter(a.copy()) for a in arrays]
+        # the data term comes first, as the forward does in training
+        data = (weights[0] * x).sum() if with_data_term else None
+        penalty = op(weights, 1e-3)
+        loss = penalty if data is None else data + penalty
+        loss.backward()
+        results.append((penalty.data, [w.grad for w in weights]))
+    (value, grads), (want_value, want_grads) = results
+    assert value.tobytes() == np.asarray(want_value).tobytes()
+    for got, want in zip(grads, want_grads):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sigmoid_bit_identical_to_masked_form():
+    rng = np.random.default_rng(13)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+                        36.7, -36.7, 709.0, -709.0, 745.2, -745.2, 4000.0, -4000.0])
+    grid = np.concatenate([
+        special,
+        rng.standard_normal(20_000) * 10.0,
+        rng.uniform(-4000.0, 4000.0, 20_000),
+        np.linspace(-50.0, 50.0, 20_000),
+    ]).reshape(-1, 16)
+    got, want = _sigmoid(grid), sigmoid_masked(grid)
+    assert got.tobytes() == want.tobytes()
+    nan = _sigmoid(np.array([np.nan, -np.nan]))
+    assert np.isnan(nan).all()

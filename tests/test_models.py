@@ -312,6 +312,65 @@ def test_mm_requires_both_modalities():
         )
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_rejects_empty_sequences(training):
+    """A batch of stays with no notes, and a series of no hours, are
+    DataErrors, raised by the one bigru rule."""
+    rng = np.random.default_rng(0)
+    ids = np.zeros((2, 0, TOY.note_len), dtype=np.int32)
+    notes = models.init_model(models.NOTES_HCR, TOY, seed=0)
+    with pytest.raises(DataError):
+        models.forward(notes, TOY, toy_embeddings(), ids=ids, training=training, rng=rng)
+    values = np.zeros((2, 0, TOY.cts_features))
+    cts = models.init_model(models.CTS_RNN, TOY, seed=0)
+    with pytest.raises(DataError):
+        models.forward(cts, TOY, values=values, obs_masks=values > 0,
+                       training=training, rng=rng)
+
+
+DESK = ModelConfig(note_len=16, embed_dim=8, filters=16, temporal_hidden=8,
+                   cts_hidden=(8, 4))
+
+
+def tensors_per_step(kind, cfg=DESK, n_stays=8, n_notes=3, hours=24):
+    """Tensors created by one training step: batch_forward, weighted_bce,
+    the L2 groups and backward, counted by Tensor id as perfbench's
+    `tensors_per_step` counts them."""
+    rng = np.random.default_rng(1)
+    emb = toy_embeddings(dim=cfg.embed_dim)
+    dataset = {
+        h: traineval.StayData(
+            hadm_id=h, label=bool(h % 2),
+            note_ids=rng.integers(1, 12, size=(n_notes, cfg.note_len)).astype(np.int32),
+            ts_values=rng.standard_normal((hours, cfg.cts_features)),
+            ts_mask=rng.random((hours, cfg.cts_features)) > 0.3,
+        )
+        for h in range(1, n_stays + 1)
+    }
+    params = models.init_model(kind, cfg, seed=0)
+    groups: dict[float, list] = {}
+    for weight, lam in models.decayed_weights(params, cfg):
+        groups.setdefault(lam, []).append(weight)
+    labels = np.array([dataset[h].label for h in dataset], dtype=np.float64)
+    start = Tensor(0.0)._id
+    probs = traineval.batch_forward(
+        kind, list(dataset), dataset, params, cfg, emb, training=True, rng=rng
+    )
+    loss = traineval.weighted_bce(probs, labels, 2.0, 0.5)
+    for lam, weights in groups.items():
+        loss = loss + traineval.l2_penalty(weights, lam)
+    backward(loss, models.named_parameters(params).values())
+    return Tensor(0.0)._id - start - 1
+
+
+def test_training_step_tape_size():
+    """The GRU branch costs a fixed handful of tape nodes, not some per
+    hour: a cts-rnn step stays under 50 tensors, and mm-hcr within 50 of
+    notes-hcr."""
+    assert tensors_per_step(models.CTS_RNN) < 50
+    assert tensors_per_step(models.MM_HCR) < tensors_per_step(models.NOTES_HCR) + 50
+
+
 class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     def test_bit_identical_outputs_after_reload(self, kind, tmp_path):
