@@ -8,9 +8,7 @@ from datetime import datetime
 import numpy as np
 
 from notemort import models
-from notemort.cohort import (
-    ClinicalTimeSeries, N_TS_VARIABLES, TS_NORMALS, standardize_values,
-)
+from notemort.cohort import N_TS_VARIABLES, TS_NORMALS, standardize_values
 from notemort.embed import EmbeddingMatrix
 from notemort.notesproc import CleanNote, PatientFile, truncate_pad
 
@@ -32,19 +30,17 @@ for i in range(3):  # three notes charted over the stay
     ))
 file = PatientFile(hadm_id=1, subject_id=1, notes=notes, label=False, window_hours=24)
 
-ts = ClinicalTimeSeries(
-    hadm_id=1,
-    values=TS_NORMALS + rng.standard_normal((24, N_TS_VARIABLES)),
-    mask=rng.random((24, N_TS_VARIABLES)) > 0.25,
-)
+# 24 hours of raw physiology around the normals, and where it was observed
+values = TS_NORMALS + rng.standard_normal((24, N_TS_VARIABLES))
+mask = rng.random((24, N_TS_VARIABLES)) > 0.25
 
 # a batch of one stay: token ids [1, T, L] for the notes branch (pad
 # positions, id 0, are left out of the pooling), standardized physiology
 # [1, W, F] for the CTS branch; each model reads what it uses
 inputs = dict(
     ids=np.stack([n.tokens for n in notes])[None],
-    values=standardize_values(ts.values)[None],
-    obs_masks=ts.mask[None],
+    values=standardize_values(values)[None],
+    obs_masks=mask[None],
 )
 
 notes_params = models.init_model(models.NOTES_HCR, cfg, seed=1)

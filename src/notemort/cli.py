@@ -304,13 +304,13 @@ def cmd_cohort(config: RunConfig) -> int:
     )
     window = config.window
     wc = pipeline.build_window_cohort(clean_notes, admissions, icustays, window)
-    dataset = pipeline.build_dataset(
-        wc, cohort.read_timeseries_csv(tables["tables/timeseries.csv"])
-    )
     folds = cohort.grouped_kfold(
         wc.eligible, wc.subject_of, k=config.train_cfg.k, seed=config.seed
     )
     cohort.validate_folds(folds, wc.subject_of)
+    dataset = pipeline.dataset_arrays(
+        wc, cohort.read_timeseries_csv(tables["tables/timeseries.csv"])
+    )
     out = work / "cohorts"
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / f"cohort_W{window}.jsonl"
@@ -324,7 +324,7 @@ def cmd_cohort(config: RunConfig) -> int:
                 "row_ids": [n.row_id for n in wc.files[hadm_id].notes],
             }
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-    arrays = pipeline.save_dataset(out / f"dataset_W{window}", wc, dataset)
+    arrays = pipeline.save_dataset(out / f"dataset_W{window}", dataset)
     write_manifest(
         work, f"cohort_W{window}", config,
         list(tables.values()) + list(prep.values()), [manifest_path, *arrays],

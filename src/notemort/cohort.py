@@ -6,6 +6,15 @@ has multiple ICU stays, the ICU stay shows transfers between care
 units, or death occurs within the first 72 hours of the ICU stay; each
 experiment additionally requires at least one note charted inside its
 window. Splits are grouped by patient so no subject spans roles.
+
+The time-series table is read as one array of TS_ROW records, with
+hours relative to the ICU in-time, and `impute_timeseries` grids the
+rows of all stays at once onto W hourly bins: a row lands in bin
+int(hour) for hours in [0, W), the last row of a bin in row order wins,
+each channel is forward-filled and then normal-filled, and the grid is
+standardized with the fixed table. A stay without rows comes out as
+zeros under an all-False mask; a stay with rows but none inside the
+window is an error.
 """
 
 from __future__ import annotations
@@ -42,19 +51,6 @@ class IcuStay:
     intime: datetime
     outtime: datetime
     care_units: list[str]
-
-
-@dataclass
-class ClinicalTimeSeries:
-    """Hourly-gridded physiology for one stay.
-
-    values[t, f] holds the observed or imputed value; mask[t, f] is True
-    exactly where a raw observation landed in that hour bin.
-    """
-
-    hadm_id: int
-    values: np.ndarray  # float64 [T, F]
-    mask: np.ndarray  # bool [T, F]
 
 
 @dataclass
@@ -244,38 +240,32 @@ def class_weights(labels: Sequence[bool]) -> tuple[float, float]:
 
 
 def impute_timeseries(
-    hadm_id: int,
-    observations: Sequence[tuple[float, int, float]],
-    window_hours: int,
-) -> ClinicalTimeSeries:
-    """Hourly grid over [0, W): forward-fill, then the per-variable normal
-    value for leading gaps. observations are (hour, variable index,
-    value) with hours relative to the ICU in-time; within an hour bin
-    the latest observation wins.
-    """
-    inside = [
-        (hour, var, value)
-        for hour, var, value in observations
-        if 0.0 <= hour < window_hours
-    ]
-    if not inside:
-        raise DataError(f"hadm {hadm_id}: no time-series observation inside window")
-    values = np.zeros((window_hours, N_TS_VARIABLES))
-    mask = np.zeros((window_hours, N_TS_VARIABLES), dtype=bool)
-    latest: dict[tuple[int, int], float] = {}
-    for hour, var, value in inside:
-        if not 0 <= var < N_TS_VARIABLES:
-            raise DataError(f"hadm {hadm_id}: unknown variable index {var}")
-        latest[(int(hour), var)] = value  # later rows win inside a bin
-    for (t, var), value in latest.items():
-        values[t, var] = value
-        mask[t, var] = True
+    rows: np.ndarray, hadm_ids: Sequence[int], window_hours: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized values and observation mask, both [S, W, F], of the
+    stays in the sorted hadm_ids, gridded from `read_timeseries_csv`
+    rows by the rule in the module docstring; rows of other stays are
+    ignored."""
+    hadm_ids = np.asarray(hadm_ids, dtype=np.int64)
+    shape = (len(hadm_ids), window_hours, N_TS_VARIABLES)
+    rows = rows[np.isin(rows["hadm_id"], hadm_ids)]
+    stay = np.searchsorted(hadm_ids, rows["hadm_id"])
+    inside = (0.0 <= rows["hour"]) & (rows["hour"] < window_hours)
+    empty = np.setdiff1d(stay, stay[inside])
+    if empty.size:
+        raise DataError(f"hadm {hadm_ids[empty[0]]}: no time-series observation inside window")
+    rows, stay = rows[inside], stay[inside]
+    cell = np.ravel_multi_index((stay, rows["hour"].astype(np.int64), rows["variable"]), shape)
+    # np.unique keeps each cell's first index, so read the rows backwards
+    cells, from_end = np.unique(cell[::-1], return_index=True)
+    values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    values.flat[cells] = rows["value"][len(cell) - 1 - from_end]
+    mask.flat[cells] = True
     # the last observed hour at or before each cell, -1 before the first
-    last = np.maximum.accumulate(np.where(mask, np.arange(window_hours)[:, None], -1), axis=0)
-    filled = values[np.maximum(last, 0), np.arange(N_TS_VARIABLES)]
-    return ClinicalTimeSeries(
-        hadm_id=hadm_id, values=np.where(last >= 0, filled, TS_NORMALS), mask=mask
-    )
+    hours = np.arange(window_hours)[:, None]
+    last = np.maximum.accumulate(np.where(mask, hours, -1), axis=1)
+    filled = np.take_along_axis(values, np.maximum(last, 0), axis=1)
+    return standardize_values(np.where(last >= 0, filled, TS_NORMALS)), mask
 
 
 def standardize_values(values: np.ndarray) -> np.ndarray:
@@ -370,22 +360,25 @@ def write_icustays_csv(path, stays: Iterable[IcuStay]) -> None:
             )
 
 
-def _parse_observation(row: dict) -> tuple[int, tuple[float, int, float]]:
+def _parse_observation(row: dict) -> tuple[int, float, int, float]:
     name = row["variable"]
     if name not in TS_INDEX:
         raise DataError(f"unknown variable {name!r}")
     hadm_id, hour, value = int(row["hadm_id"]), float(row["hour"]), float(row["value"])
     if not (math.isfinite(hour) and math.isfinite(value)):
         raise DataError(f"hadm {hadm_id}: non-finite hour or value")
-    return hadm_id, (hour, TS_INDEX[name], value)
+    return hadm_id, hour, TS_INDEX[name], value
 
 
-def read_timeseries_csv(path) -> dict[int, list[tuple[float, int, float]]]:
-    """Per-stay (hour, variable index, value) observation lists."""
-    series: dict[int, list[tuple[float, int, float]]] = {}
-    for hadm_id, observation in read_csv_records(path, TIMESERIES_COLUMNS, _parse_observation):
-        series.setdefault(hadm_id, []).append(observation)
-    return series
+# one time-series table row; variable is the TS_VARIABLES index
+TS_ROW = np.dtype(
+    [("hadm_id", np.int64), ("hour", np.float64), ("variable", np.int8), ("value", np.float64)]
+)
+
+
+def read_timeseries_csv(path) -> np.ndarray:
+    """Every row of the table as one TS_ROW record, in file order."""
+    return np.fromiter(read_csv_records(path, TIMESERIES_COLUMNS, _parse_observation), TS_ROW)
 
 
 def write_timeseries_csv(path, rows: Iterable[tuple[int, float, str, float]]) -> None:

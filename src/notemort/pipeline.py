@@ -2,12 +2,13 @@
 
 raw tables -> cleaned token corpora -> vocabulary + embeddings ->
 window-specific patient files and cohorts -> model-ready datasets.
-This module owns how a stay becomes model input: `build_dataset` turns
-a window cohort and its time-series rows into `StayData`, and
-`save_dataset` / `load_dataset` store that dataset as arrays, so the
-CLI's `cohort` stage builds it once and `train` only loads it. The CLI
-wraps these with on-disk artifacts and manifests; tests and the demo
-scripts call them directly.
+This module owns how a stay becomes model input. The dataset's one form
+is the four DATASET_ARRAYS, which `dataset_arrays` builds from a window
+cohort and its time-series rows; `dataset_views` turns them into
+per-stay `StayData` views. The CLI's `cohort` stage builds and saves the
+arrays once (`save_dataset`), and `train` only loads them
+(`load_dataset`). The CLI wraps these with on-disk artifacts and
+manifests; tests and the demo scripts call them directly.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 
 from . import notesproc
 from .cohort import (
-    N_TS_VARIABLES,
+    TS_ROW,
     Admission,
     IcuStay,
     impute_timeseries,
     label_mortality,
     select_cohort,
-    standardize_values,
     validate_cohort,
 )
 from .embed import Vocabulary, build_vocab
@@ -128,6 +128,9 @@ def build_patient_files(
 
 @dataclass
 class WindowCohort:
+    """One window's eligible stays, sorted; every mapping follows that
+    order."""
+
     window_hours: int
     eligible: list[int]
     files: dict[int, PatientFile]
@@ -143,65 +146,76 @@ def build_window_cohort(
 ) -> WindowCohort:
     """Patient files plus the post-validated eligible stay set."""
     files = build_patient_files(clean_notes, admissions, icustays, window_hours)
-    eligible = select_cohort(admissions, icustays, files, window_hours)
+    eligible = sorted(select_cohort(admissions, icustays, files, window_hours))
     validate_cohort(eligible, admissions, icustays, files)
     return WindowCohort(
         window_hours=window_hours,
-        eligible=sorted(eligible),
+        eligible=eligible,
         files={h: files[h] for h in eligible},
         labels={h: files[h].label for h in eligible},
         subject_of={h: admissions[h].subject_id for h in eligible},
     )
 
 
-def build_dataset(
-    cohort: WindowCohort,
-    timeseries: dict[int, list[tuple[float, int, float]]] | None = None,
-) -> dict[int, StayData]:
-    """Model-ready arrays for every eligible stay; the time series is
-    imputed onto the window's hourly grid and standardized with the
-    fixed per-variable table when its observations are supplied."""
-    dataset: dict[int, StayData] = {}
-    for hadm_id in cohort.eligible:
-        file = cohort.files[hadm_id]
-        stay = StayData(
-            hadm_id=hadm_id,
-            label=file.label,
-            note_ids=np.stack([n.tokens for n in file.notes]),
-        )
-        if timeseries is not None:
-            observations = timeseries.get(hadm_id)
-            if observations:
-                ts = impute_timeseries(hadm_id, observations, cohort.window_hours)
-                stay.ts_values = standardize_values(ts.values)
-                stay.ts_mask = ts.mask
-        dataset[hadm_id] = stay
-    return dataset
-
-
 # one .npy file per array, in the cohort's eligible order
 DATASET_ARRAYS = ("note_counts", "note_ids", "ts_values", "ts_mask")
 
 
-def save_dataset(
-    directory: Path, cohort: WindowCohort, dataset: dict[int, StayData]
-) -> list[Path]:
-    """Write the dataset as note_counts [S], note_ids [sum T, L] and
-    ts_values / ts_mask [S, W, F]. A stay without a time series is stored
-    as zeros under an all-False mask: `impute_timeseries` marks at least
-    one cell, so that mask means exactly "no time series". np.save, not
-    np.savez, keeps reruns byte-identical (zip entries carry a time)."""
-    stays = [dataset[h] for h in cohort.eligible]
-    shape = (len(stays), cohort.window_hours, N_TS_VARIABLES)
-    arrays = {
-        "note_counts": np.array([s.note_ids.shape[0] for s in stays], dtype=np.int64),
-        "note_ids": np.concatenate([s.note_ids for s in stays]),
-        "ts_values": np.zeros(shape),
-        "ts_mask": np.zeros(shape, dtype=bool),
+def dataset_arrays(cohort: WindowCohort, rows: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """The dataset of the eligible stays: note_counts [S], note_ids
+    [sum of note_counts, L] stay after stay, and the time-series grid
+    ts_values / ts_mask [S, W, F] that `impute_timeseries` makes from the
+    `cohort.read_timeseries_csv` rows (none: no stay has a series)."""
+    notes = [cohort.files[h].notes for h in cohort.eligible]
+    if rows is None:
+        rows = np.empty(0, TS_ROW)
+    ts_values, ts_mask = impute_timeseries(rows, cohort.eligible, cohort.window_hours)
+    return {
+        "note_counts": np.array([len(stay) for stay in notes], dtype=np.int64),
+        "note_ids": np.stack([note.tokens for stay in notes for note in stay]),
+        "ts_values": ts_values,
+        "ts_mask": ts_mask,
     }
-    for i, stay in enumerate(stays):
-        if stay.ts_values is not None:
-            arrays["ts_values"][i], arrays["ts_mask"][i] = stay.ts_values, stay.ts_mask
+
+
+def dataset_views(
+    arrays: dict[str, np.ndarray], labels: dict[int, bool], source: str | Path = "dataset"
+) -> dict[int, StayData]:
+    """A StayData of views into the arrays for each stay of labels, in
+    its order. An all-False mask means the stay has no time series:
+    `impute_timeseries` marks a cell of every stay that has rows, so
+    such a stay gets ts_values and ts_mask None."""
+    counts = arrays["note_counts"]
+    if not (
+        len(counts) == len(arrays["ts_values"]) == len(arrays["ts_mask"]) == len(labels)
+        and counts.sum() == len(arrays["note_ids"])
+    ):
+        raise DataError(f"{source}: arrays do not match the cohort's {len(labels)} stays")
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    has_ts = arrays["ts_mask"].any(axis=(1, 2))
+    dataset = {}
+    for i, (hadm_id, label) in enumerate(labels.items()):
+        dataset[hadm_id] = StayData(
+            hadm_id=hadm_id,
+            label=label,
+            note_ids=arrays["note_ids"][starts[i] : starts[i + 1]],
+            ts_values=arrays["ts_values"][i] if has_ts[i] else None,
+            ts_mask=arrays["ts_mask"][i] if has_ts[i] else None,
+        )
+    return dataset
+
+
+def build_dataset(
+    cohort: WindowCohort, rows: np.ndarray | None = None
+) -> dict[int, StayData]:
+    """Model-ready StayData for every eligible stay, from its notes and
+    its time-series rows."""
+    return dataset_views(dataset_arrays(cohort, rows), cohort.labels)
+
+
+def save_dataset(directory: Path, arrays: dict[str, np.ndarray]) -> list[Path]:
+    """Write each of the DATASET_ARRAYS to its own .npy file. np.save, not
+    np.savez, keeps reruns byte-identical (zip entries carry a time)."""
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / f"{name}.npy" for name in DATASET_ARRAYS]
     for path, name in zip(paths, DATASET_ARRAYS):
@@ -219,21 +233,4 @@ def load_dataset(directory: Path, labels: dict[int, bool]) -> dict[int, StayData
             arrays[name] = np.load(path)
         except (EOFError, ValueError) as exc:
             raise DataError(f"{path}: {exc}") from exc
-    counts = arrays["note_counts"]
-    if not (
-        len(counts) == len(arrays["ts_values"]) == len(arrays["ts_mask"]) == len(labels)
-        and counts.sum() == len(arrays["note_ids"])
-    ):
-        raise DataError(f"{directory}: arrays do not match the cohort's {len(labels)} stays")
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    dataset = {}
-    for i, (hadm_id, label) in enumerate(labels.items()):
-        has_ts = bool(arrays["ts_mask"][i].any())
-        dataset[hadm_id] = StayData(
-            hadm_id=hadm_id,
-            label=label,
-            note_ids=arrays["note_ids"][starts[i] : starts[i + 1]],
-            ts_values=arrays["ts_values"][i] if has_ts else None,
-            ts_mask=arrays["ts_mask"][i] if has_ts else None,
-        )
-    return dataset
+    return dataset_views(arrays, labels, directory)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from notemort.cohort import N_TS_VARIABLES, TS_NORMALS, standardize_values
+from notemort.errors import DataError
 from notemort.ndcore import Tensor, concat, constant, stack
 
 
@@ -156,6 +158,49 @@ def l2_penalty_composed(weights, lam):
         term = (w * w).sum()
         total = term if total is None else total + term
     return total * lam
+
+
+def impute_timeseries_per_stay(hadm_id, observations, window_hours):
+    """One stay's hourly grid over [0, W) through a `latest` dict:
+    observations are (hour, variable index, value); returns the raw
+    forward- and normal-filled values [W, F] and the mask."""
+    inside = [
+        (hour, var, value)
+        for hour, var, value in observations
+        if 0.0 <= hour < window_hours
+    ]
+    if not inside:
+        raise DataError(f"hadm {hadm_id}: no time-series observation inside window")
+    values = np.zeros((window_hours, N_TS_VARIABLES))
+    mask = np.zeros((window_hours, N_TS_VARIABLES), dtype=bool)
+    latest = {}
+    for hour, var, value in inside:
+        if not 0 <= var < N_TS_VARIABLES:
+            raise DataError(f"hadm {hadm_id}: unknown variable index {var}")
+        latest[(int(hour), var)] = value  # later rows win inside a bin
+    for (t, var), value in latest.items():
+        values[t, var] = value
+        mask[t, var] = True
+    last = np.maximum.accumulate(np.where(mask, np.arange(window_hours)[:, None], -1), axis=0)
+    filled = values[np.maximum(last, 0), np.arange(N_TS_VARIABLES)]
+    return np.where(last >= 0, filled, TS_NORMALS), mask
+
+
+def timeseries_grid_per_stay(rows, hadm_ids, window_hours):
+    """Standardized values and mask [S, W, F] one stay at a time: each
+    stay's rows gathered in row order, gridded by
+    `impute_timeseries_per_stay`, then standardized; a stay without rows
+    stays zeros under an all-False mask."""
+    observations = {}
+    for hadm_id, hour, var, value in rows.tolist():
+        observations.setdefault(hadm_id, []).append((hour, var, value))
+    shape = (len(hadm_ids), window_hours, N_TS_VARIABLES)
+    values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    for i, hadm_id in enumerate(hadm_ids):
+        if hadm_id in observations:
+            raw, mask[i] = impute_timeseries_per_stay(hadm_id, observations[hadm_id], window_hours)
+            values[i] = standardize_values(raw)
+    return values, mask
 
 
 def _sig(v):

@@ -286,7 +286,15 @@ def _truncated(_header, row, _field, _stamp):
     return row[:2]
 
 
-@pytest.mark.parametrize("fault", [_blank, _bad_timestamp, _truncated])
+def _nan(header, row, field, _stamp):
+    return [("nan" if name == field else value) for name, value in zip(header, row)]
+
+
+def _inf(header, row, field, _stamp):
+    return [("inf" if name == field else value) for name, value in zip(header, row)]
+
+
+@pytest.mark.parametrize("fault", [_blank, _bad_timestamp, _truncated, _nan, _inf])
 @pytest.mark.parametrize("table,stage,field,stamp", TABLE_READERS)
 def test_malformed_table_field_is_a_data_error(
     work, tmp_path, capsys, table, stage, field, stamp, fault
@@ -310,6 +318,28 @@ def test_malformed_table_field_is_a_data_error(
         assert f"{table}: {column}: " in err
 
 
+def test_stay_with_every_row_outside_the_window_is_a_data_error(work, tmp_path, capsys):
+    args, copy = copy_run(work, tmp_path)
+    first = (copy / "cohorts" / "cohort_W24.jsonl").read_text().splitlines()[0]
+    hadm_id = str(json.loads(first)["hadm_id"])
+    path = copy / "tables" / "timeseries.csv"
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    hour = rows[0].index("hour")
+    for row in rows[1:]:
+        if row[0] == hadm_id:
+            row[hour] = "24.00"  # W itself is past the window
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    rehash(copy, "synth", "tables/timeseries.csv")
+    capsys.readouterr()
+
+    assert main(args + ["cohort"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert f"hadm {hadm_id}: " in err
+
+
 def _cut_mid_line(data: bytes) -> bytes:
     return data[: data.index(b"\n", len(data) // 2) - 1]
 
@@ -328,6 +358,20 @@ def _drop_last_line(data: bytes) -> bytes:
     return data[: data.rindex(b"\n", 0, -1) + 1]
 
 
+def _empty_val_role(data: bytes) -> bytes:
+    """Fold 0 validates on no stay: its val stays train."""
+    return data.replace(b'"0":"val"', b'"0":"train"')
+
+
+def _one_class_test_split(data: bytes) -> bytes:
+    """Fold 0 tests on negatives only: its positive test stays train."""
+    records = [json.loads(line) for line in data.splitlines()]
+    for record in records:
+        if record["label"] and record["roles"]["0"] == "test":
+            record["roles"]["0"] = "train"
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records).encode()
+
+
 # artifact, the stage that wrote it, the stage that reads it, the fault,
 # the name the error must give
 @pytest.mark.parametrize("artifact,producer,stage,fault,named", [
@@ -340,6 +384,9 @@ def _drop_last_line(data: bytes) -> bytes:
     ("prep/vocab.txt", "preprocess", ["embed"], _untab_line, "vocab.txt"),
     ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
      _cut_mid_line, "fold0.scores.jsonl"),
+    ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _empty_val_role, "fold 0"),
+    ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _one_class_test_split,
+     "auroc undefined"),
 ])
 def test_malformed_artifact_is_a_data_error(
     work, tmp_path, capsys, artifact, producer, stage, fault, named

@@ -6,11 +6,15 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from notemort import pipeline
+from notemort import models, pipeline, traineval
 from notemort.cohort import (
+    TS_INDEX,
+    TS_NORMALS,
+    TS_ROW,
+    TS_SCALES,
+    TS_VARIABLES,
     Admission,
     IcuStay,
-    TS_INDEX,
     class_weights,
     grouped_kfold,
     impute_timeseries,
@@ -25,6 +29,8 @@ from notemort.cohort import (
 from notemort.errors import ConfigurationError, DataError
 from notemort.notesproc import CleanNote, PatientFile, truncate_pad
 from notemort.synth import SynthConfig, generate_synthetic
+
+from oracles import timeseries_grid_per_stay
 
 INTIME = datetime(2150, 3, 12, 10, 0, 0)
 
@@ -239,49 +245,118 @@ class TestClassWeights:
             class_weights([True, True])
 
 
+def grid(observations, window_hours):
+    """impute_timeseries over a batch of one stay whose rows are the
+    (hour, variable index, value) observations."""
+    rows = np.array([(1, *obs) for obs in observations], dtype=TS_ROW)
+    values, mask = impute_timeseries(rows, [1], window_hours)
+    return values[0], mask[0]
+
+
+def scaled(var, value):
+    return (value - TS_NORMALS[var]) / TS_SCALES[var]
+
+
 class TestImputeTimeseries:
     def test_forward_fill_and_normal_fill(self):
         hr = TS_INDEX["heart_rate"]
-        ts = impute_timeseries(1, [(2.4, hr, 100.0), (5.9, hr, 110.0)], 8)
-        col = ts.values[:, hr]
-        from notemort.cohort import TS_NORMALS
-        assert col[0] == col[1] == TS_NORMALS[hr]
-        assert col[2] == col[3] == col[4] == 100.0
-        assert col[5] == col[6] == col[7] == 110.0
-        assert list(np.flatnonzero(ts.mask[:, hr])) == [2, 5]
+        values, mask = grid([(2.4, hr, 100.0), (5.9, hr, 110.0)], 8)
+        col = values[:, hr]
+        assert col[0] == col[1] == scaled(hr, TS_NORMALS[hr]) == 0.0
+        assert col[2] == col[3] == col[4] == scaled(hr, 100.0)
+        assert col[5] == col[6] == col[7] == scaled(hr, 110.0)
+        assert list(np.flatnonzero(mask[:, hr])) == [2, 5]
 
     def test_fully_observed_unchanged(self):
         hr = TS_INDEX["heart_rate"]
         obs = [(float(t), hr, 90.0 + t) for t in range(6)]
-        ts = impute_timeseries(1, obs, 6)
-        np.testing.assert_allclose(ts.values[:, hr], [90, 91, 92, 93, 94, 95])
-        assert ts.mask[:, hr].all()
+        values, mask = grid(obs, 6)
+        np.testing.assert_allclose(values[:, hr], scaled(hr, np.arange(90.0, 96.0)))
+        assert mask[:, hr].all()
 
     def test_idempotent_mask(self):
         hr = TS_INDEX["heart_rate"]
         obs = [(1.0, hr, 95.0)]
-        a = impute_timeseries(1, obs, 4)
-        b = impute_timeseries(1, obs, 4)
-        np.testing.assert_array_equal(a.mask, b.mask)
-        np.testing.assert_array_equal(a.values, b.values)
+        a_values, a_mask = grid(obs, 4)
+        b_values, b_mask = grid(obs, 4)
+        np.testing.assert_array_equal(a_mask, b_mask)
+        np.testing.assert_array_equal(a_values, b_values)
 
     def test_latest_observation_wins_in_bin(self):
         hr = TS_INDEX["heart_rate"]
-        ts = impute_timeseries(1, [(3.1, hr, 80.0), (3.7, hr, 85.0)], 5)
-        assert ts.values[3, hr] == 85.0
+        values, _ = grid([(3.1, hr, 80.0), (3.7, hr, 85.0)], 5)
+        assert values[3, hr] == scaled(hr, 85.0)
 
     def test_empty_series_rejected(self):
+        # a stay without rows gets no series, which a CTS model refuses
+        values, mask = grid([], 4)
+        assert not mask.any() and not values.any()
+        stay = pipeline.dataset_views(
+            {"note_counts": np.zeros(1, dtype=np.int64), "note_ids": np.zeros((0, 8)),
+             "ts_values": values[None], "ts_mask": mask[None]},
+            {1: False},
+        )[1]
+        assert stay.ts_values is None and stay.ts_mask is None
         with pytest.raises(DataError):
-            impute_timeseries(1, [], 4)
+            traineval.batch_forward(models.CTS_RNN, [1], {1: stay}, None, None, None,
+                                    training=False)
         with pytest.raises(DataError):
-            impute_timeseries(1, [(99.0, 0, 1.0)], 4)  # outside window
+            grid([(99.0, 0, 1.0)], 4)  # outside window
 
     def test_standardize_uses_fixed_table(self):
         values = np.tile(np.array([t for t in range(17)], dtype=float), (3, 1))
-        from notemort.cohort import TS_NORMALS, TS_SCALES
         np.testing.assert_allclose(
             standardize_values(values), (values - TS_NORMALS) / TS_SCALES
         )
+
+
+def test_window_cohort_and_dataset_follow_eligible_order():
+    """Labels, files and subjects follow the sorted eligible list, the
+    order of the dataset arrays, so each stay gets its own label and
+    series; the set {3, 8} iterates as 8, 3."""
+    adms = {8: admission(8, subject=8, death_hours=100.0), 3: admission(3, subject=3)}
+    notes = [n for h in adms for n in patient_file(h, subject=h).notes]
+    wc = pipeline.build_window_cohort(notes, adms, [icustay(h) for h in adms], 24)
+    assert wc.eligible == [3, 8]
+    assert list(wc.labels) == list(wc.files) == list(wc.subject_of) == wc.eligible
+    rows = np.array([(8, 1.0, TS_INDEX["heart_rate"], 100.0)], dtype=TS_ROW)
+    dataset = pipeline.build_dataset(wc, rows)
+    assert [dataset[h].label for h in (3, 8)] == [False, True]
+    assert dataset[3].ts_values is None and dataset[8].ts_mask.sum() == 1
+
+
+@pytest.mark.parametrize("window", [12, 24, 48])
+def test_grid_is_byte_identical_to_per_stay_oracle(window):
+    """Every stay's grid at once equals the per-stay imputation then
+    standardization, byte for byte: duplicate rows in one bin, hours of
+    exactly 0 and just below W, rows outside the window on both sides,
+    rows of stays outside the cohort, and cohort stays without rows."""
+    rng = np.random.default_rng(window)
+    hadm_ids = list(range(100, 140))
+    n = 2000
+    rows = np.zeros(n, dtype=TS_ROW)
+    rows["hadm_id"] = rng.integers(95, 145, n)  # 95..99 and 140..144: not in the cohort
+    rows["hour"] = np.round(rng.uniform(-4.0, window + 4.0, n), 2)
+    rows["hour"][:40] = 0.0
+    rows["hour"][40:80] = np.nextafter(float(window), 0.0)
+    rows["variable"] = rng.integers(0, len(TS_VARIABLES), n)
+    rows["value"] = np.round(TS_NORMALS[rows["variable"]] + rng.normal(0, 10, n), 4)
+    # the same cells again with other values: the later row must win
+    again = rows[rng.choice(n, 300)]
+    again["value"] += 1.0
+    # one in-window row first for every stay, so none has only rows outside it
+    first = np.zeros(len(hadm_ids), dtype=TS_ROW)
+    first["hadm_id"], first["hour"] = hadm_ids, 1.5
+    rows = np.concatenate([first, rows, again])
+    rows = rows[(rows["hadm_id"] < 103) | (rows["hadm_id"] > 105)]  # 103..105: no rows
+    assert len(np.unique(rows["hadm_id"])) == len(hadm_ids) - 3 + 10
+
+    values, mask = impute_timeseries(rows, hadm_ids, window)
+    want_values, want_mask = timeseries_grid_per_stay(rows, hadm_ids, window)
+    assert values.tobytes() == want_values.tobytes()
+    assert mask.tobytes() == want_mask.tobytes()
+    assert not mask[3:6].any() and mask[6:].any(axis=(1, 2)).all()
+    assert mask[:, 0].any() and mask[:, window - 1].any()
 
 
 class TestSyntheticGenerator:
@@ -333,11 +408,12 @@ class TestSyntheticGenerator:
     def test_tables_parse_back(self, tmp_path):
         tables = generate_synthetic(SynthConfig(n_subjects=40), seed=1)
         paths = tables.write(tmp_path)
-        series = read_timeseries_csv(paths["timeseries"])
-        assert set(series) <= {a.hadm_id for a in tables.admissions}
+        rows = read_timeseries_csv(paths["timeseries"])
+        hadm_ids = set(rows["hadm_id"].tolist())
+        assert hadm_ids <= {a.hadm_id for a in tables.admissions}
         # every stay has at least one observation inside any window
-        for hadm, obs in series.items():
-            assert any(hour < 12 for hour, _, _ in obs)
+        for hadm in hadm_ids:
+            assert rows["hour"][rows["hadm_id"] == hadm].min() < 12
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

@@ -24,7 +24,7 @@ from notemort.ndcore import (
     save_checkpoint,
 )
 from notemort.notesproc import CleanNote, PatientFile, truncate_pad
-from notemort.cohort import ClinicalTimeSeries, N_TS_VARIABLES, standardize_values
+from notemort.cohort import N_TS_VARIABLES, standardize_values
 
 from oracles import finite_diff_grad, max_rel_err
 
@@ -32,8 +32,8 @@ TOY = ModelConfig(
     note_len=8, embed_dim=4, conv_blocks=3, filters=2, kernel_size=3,
     spatial_dropout=0.0, temporal_hidden=3, cts_features=3, cts_hidden=(3, 2),
 )
-# stay-level tests consume full ClinicalTimeSeries objects, which
-# always carry every physiology channel
+# stay-level tests consume full time series, which always carry every
+# physiology channel
 TOY_FULL_TS = dataclasses.replace(TOY, cts_features=N_TS_VARIABLES)
 
 
@@ -60,12 +60,10 @@ def toy_file(hadm=1, n_notes=2, seed=0, note_len=8, vocab=12):
 
 
 def toy_ts(seed=0, steps=5, features=3):
+    """Raw values [steps, F] and their observation mask."""
     rng = np.random.default_rng(seed)
-    return ClinicalTimeSeries(
-        hadm_id=1,
-        values=rng.standard_normal((steps, N_TS_VARIABLES)) + 80.0,
-        mask=rng.random((steps, N_TS_VARIABLES)) > 0.3,
-    )
+    values = rng.standard_normal((steps, N_TS_VARIABLES)) + 80.0
+    return values, rng.random((steps, N_TS_VARIABLES)) > 0.3
 
 
 def stay_inputs(file=None, ts=None) -> dict:
@@ -74,8 +72,9 @@ def stay_inputs(file=None, ts=None) -> dict:
     if file is not None:
         inputs["ids"] = np.stack([n.tokens for n in file.notes])[None]
     if ts is not None:
-        inputs["values"] = standardize_values(ts.values)[None]
-        inputs["obs_masks"] = ts.mask[None]
+        values, mask = ts
+        inputs["values"] = standardize_values(values)[None]
+        inputs["obs_masks"] = mask[None]
     return inputs
 
 
