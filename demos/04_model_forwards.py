@@ -10,7 +10,7 @@ import numpy as np
 from notemort import models
 from notemort.cohort import N_TS_VARIABLES, TS_NORMALS, standardize_values
 from notemort.embed import EmbeddingMatrix
-from notemort.notesproc import CleanNote, PatientFile, truncate_pad
+from notemort.notesproc import CleanNote, truncate_pad
 
 cfg = models.ModelConfig(
     note_len=32, embed_dim=16, filters=16, temporal_hidden=8, cts_hidden=(8, 4)
@@ -28,7 +28,6 @@ for i in range(3):  # three notes charted over the stay
         tokens=ids, charted_at=datetime(2150, 1, 1, 2 + 7 * i),
         category="Nursing", hadm_id=1, row_id=i + 1,
     ))
-file = PatientFile(hadm_id=1, subject_id=1, notes=notes, label=False, window_hours=24)
 
 # 24 hours of raw physiology around the normals, and where it was observed
 values = TS_NORMALS + rng.standard_normal((24, N_TS_VARIABLES))

@@ -233,9 +233,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     clean_path = out / "clean_notes.jsonl"
     notesproc.write_clean_notes(clean_path, prep.model_notes)
     corpus_path = out / "embed_corpus.jsonl"
-    with open(corpus_path, "w", encoding="utf-8") as handle:
-        for sentence in prep.embedding_sentences:
-            handle.write(json.dumps(sentence, separators=(",", ":")) + "\n")
+    notesproc.write_jsonl(corpus_path, prep.embedding_sentences)
     write_manifest(
         work, "preprocess", config,
         [inputs["tables/notes.csv"]], [vocab_path, clean_path, corpus_path],
@@ -314,16 +312,16 @@ def cmd_cohort(config: RunConfig) -> int:
     out = work / "cohorts"
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / f"cohort_W{window}.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        for hadm_id in wc.eligible:
-            record = {
-                "hadm_id": hadm_id,
-                "subject_id": wc.subject_of[hadm_id],
-                "label": int(wc.labels[hadm_id]),
-                "roles": {str(f.fold): f.roles[hadm_id] for f in folds},
-                "row_ids": [n.row_id for n in wc.files[hadm_id].notes],
-            }
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+    notesproc.write_jsonl(manifest_path, (
+        {
+            "hadm_id": hadm_id,
+            "subject_id": wc.subject_of[hadm_id],
+            "label": int(wc.labels[hadm_id]),
+            "roles": {str(f.fold): f.roles[hadm_id] for f in folds},
+            "row_ids": [n.row_id for n in wc.notes[hadm_id]],
+        }
+        for hadm_id in wc.eligible
+    ))
     arrays = pipeline.save_dataset(out / f"dataset_W{window}", dataset)
     write_manifest(
         work, f"cohort_W{window}", config,
@@ -387,19 +385,18 @@ def cmd_train(config: RunConfig) -> int:
         ckpt = out / f"fold{res.fold}.ckpt"
         save_checkpoint(ckpt, res.entries, config_hash=config.model_cfg.hash())
         history = out / f"fold{res.fold}.history.jsonl"
-        with open(history, "w", encoding="utf-8") as handle:
-            for row in res.history:
-                handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+        notesproc.write_jsonl(history, res.history)
         scores = out / f"fold{res.fold}.scores.jsonl"
-        with open(scores, "w", encoding="utf-8") as handle:
-            for split, score_map in (("val", res.val_scores), ("test", res.test_scores)):
-                for hadm_id in sorted(score_map):
-                    handle.write(json.dumps({
-                        "hadm_id": hadm_id,
-                        "split": split,
-                        "prob": score_map[hadm_id],
-                        "label": int(dataset[hadm_id].label),
-                    }, separators=(",", ":")) + "\n")
+        notesproc.write_jsonl(scores, (
+            {
+                "hadm_id": hadm_id,
+                "split": split,
+                "prob": score_map[hadm_id],
+                "label": int(dataset[hadm_id].label),
+            }
+            for split, score_map in (("val", res.val_scores), ("test", res.test_scores))
+            for hadm_id in sorted(score_map)
+        ))
         outputs.extend([ckpt, history, scores])
         test_scores, test_labels = res.metric_inputs(dataset, "test")
         print(
@@ -421,7 +418,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     if not train_dir.exists():
         raise MissingArtifactError("no train/ outputs found: run the `train` stage first")
     fold_metrics: dict[tuple[str, int], dict[str, list[float]]] = {}
-    fold_records: list[str] = []
+    fold_records: list[dict] = []
     k = config.train_cfg.k
     for run_dir in sorted(train_dir.iterdir()):
         if not run_dir.is_dir() or "_W" not in run_dir.name:
@@ -443,10 +440,10 @@ def cmd_evaluate(config: RunConfig) -> int:
             prc = traineval.auprc(probs, labels)
             aurocs.append(roc)
             auprcs.append(prc)
-            fold_records.append(json.dumps({
+            fold_records.append({
                 "type": "fold", "model": model, "window": window,
                 "fold": fold, "auroc": roc, "auprc": prc,
-            }, separators=(",", ":")))
+            })
         fold_metrics[(model, window)] = {"auroc": aurocs, "auprc": auprcs}
     if not fold_metrics:
         raise MissingArtifactError("train/ holds no completed runs")
@@ -455,9 +452,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table = traineval.render_report(report)
     (out / "report.txt").write_text(table + "\n")
-    with open(out / "report.jsonl", "w", encoding="utf-8") as handle:
-        for line in fold_records + traineval.report_records(report):
-            handle.write(line + "\n")
+    notesproc.write_jsonl(out / "report.jsonl", fold_records + traineval.report_records(report))
     print(table)
     return 0
 

@@ -1,11 +1,14 @@
-"""Cohort construction: exclusion criteria, labels, grouped CV splits,
-and clinical time-series imputation.
+"""Cohort construction: exclusion criteria and window notes, labels,
+grouped CV splits, and clinical time-series imputation.
 
-Stays are excluded when the patient is 18 or younger, the hospital stay
-has multiple ICU stays, the ICU stay shows transfers between care
-units, or death occurs within the first 72 hours of the ICU stay; each
-experiment additionally requires at least one note charted inside its
-window. Splits are grouped by patient so no subject spans roles.
+`select_cohort` decides a window's cohort in one pass. A hospital stay
+is excluded when the patient is 18 or younger, the stay has multiple
+ICU stays, its ICU stay shows transfers between care units, or death
+occurs within the first 72 hours of the ICU stay. A stay that passes
+keeps the notes charted in the half-open window [intime, intime + W
+hours) of its ICU stay, in chart-time order with the note row id
+breaking ties, and is left out when no note falls inside the window.
+Splits are grouped by patient so no subject spans roles.
 
 The time-series table is read as one array of TS_ROW records, with
 hours relative to the ICU in-time, and `impute_timeseries` grids the
@@ -27,8 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .notesproc import PatientFile, format_timestamp, parse_timestamp, read_csv_records
+from .errors import ConfigurationError, DataError
+from .notesproc import CleanNote, format_timestamp, parse_timestamp, read_csv_records
 
 EARLY_DEATH_HOURS = 72
 ADULT_AGE_CUTOFF = 18.0
@@ -102,28 +105,26 @@ def label_mortality(admission: Admission) -> bool:
     )
 
 
-def _passes_criteria(
-    admission: Admission, stays: Sequence[IcuStay], file: PatientFile | None
-) -> bool:
-    """The exclusion criteria: one ICU stay with no care-unit transfer,
-    age above 18, no death in the first 72 hours, at least one note."""
+def _passes_criteria(admission: Admission, stays: Sequence[IcuStay]) -> bool:
+    """The table criteria: one ICU stay with no care-unit transfer, age
+    above 18, no death in the first 72 hours."""
     if len(stays) != 1 or len(set(stays[0].care_units)) > 1:
         return False
     if admission.age_at_admission <= ADULT_AGE_CUTOFF:
         return False
     early = stays[0].intime + timedelta(hours=EARLY_DEATH_HOURS)
-    if admission.death_time is not None and admission.death_time < early:
-        return False
-    return file is not None and len(file.notes) > 0
+    return admission.death_time is None or admission.death_time >= early
 
 
 def select_cohort(
     admissions: Mapping[int, Admission],
     icustays: Sequence[IcuStay],
-    patient_files: Mapping[int, PatientFile],
+    clean_notes: Iterable[CleanNote],
     window_hours: int,
-) -> set[int]:
-    """Hospital stays passing every exclusion criterion for this window."""
+) -> dict[int, list[CleanNote]]:
+    """The window's cohort, by the rule in the module docstring: each
+    selected stay's notes, in ascending hadm order. Notes of a stay
+    without an admission or an ICU stay are ignored."""
     stays_by_hadm: dict[int, list[IcuStay]] = {}
     for stay in icustays:
         if stay.hadm_id not in admissions:
@@ -131,43 +132,21 @@ def select_cohort(
                 f"icustay {stay.icustay_id}: hadm {stay.hadm_id} has no admission"
             )
         stays_by_hadm.setdefault(stay.hadm_id, []).append(stay)
+    notes_by_hadm: dict[int, list[CleanNote]] = {}
+    for note in clean_notes:
+        notes_by_hadm.setdefault(note.hadm_id, []).append(note)
 
-    eligible: set[int] = set()
-    for hadm_id, stays in stays_by_hadm.items():
-        file = patient_files.get(hadm_id)
-        if not _passes_criteria(admissions[hadm_id], stays, file):
+    selected: dict[int, list[CleanNote]] = {}
+    for hadm_id in sorted(stays_by_hadm):
+        stays = stays_by_hadm[hadm_id]
+        if not _passes_criteria(admissions[hadm_id], stays):
             continue
-        if file.window_hours != window_hours:
-            raise DataError(
-                f"hadm {hadm_id}: patient file built for W={file.window_hours}, "
-                f"cohort requested W={window_hours}"
-            )
-        eligible.add(hadm_id)
-    return eligible
-
-
-def validate_cohort(
-    eligible: Iterable[int],
-    admissions: Mapping[int, Admission],
-    icustays: Sequence[IcuStay],
-    patient_files: Mapping[int, PatientFile],
-) -> None:
-    """Re-check every criterion for every selected stay, plus notes
-    inside the window and in chart order; raises on any violation. Run
-    after assembly as a belt-and-braces guard."""
-    stays_by_hadm: dict[int, list[IcuStay]] = {}
-    for stay in icustays:
-        stays_by_hadm.setdefault(stay.hadm_id, []).append(stay)
-    for hadm_id in eligible:
-        stays = stays_by_hadm.get(hadm_id, [])
-        file = patient_files.get(hadm_id)
-        if _passes_criteria(admissions[hadm_id], stays, file):
-            intime = stays[0].intime
-            times = [n.charted_at for n in file.notes]
-            horizon = intime + timedelta(hours=file.window_hours)
-            if times == sorted(times) and intime <= times[0] and times[-1] < horizon:
-                continue
-        raise DataError(f"hadm {hadm_id}: cohort criteria violated post-assembly")
+        intime = stays[0].intime
+        horizon = intime + timedelta(hours=window_hours)
+        inside = [n for n in notes_by_hadm.get(hadm_id, ()) if intime <= n.charted_at < horizon]
+        if inside:
+            selected[hadm_id] = sorted(inside, key=lambda n: (n.charted_at, n.row_id))
+    return selected
 
 
 # -- grouped cross validation ------------------------------------------------------
@@ -186,7 +165,7 @@ def grouped_kfold(
     and trains on the rest.
     """
     if k < 3:
-        raise DataError(f"grouped_kfold needs k >= 3, got {k}")
+        raise ConfigurationError(f"grouped_kfold needs k >= 3, got {k}")
     cohort = sorted(cohort)
     subjects = sorted({subject_of[h] for h in cohort})
     if len(subjects) < k:

@@ -175,6 +175,9 @@ def train_skipgram(
     unigram^(3/4) table. Returns the input-vector matrix plus per-epoch
     mean pair losses.
     """
+    for name, value in (("dim", dim), ("window", window), ("epochs", epochs)):
+        if value < 1:
+            raise ConfigurationError(f"skip-gram {name} must be >= 1, got {value}")
     if negatives < 1:
         raise ConfigurationError("need at least one negative sample")
     if not corpus:
@@ -297,17 +300,27 @@ def save_embeddings(path, vocab: Vocabulary, emb: EmbeddingMatrix) -> None:
 
 
 def load_embeddings(path) -> tuple[list[str], EmbeddingMatrix]:
+    """The file `save_embeddings` writes; a malformed line is a DataError
+    naming the file and the line."""
+    tokens = []
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: malformed embedding header")
-        v_size, dim = int(header[0]), int(header[1])
-        tokens = []
-        vectors = np.zeros((v_size, dim))
-        for idx in range(v_size):
-            parts = handle.readline().rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise DataError(f"{path}: row {idx} has wrong dimension")
-            tokens.append(parts[0])
-            vectors[idx] = [float(p) for p in parts[1:]]
+        line = 1
+        try:
+            header = handle.readline().split()
+            if len(header) != 2:
+                raise ValueError("malformed embedding header")
+            v_size, dim = int(header[0]), int(header[1])
+            vectors = np.zeros((v_size, dim))
+            for idx in range(v_size):
+                line += 1
+                parts = handle.readline().rstrip("\n").split(" ")
+                if len(parts) != dim + 1:
+                    raise ValueError(f"row {idx} has wrong dimension")
+                tokens.append(parts[0])
+                vectors[idx] = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc} (line {line})") from exc
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: row {bad[0]} has a non-finite value (line {bad[0] + 2})")
     return tokens, EmbeddingMatrix(vectors)

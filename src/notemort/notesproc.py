@@ -1,14 +1,14 @@
-"""Clinical-note cleaning and patient-file assembly.
+"""Clinical-note cleaning and the record readers and writers.
 
 The cleaning pipeline: lowercase, normalize bracketed de-identification
 spans into three replacement tokens (or delete them), keep only
 alphabetic / mixed alphanumeric / small-number tokens, truncate or pad
-to a fixed length, impute missing chart times to midnight, drop
-duplicate and erroneous notes, and group the survivors into
-chronologically sorted per-stay files restricted to a data window.
+to a fixed length, impute missing chart times to midnight, and drop
+duplicate and erroneous notes. Which notes of a stay fall inside a
+window is `cohort.select_cohort`'s rule.
 
 Everything here is a pure function of the input records, so the whole
-pipeline is deterministic and safe to parallelize per note or per stay.
+pipeline is deterministic and safe to parallelize per note.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
-from typing import Iterator
+from datetime import date, datetime, time
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,17 +65,6 @@ class CleanNote:
 
     def n_tokens(self) -> int:
         return int(np.count_nonzero(self.tokens != PAD_ID))
-
-
-@dataclass
-class PatientFile:
-    """Chronologically ordered clean notes for one stay within a window."""
-
-    hadm_id: int
-    subject_id: int
-    notes: list[CleanNote]
-    label: bool
-    window_hours: int
 
 
 # -- text cleaning -------------------------------------------------------------
@@ -173,33 +162,6 @@ def is_discharge_summary(category: str) -> bool:
     return category.strip().lower() == DISCHARGE_CATEGORY
 
 
-def assemble_patient_file(
-    notes: list[CleanNote],
-    icu_intime: datetime,
-    window_hours: int,
-    label: bool,
-    subject_id: int,
-    hadm_id: int,
-) -> PatientFile | None:
-    """Order the notes charted inside [intime, intime + W hours).
-
-    Returns None when no note survives the window filter (the stay is
-    excluded from that experiment's cohort).
-    """
-    horizon = icu_intime + timedelta(hours=window_hours)
-    inside = [n for n in notes if icu_intime <= n.charted_at < horizon]
-    if not inside:
-        return None
-    inside.sort(key=lambda n: (n.charted_at, n.row_id))
-    return PatientFile(
-        hadm_id=hadm_id,
-        subject_id=subject_id,
-        notes=inside,
-        label=label,
-        window_hours=window_hours,
-    )
-
-
 # -- record I/O ------------------------------------------------------------------
 
 NOTE_COLUMNS = [
@@ -288,6 +250,13 @@ def read_jsonl(path, parse) -> Iterator:
             yield record
 
 
+def write_jsonl(path, records: Iterable) -> None:
+    """One compact JSON record per line, the form `read_jsonl` reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
 def _parse_note(row: dict) -> RawNote:
     chart_time = None
     if row["chart_time"]:
@@ -331,17 +300,17 @@ def write_notes_csv(path, notes: list[RawNote]) -> None:
 
 def write_clean_notes(path, notes: list[CleanNote]) -> None:
     """Line-delimited CleanNote records holding the unpadded token ids."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for note in notes:
-            record = {
-                "row_id": note.row_id,
-                "hadm_id": note.hadm_id,
-                "category": note.category,
-                "charted_at": format_timestamp(note.charted_at),
-                "n_tokens": note.n_tokens(),
-                "tokens": note.tokens[: note.n_tokens()].tolist(),
-            }
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+    write_jsonl(path, (
+        {
+            "row_id": note.row_id,
+            "hadm_id": note.hadm_id,
+            "category": note.category,
+            "charted_at": format_timestamp(note.charted_at),
+            "n_tokens": note.n_tokens(),
+            "tokens": note.tokens[: note.n_tokens()].tolist(),
+        }
+        for note in notes
+    ))
 
 
 def read_clean_notes(path, note_len: int = NOTE_LEN) -> list[CleanNote]:

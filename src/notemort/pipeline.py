@@ -1,19 +1,20 @@
 """Stage functions wiring the modules into the end-to-end pipeline.
 
 raw tables -> cleaned token corpora -> vocabulary + embeddings ->
-window-specific patient files and cohorts -> model-ready datasets.
-This module owns how a stay becomes model input. The dataset's one form
-is the four DATASET_ARRAYS, which `dataset_arrays` builds from a window
-cohort and its time-series rows; `dataset_views` turns them into
-per-stay `StayData` views. The CLI's `cohort` stage builds and saves the
-arrays once (`save_dataset`), and `train` only loads them
-(`load_dataset`). The CLI wraps these with on-disk artifacts and
-manifests; tests and the demo scripts call them directly.
+window cohorts (the stays `cohort.select_cohort` picks, with their
+notes) -> model-ready datasets. This module owns how a stay becomes
+model input. The dataset's one form is the four DATASET_ARRAYS, which
+`dataset_arrays` builds from a window cohort and its time-series rows;
+`dataset_views` turns them into per-stay `StayData` views. The CLI's
+`cohort` stage builds and saves the arrays once (`save_dataset`), and
+`train` only loads them (`load_dataset`). The CLI wraps these with
+on-disk artifacts and manifests; tests and the demo scripts call them
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,10 @@ from .cohort import (
     impute_timeseries,
     label_mortality,
     select_cohort,
-    validate_cohort,
 )
 from .embed import Vocabulary, build_vocab
 from .errors import DataError
-from .notesproc import CleanNote, PatientFile, RawNote
+from .notesproc import CleanNote, RawNote
 from .traineval import StayData
 
 
@@ -91,41 +91,6 @@ def preprocess_notes(
     )
 
 
-def build_patient_files(
-    clean_notes: list[CleanNote],
-    admissions: dict[int, Admission],
-    icustays: list[IcuStay],
-    window_hours: int,
-) -> dict[int, PatientFile]:
-    """Assemble per-stay files for one window; stays whose notes all fall
-    outside the window produce no file."""
-    notes_by_hadm: dict[int, list[CleanNote]] = {}
-    for note in clean_notes:
-        notes_by_hadm.setdefault(note.hadm_id, []).append(note)
-    intime_by_hadm: dict[int, object] = {}
-    for stay in icustays:
-        current = intime_by_hadm.get(stay.hadm_id)
-        if current is None or stay.intime < current:
-            intime_by_hadm[stay.hadm_id] = stay.intime
-    files: dict[int, PatientFile] = {}
-    for hadm_id, notes in notes_by_hadm.items():
-        adm = admissions.get(hadm_id)
-        intime = intime_by_hadm.get(hadm_id)
-        if adm is None or intime is None:
-            continue
-        file = notesproc.assemble_patient_file(
-            notes,
-            icu_intime=intime,
-            window_hours=window_hours,
-            label=label_mortality(adm),
-            subject_id=adm.subject_id,
-            hadm_id=hadm_id,
-        )
-        if file is not None:
-            files[hadm_id] = file
-    return files
-
-
 @dataclass
 class WindowCohort:
     """One window's eligible stays, sorted; every mapping follows that
@@ -133,9 +98,9 @@ class WindowCohort:
 
     window_hours: int
     eligible: list[int]
-    files: dict[int, PatientFile]
-    labels: dict[int, bool] = field(default_factory=dict)
-    subject_of: dict[int, int] = field(default_factory=dict)
+    notes: dict[int, list[CleanNote]]
+    labels: dict[int, bool]
+    subject_of: dict[int, int]
 
 
 def build_window_cohort(
@@ -144,16 +109,15 @@ def build_window_cohort(
     icustays: list[IcuStay],
     window_hours: int,
 ) -> WindowCohort:
-    """Patient files plus the post-validated eligible stay set."""
-    files = build_patient_files(clean_notes, admissions, icustays, window_hours)
-    eligible = sorted(select_cohort(admissions, icustays, files, window_hours))
-    validate_cohort(eligible, admissions, icustays, files)
+    """The stays and notes `select_cohort` picks for this window, with
+    each stay's label and subject."""
+    notes = select_cohort(admissions, icustays, clean_notes, window_hours)
     return WindowCohort(
         window_hours=window_hours,
-        eligible=eligible,
-        files={h: files[h] for h in eligible},
-        labels={h: files[h].label for h in eligible},
-        subject_of={h: admissions[h].subject_id for h in eligible},
+        eligible=list(notes),
+        notes=notes,
+        labels={h: label_mortality(admissions[h]) for h in notes},
+        subject_of={h: admissions[h].subject_id for h in notes},
     )
 
 
@@ -166,7 +130,7 @@ def dataset_arrays(cohort: WindowCohort, rows: np.ndarray | None = None) -> dict
     [sum of note_counts, L] stay after stay, and the time-series grid
     ts_values / ts_mask [S, W, F] that `impute_timeseries` makes from the
     `cohort.read_timeseries_csv` rows (none: no stay has a series)."""
-    notes = [cohort.files[h].notes for h in cohort.eligible]
+    notes = [cohort.notes[h] for h in cohort.eligible]
     if rows is None:
         rows = np.empty(0, TS_ROW)
     ts_values, ts_mask = impute_timeseries(rows, cohort.eligible, cohort.window_hours)

@@ -9,7 +9,6 @@ the final report.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -617,11 +616,11 @@ def render_report(report: MetricsReport) -> str:
     return "\n".join(lines + [legend])
 
 
-def report_records(report: MetricsReport) -> list[str]:
-    """Machine-readable line-delimited records for the report."""
-    lines = []
+def report_records(report: MetricsReport) -> list[dict]:
+    """Machine-readable records for the report, one JSON line each."""
+    records = []
     for c in report.cells:
-        lines.append(json.dumps({
+        records.append({
             "type": "cell",
             "model": c.model,
             "window": c.window,
@@ -631,9 +630,9 @@ def report_records(report: MetricsReport) -> list[str]:
             "auprc_folds": c.auprc_folds,
             "auprc_mean": c.mean("auprc"),
             "auprc_sd": c.sd("auprc"),
-        }, separators=(",", ":")))
+        })
     for cmp in report.comparisons:
-        lines.append(json.dumps({
+        records.append({
             "type": "comparison",
             "baseline": cmp.baseline,
             "better": cmp.better,
@@ -641,5 +640,5 @@ def report_records(report: MetricsReport) -> list[str]:
             "metric": cmp.metric,
             "p_value": cmp.p_value,
             "marker": cmp.marker,
-        }, separators=(",", ":")))
-    return lines
+        })
+    return records

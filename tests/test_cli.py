@@ -358,6 +358,26 @@ def _drop_last_line(data: bytes) -> bytes:
     return data[: data.rindex(b"\n", 0, -1) + 1]
 
 
+def _set_word_vector_value(data: bytes, text: bytes) -> bytes:
+    """The first value of the third line becomes text."""
+    lines = data.split(b"\n")
+    token, _, rest = lines[2].split(b" ", 2)
+    lines[2] = b" ".join([token, text, rest])
+    return b"\n".join(lines)
+
+
+def _non_numeric_value(data: bytes) -> bytes:
+    return _set_word_vector_value(data, b"x1.5")
+
+
+def _nan_value(data: bytes) -> bytes:
+    return _set_word_vector_value(data, b"nan")
+
+
+def _bad_header(data: bytes) -> bytes:
+    return b"many 12" + data[data.index(b"\n"):]
+
+
 def _empty_val_role(data: bytes) -> bytes:
     """Fold 0 validates on no stay: its val stays train."""
     return data.replace(b'"0":"val"', b'"0":"train"')
@@ -387,6 +407,10 @@ def _one_class_test_split(data: bytes) -> bytes:
     ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _empty_val_role, "fold 0"),
     ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _one_class_test_split,
      "auroc undefined"),
+    ("embeddings/embeddings.txt", "embed", ["train"], _non_numeric_value,
+     "embeddings.txt"),
+    ("embeddings/embeddings.txt", "embed", ["train"], _bad_header, "embeddings.txt"),
+    ("embeddings/embeddings.txt", "embed", ["train"], _nan_value, "embeddings.txt"),
 ])
 def test_malformed_artifact_is_a_data_error(
     work, tmp_path, capsys, artifact, producer, stage, fault, named
@@ -401,6 +425,24 @@ def test_malformed_artifact_is_a_data_error(
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert f"{named}: " in err
+
+
+@pytest.mark.parametrize("key,value,stage", [
+    ("embed.window", 0, "embed"),
+    ("embed.epochs", 0, "embed"),
+    ("embed.dim", 0, "embed"),
+    ("train.k", 2, "cohort"),
+])
+def test_out_of_range_config_value_exits_2(work, tmp_path, capsys, key, value, stage):
+    _, copy = copy_run(work, tmp_path)
+    config = tmp_path / "bad.cfg"
+    config.write_text(SMALL_CONFIG + f"\n{key} = {value}\nwork_dir = {copy}\n")
+    capsys.readouterr()
+
+    assert main(["--config", str(config), stage]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert f"{key.split('.')[1]} " in err and f"got {value}" in err
 
 
 def test_fold_count_mismatch_refused(work, tmp_path, capsys):

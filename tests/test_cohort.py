@@ -1,4 +1,4 @@
-"""Cohort selection boundaries, grouped folds, class weights,
+"""Cohort selection and its window notes, grouped folds, class weights,
 time-series imputation, and the synthetic generator's contracts."""
 
 from datetime import datetime, timedelta
@@ -15,6 +15,7 @@ from notemort.cohort import (
     TS_VARIABLES,
     Admission,
     IcuStay,
+    _passes_criteria,
     class_weights,
     grouped_kfold,
     impute_timeseries,
@@ -23,11 +24,10 @@ from notemort.cohort import (
     read_timeseries_csv,
     select_cohort,
     standardize_values,
-    validate_cohort,
     validate_folds,
 )
 from notemort.errors import ConfigurationError, DataError
-from notemort.notesproc import CleanNote, PatientFile, truncate_pad
+from notemort.notesproc import CleanNote, truncate_pad
 from notemort.synth import SynthConfig, generate_synthetic
 
 from oracles import timeseries_grid_per_stay
@@ -53,109 +53,161 @@ def icustay(hadm=1, icu_id=None, units=("MICU",)):
     )
 
 
-def patient_file(hadm=1, subject=1, window=24, note_hours=(2.0,), label=False):
-    notes = []
-    for i, h in enumerate(note_hours):
-        notes.append(CleanNote(
+def stay_notes(hadm=1, note_hours=(2.0,), row_ids=None):
+    """One note of hadm charted at each offset from INTIME, in hours."""
+    row_ids = row_ids or range(1, len(note_hours) + 1)
+    return [
+        CleanNote(
             tokens=truncate_pad([1, 2, 3], max_len=8), charted_at=INTIME + timedelta(hours=h),
-            category="Nursing", hadm_id=hadm, row_id=i + 1,
-        ))
-    return PatientFile(hadm_id=hadm, subject_id=subject, notes=notes,
-                       label=label, window_hours=window)
+            category="Nursing", hadm_id=hadm, row_id=row_id,
+        )
+        for row_id, h in zip(row_ids, note_hours)
+    ]
 
 
-def run_select(adm, stays, files, window=24):
-    return select_cohort({a.hadm_id: a for a in adm}, stays,
-                         {f.hadm_id: f for f in files}, window)
+def run_select(adm, stays, notes, window=24):
+    return select_cohort({a.hadm_id: a for a in adm}, stays, notes, window)
 
 
 class TestSelectCohort:
     def test_age_boundary_inclusive_exclusion(self):
         adm = [admission(1, age=18.0), admission(2, subject=2, age=18.01)]
         stays = [icustay(1), icustay(2)]
-        files = [patient_file(1), patient_file(2, subject=2)]
-        assert run_select(adm, stays, files) == {2}
+        assert list(run_select(adm, stays, stay_notes(1) + stay_notes(2))) == [2]
 
     def test_early_death_boundary(self):
         adm = [admission(1, death_hours=71.0, los_hours=200),
                admission(2, subject=2, death_hours=73.0, los_hours=200)]
         stays = [icustay(1), icustay(2)]
-        files = [patient_file(1), patient_file(2, subject=2)]
-        assert run_select(adm, stays, files) == {2}
+        assert list(run_select(adm, stays, stay_notes(1) + stay_notes(2))) == [2]
 
     def test_multiple_icustays_excluded(self):
         adm = [admission(1)]
         stays = [icustay(1, icu_id=11), icustay(1, icu_id=12)]
-        assert run_select(adm, stays, [patient_file(1)]) == set()
+        assert run_select(adm, stays, stay_notes(1)) == {}
 
     def test_transfers_excluded(self):
         adm = [admission(1)]
         stays = [icustay(1, units=("MICU", "SICU"))]
-        assert run_select(adm, stays, [patient_file(1)]) == set()
+        assert run_select(adm, stays, stay_notes(1)) == {}
 
     def test_requires_note_in_window(self):
         adm = [admission(1), admission(2, subject=2)]
         stays = [icustay(1), icustay(2)]
-        files = [patient_file(2, subject=2)]  # stay 1 has no file at all
-        assert run_select(adm, stays, files) == {2}
+        assert list(run_select(adm, stays, stay_notes(2))) == [2]  # stay 1 has no note
 
     def test_referential_integrity(self):
         with pytest.raises(DataError):
-            run_select([admission(1)], [icustay(2)], [patient_file(1)])
+            run_select([admission(1)], [icustay(2)], stay_notes(1))
 
     def test_window_monotonicity(self):
         adm = [admission(h, subject=h) for h in range(1, 30)]
         stays = [icustay(h) for h in range(1, 30)]
         rng = np.random.default_rng(0)
-        files_by_window = {}
-        for window in (12, 24, 48):
-            files = []
-            for h in range(1, 30):
-                hours = [float(t) for t in rng.uniform(0, 48, size=3)]
-                hours_in = [t for t in hours if t < window]
-                if hours_in:
-                    files.append(patient_file(h, subject=h, window=window,
-                                              note_hours=hours_in))
-            files_by_window[window] = files
-            rng = np.random.default_rng(0)  # same note times for each window
-        c12 = run_select(adm, stays, files_by_window[12], 12)
-        c24 = run_select(adm, stays, files_by_window[24], 24)
-        c48 = run_select(adm, stays, files_by_window[48], 48)
-        assert c12 <= c24 <= c48
+        notes = [n for h in range(1, 30) for n in stay_notes(h, rng.uniform(0, 60, size=3))]
+        c12, c24, c48 = (set(run_select(adm, stays, notes, w)) for w in (12, 24, 48))
+        assert c12 <= c24 <= c48 and c12 != c48
+
+
+class TestWindowNotes:
+    """The notes select_cohort keeps for a selected stay."""
+
+    def kept(self, note_hours, window, row_ids=None):
+        """Row ids of stay 7's kept notes, None when it is left out."""
+        notes = stay_notes(7, note_hours, row_ids)
+        selected = run_select([admission(7, subject=3)], [icustay(7)], notes, window)
+        return [n.row_id for n in selected[7]] if 7 in selected else None
+
+    def test_window_filter_and_sort(self):
+        assert self.kept([2, 30, 13], window=24) == [1, 3]
+
+    def test_no_note_in_window_leaves_stay_out(self):
+        assert self.kept([30, 40, -1], window=24) is None
+
+    def test_equal_timestamps_tie_break_by_row_id(self):
+        assert self.kept([5, 5], window=24, row_ids=[9, 4]) == [4, 9]
+
+    def test_boundaries_half_open(self):
+        assert self.kept([0, 24], window=24) == [1]
+
+    def test_timestamps_nondecreasing_inside_window(self):
+        rng = np.random.default_rng(0)
+        horizon = INTIME + timedelta(hours=48)
+        for _ in range(20):
+            notes = stay_notes(7, rng.uniform(0, 72, size=8))
+            selected = run_select([admission(7)], [icustay(7)], notes, 48)
+            times = [n.charted_at for n in selected.get(7, [])]
+            assert times == sorted(times)
+            assert all(INTIME <= t < horizon for t in times)
+            assert len(times) == sum(n.charted_at < horizon for n in notes)
 
 
 # Stay 1 under each case: the first six are the TestSelectCohort
-# exclusions, the last two break the post-assembly window and order checks.
+# exclusions, which leave it out; under the last two it is selected with
+# only its notes inside the window, in chart order (KEPT, in hours).
 VIOLATIONS = {
-    "age": lambda: ([admission(1, age=18.0)], [icustay(1)], [patient_file(1)]),
-    "early_death": lambda: ([admission(1, death_hours=71.0)], [icustay(1)], [patient_file(1)]),
+    "age": lambda: ([admission(1, age=18.0)], [icustay(1)], stay_notes(1)),
+    "early_death": lambda: ([admission(1, death_hours=71.0)], [icustay(1)], stay_notes(1)),
     "multiple_icustays": lambda: (
-        [admission(1)], [icustay(1, icu_id=11), icustay(1, icu_id=12)], [patient_file(1)]
+        [admission(1)], [icustay(1, icu_id=11), icustay(1, icu_id=12)], stay_notes(1)
     ),
-    "transfers": lambda: ([admission(1)], [icustay(1, units=("MICU", "SICU"))], [patient_file(1)]),
-    "no_note_in_window": lambda: ([admission(1)], [icustay(1)], []),
-    "no_icustay": lambda: ([admission(1)], [icustay(2)], [patient_file(1)]),
-    "note_outside_window": lambda: (
-        [admission(1)], [icustay(1)], [patient_file(1, note_hours=(2.0, 30.0))]
+    "transfers": lambda: ([admission(1)], [icustay(1, units=("MICU", "SICU"))], stay_notes(1)),
+    "no_note_in_window": lambda: ([admission(1)], [icustay(1)], stay_notes(1, (-1.0, 24.0))),
+    "no_icustay": lambda: (
+        [admission(1), admission(2, subject=2)], [icustay(2)], stay_notes(1)
     ),
+    "note_outside_window": lambda: ([admission(1)], [icustay(1)], stay_notes(1, (2.0, 30.0))),
     "notes_out_of_chart_order": lambda: (
-        [admission(1)], [icustay(1)], [patient_file(1, note_hours=(5.0, 2.0))]
+        [admission(1)], [icustay(1)], stay_notes(1, (5.0, 2.0))
     ),
 }
-
-
-def run_validate(adm, stays, files):
-    validate_cohort({1}, {a.hadm_id: a for a in adm}, stays, {f.hadm_id: f for f in files})
+KEPT = {"note_outside_window": (2.0,), "notes_out_of_chart_order": (2.0, 5.0)}
 
 
 class TestValidateCohort:
     def test_eligible_stay_passes(self):
-        run_validate([admission(1)], [icustay(1)], [patient_file(1, note_hours=(2.0, 5.0))])
+        selected = run_select([admission(1)], [icustay(1)], stay_notes(1, (2.0, 5.0)))
+        assert list(selected) == [1] and [n.row_id for n in selected[1]] == [1, 2]
 
     @pytest.mark.parametrize("case", sorted(VIOLATIONS))
     def test_violation_rejected(self, case):
-        with pytest.raises(DataError):
-            run_validate(*VIOLATIONS[case]())
+        selected = run_select(*VIOLATIONS[case]())
+        if case not in KEPT:
+            assert 1 not in selected
+        else:
+            want = [INTIME + timedelta(hours=h) for h in KEPT[case]]
+            assert [n.charted_at for n in selected[1]] == want
+
+
+def test_generated_cohorts_follow_the_rule():
+    """On generated tables, for W in (12, 24, 48): every selected stay
+    passes the table criteria and keeps exactly its notes inside the
+    window, in order; a stay left out fails the criteria or has no such
+    note; and the eligible sets nest as W grows."""
+    tables = generate_synthetic(SynthConfig(n_subjects=150), seed=3)
+    adms = {a.hadm_id: a for a in tables.admissions}
+    stays_of, notes_of = {}, {}
+    for stay in tables.icustays:
+        stays_of.setdefault(stay.hadm_id, []).append(stay)
+    notes = pipeline.preprocess_notes(tables.notes, min_count=2, note_len=16).model_notes
+    for note in notes:
+        notes_of.setdefault(note.hadm_id, []).append(note)
+    previous: set[int] = set()
+    for window in (12, 24, 48):
+        selected = select_cohort(adms, tables.icustays, notes, window)
+        assert list(selected) == sorted(selected) and previous <= set(selected)
+        for hadm_id, stays in stays_of.items():
+            intime, horizon = stays[0].intime, stays[0].intime + timedelta(hours=window)
+            inside = [n for n in notes_of.get(hadm_id, []) if intime <= n.charted_at < horizon]
+            if hadm_id not in selected:
+                assert not (_passes_criteria(adms[hadm_id], stays) and inside)
+                continue
+            assert _passes_criteria(adms[hadm_id], stays)
+            keys = [(n.charted_at, n.row_id) for n in selected[hadm_id]]
+            assert keys == sorted(keys) and len(keys) == len(inside)
+            assert intime <= keys[0][0] and keys[-1][0] < horizon
+        previous = set(selected)
+    assert len(previous) < len(stays_of)  # some stays fail the criteria
 
 
 class TestLabelMortality:
@@ -311,14 +363,14 @@ class TestImputeTimeseries:
 
 
 def test_window_cohort_and_dataset_follow_eligible_order():
-    """Labels, files and subjects follow the sorted eligible list, the
+    """Labels, notes and subjects follow the sorted eligible list, the
     order of the dataset arrays, so each stay gets its own label and
     series; the set {3, 8} iterates as 8, 3."""
     adms = {8: admission(8, subject=8, death_hours=100.0), 3: admission(3, subject=3)}
-    notes = [n for h in adms for n in patient_file(h, subject=h).notes]
+    notes = [n for h in adms for n in stay_notes(h)]
     wc = pipeline.build_window_cohort(notes, adms, [icustay(h) for h in adms], 24)
     assert wc.eligible == [3, 8]
-    assert list(wc.labels) == list(wc.files) == list(wc.subject_of) == wc.eligible
+    assert list(wc.labels) == list(wc.notes) == list(wc.subject_of) == wc.eligible
     rows = np.array([(8, 1.0, TS_INDEX["heart_rate"], 100.0)], dtype=TS_ROW)
     dataset = pipeline.build_dataset(wc, rows)
     assert [dataset[h].label for h in (3, 8)] == [False, True]
@@ -383,17 +435,16 @@ class TestSyntheticGenerator:
 
     def test_selected_positives_never_die_early(self):
         # planted early deaths must be filtered by criterion (iv); give
-        # every stay a stub note file so only the table criteria decide
+        # every stay a stub note an hour in so only the table criteria decide
         tables = generate_synthetic(SynthConfig(n_subjects=300), seed=2)
         adms = {a.hadm_id: a for a in tables.admissions}
         intime = {s.hadm_id: s.intime for s in tables.icustays}
-        files = {
-            h: patient_file(h, subject=adms[h].subject_id, note_hours=(1.0,))
-            for h in adms
-        }
-        for h, f in files.items():
-            f.notes[0].charted_at = intime[h] + timedelta(hours=1)
-        eligible = select_cohort(adms, tables.icustays, files, 24)
+        notes = [
+            CleanNote(tokens=truncate_pad([1], max_len=8), charted_at=t + timedelta(hours=1),
+                      category="Nursing", hadm_id=h, row_id=h)
+            for h, t in intime.items()
+        ]
+        eligible = select_cohort(adms, tables.icustays, notes, 24)
         early = [
             h for h in eligible
             if adms[h].death_time is not None

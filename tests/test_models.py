@@ -23,7 +23,7 @@ from notemort.ndcore import (
     no_grad,
     save_checkpoint,
 )
-from notemort.notesproc import CleanNote, PatientFile, truncate_pad
+from notemort.notesproc import CleanNote, truncate_pad
 from notemort.cohort import N_TS_VARIABLES, standardize_values
 
 from oracles import finite_diff_grad, max_rel_err
@@ -45,6 +45,7 @@ def toy_embeddings(vocab_size=12, dim=4, seed=0):
 
 
 def toy_file(hadm=1, n_notes=2, seed=0, note_len=8, vocab=12):
+    """A toy stay's notes, charted an hour apart."""
     rng = np.random.default_rng(seed)
     notes = []
     for i in range(n_notes):
@@ -55,8 +56,7 @@ def toy_file(hadm=1, n_notes=2, seed=0, note_len=8, vocab=12):
             charted_at=datetime(2150, 1, 1, i + 1), category="Nursing",
             hadm_id=hadm, row_id=i + 1,
         ))
-    return PatientFile(hadm_id=hadm, subject_id=1, notes=notes,
-                       label=True, window_hours=24)
+    return notes
 
 
 def toy_ts(seed=0, steps=5, features=3):
@@ -67,10 +67,10 @@ def toy_ts(seed=0, steps=5, features=3):
 
 
 def stay_inputs(file=None, ts=None) -> dict:
-    """One patient file and/or time series -> forward() inputs, batch of one."""
+    """One stay's notes and/or time series -> forward() inputs, batch of one."""
     inputs = {}
     if file is not None:
-        inputs["ids"] = np.stack([n.tokens for n in file.notes])[None]
+        inputs["ids"] = np.stack([n.tokens for n in file])[None]
     if ts is not None:
         values, mask = ts
         inputs["values"] = standardize_values(values)[None]
@@ -191,7 +191,7 @@ def test_single_note_pipeline_matches_layer_composition():
     emb = toy_embeddings(seed=4)
     params = models.init_model(models.NOTES_HCR, cfg, seed=5)
     file = toy_file(n_notes=1, seed=6)
-    note = file.notes[0]
+    note = file[0]
 
     with no_grad():
         got = float(stay_forward(params, cfg, emb, file).data)
@@ -230,7 +230,7 @@ def test_shared_weights_accumulate_gradients_across_notes():
     file_b = toy_file(n_notes=1, seed=11)
 
     def grads_for(files):
-        ids = np.stack([f.notes[0].tokens for f in files])[:, None, :]
+        ids = np.stack([f[0].tokens for f in files])[:, None, :]
         probs = models.forward(
             params, cfg, emb, ids=ids, training=False
         )
@@ -464,7 +464,7 @@ class TestFullModelGradients:
         emb = toy_embeddings(seed=20)
         params = models.init_model(models.NOTES_HCR, TOY, seed=21)
         file = toy_file(n_notes=2, seed=22)
-        ids = np.stack([n.tokens for n in file.notes])[None]
+        ids = np.stack([n.tokens for n in file])[None]
 
         def loss():
             probs = models.forward(
@@ -498,7 +498,7 @@ class TestFullModelGradients:
         emb = toy_embeddings(seed=25)
         params = models.init_model(models.NOTES_HCR, cfg, seed=26, embeddings=emb)
         file = toy_file(n_notes=1, seed=27)
-        ids = np.stack([n.tokens for n in file.notes])[None]
+        ids = np.stack([n.tokens for n in file])[None]
 
         probs = models.forward(
             params, cfg, emb, ids=ids, training=False

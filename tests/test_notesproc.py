@@ -14,7 +14,6 @@ from notemort import notesproc
 from notemort.notesproc import (
     CleanNote,
     RawNote,
-    assemble_patient_file,
     clean_text,
     dedupe_and_filter,
     impute_charttime,
@@ -149,47 +148,6 @@ def clean_note(row_id, hadm, charted, n_tokens=3):
         tokens=truncate_pad(list(range(1, n_tokens + 1)), max_len=16), charted_at=charted,
         category="Nursing", hadm_id=hadm, row_id=row_id,
     )
-
-
-class TestAssemblePatientFile:
-    INTIME = datetime(2150, 3, 12, 10, 0, 0)
-
-    def make(self, offsets_hours, window, row_ids=None):
-        row_ids = row_ids or list(range(1, len(offsets_hours) + 1))
-        notes = [
-            clean_note(rid, 7, self.INTIME + np.timedelta64(int(h * 3600), "s").item())
-            for rid, h in zip(row_ids, offsets_hours)
-        ]
-        return assemble_patient_file(
-            notes, self.INTIME, window, label=False, subject_id=3, hadm_id=7
-        )
-
-    def test_window_filter_and_sort(self):
-        file = self.make([2, 30, 13], window=24)
-        assert [n.row_id for n in file.notes] == [1, 3]
-
-    def test_no_notes_in_window_returns_none(self):
-        assert self.make([30, 40], window=24) is None
-
-    def test_equal_timestamps_tie_break_by_row_id(self):
-        file = self.make([5, 5], window=24, row_ids=[9, 4])
-        assert [n.row_id for n in file.notes] == [4, 9]
-
-    def test_boundaries_half_open(self):
-        file = self.make([0, 24], window=24)
-        assert [n.row_id for n in file.notes] == [1]
-
-    def test_timestamps_nondecreasing_inside_window(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            offsets = rng.uniform(0, 72, size=8).tolist()
-            file = self.make(offsets, window=48)
-            if file is None:
-                continue
-            times = [n.charted_at for n in file.notes]
-            assert times == sorted(times)
-            horizon = self.INTIME + np.timedelta64(48 * 3600, "s").item()
-            assert all(self.INTIME <= t < horizon for t in times)
 
 
 def test_notes_csv_round_trip(tmp_path):
