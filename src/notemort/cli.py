@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cohort, models, notesproc, pipeline, traineval
-from .embed import EmbeddingMatrix, SubwordConfig, Vocabulary, load_embeddings, save_embeddings, train_skipgram
+from .embed import EmbeddingMatrix, Vocabulary, load_embeddings, save_embeddings, train_skipgram
 from .errors import ConfigurationError, DataError, MissingArtifactError
 from .ndcore import load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_synthetic
@@ -39,7 +39,6 @@ class EmbedConfig:
     lr: float = 0.3
     min_count: int = 20
     batch_pairs: int = 256
-    subword: bool = False
 
 
 @dataclass
@@ -273,7 +272,6 @@ def cmd_embed(config: RunConfig) -> int:
         dim=ecfg.dim, window=ecfg.window, epochs=ecfg.epochs,
         negatives=ecfg.negatives, lr=ecfg.lr, seed=config.seed,
         batch_pairs=ecfg.batch_pairs,
-        subword=SubwordConfig() if ecfg.subword else None,
     )
     out = work / "embeddings"
     out.mkdir(parents=True, exist_ok=True)

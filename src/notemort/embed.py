@@ -1,14 +1,13 @@
 """Skip-gram word embeddings pretrained on the full note corpus.
 
-Word-level skip-gram with negative sampling is the default; an optional
-character n-gram mode (3..6-grams hashed into buckets, summed with the
-word vector) can be enabled for subword sharing. Training is
+Word-level skip-gram with negative sampling. Training is
 single-threaded and bit-reproducible given a seed. The padding row is
 reserved at id 0, stays zero, and is never updated.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -84,35 +83,6 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_count: int = 20) -> Vocabul
     return Vocabulary(token_to_id, id_to_token, frequencies)
 
 
-# -- subword option ---------------------------------------------------------------
-
-
-@dataclass
-class SubwordConfig:
-    min_n: int = 3
-    max_n: int = 6
-    buckets: int = 200_000
-
-
-def _fnv1a(data: bytes) -> int:
-    """FNV-1a 64-bit; Python's hash() is salted and unusable here."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def ngram_buckets(token: str, cfg: SubwordConfig) -> np.ndarray:
-    """Hashed character n-grams of the <token> form used at train time."""
-    wrapped = f"<{token}>"
-    grams = []
-    for n in range(cfg.min_n, cfg.max_n + 1):
-        for i in range(len(wrapped) - n + 1):
-            grams.append(_fnv1a(wrapped[i : i + n].encode("utf-8")) % cfg.buckets)
-    return np.array(sorted(set(grams)), dtype=np.int64)
-
-
 # -- skip-gram training -------------------------------------------------------------
 
 
@@ -137,22 +107,35 @@ def _collect_pairs(
     sentence: np.ndarray, window: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) pairs with a per-center dynamic window radius
-    drawn uniformly from [1, window]."""
+    drawn uniformly from [1, window]; center-major, each center's
+    contexts in sentence order."""
     n = len(sentence)
     radii = rng.integers(1, window + 1, size=n)
-    centers = []
-    contexts = []
-    for i in range(n):
-        lo = max(0, i - int(radii[i]))
-        hi = min(n, i + int(radii[i]) + 1)
-        for j in range(lo, hi):
-            if j != i:
-                centers.append(sentence[i])
-                contexts.append(sentence[j])
-    return (
-        np.asarray(centers, dtype=np.int64),
-        np.asarray(contexts, dtype=np.int64),
-    )
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    positions = np.arange(n)[:, None] + offsets
+    keep = (np.abs(offsets) <= radii[:, None]) & (positions >= 0) & (positions < n)
+    return np.repeat(sentence, keep.sum(axis=1)), sentence[positions[keep]]
+
+
+def _batches(sentences, window, batch_pairs, rng):
+    """(centers, contexts) of whole sentences in corpus order, cut as
+    soon as a batch holds batch_pairs pairs. A sentence's radii are
+    drawn only after the previous batch has been used."""
+    buf_c: list[np.ndarray] = []
+    buf_x: list[np.ndarray] = []
+    buffered = 0
+    for sentence in sentences:
+        c, x = _collect_pairs(sentence, window, rng)
+        if len(c) == 0:
+            continue
+        buf_c.append(c)
+        buf_x.append(x)
+        buffered += len(c)
+        if buffered >= batch_pairs:
+            yield np.concatenate(buf_c), np.concatenate(buf_x)
+            buf_c, buf_x, buffered = [], [], 0
+    if buf_c:
+        yield np.concatenate(buf_c), np.concatenate(buf_x)
 
 
 def train_skipgram(
@@ -165,21 +148,24 @@ def train_skipgram(
     lr: float = 0.3,
     seed: int = 0,
     batch_pairs: int = 256,
-    subword: SubwordConfig | None = None,
 ) -> SkipgramResult:
     """Minimize the negative-sampling loss over (center, context) pairs.
 
     corpus holds sentences of vocabulary ids (out-of-vocabulary words
-    already dropped). Updates are mini-batch SGD on the mean pair loss
-    at a constant learning rate; negatives are drawn from the
-    unigram^(3/4) table. Returns the input-vector matrix plus per-epoch
-    mean pair losses.
+    already dropped). Updates are mini-batch SGD at a constant learning
+    rate (see `_sgd_batch`); negatives are drawn from the unigram^(3/4)
+    table. Returns the input-vector matrix plus per-epoch mean pair
+    losses. A non-finite batch loss raises FloatingPointError.
     """
-    for name, value in (("dim", dim), ("window", window), ("epochs", epochs)):
-        if value < 1:
-            raise ConfigurationError(f"skip-gram {name} must be >= 1, got {value}")
-    if negatives < 1:
-        raise ConfigurationError("need at least one negative sample")
+    for name, value, ok, rule in (
+        ("dim", dim, dim >= 1, ">= 1"),
+        ("window", window, window >= 1, ">= 1"),
+        ("epochs", epochs, epochs >= 1, ">= 1"),
+        ("negatives", negatives, negatives >= 1, ">= 1"),
+        ("lr", lr, math.isfinite(lr) and lr > 0, "finite and > 0"),
+    ):
+        if not ok:
+            raise ConfigurationError(f"skip-gram {name} must be {rule}, got {value}")
     if not corpus:
         raise DataError("train_skipgram: empty corpus")
     rng = np.random.default_rng(seed)
@@ -189,100 +175,111 @@ def train_skipgram(
     vec_out = np.zeros((v_size, dim))
     cdf = _negative_table(vocab)
 
-    grams: list[np.ndarray] | None = None
-    gram_vecs: np.ndarray | None = None
-    if subword is not None:
-        grams = [ngram_buckets(tok, subword) for tok in vocab.id_to_token]
-        grams[PAD_ID] = np.empty(0, dtype=np.int64)
-        gram_vecs = (rng.random((subword.buckets, dim)) - 0.5) / dim
-
     sentences = [np.asarray(s, dtype=np.int64) for s in corpus if len(s) > 0]
+    if not any(len(s) > 1 for s in sentences):
+        raise DataError("train_skipgram: no sentence has two words, so there is no pair")
+    if any(s.min() < 0 or s.max() >= v_size for s in sentences):
+        raise DataError(f"train_skipgram: word ids must lie in [0, {v_size})")
+    work = _Workspace()
     epoch_losses: list[float] = []
-    for _ in range(epochs):
-        loss_sum = 0.0
-        n_pairs = 0
-        buf_c: list[np.ndarray] = []
-        buf_x: list[np.ndarray] = []
-        buffered = 0
+    # a diverging run raises FloatingPointError below instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            loss_sum = 0.0
+            n_pairs = 0
+            for centers, contexts in _batches(sentences, window, batch_pairs, rng):
+                negs = np.searchsorted(cdf, rng.random((len(centers), negatives)))
+                loss = _sgd_batch(vec_in, vec_out, centers, contexts, negs, lr, work)
+                if not math.isfinite(loss):
+                    raise FloatingPointError(
+                        f"skip-gram loss is {loss} in epoch {epoch + 1} at lr {lr}"
+                    )
+                loss_sum += loss
+                n_pairs += len(centers)
+            epoch_losses.append(loss_sum / n_pairs)
 
-        def flush():
-            nonlocal loss_sum, n_pairs, buffered
-            if not buf_c:
-                return
-            centers = np.concatenate(buf_c)
-            contexts = np.concatenate(buf_x)
-            buf_c.clear()
-            buf_x.clear()
-            buffered = 0
-            negs = np.searchsorted(cdf, rng.random((len(centers), negatives)))
-            loss_sum += _sgd_batch(
-                vec_in, vec_out, gram_vecs, grams,
-                centers, contexts, negs, lr,
-            )
-            n_pairs += len(centers)
-
-        for sentence in sentences:
-            c, x = _collect_pairs(sentence, window, rng)
-            if len(c) == 0:
-                continue
-            buf_c.append(c)
-            buf_x.append(x)
-            buffered += len(c)
-            if buffered >= batch_pairs:
-                flush()
-        flush()
-        epoch_losses.append(loss_sum / max(n_pairs, 1))
-
-    if gram_vecs is not None:
-        # materialize word + n-gram sums so downstream lookups stay flat
-        final = vec_in.copy()
-        for idx, bucket_ids in enumerate(grams):
-            if idx != PAD_ID and len(bucket_ids):
-                final[idx] += gram_vecs[bucket_ids].sum(axis=0)
-        vec_in = final
-    vec_in[PAD_ID] = 0.0
     return SkipgramResult(EmbeddingMatrix(vec_in), epoch_losses)
 
 
-def _sgd_batch(vec_in, vec_out, gram_vecs, grams, centers, contexts, negs, lr) -> float:
-    """One mini-batch update on the mean pair loss; returns the summed
-    pair loss. Mean gradients keep steps bounded even when a frequent
-    word collects many contributions inside one batch."""
-    step = lr / len(centers)
-    if gram_vecs is None:
-        center_vecs = vec_in[centers]
-    else:
-        center_vecs = vec_in[centers].copy()
-        for row, cid in enumerate(centers):
-            bucket_ids = grams[cid]
-            if len(bucket_ids):
-                center_vecs[row] += gram_vecs[bucket_ids].sum(axis=0)
+class _Workspace:
+    """Named buffers that `_sgd_batch` writes into, kept across batches
+    and grown on demand. A batch-sized temporary freed every batch is
+    given back to the system and page-faulted in again by the next."""
 
-    ctx_vecs = vec_out[contexts]
-    neg_vecs = vec_out[negs]
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
 
-    pos_score = np.einsum("bd,bd->b", center_vecs, ctx_vecs)
-    neg_score = np.einsum("bnd,bd->bn", neg_vecs, center_vecs)
-    loss = float(np.logaddexp(0.0, -pos_score).sum() + np.logaddexp(0.0, neg_score).sum())
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
 
-    g_pos = _sigmoid(pos_score) - 1.0  # dL/d pos_score
-    g_neg = _sigmoid(neg_score)  # dL/d neg_score
 
-    grad_center = g_pos[:, None] * ctx_vecs + np.einsum("bn,bnd->bd", g_neg, neg_vecs)
-    grad_ctx = g_pos[:, None] * center_vecs
-    grad_negs = g_neg[..., None] * center_vecs[:, None, :]
+def _sgd_batch(vec_in, vec_out, centers, contexts, negs, lr, work=None) -> float:
+    """One mini-batch SGD step on the summed pair loss; returns that sum.
 
-    np.add.at(vec_out, contexts, -step * grad_ctx)
-    np.add.at(vec_out, negs.reshape(-1), -step * grad_negs.reshape(-1, grad_negs.shape[-1]))
-    np.add.at(vec_in, centers, -step * grad_center)
-    if gram_vecs is not None:
-        for row, cid in enumerate(centers):
-            bucket_ids = grams[cid]
-            if len(bucket_ids):
-                np.add.at(gram_vecs, bucket_ids, -step * grad_center[row])
+    Each pair steps by lr / (pairs in the batch) along its own gradient,
+    and a row moves by the sum of the steps of the pairs that touch it.
+    At desk scale that is about 7e-4 per pair against word2vec's 0.025,
+    which leaves the vectors undertrained (ROADMAP item 1). Word ids
+    must lie in the matrices' rows. The padding rows stay zero.
+    """
+    work = _Workspace() if work is None else work
+    batch, n_neg = negs.shape
+    dim = vec_in.shape[1]
+    # column 0 is the true context, columns 1.. the negatives
+    out_rows = work.array("out_rows", (batch, n_neg + 1), np.int64)
+    out_rows[:, 0] = contexts
+    out_rows[:, 1:] = negs
+    center_vecs = np.take(
+        vec_in, centers, axis=0, out=work.array("center_vecs", (batch, dim)), mode="clip"
+    )
+    out_vecs = np.take(
+        vec_out, out_rows, axis=0, out=work.array("out_vecs", (batch, n_neg + 1, dim)),
+        mode="clip",
+    )
+    # with pos negated, every term of the pair loss is log(1 + exp(score))
+    scores = np.einsum("bkd,bd->bk", out_vecs, center_vecs)
+    scores[:, 0] *= -1.0
+    loss = float(np.logaddexp(0.0, scores).sum())
+    # dL/d pos = -sigmoid(-pos) and dL/d neg = sigmoid(neg)
+    grad_scores = _sigmoid(scores)
+    grad_scores[:, 0] *= -1.0
+
+    grad_center = np.einsum(
+        "bk,bkd->bd", grad_scores, out_vecs, out=work.array("grad_center", (batch, dim))
+    )
+    grad_out = np.multiply(grad_scores[:, :, None], center_vecs[:, None, :], out=out_vecs)
+    step = lr / batch
+    _scatter_sub(vec_out, out_rows.reshape(-1), grad_out.reshape(-1, dim), step, work)
+    _scatter_sub(vec_in, centers, grad_center, step, work)
     vec_in[PAD_ID] = 0.0
     vec_out[PAD_ID] = 0.0
     return loss
+
+
+def _scatter_sub(matrix, rows, grads, step, work) -> None:
+    """matrix[r] -= step * (sum of grads[i] over i with rows[i] == r).
+
+    A stable sort of the rows puts each row's gradients in one run,
+    `np.add.reduceat` sums every run in one call, and each touched row
+    is read, reduced and written back once."""
+    # numpy radix-sorts 16-bit keys, in linear time; the order is the same
+    keys = rows.astype(np.uint16) if len(matrix) <= 1 << 16 else rows
+    order = np.argsort(keys, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    dim = grads.shape[1]
+    run = np.take(grads, order, axis=0, out=work.array("sorted", grads.shape), mode="clip")
+    sums = np.add.reduceat(run, starts, axis=0, out=work.array("sums", (len(starts), dim)))
+    sums *= step
+    touched = sorted_rows[starts]
+    current = np.take(matrix, touched, axis=0, out=run[: len(touched)], mode="clip")
+    matrix[touched] = np.subtract(current, sums, out=current)
 
 
 # -- embedding file format ---------------------------------------------------------------

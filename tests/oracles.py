@@ -13,6 +13,7 @@ import numpy as np
 from notemort.cohort import N_TS_VARIABLES, TS_NORMALS, standardize_values
 from notemort.errors import DataError
 from notemort.ndcore import Tensor, concat, constant, stack
+from notemort.notesproc import PAD_ID
 
 
 def finite_diff_grad(f, param, h=1e-5):
@@ -201,6 +202,53 @@ def timeseries_grid_per_stay(rows, hadm_ids, window_hours):
             raw, mask[i] = impute_timeseries_per_stay(hadm_id, observations[hadm_id], window_hours)
             values[i] = standardize_values(raw)
     return values, mask
+
+
+def collect_pairs_loop(sentence, window, rng):
+    """Skip-gram (center, context) pairs by a loop over centers, with
+    the radius of each drawn uniformly from [1, window] in one call."""
+    n = len(sentence)
+    radii = rng.integers(1, window + 1, size=n)
+    centers = []
+    contexts = []
+    for i in range(n):
+        lo = max(0, i - int(radii[i]))
+        hi = min(n, i + int(radii[i]) + 1)
+        for j in range(lo, hi):
+            if j != i:
+                centers.append(sentence[i])
+                contexts.append(sentence[j])
+    return (
+        np.asarray(centers, dtype=np.int64),
+        np.asarray(contexts, dtype=np.int64),
+    )
+
+
+def sgd_batch_add_at(vec_in, vec_out, centers, contexts, negs, lr, _work=None):
+    """One skip-gram mini-batch step with every pair's scaled gradient
+    added into its row by `np.add.at`; returns the summed pair loss."""
+    step = lr / len(centers)
+    center_vecs = vec_in[centers]
+    ctx_vecs = vec_out[contexts]
+    neg_vecs = vec_out[negs]
+
+    pos_score = np.einsum("bd,bd->b", center_vecs, ctx_vecs)
+    neg_score = np.einsum("bnd,bd->bn", neg_vecs, center_vecs)
+    loss = float(np.logaddexp(0.0, -pos_score).sum() + np.logaddexp(0.0, neg_score).sum())
+
+    g_pos = sigmoid_masked(pos_score) - 1.0
+    g_neg = sigmoid_masked(neg_score)
+
+    grad_center = g_pos[:, None] * ctx_vecs + np.einsum("bn,bnd->bd", g_neg, neg_vecs)
+    grad_ctx = g_pos[:, None] * center_vecs
+    grad_negs = g_neg[..., None] * center_vecs[:, None, :]
+
+    np.add.at(vec_out, contexts, -step * grad_ctx)
+    np.add.at(vec_out, negs.reshape(-1), -step * grad_negs.reshape(-1, grad_negs.shape[-1]))
+    np.add.at(vec_in, centers, -step * grad_center)
+    vec_in[PAD_ID] = 0.0
+    vec_out[PAD_ID] = 0.0
+    return loss
 
 
 def _sig(v):

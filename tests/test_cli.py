@@ -431,6 +431,10 @@ def test_malformed_artifact_is_a_data_error(
     ("embed.window", 0, "embed"),
     ("embed.epochs", 0, "embed"),
     ("embed.dim", 0, "embed"),
+    ("embed.negatives", 0, "embed"),
+    ("embed.lr", 0, "embed"),
+    ("embed.lr", -5, "embed"),
+    ("embed.lr", "nan", "embed"),
     ("train.k", 2, "cohort"),
 ])
 def test_out_of_range_config_value_exits_2(work, tmp_path, capsys, key, value, stage):
@@ -443,6 +447,21 @@ def test_out_of_range_config_value_exits_2(work, tmp_path, capsys, key, value, s
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert f"{key.split('.')[1]} " in err and f"got {value}" in err
+
+
+def test_diverging_skipgram_exits_4_without_writing_vectors(work, tmp_path, capsys):
+    _, copy = copy_run(work, tmp_path)
+    vectors = copy / "embeddings" / "embeddings.txt"
+    vectors.unlink()
+    config = tmp_path / "diverge.cfg"
+    config.write_text(SMALL_CONFIG + f"\nembed.lr = 1e6\nwork_dir = {copy}\n")
+    capsys.readouterr()
+
+    assert main(["--config", str(config), "embed"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "FloatingPointError" in err and "lr 1000000.0" in err
+    assert not vectors.exists()
 
 
 def test_fold_count_mismatch_refused(work, tmp_path, capsys):
@@ -509,9 +528,10 @@ def test_invalid_prevalence_exit_code_and_message(tmp_path, capsys):
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     config = tmp_path / "c.cfg"
-    config.write_text("synth.wizardry = 9\n")
-    assert main(["--config", str(config), "synth"]) == 2
-    assert "wizardry" in capsys.readouterr().err
+    for line, name in (("synth.wizardry = 9", "wizardry"), ("embed.subword = true", "subword")):
+        config.write_text(line + "\n")
+        assert main(["--config", str(config), "synth"]) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_data_error_exit_code(tmp_path):

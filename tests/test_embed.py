@@ -1,22 +1,26 @@
 """Vocabulary and skip-gram training: boundaries, planted structure,
 gradient correctness, determinism, file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from notemort import embed
 from notemort.errors import ConfigurationError, DataError
 from notemort.embed import (
     EmbeddingMatrix,
-    SubwordConfig,
+    _collect_pairs,
     _sgd_batch,
+    _Workspace,
     build_vocab,
     load_embeddings,
-    ngram_buckets,
     save_embeddings,
     train_skipgram,
 )
 from notemort.models import lookup_note_embeddings
 from notemort.notesproc import OOV_ID, PAD_ID
+from oracles import collect_pairs_loop, sgd_batch_add_at
 
 
 def corpus_with_counts(counts: dict[str, int]):
@@ -157,7 +161,7 @@ def test_single_pair_update_matches_finite_differences():
     updated_in = vec_in.copy()
     updated_out = vec_out.copy()
     loss = _sgd_batch(
-        updated_in, updated_out, None, None,
+        updated_in, updated_out,
         np.array([center]), np.array([context]),
         np.array([[negative]]), lr,
     )
@@ -189,18 +193,104 @@ def test_pad_row_never_updated():
     np.testing.assert_array_equal(result.embeddings.vectors[PAD_ID], np.zeros(8))
 
 
-def test_subword_mode_trains_and_differs():
-    vocab, encoded = planted_corpus(None, [("walking", "walked"), ("talking", "talked")], repeats=60)
-    plain = train_skipgram(encoded, vocab, dim=8, window=2, epochs=3, seed=4)
-    sub = train_skipgram(
-        encoded, vocab, dim=8, window=2, epochs=3, seed=4,
-        subword=SubwordConfig(buckets=512),
+@pytest.mark.parametrize("window", [1, 3, 6])
+def test_pairs_match_loop_oracle(window):
+    """Same pairs in the same order, and the same draws from the stream."""
+    rng = np.random.default_rng(window)
+    lengths = [1, 2, max(1, window - 1), window, 4 * window + 3, 40]
+    fast, slow = np.random.default_rng(99), np.random.default_rng(99)
+    for n in lengths:
+        sentence = rng.integers(0, 50, size=n)
+        centers, contexts = _collect_pairs(sentence, window, fast)
+        want_centers, want_contexts = collect_pairs_loop(sentence, window, slow)
+        assert centers.dtype == want_centers.dtype and contexts.dtype == want_contexts.dtype
+        np.testing.assert_array_equal(centers, want_centers)
+        np.testing.assert_array_equal(contexts, want_contexts)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def random_batch(rng, v_size, batch, n_neg, low=1):
+    return (
+        rng.integers(low, v_size, size=batch),
+        rng.integers(low, v_size, size=batch),
+        rng.integers(low, v_size, size=(batch, n_neg)),
     )
-    assert plain.embeddings.vectors.shape == sub.embeddings.vectors.shape
-    assert plain.embeddings.vectors.tobytes() != sub.embeddings.vectors.tobytes()
-    np.testing.assert_array_equal(sub.embeddings.vectors[PAD_ID], np.zeros(8))
-    grams = ngram_buckets("walking", SubwordConfig(buckets=512))
-    assert len(grams) > 0 and np.all(grams < 512)
+
+
+@pytest.mark.parametrize(
+    "v_size,low", [(4, 1), (9, 0), (70_000, 0)], ids=["three_words", "with_pad", "wide_ids"]
+)
+def test_sgd_batch_matches_add_at_oracle(v_size, low):
+    """Heavy row repeats, PAD_ID rows, and ids too wide for 16-bit sort
+    keys, over several batches of different sizes through one workspace."""
+    rng = np.random.default_rng(v_size)
+    dim = 7
+    vec_in = rng.standard_normal((v_size, dim)) * 0.5
+    vec_in[PAD_ID] = 0.0
+    vec_out = rng.standard_normal((v_size, dim)) * 0.5
+    vec_out[PAD_ID] = 0.0
+    want_in, want_out = vec_in.copy(), vec_out.copy()
+    work = _Workspace()
+    for batch, n_neg, lr in ((300, 5, 0.4), (17, 5, 0.4), (400, 3, 2.0), (1, 1, 0.1)):
+        centers, contexts, negs = random_batch(rng, v_size, batch, n_neg, low)
+        loss = _sgd_batch(vec_in, vec_out, centers, contexts, negs, lr, work)
+        want = sgd_batch_add_at(want_in, want_out, centers, contexts, negs, lr)
+        assert loss == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(vec_in, want_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vec_out, want_out, rtol=0, atol=1e-12)
+    assert not vec_in[PAD_ID].any() and not vec_out[PAD_ID].any()
+
+
+def test_training_matches_oracles(monkeypatch):
+    rng = np.random.default_rng(8)
+    tokens = [f"w{i}" for i in range(12)]
+    sentences = [
+        [tokens[int(i)] for i in rng.integers(0, 12, size=int(rng.integers(1, 30)))]
+        for _ in range(60)
+    ]
+    vocab = build_vocab(sentences, min_count=1)
+    encoded = [vocab.encode_known(s) for s in sentences]
+    kwargs = dict(dim=9, window=4, epochs=3, lr=0.5, seed=4, batch_pairs=64)
+    fast = train_skipgram(encoded, vocab, **kwargs)
+    monkeypatch.setattr(embed, "_collect_pairs", collect_pairs_loop)
+    monkeypatch.setattr(embed, "_sgd_batch", sgd_batch_add_at)
+    slow = train_skipgram(encoded, vocab, **kwargs)
+    np.testing.assert_allclose(
+        fast.embeddings.vectors, slow.embeddings.vectors, rtol=0, atol=1e-12
+    )
+    assert fast.epoch_losses == pytest.approx(slow.epoch_losses, rel=1e-12)
+
+
+def test_sgd_batch_allocates_no_batch_sized_temporary():
+    """A warm workspace holds every batch-sized array, so a second batch
+    of the same size allocates only row-index and score temporaries."""
+    rng = np.random.default_rng(2)
+    v_size, dim, batch, n_neg = 3000, 64, 400, 5
+    vec_in = rng.standard_normal((v_size, dim)) * 0.1
+    vec_out = rng.standard_normal((v_size, dim)) * 0.1
+    work = _Workspace()
+    _sgd_batch(vec_in, vec_out, *random_batch(rng, v_size, batch, n_neg), 0.1, work)
+    centers, contexts, negs = random_batch(rng, v_size, batch, n_neg)
+    tracemalloc.start()
+    try:
+        _sgd_batch(vec_in, vec_out, centers, contexts, negs, 0.1, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch * (n_neg + 1) * dim * 8 / 4
+
+
+def test_corpus_without_pairs_rejected():
+    vocab = build_vocab(corpus_with_counts({"aa": 3, "bb": 3}), min_count=1)
+    with pytest.raises(DataError, match="no pair"):
+        train_skipgram([[1], [2], []], vocab, dim=4, epochs=1)
+
+
+def test_word_id_outside_vocabulary_rejected():
+    vocab = build_vocab(corpus_with_counts({"aa": 3, "bb": 3}), min_count=1)
+    for bad in (vocab.size, -1):
+        with pytest.raises(DataError, match="word ids"):
+            train_skipgram([[1, 2, bad]], vocab, dim=4, epochs=1)
 
 
 def test_negatives_must_be_positive():
