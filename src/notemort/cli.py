@@ -407,7 +407,12 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _score_record(record: dict) -> tuple[str, float, int]:
-    return record["split"], record["prob"], record["label"]
+    prob, label = record["prob"], record["label"]
+    if not (isinstance(prob, (int, float)) and 0.0 <= prob <= 1.0):
+        raise ValueError(f"prob must be a finite number in [0, 1], got {prob!r}")
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
+    return record["split"], prob, label
 
 
 def cmd_evaluate(config: RunConfig) -> int:
@@ -427,22 +432,20 @@ def cmd_evaluate(config: RunConfig) -> int:
             work, f"train_{model}_W{window}",
             [f"train/{run_dir.name}/fold{fold}.scores.jsonl" for fold in range(k)],
         )
-        aurocs, auprcs = [], []
+        metrics: dict[str, list[float]] = {"auroc": [], "auprc": []}
         for fold, scores_path in enumerate(scores.values()):
             probs, labels = [], []
             for split, prob, label in notesproc.read_jsonl(scores_path, _score_record):
                 if split == "test":
                     probs.append(prob)
                     labels.append(label)
-            roc = traineval.auroc(probs, labels)
-            prc = traineval.auprc(probs, labels)
-            aurocs.append(roc)
-            auprcs.append(prc)
-            fold_records.append({
-                "type": "fold", "model": model, "window": window,
-                "fold": fold, "auroc": roc, "auprc": prc,
-            })
-        fold_metrics[(model, window)] = {"auroc": aurocs, "auprc": auprcs}
+            record = {"type": "fold", "model": model, "window": window, "fold": fold,
+                      "auroc": traineval.auroc(probs, labels),
+                      "auprc": traineval.auprc(probs, labels)}
+            fold_records.append(record)
+            for metric, values in metrics.items():
+                values.append(record[metric])
+        fold_metrics[model, window] = metrics
     if not fold_metrics:
         raise MissingArtifactError("train/ holds no completed runs")
     report = traineval.build_report(fold_metrics, k=k)
@@ -450,7 +453,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table = traineval.render_report(report)
     (out / "report.txt").write_text(table + "\n")
-    notesproc.write_jsonl(out / "report.jsonl", fold_records + traineval.report_records(report))
+    notesproc.write_jsonl(out / "report.jsonl", fold_records + report)
     print(table)
     return 0
 

@@ -22,7 +22,6 @@ window is an error.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -31,7 +30,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .notesproc import CleanNote, format_timestamp, parse_timestamp, read_csv_records
+from .notesproc import (
+    CleanNote, format_timestamp, parse_timestamp, read_csv_records, write_csv_records,
+)
 
 EARLY_DEATH_HOURS = 72
 ADULT_AGE_CUTOFF = 18.0
@@ -290,20 +291,17 @@ def read_admissions_csv(path) -> dict[int, Admission]:
 
 
 def write_admissions_csv(path, admissions: Iterable[Admission]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ADMISSION_COLUMNS)
-        for a in admissions:
-            writer.writerow(
-                [
-                    a.hadm_id,
-                    a.subject_id,
-                    format_timestamp(a.admit_time),
-                    format_timestamp(a.discharge_time),
-                    format_timestamp(a.death_time) if a.death_time else "",
-                    f"{a.age_at_admission:.2f}",
-                ]
-            )
+    write_csv_records(path, ADMISSION_COLUMNS, (
+        [
+            a.hadm_id,
+            a.subject_id,
+            format_timestamp(a.admit_time),
+            format_timestamp(a.discharge_time),
+            format_timestamp(a.death_time) if a.death_time else "",
+            f"{a.age_at_admission:.2f}",
+        ]
+        for a in admissions
+    ))
 
 
 def _parse_icustay(row: dict) -> IcuStay:
@@ -324,19 +322,16 @@ def read_icustays_csv(path) -> list[IcuStay]:
 
 
 def write_icustays_csv(path, stays: Iterable[IcuStay]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ICUSTAY_COLUMNS)
-        for s in stays:
-            writer.writerow(
-                [
-                    s.hadm_id,
-                    s.icustay_id,
-                    format_timestamp(s.intime),
-                    format_timestamp(s.outtime),
-                    ";".join(s.care_units),
-                ]
-            )
+    write_csv_records(path, ICUSTAY_COLUMNS, (
+        [
+            s.hadm_id,
+            s.icustay_id,
+            format_timestamp(s.intime),
+            format_timestamp(s.outtime),
+            ";".join(s.care_units),
+        ]
+        for s in stays
+    ))
 
 
 def _parse_observation(row: dict) -> tuple[int, float, int, float]:
@@ -361,9 +356,7 @@ def read_timeseries_csv(path) -> np.ndarray:
 
 
 def write_timeseries_csv(path, rows: Iterable[tuple[int, float, str, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TIMESERIES_COLUMNS)
-        for hadm_id, hour, variable, value in rows:
-            writer.writerow([hadm_id, f"{hour:.2f}", variable, f"{value:.4f}"])
-
+    write_csv_records(path, TIMESERIES_COLUMNS, (
+        [hadm_id, f"{hour:.2f}", variable, f"{value:.4f}"]
+        for hadm_id, hour, variable, value in rows
+    ))

@@ -235,6 +235,15 @@ def read_csv_records(path, columns: list[str], parse) -> Iterator:
             yield record
 
 
+def write_csv_records(path, columns: list[str], rows: Iterable) -> None:
+    """A header-first CSV table of the rows, the form `read_csv_records`
+    reads."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def read_jsonl(path, parse) -> Iterator:
     """parse(record) for each line of a JSON-lines file; a line that is not
     JSON, or whose record parse cannot read, is a DataError naming the
@@ -280,22 +289,19 @@ def read_notes_csv(path) -> list[RawNote]:
 
 
 def write_notes_csv(path, notes: list[RawNote]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(NOTE_COLUMNS)
-        for n in notes:
-            writer.writerow(
-                [
-                    n.row_id,
-                    n.subject_id,
-                    n.hadm_id,
-                    n.category,
-                    n.chart_date.strftime("%Y-%m-%d"),
-                    n.chart_time.strftime("%H:%M:%S") if n.chart_time else "",
-                    "1" if n.is_error else "",
-                    n.text,
-                ]
-            )
+    write_csv_records(path, NOTE_COLUMNS, (
+        [
+            n.row_id,
+            n.subject_id,
+            n.hadm_id,
+            n.category,
+            n.chart_date.strftime("%Y-%m-%d"),
+            n.chart_time.strftime("%H:%M:%S") if n.chart_time else "",
+            "1" if n.is_error else "",
+            n.text,
+        ]
+        for n in notes
+    ))
 
 
 def write_clean_notes(path, notes: list[CleanNote]) -> None:

@@ -15,7 +15,7 @@ any model trained on them scores chance AUROC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -118,7 +118,6 @@ class SyntheticTables:
     icustays: list[IcuStay]
     notes: list[RawNote]
     timeseries: list[tuple[int, float, str, float]]
-    latents: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def write(self, out_dir) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -202,11 +201,9 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
     icustays: list[IcuStay] = []
     notes: list[RawNote] = []
     ts_rows: list[tuple[int, float, str, float]] = []
-    latents: dict[int, tuple[float, float]] = {}
     row_id = 1
 
     for stay in stays:
-        latents[stay.hadm_id] = (stay.x_note, stay.x_ts)
         positive = stay.hadm_id in positive_ids
         admit = stay.intime - timedelta(hours=float(rng.uniform(0.5, 8.0)))
         los_hours = float(rng.uniform(96.0, 300.0))
@@ -273,7 +270,7 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
             row_id += 1
             notes.append(dup)
 
-    return SyntheticTables(admissions, icustays, notes, ts_rows, latents)
+    return SyntheticTables(admissions, icustays, notes, ts_rows)
 
 
 def hadm_to_icustay(hadm_id: int) -> int:

@@ -2,9 +2,15 @@
 
 Class-weighted binary cross-entropy under AMSGrad with the staged
 learning-rate schedule, early stopping on validation loss with
-best-weight restore, patient-grouped 5-fold cross-validation, and
-rank-based AUROC / step-wise AUPRC with one-tailed paired t-tests for
-the final report.
+best-weight restore, and patient-grouped 5-fold cross-validation.
+
+The evaluation sorts each fold's scores once and counts the positives
+in each run of tied scores: AUROC from integer wins and ties, AUPRC
+summed over the runs in descending threshold order. Models are compared
+with one-tailed paired t-tests, whose tail is the closed form for a
+whole number of degrees of freedom. The report is one list of records,
+the cells and then the comparisons, which `report.jsonl` holds and the
+text table is rendered from.
 """
 
 from __future__ import annotations
@@ -80,129 +86,76 @@ def weighted_bce(
 # -- metrics -----------------------------------------------------------------------
 
 
+def _tie_runs(
+    scores: Sequence[float], labels: np.ndarray, metric: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positives and sizes of the runs of tied scores, in ascending score
+    order: one sort, then the runs start wherever the score changes."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise DataError(f"{metric} undefined: a score is not finite")
+    order = np.argsort(scores)
+    ranked = scores[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    positives = np.add.reduceat((labels[order] == 1).astype(np.int64), starts)
+    return positives, np.diff(np.r_[starts, len(ranked)])
+
+
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Probability that a random positive outscores a random negative,
     ties counted half (the rank-statistic formulation)."""
-    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DataError("auroc undefined: only one class present")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    wins = 0
-    ties = 0
-    negs_below = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        group_pos = int((sorted_labels[i:j] == 1).sum())
-        group_neg = (j - i) - group_pos
-        wins += group_pos * negs_below
-        ties += group_pos * group_neg
-        negs_below += group_neg
-        i = j
+    positives, sizes = _tie_runs(scores, labels, "auroc")
+    negatives = sizes - positives
+    # integer counts, so the result does not depend on summation order
+    wins = int(positives @ (np.cumsum(negatives) - negatives))
+    ties = int(positives @ negatives)
     return (wins + 0.5 * ties) / (n_pos * n_neg)
 
 
 def auprc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Average precision: sum of (R_n - R_{n-1}) * P_n over descending
     score thresholds, step-wise with no interpolation."""
-    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise DataError("auprc undefined: no positive examples")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    total = 0.0
-    prev_recall = 0.0
-    tp = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int((sorted_labels[i:j] == 1).sum())
-        precision = tp / j
-        recall = tp / n_pos
-        total += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return total
+    positives, sizes = _tie_runs(scores, labels, "auprc")
+    tp = np.cumsum(positives[::-1])
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / np.cumsum(sizes[::-1]))
+    # cumsum adds in threshold order, as a loop would; np.sum adds pairwise
+    return float(np.cumsum(terms)[-1])
 
 
-# -- Student t machinery --------------------------------------------------------------
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (modified
-    Lentz), iterated to ~1e-15 machine convergence."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+# -- Student t -----------------------------------------------------------------------
 
 
 def t_sf(t: float, df: float) -> float:
-    """Upper-tail probability of Student's t."""
-    if df <= 0:
-        raise ConfigurationError("degrees of freedom must be positive")
-    x = df / (df + t * t)
-    tail = 0.5 * reg_inc_beta(df / 2.0, 0.5, x)
-    return tail if t >= 0 else 1.0 - tail
+    """Upper-tail probability of Student's t for a whole number of degrees
+    of freedom: (1 - A(t|df)) / 2, with A in the closed forms of Abramowitz
+    & Stegun 26.7.3 (odd df) and 26.7.4 (even df), at most df/2 terms."""
+    if not (df >= 1 and float(df).is_integer()):
+        raise ConfigurationError(f"degrees of freedom must be a whole number >= 1, got {df}")
+    df = int(df)
+    theta = math.atan(t / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    # 1 + sum of the cos^2 powers; each term is the last times cos^2 (j - 1) / j
+    series = term = 1.0
+    for j in range(2 if df % 2 == 0 else 3, df - 1, 2):
+        term *= cos * cos * (j - 1) / j
+        series += term
+    if df % 2 == 0:
+        a = sin * series
+    elif df == 1:
+        a = 2.0 * theta / math.pi
+    else:
+        a = 2.0 * (theta + sin * cos * series) / math.pi
+    return 0.5 - 0.5 * a
 
 
 def paired_ttest_onetailed(a: Sequence[float], b: Sequence[float]) -> float:
@@ -216,6 +169,8 @@ def paired_ttest_onetailed(a: Sequence[float], b: Sequence[float]) -> float:
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise ConfigurationError("paired t-test needs two equal vectors, k >= 2")
     d = b - a
+    if not np.isfinite(d).all():
+        raise DataError("paired t-test undefined: a difference is not finite")
     mean = d.mean()
     sd = d.std(ddof=1)
     if sd == 0.0:
@@ -490,123 +445,69 @@ def train(
 # -- reporting --------------------------------------------------------------------------
 
 
-@dataclass
-class ModelWindowMetrics:
-    model: str
-    window: int
-    auroc_folds: list[float]
-    auprc_folds: list[float]
-
-    def mean(self, metric: str) -> float:
-        return float(np.mean(getattr(self, f"{metric}_folds")))
-
-    def sd(self, metric: str) -> float:
-        values = getattr(self, f"{metric}_folds")
-        return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-
-
-@dataclass
-class Comparison:
-    """One-tailed test that `better` beats `baseline` on one column."""
-
-    baseline: str
-    better: str
-    window: int
-    metric: str
-    p_value: float
-
-    @property
-    def marker(self) -> str:
-        return significance_marker(self.p_value)
-
-
-@dataclass
-class MetricsReport:
-    k: int
-    cells: list[ModelWindowMetrics]
-    comparisons: list[Comparison]
-
-    def cell(self, model: str, window: int) -> ModelWindowMetrics:
-        for c in self.cells:
-            if c.model == model and c.window == window:
-                return c
-        raise KeyError((model, window))
-
-
 MODEL_ORDER = [models.CTS_RNN, models.NOTES_HCR, models.MM_HCR]
+METRICS = ("auroc", "auprc")
 
 
 def build_report(
     fold_metrics: Mapping[tuple[str, int], dict[str, list[float]]], k: int
-) -> MetricsReport:
-    """Assemble the per-fold metrics into the rendered-table shape.
+) -> list[dict]:
+    """The report's records: one cell per (model, window), then the
+    comparisons, in the form `report.jsonl` holds them.
 
     fold_metrics maps (model, window) to {"auroc": [...], "auprc": [...]}
     with exactly k per-fold values each; adjacent models in the
     single-modality -> multi-modal ordering are compared per column with
     one-tailed paired t-tests.
     """
-    cells = []
+    cells: dict[tuple[str, int], dict] = {}
     for (model, window), values in sorted(fold_metrics.items()):
-        for metric in ("auroc", "auprc"):
-            if len(values[metric]) != k:
+        cell = {"type": "cell", "model": model, "window": window}
+        for metric in METRICS:
+            folds = list(values[metric])
+            if len(folds) != k:
                 raise DataError(
-                    f"{model} W={window}: expected {k} {metric} folds, "
-                    f"got {len(values[metric])}"
+                    f"{model} W={window}: expected {k} {metric} folds, got {len(folds)}"
                 )
-        cells.append(
-            ModelWindowMetrics(model, window, values["auroc"], values["auprc"])
-        )
+            cell[f"{metric}_folds"] = folds
+            cell[f"{metric}_mean"] = float(np.mean(folds))
+            cell[f"{metric}_sd"] = float(np.std(folds, ddof=1)) if k > 1 else 0.0
+        cells[model, window] = cell
     comparisons = []
-    windows = sorted({c.window for c in cells})
-    for window in windows:
-        present = [m for m in MODEL_ORDER if any(
-            c.model == m and c.window == window for c in cells
-        )]
+    for window in sorted({window for _, window in cells}):
+        present = [m for m in MODEL_ORDER if (m, window) in cells]
         for baseline, better in zip(present, present[1:]):
-            for metric in ("auroc", "auprc"):
-                base = next(
-                    c for c in cells if c.model == baseline and c.window == window
-                )
-                top = next(
-                    c for c in cells if c.model == better and c.window == window
-                )
+            for metric in METRICS:
                 p = paired_ttest_onetailed(
-                    getattr(base, f"{metric}_folds"), getattr(top, f"{metric}_folds")
+                    cells[baseline, window][f"{metric}_folds"],
+                    cells[better, window][f"{metric}_folds"],
                 )
-                comparisons.append(Comparison(baseline, better, window, metric, p))
-    return MetricsReport(k=k, cells=cells, comparisons=comparisons)
+                comparisons.append({
+                    "type": "comparison", "baseline": baseline, "better": better,
+                    "window": window, "metric": metric,
+                    "p_value": p, "marker": significance_marker(p),
+                })
+    return list(cells.values()) + comparisons
 
 
-def render_report(report: MetricsReport) -> str:
-    """Aligned text table: model rows, W x {AUROC, AUPRC} columns, with
-    mean +/- sd cells and significance markers against the previous row."""
-    windows = sorted({c.window for c in report.cells})
-    marker_of = {
-        (c.better, c.window, c.metric): c.marker for c in report.comparisons
+def render_report(records: Sequence[dict]) -> str:
+    """Aligned text table of the report's records: model rows, W x {AUROC,
+    AUPRC} columns, with mean +/- sd cells and significance markers
+    against the previous row. Records of other types are skipped."""
+    text = {
+        (r["model"], r["window"], metric): f"{r[metric + '_mean']:.4f}±{r[metric + '_sd']:.4f}"
+        for r in records if r["type"] == "cell" for metric in METRICS
     }
-    header = ["model"]
-    for metric in ("AUROC", "AUPRC"):
-        header.extend(f"{metric} W={w}" for w in windows)
-    rows = [header]
-    present_models = [
-        m for m in MODEL_ORDER if any(c.model == m for c in report.cells)
-    ]
-    for model in present_models:
-        row = [model]
-        for metric in ("auroc", "auprc"):
-            for window in windows:
-                try:
-                    cell = report.cell(model, window)
-                except KeyError:
-                    row.append("-")
-                    continue
-                mark = marker_of.get((model, window, metric), "")
-                row.append(
-                    f"{cell.mean(metric):.4f}±{cell.sd(metric):.4f}{mark}"
-                )
-        rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    for r in records:
+        if r["type"] == "comparison":
+            text[r["better"], r["window"], r["metric"]] += r["marker"]
+    windows = sorted({window for _, window, _ in text})
+    columns = [(metric, window) for metric in METRICS for window in windows]
+    rows = [["model"] + [f"{metric.upper()} W={window}" for metric, window in columns]]
+    for model in MODEL_ORDER:
+        if any(m == model for m, _, _ in text):
+            rows.append([model] + [text.get((model, w, metric), "-") for metric, w in columns])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
     legend = (
@@ -614,31 +515,3 @@ def render_report(report: MetricsReport) -> str:
         "† not significant (p>=0.05)"
     )
     return "\n".join(lines + [legend])
-
-
-def report_records(report: MetricsReport) -> list[dict]:
-    """Machine-readable records for the report, one JSON line each."""
-    records = []
-    for c in report.cells:
-        records.append({
-            "type": "cell",
-            "model": c.model,
-            "window": c.window,
-            "auroc_folds": c.auroc_folds,
-            "auroc_mean": c.mean("auroc"),
-            "auroc_sd": c.sd("auroc"),
-            "auprc_folds": c.auprc_folds,
-            "auprc_mean": c.mean("auprc"),
-            "auprc_sd": c.sd("auprc"),
-        })
-    for cmp in report.comparisons:
-        records.append({
-            "type": "comparison",
-            "baseline": cmp.baseline,
-            "better": cmp.better,
-            "window": cmp.window,
-            "metric": cmp.metric,
-            "p_value": cmp.p_value,
-            "marker": cmp.marker,
-        })
-    return records

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from notemort import cli, cohort, models, notesproc, pipeline
 from notemort.cli import main, parse_config, render_config
 from notemort.errors import ConfigurationError
+
+from oracles import auprc_sweep, auroc_pairwise
 
 SMALL_CONFIG = """
 # small end-to-end configuration
@@ -128,6 +131,44 @@ def test_evaluate_outputs_per_fold_rows(work):
         assert len(cells) == 1 and len(cells[0]["auroc_folds"]) == 5
     table = (work_dir / "eval" / "report.txt").read_text()
     assert "notes-hcr" in table and "cts-rnn" in table and "mm-hcr" in table
+
+    # every row against a reference computed apart from traineval
+    fold_rows: dict[tuple[str, int], list[dict]] = {}
+    for row in (r for r in records if r["type"] == "fold"):
+        scores_path = (
+            work_dir / "train" / f"{row['model']}_W{row['window']}"
+            / f"fold{row['fold']}.scores.jsonl"
+        )
+        test = [
+            record for record in map(json.loads, scores_path.read_text().splitlines())
+            if record["split"] == "test"
+        ]
+        probs, labels = [r["prob"] for r in test], [r["label"] for r in test]
+        assert row["auroc"] == auroc_pairwise(probs, labels)
+        assert row["auprc"] == auprc_sweep(probs, labels)
+        fold_rows.setdefault((row["model"], row["window"]), []).append(row)
+    cells = {(r["model"], r["window"]): r for r in records if r["type"] == "cell"}
+    assert cells.keys() == fold_rows.keys()
+    for key, cell in cells.items():
+        for metric in ("auroc", "auprc"):
+            values = [r[metric] for r in sorted(fold_rows[key], key=lambda r: r["fold"])]
+            assert cell[f"{metric}_folds"] == values
+            assert cell[f"{metric}_mean"] == pytest.approx(np.mean(values), abs=1e-12)
+            assert cell[f"{metric}_sd"] == pytest.approx(np.std(values, ddof=1), abs=1e-12)
+    comparisons = [r for r in records if r["type"] == "comparison"]
+    assert sorted((c["baseline"], c["better"], c["window"], c["metric"]) for c in comparisons) == [
+        (baseline, better, 24, metric)
+        for baseline, better in ((models.CTS_RNN, models.NOTES_HCR),
+                                 (models.NOTES_HCR, models.MM_HCR))
+        for metric in ("auprc", "auroc")
+    ]
+    for c in comparisons:
+        base, top = (cells[model, c["window"]][f"{c['metric']}_folds"]
+                     for model in (c["baseline"], c["better"]))
+        d = np.subtract(top, base)
+        p = float(stats.t.sf(d.mean() / (d.std(ddof=1) / np.sqrt(len(d))), len(d) - 1))
+        assert c["p_value"] == pytest.approx(p, abs=1e-12)
+        assert c["marker"] == ("**" if p < 0.01 else "*" if p < 0.05 else "†")
 
 
 def test_checkpoints_reload_against_config(work):
@@ -378,6 +419,27 @@ def _bad_header(data: bytes) -> bytes:
     return b"many 12" + data[data.index(b"\n"):]
 
 
+def _set_score(data: bytes, field: str, value) -> bytes:
+    """The field of the second score record becomes value."""
+    lines = data.split(b"\n")
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record).encode()
+    return b"\n".join(lines)
+
+
+def _nan_prob(data: bytes) -> bytes:
+    return _set_score(data, "prob", float("nan"))
+
+
+def _prob_above_one(data: bytes) -> bytes:
+    return _set_score(data, "prob", 1.5)
+
+
+def _label_two(data: bytes) -> bytes:
+    return _set_score(data, "label", 2)
+
+
 def _empty_val_role(data: bytes) -> bytes:
     """Fold 0 validates on no stay: its val stays train."""
     return data.replace(b'"0":"val"', b'"0":"train"')
@@ -411,6 +473,12 @@ def _one_class_test_split(data: bytes) -> bytes:
      "embeddings.txt"),
     ("embeddings/embeddings.txt", "embed", ["train"], _bad_header, "embeddings.txt"),
     ("embeddings/embeddings.txt", "embed", ["train"], _nan_value, "embeddings.txt"),
+    ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
+     _nan_prob, "fold0.scores.jsonl"),
+    ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
+     _prob_above_one, "fold0.scores.jsonl"),
+    ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
+     _label_two, "fold0.scores.jsonl"),
 ])
 def test_malformed_artifact_is_a_data_error(
     work, tmp_path, capsys, artifact, producer, stage, fault, named

@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,17 @@ from notemort.traineval import (
 )
 
 from oracles import auprc_sweep, auroc_pairwise
+
+SRC = Path(traineval.__file__).resolve().parents[1]
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """code in a fresh interpreter that imports the package from SRC; the
+    timeout turns a hang into a failure."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=False,
+    )
 
 
 class TestWeightedBce:
@@ -141,6 +156,41 @@ class TestAuprc:
         assert auprc(scores, labels) == auprc_sweep(scores.tolist(), labels.tolist())
 
 
+@pytest.mark.parametrize("metric", ["auroc", "auprc"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_score_is_a_data_error(metric, bad):
+    # in a child process, so a metric that loops on a NaN fails the test
+    # instead of hanging the suite
+    child = run_child(
+        "from notemort.errors import DataError\n"
+        f"from notemort.traineval import {metric}\n"
+        "try:\n"
+        f"    {metric}([0.2, float('{bad}'), 0.7], [0, 1, 1])\n"
+        "except DataError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == f"{metric} undefined: a score is not finite"
+
+
+def test_package_imports_without_scipy_or_hypothesis():
+    """The runtime is numpy-only: scipy and hypothesis serve the tests."""
+    child = run_child(
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+        "import notemort\n"
+        "for module in pkgutil.walk_packages(notemort.__path__, 'notemort.'):\n"
+        "    importlib.import_module(module.name)\n"
+        "    print(module.name)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    expected = set()
+    for path in (SRC / "notemort").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        expected.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    assert set(child.stdout.split()) == expected - {"notemort"}
+
+
 class TestPairedTtest:
     def test_frozen_reference_example(self):
         a = [0.80, 0.82, 0.81, 0.83, 0.79]
@@ -154,6 +204,15 @@ class TestPairedTtest:
         assert paired_ttest_onetailed([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]) == 0.0
         assert paired_ttest_onetailed([2.0, 2.0, 2.0], [1.0, 1.0, 1.0]) == 1.0
         assert paired_ttest_onetailed([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 0.5
+
+    def test_non_finite_difference_rejected(self):
+        with pytest.raises(DataError):
+            paired_ttest_onetailed([0.8, 0.7, 0.9], [0.8, math.nan, 0.9])
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5, math.nan, math.inf])
+    def test_df_must_be_a_whole_number(self, df):
+        with pytest.raises(ConfigurationError):
+            t_sf(1.0, df)
 
     def test_t_cdf_symmetry_at_zero(self):
         for df in (1, 2, 4, 10, 30):
@@ -195,28 +254,36 @@ class TestReport:
         assert significance_marker(0.03) == "*"
         assert significance_marker(0.06) == "†"
 
+    @staticmethod
+    def cell(report, model, window):
+        return next(
+            r for r in report
+            if r["type"] == "cell" and r["model"] == model and r["window"] == window
+        )
+
     def test_means_and_sds_recomputable(self):
         report = build_report(self.fold_metrics(), k=5)
-        cell = report.cell(models.NOTES_HCR, 24)
-        values = cell.auroc_folds
-        assert cell.mean("auroc") == pytest.approx(np.mean(values), abs=1e-12)
-        assert cell.sd("auroc") == pytest.approx(np.std(values, ddof=1), abs=1e-12)
+        cell = self.cell(report, models.NOTES_HCR, 24)
+        values = cell["auroc_folds"]
+        assert cell["auroc_mean"] == pytest.approx(np.mean(values), abs=1e-12)
+        assert cell["auroc_sd"] == pytest.approx(np.std(values, ddof=1), abs=1e-12)
 
     def test_equal_folds_have_zero_sd(self):
         metrics = {(models.NOTES_HCR, 12): {"auroc": [0.7] * 5, "auprc": [0.2] * 5}}
         report = build_report(metrics, k=5)
-        cell = report.cell(models.NOTES_HCR, 12)
-        assert cell.mean("auroc") == 0.7 and cell.sd("auroc") == 0.0
+        cell = self.cell(report, models.NOTES_HCR, 12)
+        assert cell["auroc_mean"] == 0.7 and cell["auroc_sd"] == 0.0
 
     def test_adjacent_models_compared(self):
         report = build_report(self.fold_metrics(), k=5)
         auroc_cmp = next(
-            c for c in report.comparisons
-            if c.metric == "auroc" and c.better == models.NOTES_HCR
+            r for r in report
+            if r["type"] == "comparison" and r["metric"] == "auroc"
+            and r["better"] == models.NOTES_HCR
         )
-        assert auroc_cmp.baseline == models.CTS_RNN
-        assert auroc_cmp.p_value == pytest.approx(0.00017936763018872853, abs=1e-10)
-        assert auroc_cmp.marker == "**"
+        assert auroc_cmp["baseline"] == models.CTS_RNN
+        assert auroc_cmp["p_value"] == pytest.approx(0.00017936763018872853, abs=1e-10)
+        assert auroc_cmp["marker"] == "**"
 
     def test_missing_fold_rejected(self):
         metrics = self.fold_metrics()
