@@ -76,6 +76,11 @@ class ModelConfig:
     bn_momentum: float = 0.99
 
     def validate(self) -> None:
+        if len(self.cts_hidden) != 2:
+            raise ConfigurationError(
+                "cts_hidden must list exactly two sizes, got "
+                + ",".join(str(h) for h in self.cts_hidden)
+            )
         extents = (
             self.note_len, self.embed_dim, self.conv_blocks, self.filters,
             self.kernel_size, self.temporal_hidden, self.cts_features,
@@ -83,6 +88,15 @@ class ModelConfig:
         )
         if any(e < 1 for e in extents):
             raise ConfigurationError("all model extents must be positive")
+        # written as `not (ok)` so that a NaN fails each check
+        if not self.conv_decay >= 0.0:
+            raise ConfigurationError(f"conv_decay must be >= 0, got {self.conv_decay}")
+        if not self.cts_decay >= 0.0:
+            raise ConfigurationError(f"cts_decay must be >= 0, got {self.cts_decay}")
+        if not self.bn_eps > 0.0:
+            raise ConfigurationError(f"bn_eps must be > 0, got {self.bn_eps}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigurationError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
         for p in (self.spatial_dropout, self.fusion_dropout):
             if not 0.0 <= p < 1.0:
                 raise ConfigurationError(f"dropout probability {p} outside [0, 1)")

@@ -163,6 +163,21 @@ def conv1d(x: Tensor, params: Conv1dParams) -> Tensor:
 # -- regularization ------------------------------------------------------------
 
 
+def _dropout(
+    x: Tensor, p: float, training: bool, rng: np.random.Generator | None,
+    mask_shape: tuple[int, ...],
+) -> Tensor:
+    """Inverted dropout under a keep mask of mask_shape, broadcast over x."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return x
+    if rng is None:
+        raise ConfigurationError("train-mode dropout requires an explicit rng")
+    keep = (rng.random(mask_shape) >= p).astype(np.float64)
+    return x * (keep / (1.0 - p))
+
+
 def spatial_dropout(
     x: Tensor, p: float, *, training: bool, rng: np.random.Generator | None = None
 ) -> Tensor:
@@ -172,29 +187,14 @@ def spatial_dropout(
     with probability p and survivors are scaled by 1/(1-p); eval mode is
     the exact identity.
     """
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    if rng is None:
-        raise ConfigurationError("train-mode dropout requires an explicit rng")
-    mask_shape = x.shape[:-2] + (1, x.shape[-1])
-    keep = (rng.random(mask_shape) >= p).astype(np.float64)
-    return x * (keep / (1.0 - p))
+    return _dropout(x, p, training, rng, x.shape[:-2] + (1, x.shape[-1]))
 
 
 def dropout(
     x: Tensor, p: float, *, training: bool, rng: np.random.Generator | None = None
 ) -> Tensor:
     """Plain elementwise inverted dropout (used before fusion heads)."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    if rng is None:
-        raise ConfigurationError("train-mode dropout requires an explicit rng")
-    keep = (rng.random(x.shape) >= p).astype(np.float64)
-    return x * (keep / (1.0 - p))
+    return _dropout(x, p, training, rng, x.shape)
 
 
 # -- batch normalization ---------------------------------------------------------

@@ -11,6 +11,13 @@ count, so the empirical prevalence matches the configured one.
 
 With signal_strength 0 the tables contain no class signal at all and
 any model trained on them scores chance AUROC.
+
+`SynthConfig` holds the six settable knobs: n_subjects, extra_stay_rate,
+prevalence, signal_strength, notes_per_stay_mean and note_tokens_mean.
+The generator's other rates are module constants: NOTE_WEIGHT,
+TS_WEIGHT, LABEL_NOISE, HOURS, REVEAL_BY, EARLY_EXPRESSION, OBS_RATE,
+TS_NOISE, MISSING_TIME_RATE, DUPLICATE_RATE, ERROR_RATE, EXCLUSION_RATE,
+POSTDISCHARGE_DEATH_RATE and BASE_YEAR.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from .cohort import TS_INDEX, TS_NORMALS, TS_SCALES, TS_VARIABLES, Admission, IcuStay
 from .errors import ConfigurationError
+from .ndcore.tensor import _sigmoid
 from .notesproc import RawNote, write_notes_csv
 from .cohort import write_admissions_csv, write_icustays_csv, write_timeseries_csv
 
@@ -73,31 +81,33 @@ TS_TRENDS = {
 }
 
 
+NOTE_WEIGHT = 1.0  # weight of the note factor in the label's risk score
+TS_WEIGHT = 0.45  # weight of the time-series factor
+LABEL_NOISE = 0.35  # std of the noise added to the risk score
+HOURS = 48  # hours of notes and time series per stay: the longest cli.WINDOWS window
+# hour at which a stay's condition starts showing in the notes is
+# uniform on [1, REVEAL_BY]; earlier notes only hint at it. Longer
+# observation windows therefore capture strictly more signal.
+REVEAL_BY = 40.0
+EARLY_EXPRESSION = 0.2  # share of the signal a note shows before the reveal hour
+OBS_RATE = 0.75  # chance that a variable is observed in a given hour
+TS_NOISE = 1.25  # observation noise, in units of the variable's scale
+MISSING_TIME_RATE = 0.08  # chance that a note after the first has no chart time
+DUPLICATE_RATE = 0.02  # chance that a note is re-emitted under a new row id
+ERROR_RATE = 0.01  # chance that a note is followed by a voided entry
+EXCLUSION_RATE = 0.04  # chance that a stay breaks one cohort criterion
+POSTDISCHARGE_DEATH_RATE = 0.03  # chance that a survivor dies after discharge
+BASE_YEAR = 2100
+
+
 @dataclass
 class SynthConfig:
     n_subjects: int = 400
     extra_stay_rate: float = 0.15
     prevalence: float = 0.15
     signal_strength: float = 1.0
-    note_weight: float = 1.0
-    ts_weight: float = 0.45
-    label_noise: float = 0.35
     notes_per_stay_mean: float = 4.0
     note_tokens_mean: int = 40
-    max_window: int = 48
-    # hour at which a stay's condition starts showing in the notes is
-    # uniform on [1, reveal_by]; earlier notes only hint at it. Longer
-    # observation windows therefore capture strictly more signal.
-    reveal_by: float = 40.0
-    early_expression: float = 0.2
-    obs_rate: float = 0.75
-    ts_noise: float = 1.25
-    missing_time_rate: float = 0.08
-    duplicate_rate: float = 0.02
-    error_rate: float = 0.01
-    exclusion_rate: float = 0.04
-    postdischarge_death_rate: float = 0.03
-    base_year: int = 2100
 
     def validate(self) -> None:
         if not 0.0 < self.prevalence < 1.0:
@@ -108,8 +118,18 @@ class SynthConfig:
             raise ConfigurationError("n_subjects must be positive")
         if self.signal_strength < 0:
             raise ConfigurationError("signal_strength must be >= 0")
-        if self.max_window < 12:
-            raise ConfigurationError("max_window must cover at least 12 hours")
+        if not 0.0 <= self.extra_stay_rate <= 1.0:
+            raise ConfigurationError(
+                f"extra_stay_rate must be in [0, 1], got {self.extra_stay_rate}"
+            )
+        if self.notes_per_stay_mean < 1:
+            raise ConfigurationError(
+                f"notes_per_stay_mean must be >= 1, got {self.notes_per_stay_mean}"
+            )
+        if self.note_tokens_mean < 1:
+            raise ConfigurationError(
+                f"note_tokens_mean must be >= 1, got {self.note_tokens_mean}"
+            )
 
 
 @dataclass
@@ -135,10 +155,6 @@ class SyntheticTables:
         return paths
 
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 @dataclass
 class _Stay:
     hadm_id: int
@@ -155,7 +171,7 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
     rng = np.random.default_rng(seed)
     stays: list[_Stay] = []
     hadm_id = 10_000
-    base = datetime(config.base_year, 1, 1)
+    base = datetime(BASE_YEAR, 1, 1)
 
     violations = ["age", "multi_icu", "transfer", "early_death"]
     for subject in range(1, config.n_subjects + 1):
@@ -165,7 +181,7 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
         for stay_idx in range(n_stays):
             hadm_id += 1
             planted = None
-            if rng.random() < config.exclusion_rate:
+            if rng.random() < EXCLUSION_RATE:
                 planted = violations[int(rng.integers(len(violations)))]
             intime = base + timedelta(
                 days=float(rng.uniform(0, 3000)) + 400.0 * stay_idx,
@@ -186,9 +202,9 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
     eligible = [s for s in stays if s.planted_violation is None]
     risk = np.array(
         [
-            config.note_weight * s.x_note
-            + config.ts_weight * s.x_ts
-            + config.label_noise * rng.standard_normal()
+            NOTE_WEIGHT * s.x_note
+            + TS_WEIGHT * s.x_ts
+            + LABEL_NOISE * rng.standard_normal()
             for s in eligible
         ]
     )
@@ -214,7 +230,7 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
             death = stay.intime + timedelta(
                 hours=72.0 + float(rng.uniform(4.0, los_hours - 74.0))
             )
-        elif rng.random() < config.postdischarge_death_rate:
+        elif rng.random() < POSTDISCHARGE_DEATH_RATE:
             death = discharge + timedelta(hours=float(rng.uniform(48.0, 2000.0)))
 
         care_units = ["MICU"]
@@ -264,7 +280,7 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
     # duplicates: re-emit a copy of some notes under a new row id
     originals = [n for n in notes if not n.is_error]
     for note in originals:
-        if rng.random() < config.duplicate_rate:
+        if rng.random() < DUPLICATE_RATE:
             dup = RawNote(**{**note.__dict__})
             dup.row_id = row_id
             row_id += 1
@@ -280,21 +296,21 @@ def hadm_to_icustay(hadm_id: int) -> int:
 def _emit_notes(config, rng, stay, positive, discharge, notes, row_id) -> int:
     """Model-corpus notes plus one discharge summary for the stay."""
     intensity = _sigmoid(2.0 * stay.x_note)
-    reveal_hour = float(rng.uniform(1.0, config.reveal_by))
-    n_notes = 1 + int(rng.poisson(max(config.notes_per_stay_mean - 1.0, 0.0)))
+    reveal_hour = float(rng.uniform(1.0, REVEAL_BY))
+    n_notes = 1 + int(rng.poisson(config.notes_per_stay_mean - 1.0))
     offsets = [float(rng.uniform(0.3, 9.5))]
     offsets += [
-        float(rng.uniform(0.0, config.max_window - 0.1)) for _ in range(n_notes - 1)
+        float(rng.uniform(0.0, HOURS - 0.1)) for _ in range(n_notes - 1)
     ]
     for note_idx, offset in enumerate(offsets):
         charted = stay.intime + timedelta(hours=offset)
-        ramp = 0.2 + 0.8 * (offset / config.max_window)
-        expressed = 1.0 if offset >= reveal_hour else config.early_expression
+        ramp = 0.2 + 0.8 * (offset / HOURS)
+        expressed = 1.0 if offset >= reveal_hour else EARLY_EXPRESSION
         lean = 2.0 * (intensity - 0.5)  # -1 recovering .. +1 deteriorating
         p_risk = config.signal_strength * 0.40 * ramp * expressed * max(lean, 0.0)
         p_calm = config.signal_strength * 0.40 * ramp * expressed * max(-lean, 0.0)
         text = _note_text(config, rng, p_risk, p_calm)
-        missing_time = note_idx > 0 and rng.random() < config.missing_time_rate
+        missing_time = note_idx > 0 and rng.random() < MISSING_TIME_RATE
         notes.append(
             RawNote(
                 row_id=row_id,
@@ -308,7 +324,7 @@ def _emit_notes(config, rng, stay, positive, discharge, notes, row_id) -> int:
             )
         )
         row_id += 1
-        if rng.random() < config.error_rate:
+        if rng.random() < ERROR_RATE:
             notes.append(
                 RawNote(
                     row_id=row_id,
@@ -357,7 +373,7 @@ def _note_text(config, rng, p_risk: float, p_calm: float) -> str:
     opener = ""
     u = rng.random()
     if u < 0.25:
-        opener = f"seen at [**Hospital1 {int(rng.integers(1, 99))}**] on [**{config.base_year}-{int(rng.integers(1, 13))}-{int(rng.integers(1, 28))}**]. "
+        opener = f"seen at [**Hospital1 {int(rng.integers(1, 99))}**] on [**{BASE_YEAR}-{int(rng.integers(1, 13))}-{int(rng.integers(1, 28))}**]. "
     elif u < 0.35:
         opener = f"[**Known lastname {int(rng.integers(100, 999))}**] reviewed. "
     elif u < 0.42:
@@ -375,17 +391,17 @@ def _emit_timeseries(config, rng, stay, ts_rows) -> None:
     for name, normal, scale in TS_VARIABLES:
         trend = TS_TRENDS[name] * config.signal_strength * intensity
         if name in ("height", "weight"):
-            value = normal + scale * config.ts_noise * float(rng.standard_normal())
+            value = normal + scale * TS_NOISE * float(rng.standard_normal())
             ts_rows.append((stay.hadm_id, 0.0, name, value))
             continue
-        for hour in range(config.max_window):
+        for hour in range(HOURS):
             forced = name == "heart_rate" and hour == 0
-            if not forced and rng.random() >= config.obs_rate:
+            if not forced and rng.random() >= OBS_RATE:
                 continue
-            ramp = hour / config.max_window
+            ramp = hour / HOURS
             value = (
                 normal
-                + scale * config.ts_noise * float(rng.standard_normal())
+                + scale * TS_NOISE * float(rng.standard_normal())
                 + trend * ramp
             )
             ts_rows.append(

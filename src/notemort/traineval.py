@@ -44,6 +44,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigurationError("need at least one epoch")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
         if self.hcr_batch_size < 1 or self.cts_batch_size < 1:
             raise ConfigurationError("batch sizes must be >= 1")
         if list(self.lr_drop_epochs) != sorted(set(self.lr_drop_epochs)):

@@ -68,6 +68,14 @@ class TestConfigParsing:
         config = parse_config("# comment only\n\nseed = 3  # trailing\n")
         assert config.seed == 3
 
+    def test_readme_config_example_parses_and_validates(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```ini\n")[1:]
+        assert len(blocks) == 1
+        config = parse_config(blocks[0].split("```", 1)[0])
+        config.validate()
+        assert config.synth.n_subjects == 400 and config.model_cfg.cts_hidden == (16, 8)
+
     def test_render_parse_round_trip(self):
         config = parse_config(SMALL_CONFIG)
         again = parse_config(render_config(config))
@@ -504,6 +512,20 @@ def test_malformed_artifact_is_a_data_error(
     ("embed.lr", -5, "embed"),
     ("embed.lr", "nan", "embed"),
     ("train.k", 2, "cohort"),
+    ("model.cts_hidden", 16, "train"),
+    ("model.cts_hidden", "16,8,4", "train"),
+    ("model.conv_decay", -0.5, "train"),
+    ("model.cts_decay", -0.5, "train"),
+    ("model.bn_eps", 0, "train"),
+    ("model.bn_momentum", 1.5, "train"),
+    ("model.bn_momentum", -0.5, "train"),
+    ("train.lr", -0.5, "train"),
+    ("train.lr", 0, "train"),
+    ("train.lr", "inf", "train"),
+    ("synth.note_tokens_mean", -3, "synth"),
+    ("synth.notes_per_stay_mean", 0.5, "synth"),
+    ("synth.extra_stay_rate", 1.5, "synth"),
+    ("synth.extra_stay_rate", -0.5, "synth"),
 ])
 def test_out_of_range_config_value_exits_2(work, tmp_path, capsys, key, value, stage):
     _, copy = copy_run(work, tmp_path)
@@ -596,7 +618,8 @@ def test_invalid_prevalence_exit_code_and_message(tmp_path, capsys):
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     config = tmp_path / "c.cfg"
-    for line, name in (("synth.wizardry = 9", "wizardry"), ("embed.subword = true", "subword")):
+    for line, name in (("synth.wizardry = 9", "wizardry"), ("embed.subword = true", "subword"),
+                       ("synth.obs_rate = 0.5", "obs_rate")):
         config.write_text(line + "\n")
         assert main(["--config", str(config), "synth"]) == 2
         assert name in capsys.readouterr().err
