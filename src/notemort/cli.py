@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cohort, models, notesproc, pipeline, traineval
-from .embed import EmbeddingMatrix, Vocabulary, load_embeddings, save_embeddings, train_skipgram
+from .embed import load_embeddings, read_vocab, save_embeddings, train_skipgram, write_vocab
 from .errors import ConfigurationError, DataError, MissingArtifactError
-from .ndcore import load_checkpoint, save_checkpoint
+from .ndcore import save_checkpoint
 from .synth import SynthConfig, generate_synthetic
 
 WINDOWS = (12, 24, 48)
@@ -35,10 +35,8 @@ class EmbedConfig:
     dim: int = 200
     window: int = 6
     epochs: int = 100
-    negatives: int = 5
     lr: float = 0.3
     min_count: int = 20
-    batch_pairs: int = 256
 
 
 @dataclass
@@ -62,6 +60,8 @@ class RunConfig:
             )
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         self.model_cfg.validate()
         self.train_cfg.validate()
         self.synth.validate()
@@ -70,33 +70,34 @@ class RunConfig:
         return hashlib.sha256(render_config(self).encode("utf-8")).hexdigest()[:16]
 
 
-_GROUPS = {
-    "synth": SynthConfig,
-    "embed": EmbedConfig,
-    "model": models.ModelConfig,
-    "train": traineval.TrainConfig,
-}
-_GROUP_ATTR = {"synth": "synth", "embed": "embed", "model": "model_cfg", "train": "train_cfg"}
-_TOP_KEYS = {"work_dir": str, "seed": int, "window": int, "model": str, "jobs": int}
+# key prefix -> the RunConfig field holding that group; keys without a
+# prefix are RunConfig's own fields
+_GROUPS = {"synth": "synth", "embed": "embed", "model": "model_cfg", "train": "train_cfg"}
 
 
-def _parse_typed(key: str, raw: str, ftype) -> object:
-    raw = raw.strip()
+def _settings(config: RunConfig) -> dict[str, object]:
+    """Every settable value of config by its key, in rendering order."""
+    values = {
+        f.name: getattr(config, f.name) for f in fields(config) if f.name not in _GROUPS.values()
+    }
+    for prefix, attr in _GROUPS.items():
+        group = getattr(config, attr)
+        values.update((f"{prefix}.{f.name}", getattr(group, f.name)) for f in fields(group))
+    return values
+
+
+def _parse_value(key: str, raw: str, default: object) -> object:
+    """raw as the type of the key's default; int tuples are comma-separated."""
     try:
-        if ftype is bool:
+        if isinstance(default, bool):
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if ftype is int:
-            return int(raw)
-        if ftype is float:
-            return float(raw)
-        if ftype is str:
-            return raw
-        # tuple[int, ...] fields are comma-separated
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+        if isinstance(default, tuple):
+            return tuple(int(part) for part in raw.split(",") if part.strip())
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigurationError(f"config key {key}: cannot parse {raw!r}") from exc
 
@@ -104,8 +105,9 @@ def _parse_typed(key: str, raw: str, ftype) -> object:
 def parse_config(text: str) -> RunConfig:
     """Flat `key = value` lines; `#` starts a comment; unknown keys are
     rejected. Group keys use dots, e.g. `train.epochs = 30`."""
-    config = RunConfig()
-    overrides: dict[str, dict[str, object]] = {g: {} for g in _GROUPS}
+    base = RunConfig()
+    defaults = _settings(base)
+    values: dict[str, dict[str, object]] = {prefix: {} for prefix in ("", *_GROUPS)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -113,41 +115,22 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigurationError(f"config line {lineno}: expected key = value")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if "." in key:
-            group, field_name = key.split(".", 1)
-            if group not in _GROUPS:
-                raise ConfigurationError(f"config line {lineno}: unknown group {group!r}")
-            group_fields = {f.name: f for f in fields(_GROUPS[group])}
-            if field_name not in group_fields:
-                raise ConfigurationError(
-                    f"config line {lineno}: unknown key {key!r}"
-                )
-            ftype = group_fields[field_name].type
-            ftype = {"int": int, "float": float, "bool": bool, "str": str}.get(ftype, ftype)
-            if isinstance(ftype, str):
-                ftype = tuple  # remaining annotated types are int tuples
-            overrides[group][field_name] = _parse_typed(key, raw, ftype)
-        elif key in _TOP_KEYS:
-            setattr(config, key, _parse_typed(key, raw, _TOP_KEYS[key]))
-        else:
+        if key not in defaults:
             raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
-    for group, values in overrides.items():
-        if values:
-            attr = _GROUP_ATTR[group]
-            current = getattr(config, attr)
-            setattr(config, attr, replace(current, **values))
-    return config
+        prefix, _, name = key.rpartition(".")
+        values[prefix][name] = _parse_value(key, raw, defaults[key])
+    groups = {
+        attr: replace(getattr(base, attr), **values[prefix]) for prefix, attr in _GROUPS.items()
+    }
+    return replace(base, **values[""], **groups)
 
 
 def render_config(config: RunConfig) -> str:
-    lines = [f"{key} = {getattr(config, key)}" for key in _TOP_KEYS]
-    for group, attr in _GROUP_ATTR.items():
-        obj = getattr(config, attr)
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{group}.{f.name} = {value}")
+    lines = []
+    for key, value in _settings(config).items():
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -226,9 +209,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     out = work / "prep"
     out.mkdir(parents=True, exist_ok=True)
     vocab_path = out / "vocab.txt"
-    with open(vocab_path, "w", encoding="utf-8") as handle:
-        for idx, token in enumerate(prep.vocab.id_to_token):
-            handle.write(f"{token}\t{idx}\t{prep.vocab.frequencies[idx]}\n")
+    write_vocab(vocab_path, prep.vocab)
     clean_path = out / "clean_notes.jsonl"
     notesproc.write_clean_notes(clean_path, prep.model_notes)
     corpus_path = out / "embed_corpus.jsonl"
@@ -244,23 +225,6 @@ def cmd_preprocess(config: RunConfig) -> int:
     return 0
 
 
-def read_vocab(path) -> Vocabulary:
-    id_to_token: list[str] = []
-    frequencies: list[int] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                token, idx, freq = line.rstrip("\n").split("\t")
-                if int(idx) != len(id_to_token):
-                    raise ValueError("vocabulary ids are not contiguous")
-                frequencies.append(int(freq))
-                id_to_token.append(token)
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc} (line {lineno})") from exc
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token) if i != 0}
-    return Vocabulary(token_to_id, id_to_token, frequencies)
-
-
 def cmd_embed(config: RunConfig) -> int:
     work = Path(config.work_dir)
     inputs = require_stage(work, "preprocess", ["prep/vocab.txt", "prep/embed_corpus.jsonl"])
@@ -269,9 +233,7 @@ def cmd_embed(config: RunConfig) -> int:
     ecfg = config.embed
     result = train_skipgram(
         corpus, vocab,
-        dim=ecfg.dim, window=ecfg.window, epochs=ecfg.epochs,
-        negatives=ecfg.negatives, lr=ecfg.lr, seed=config.seed,
-        batch_pairs=ecfg.batch_pairs,
+        dim=ecfg.dim, window=ecfg.window, epochs=ecfg.epochs, lr=ecfg.lr, seed=config.seed,
     )
     out = work / "embeddings"
     out.mkdir(parents=True, exist_ok=True)

@@ -23,9 +23,15 @@ PAD_TOKEN = "<pad>"
 
 @dataclass
 class Vocabulary:
-    token_to_id: dict[str, int]
+    """Word id i is id_to_token[i]. Id PAD_ID is the pad: it has a row
+    but no token maps to it."""
+
     id_to_token: list[str]
     frequencies: list[int]
+    token_to_id: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token) if i != PAD_ID}
 
     @property
     def size(self) -> int:
@@ -77,10 +83,7 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_count: int = 20) -> Vocabul
         ((tok, n) for tok, n in counts.items() if n > min_count),
         key=lambda item: (-item[1], item[0]),
     )
-    id_to_token = [PAD_TOKEN] + [tok for tok, _ in kept]
-    frequencies = [0] + [n for _, n in kept]
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token) if i != PAD_ID}
-    return Vocabulary(token_to_id, id_to_token, frequencies)
+    return Vocabulary([PAD_TOKEN] + [tok for tok, _ in kept], [0] + [n for _, n in kept])
 
 
 # -- skip-gram training -------------------------------------------------------------
@@ -282,7 +285,32 @@ def _scatter_sub(matrix, rows, grads, step, work) -> None:
     matrix[touched] = np.subtract(current, sums, out=current)
 
 
-# -- embedding file format ---------------------------------------------------------------
+# -- vocabulary and embedding file formats -----------------------------------------------
+
+
+def write_vocab(path, vocab: Vocabulary) -> None:
+    """Text format: one `token<TAB>id<TAB>frequency` line per id, in id order."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for idx, token in enumerate(vocab.id_to_token):
+            handle.write(f"{token}\t{idx}\t{vocab.frequencies[idx]}\n")
+
+
+def read_vocab(path) -> Vocabulary:
+    """The file `write_vocab` writes; a malformed line is a DataError
+    naming the file and the line."""
+    id_to_token: list[str] = []
+    frequencies: list[int] = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                token, idx, freq = line.rstrip("\n").split("\t")
+                if int(idx) != len(id_to_token):
+                    raise ValueError("vocabulary ids are not contiguous")
+                frequencies.append(int(freq))
+                id_to_token.append(token)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc} (line {lineno})") from exc
+    return Vocabulary(id_to_token, frequencies)
 
 
 def save_embeddings(path, vocab: Vocabulary, emb: EmbeddingMatrix) -> None:

@@ -48,6 +48,11 @@ MM_HCR = "mm-hcr"
 # kind -> branches it has; every per-kind structural choice reads this table
 BRANCHES = {NOTES_HCR: ("notes",), CTS_RNN: ("cts",), MM_HCR: ("notes", "cts")}
 MODEL_KINDS = tuple(BRANCHES)
+# the paper's fixed structure: conv kernel width, dropout before the head
+# and the batch-norm variance floor
+KERNEL_SIZE = 3
+FUSION_DROPOUT = 0.3
+BN_EPS = 1e-5
 
 
 def branches(kind: str) -> tuple[str, ...]:
@@ -63,16 +68,13 @@ class ModelConfig:
     embed_dim: int = 200
     conv_blocks: int = 3
     filters: int = 200
-    kernel_size: int = 3
     spatial_dropout: float = 0.5
     conv_decay: float = 1e-5
     temporal_hidden: int = 64
     cts_features: int = N_TS_VARIABLES
     cts_hidden: tuple[int, int] = (32, 16)
     cts_decay: float = 1e-3
-    fusion_dropout: float = 0.3
     train_embeddings: bool = False
-    bn_eps: float = 1e-5
     bn_momentum: float = 0.99
 
     def validate(self) -> None:
@@ -83,8 +85,7 @@ class ModelConfig:
             )
         extents = (
             self.note_len, self.embed_dim, self.conv_blocks, self.filters,
-            self.kernel_size, self.temporal_hidden, self.cts_features,
-            *self.cts_hidden,
+            self.temporal_hidden, self.cts_features, *self.cts_hidden,
         )
         if any(e < 1 for e in extents):
             raise ConfigurationError("all model extents must be positive")
@@ -93,15 +94,12 @@ class ModelConfig:
             raise ConfigurationError(f"conv_decay must be >= 0, got {self.conv_decay}")
         if not self.cts_decay >= 0.0:
             raise ConfigurationError(f"cts_decay must be >= 0, got {self.cts_decay}")
-        if not self.bn_eps > 0.0:
-            raise ConfigurationError(f"bn_eps must be > 0, got {self.bn_eps}")
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ConfigurationError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
-        for p in (self.spatial_dropout, self.fusion_dropout):
-            if not 0.0 <= p < 1.0:
-                raise ConfigurationError(f"dropout probability {p} outside [0, 1)")
-        if self.kernel_size % 2 == 0:
-            raise ConfigurationError("kernel size must be odd for same padding")
+        if not 0.0 <= self.spatial_dropout < 1.0:
+            raise ConfigurationError(
+                f"spatial_dropout must be in [0, 1), got {self.spatial_dropout}"
+            )
 
     def hash(self) -> str:
         text = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -164,7 +162,7 @@ def _init_bn(channels: int, cfg: ModelConfig) -> BatchNormParams:
         beta=parameter(np.zeros(channels)),
         running_mean=np.zeros(channels),
         running_var=np.ones(channels),
-        eps=cfg.bn_eps,
+        eps=BN_EPS,
         momentum=cfg.bn_momentum,
     )
 
@@ -190,7 +188,7 @@ def _init_bigru(rng, dim_in: int, hidden: int) -> BiGruParams:
 def _init_block(rng, c_in: int, cfg: ModelConfig) -> ConvBlockParams:
     # the shortcut draws before the conv: the stream older weights came from
     shortcut = _init_conv(rng, 1, c_in, cfg.filters) if c_in != cfg.filters else None
-    conv = _init_conv(rng, cfg.kernel_size, c_in, cfg.filters)
+    conv = _init_conv(rng, KERNEL_SIZE, c_in, cfg.filters)
     return ConvBlockParams(conv, shortcut, _init_bn(cfg.filters, cfg))
 
 
@@ -372,7 +370,7 @@ def forward(
         features.append(cts_forward(values, obs_masks, model.cts, cfg))
     x = concat(features, axis=-1) if len(features) > 1 else features[0]
     if model.cts is not None:
-        x = dropout(x, cfg.fusion_dropout, training=training, rng=rng)
+        x = dropout(x, FUSION_DROPOUT, training=training, rng=rng)
     return dense_sigmoid(x, model.head)
 
 

@@ -22,6 +22,7 @@ POSTDISCHARGE_DEATH_RATE and BASE_YEAR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -110,21 +111,24 @@ class SynthConfig:
     note_tokens_mean: int = 40
 
     def validate(self) -> None:
+        # the range checks are written as `not (ok)` so that a NaN fails them
         if not 0.0 < self.prevalence < 1.0:
             raise ConfigurationError(
                 f"prevalence must be inside (0, 1), got {self.prevalence}"
             )
         if self.n_subjects < 1:
             raise ConfigurationError("n_subjects must be positive")
-        if self.signal_strength < 0:
-            raise ConfigurationError("signal_strength must be >= 0")
+        if not (math.isfinite(self.signal_strength) and self.signal_strength >= 0):
+            raise ConfigurationError(
+                f"signal_strength must be finite and >= 0, got {self.signal_strength}"
+            )
         if not 0.0 <= self.extra_stay_rate <= 1.0:
             raise ConfigurationError(
                 f"extra_stay_rate must be in [0, 1], got {self.extra_stay_rate}"
             )
-        if self.notes_per_stay_mean < 1:
+        if not (math.isfinite(self.notes_per_stay_mean) and self.notes_per_stay_mean >= 1):
             raise ConfigurationError(
-                f"notes_per_stay_mean must be >= 1, got {self.notes_per_stay_mean}"
+                f"notes_per_stay_mean must be finite and >= 1, got {self.notes_per_stay_mean}"
             )
         if self.note_tokens_mean < 1:
             raise ConfigurationError(

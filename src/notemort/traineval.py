@@ -29,6 +29,9 @@ from .errors import ConfigurationError, DataError
 from .ndcore import AmsGrad, Tensor, backward, l2_penalty, no_grad
 from .notesproc import PAD_ID
 
+# epochs at which the note models' learning rate drops tenfold
+LR_DROP_EPOCHS = (10, 50, 90)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -36,7 +39,6 @@ class TrainConfig:
     hcr_batch_size: int = 16
     cts_batch_size: int = 64
     lr: float = 1e-3
-    lr_drop_epochs: tuple[int, ...] = (10, 50, 90)
     early_stop_patience: int = 10
     k: int = 5
     seed: int = 0
@@ -48,21 +50,21 @@ class TrainConfig:
             raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
         if self.hcr_batch_size < 1 or self.cts_batch_size < 1:
             raise ConfigurationError("batch sizes must be >= 1")
-        if list(self.lr_drop_epochs) != sorted(set(self.lr_drop_epochs)):
-            raise ConfigurationError("lr schedule epochs must be strictly increasing")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def batch_size(self, kind: str) -> int:
         return self.cts_batch_size if kind == models.CTS_RNN else self.hcr_batch_size
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int, kind: str) -> float:
-    """Initial rate divided by 10 at each scheduled epoch; the schedule
+    """Initial rate divided by 10 at each of LR_DROP_EPOCHS; the schedule
     applies to the note models only, CTS-RNN trains at a constant rate."""
     if epoch < 1:
         raise ConfigurationError("epochs are 1-based")
     if kind == models.CTS_RNN:
         return config.lr
-    drops = sum(1 for e in config.lr_drop_epochs if epoch >= e)
+    drops = sum(1 for e in LR_DROP_EPOCHS if epoch >= e)
     return config.lr / (10.0 ** drops)
 
 

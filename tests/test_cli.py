@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from notemort import cli, cohort, models, notesproc, pipeline
+from notemort import cli, cohort, models, notesproc, pipeline, traineval
 from notemort.cli import main, parse_config, render_config
 from notemort.errors import ConfigurationError
+from notemort.synth import SynthConfig
 
 from oracles import auprc_sweep, auroc_pairwise
 
@@ -81,6 +82,28 @@ class TestConfigParsing:
         again = parse_config(render_config(config))
         assert render_config(again) == render_config(config)
         assert config.hash() == again.hash()
+
+    def test_every_key_round_trips_at_a_non_default_value(self):
+        config = cli.RunConfig(
+            work_dir="runs/other", seed=5, window=48, model=models.MM_HCR, jobs=2,
+            synth=SynthConfig(
+                n_subjects=9, extra_stay_rate=0.5, prevalence=0.3,
+                signal_strength=0.1 + 0.2, notes_per_stay_mean=2.5, note_tokens_mean=7,
+            ),
+            embed=cli.EmbedConfig(dim=8, window=2, epochs=3, lr=0.125, min_count=4),
+            model_cfg=models.ModelConfig(
+                note_len=16, embed_dim=8, conv_blocks=2, filters=4, spatial_dropout=0.25,
+                conv_decay=1e-4, temporal_hidden=5, cts_features=6, cts_hidden=(5, 3),
+                cts_decay=0.0, train_embeddings=True, bn_momentum=0.9,
+            ),
+            train_cfg=traineval.TrainConfig(
+                epochs=3, hcr_batch_size=4, cts_batch_size=8, lr=2.5e-4,
+                early_stop_patience=2, k=3, seed=11,
+            ),
+        )
+        text = render_config(config)
+        assert set(render_config(cli.RunConfig()).splitlines()).isdisjoint(text.splitlines())
+        assert parse_config(text) == config
 
 
 @pytest.fixture(scope="module")
@@ -507,7 +530,6 @@ def test_malformed_artifact_is_a_data_error(
     ("embed.window", 0, "embed"),
     ("embed.epochs", 0, "embed"),
     ("embed.dim", 0, "embed"),
-    ("embed.negatives", 0, "embed"),
     ("embed.lr", 0, "embed"),
     ("embed.lr", -5, "embed"),
     ("embed.lr", "nan", "embed"),
@@ -516,14 +538,18 @@ def test_malformed_artifact_is_a_data_error(
     ("model.cts_hidden", "16,8,4", "train"),
     ("model.conv_decay", -0.5, "train"),
     ("model.cts_decay", -0.5, "train"),
-    ("model.bn_eps", 0, "train"),
     ("model.bn_momentum", 1.5, "train"),
     ("model.bn_momentum", -0.5, "train"),
     ("train.lr", -0.5, "train"),
     ("train.lr", 0, "train"),
     ("train.lr", "inf", "train"),
+    ("train.seed", -3, "synth"),
     ("synth.note_tokens_mean", -3, "synth"),
     ("synth.notes_per_stay_mean", 0.5, "synth"),
+    ("synth.notes_per_stay_mean", "nan", "synth"),
+    ("synth.notes_per_stay_mean", "inf", "synth"),
+    ("synth.signal_strength", "nan", "synth"),
+    ("synth.signal_strength", "inf", "synth"),
     ("synth.extra_stay_rate", 1.5, "synth"),
     ("synth.extra_stay_rate", -0.5, "synth"),
 ])
@@ -537,6 +563,19 @@ def test_out_of_range_config_value_exits_2(work, tmp_path, capsys, key, value, s
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert f"{key.split('.')[1]} " in err and f"got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "config_line,flags", [("seed = -1", []), ("", ["--seed", "-1"])], ids=["config", "flag"]
+)
+def test_negative_seed_exits_2(tmp_path, capsys, config_line, flags):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{config_line}\nwork_dir = {tmp_path / 'w'}\n")
+
+    assert main(["--config", str(config), *flags, "synth"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "seed must be >= 0, got -1" in err
 
 
 def test_diverging_skipgram_exits_4_without_writing_vectors(work, tmp_path, capsys):
@@ -618,11 +657,15 @@ def test_invalid_prevalence_exit_code_and_message(tmp_path, capsys):
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     config = tmp_path / "c.cfg"
-    for line, name in (("synth.wizardry = 9", "wizardry"), ("embed.subword = true", "subword"),
-                       ("synth.obs_rate = 0.5", "obs_rate")):
-        config.write_text(line + "\n")
+    for key, value in (
+        ("synth.wizardry", "9"), ("embed.subword", "true"), ("synth.obs_rate", "0.5"),
+        ("model.kernel_size", "3"), ("model.fusion_dropout", "0.3"), ("model.bn_eps", "1e-5"),
+        ("train.lr_drop_epochs", "10,50,90"), ("embed.negatives", "5"),
+        ("embed.batch_pairs", "256"),
+    ):
+        config.write_text(f"{key} = {value}\n")
         assert main(["--config", str(config), "synth"]) == 2
-        assert name in capsys.readouterr().err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_data_error_exit_code(tmp_path):

@@ -15,8 +15,10 @@ from notemort.embed import (
     _Workspace,
     build_vocab,
     load_embeddings,
+    read_vocab,
     save_embeddings,
     train_skipgram,
+    write_vocab,
 )
 from notemort.models import lookup_note_embeddings
 from notemort.notesproc import OOV_ID, PAD_ID
@@ -334,6 +336,15 @@ def test_embedding_file_round_trip(tmp_path):
     tokens, loaded = load_embeddings(path)
     assert tokens == vocab.id_to_token
     np.testing.assert_array_equal(loaded.vectors, result.embeddings.vectors)
+
+
+def test_vocabulary_file_round_trip(tmp_path):
+    vocab = build_vocab(corpus_with_counts({"beta": 30, "alpha": 30, "zeta": 40}), min_count=20)
+    path = tmp_path / "vocab.txt"
+    write_vocab(path, vocab)
+    assert path.read_text() == "<pad>\t0\t0\nzeta\t1\t40\nalpha\t2\t30\nbeta\t3\t30\n"
+    loaded = read_vocab(path)
+    assert loaded == vocab and PAD_ID not in loaded.token_to_id.values()
 
 
 def test_embedding_loader_validates_dimensions(tmp_path):

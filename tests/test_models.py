@@ -29,7 +29,7 @@ from notemort.cohort import N_TS_VARIABLES, standardize_values
 from oracles import finite_diff_grad, max_rel_err
 
 TOY = ModelConfig(
-    note_len=8, embed_dim=4, conv_blocks=3, filters=2, kernel_size=3,
+    note_len=8, embed_dim=4, conv_blocks=3, filters=2,
     spatial_dropout=0.0, temporal_hidden=3, cts_features=3, cts_hidden=(3, 2),
 )
 # stay-level tests consume full time series, which always carry every
@@ -94,7 +94,7 @@ def notes_hcr_count(cfg: ModelConfig) -> int:
     count = 0
     c_in = cfg.embed_dim
     for _ in range(cfg.conv_blocks):
-        count += cfg.kernel_size * c_in * cfg.filters + cfg.filters
+        count += models.KERNEL_SIZE * c_in * cfg.filters + cfg.filters
         if c_in != cfg.filters:
             count += 1 * c_in * cfg.filters + cfg.filters
         count += 2 * cfg.filters
@@ -253,7 +253,7 @@ def test_shared_weights_accumulate_gradients_across_notes():
 def test_eval_mode_is_deterministic():
     cfg = ModelConfig(
         note_len=8, embed_dim=4, conv_blocks=2, filters=3,
-        spatial_dropout=0.5, fusion_dropout=0.3,
+        spatial_dropout=0.5,
         temporal_hidden=3, cts_features=N_TS_VARIABLES, cts_hidden=(3, 2),
     )
     emb = toy_embeddings()
