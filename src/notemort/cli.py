@@ -89,12 +89,6 @@ def _settings(config: RunConfig) -> dict[str, object]:
 def _parse_value(key: str, raw: str, default: object) -> object:
     """raw as the type of the key's default; int tuples are comma-separated."""
     try:
-        if isinstance(default, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if isinstance(default, tuple):
             return tuple(int(part) for part in raw.split(",") if part.strip())
         return type(default)(raw)

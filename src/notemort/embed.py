@@ -51,7 +51,8 @@ class Vocabulary:
 
 @dataclass
 class EmbeddingMatrix:
-    """|V| x d input vectors; row PAD_ID is the zero vector."""
+    """|V| x d input vectors. Row PAD_ID must be the zero vector, a
+    DataError otherwise: the note lookup reads it for PAD and OOV ids."""
 
     vectors: np.ndarray
 
@@ -59,6 +60,9 @@ class EmbeddingMatrix:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ConfigurationError("embedding matrix must be 2-D")
+        # sliced, so that a matrix with no rows passes instead of raising IndexError
+        if self.vectors[PAD_ID:PAD_ID + 1].any():
+            raise DataError(f"row {PAD_ID} is the pad row and must be zero")
 
     @property
     def dim(self) -> int:
@@ -72,6 +76,8 @@ class EmbeddingMatrix:
 def build_vocab(corpus: Iterable[Sequence[str]], min_count: int = 20) -> Vocabulary:
     """Count tokens over the corpus, keep strictly more frequent than
     min_count, and assign ids by descending frequency then token text."""
+    if min_count < 0:
+        raise ConfigurationError(f"min_count must be >= 0, got {min_count}")
     counts: Counter[str] = Counter()
     empty = True
     for tokens in corpus:
@@ -348,4 +354,7 @@ def load_embeddings(path) -> tuple[list[str], EmbeddingMatrix]:
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         raise DataError(f"{path}: row {bad[0]} has a non-finite value (line {bad[0] + 2})")
-    return tokens, EmbeddingMatrix(vectors)
+    try:
+        return tokens, EmbeddingMatrix(vectors)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc} (line {PAD_ID + 2})") from exc

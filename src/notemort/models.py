@@ -74,7 +74,6 @@ class ModelConfig:
     cts_features: int = N_TS_VARIABLES
     cts_hidden: tuple[int, int] = (32, 16)
     cts_decay: float = 1e-3
-    train_embeddings: bool = False
     bn_momentum: float = 0.99
 
     def validate(self) -> None:
@@ -124,8 +123,7 @@ class CtsParams:
 
 @dataclass
 class Model:
-    """Parameters of one model; an absent branch, or an embedding that is
-    not fine-tuned, is None.
+    """Parameters of one model; an absent branch is None.
 
     Field order is checkpoint entry order and field names are entry-name
     prefixes. Every tensor with two or more axes under a field whose
@@ -136,7 +134,6 @@ class Model:
     temporal: BiGruParams | None
     cts: CtsParams | None = field(metadata={"decay": "cts_decay"})
     head: DenseParams
-    embedding: Tensor | None = field(metadata={"entry": "embedding.vectors"})
 
 
 # -- initialization -------------------------------------------------------------------
@@ -196,29 +193,26 @@ def init_model(
     kind: str, cfg: ModelConfig, seed: int = 0, embeddings: EmbeddingMatrix | None = None
 ) -> Model:
     """Fresh parameters of one kind, drawn in a fixed order: conv blocks,
-    temporal GRU, CTS layers 1 and 2, head. Fine-tuning embeddings
-    (notes branch with cfg.train_embeddings) copies `embeddings`."""
+    temporal GRU, CTS layers 1 and 2, head. The word vectors stay frozen
+    and are no parameter: `embeddings` is accepted and ignored, for the
+    callers that still pass it."""
     has = branches(kind)
     cfg.validate()
     rng = np.random.default_rng(seed)
-    semantical = temporal = cts = embedding = None
+    semantical = temporal = cts = None
     head_in = 0
     if "notes" in has:
         c_ins = [cfg.embed_dim] + [cfg.filters] * (cfg.conv_blocks - 1)
         semantical = [_init_block(rng, c_in, cfg) for c_in in c_ins]
         temporal = _init_bigru(rng, cfg.filters, cfg.temporal_hidden)
         head_in += 2 * cfg.temporal_hidden
-        if cfg.train_embeddings:
-            if embeddings is None:
-                raise ConfigurationError("train_embeddings requires an embedding matrix")
-            embedding = parameter(embeddings.vectors.copy())
     if "cts" in has:
         h1, h2 = cfg.cts_hidden
         layer1 = _init_bigru(rng, 2 * cfg.cts_features, h1)
         cts = CtsParams(layer1, _init_bigru(rng, 2 * h1, h2))
         head_in += 2 * h2
     head = DenseParams(weight=_glorot(rng, (head_in, 1)), bias=parameter(np.zeros(1)))
-    return Model(semantical, temporal, cts, head, embedding)
+    return Model(semantical, temporal, cts, head)
 
 
 # -- parameter walking ------------------------------------------------------------------
@@ -235,17 +229,17 @@ def _leaves(node, prefix: str = "", decay: str | None = None):
             yield from _leaves(item, f"{prefix}.block{i}", decay)
     elif is_dataclass(node):
         for f in fields(node):
-            name = f"{prefix}.{f.metadata.get('entry', f.name)}".lstrip(".")
+            name = f"{prefix}.{f.name}".lstrip(".")
             yield from _leaves(getattr(node, f.name), name, f.metadata.get("decay", decay))
 
 
 def named_parameters(params: Model) -> dict[str, Tensor]:
-    """Flat name -> trainable tensor map, stable order."""
+    """Flat name -> learned parameter tensor map, stable order."""
     return {n: t for n, t, _ in _leaves(params) if isinstance(t, Tensor)}
 
 
 def named_buffers(params: Model) -> dict[str, np.ndarray]:
-    """Non-trainable state (batchnorm running statistics)."""
+    """State that is not learned (batchnorm running statistics)."""
     return {n: a for n, a, _ in _leaves(params) if isinstance(a, np.ndarray)}
 
 
@@ -266,23 +260,16 @@ def parameter_count(params: Model) -> int:
 # -- embedding lookup ---------------------------------------------------------------------
 
 
-def lookup_note_embeddings(
-    ids: np.ndarray, embeddings: EmbeddingMatrix, trainable: Tensor | None
-) -> Tensor:
-    """Token-id array of any shape -> embedded Tensor [..., d].
+def lookup_note_embeddings(ids: np.ndarray, embeddings: EmbeddingMatrix) -> Tensor:
+    """Token-id array of any shape -> embedded constant Tensor [..., d].
 
-    PAD and OOV positions come out as zero vectors. With a trainable
-    embedding tensor the lookup is differentiable and the pad row never
-    receives gradient (its forward contribution is masked to zero).
+    OOV positions read the pad row, which EmbeddingMatrix holds at zero,
+    so PAD and OOV positions come out as zero vectors.
     """
     ids = np.asarray(ids)
     if ids.min(initial=0) < OOV_ID or ids.max(initial=0) >= embeddings.vocab_size:
         raise DataError("token id out of vocabulary range")
-    safe = np.where(ids == OOV_ID, PAD_ID, ids)
-    real = (safe != PAD_ID).astype(np.float64)[..., None]
-    if trainable is None:
-        return Tensor(embeddings.vectors[safe] * real)
-    return trainable[safe] * real
+    return Tensor(embeddings.vectors[np.where(ids == OOV_ID, PAD_ID, ids)])
 
 
 # -- forward passes ------------------------------------------------------------------------
@@ -359,7 +346,7 @@ def forward(
     if model.temporal is not None:
         n_files, n_notes, note_len = ids.shape
         flat_ids = ids.reshape(n_files * n_notes, note_len)
-        embedded = lookup_note_embeddings(flat_ids, embeddings, model.embedding)
+        embedded = lookup_note_embeddings(flat_ids, embeddings)
         docs = semantical_forward(
             embedded, model.semantical, cfg,
             training=training, rng=rng, mask=flat_ids != PAD_ID,
@@ -385,12 +372,7 @@ def params_to_entries(params: Model) -> dict[str, np.ndarray]:
 
 def load_params_from_entries(kind: str, cfg: ModelConfig, entries: dict[str, np.ndarray]):
     """Rebuild a model of this kind and overwrite it with saved arrays."""
-    embeddings = None
-    if cfg.train_embeddings and "notes" in branches(kind):
-        if "embedding.vectors" not in entries:
-            raise DataError("checkpoint lacks the fine-tuned embedding matrix")
-        embeddings = EmbeddingMatrix(entries["embedding.vectors"])
-    params = init_model(kind, cfg, seed=0, embeddings=embeddings)
+    params = init_model(kind, cfg, seed=0)
     targets = named_parameters(params)
     buffers = named_buffers(params)
     expected = set(targets) | set(buffers)

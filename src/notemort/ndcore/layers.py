@@ -30,8 +30,9 @@ class Conv1dParams:
 class BatchNormParams:
     """Per-channel scale/shift plus running statistics.
 
-    gamma/beta are trainable; the running statistics are plain arrays
-    updated in place during train-mode forwards and read in eval mode.
+    gamma/beta are learned parameters; the running statistics are plain
+    arrays updated in place during train-mode forwards and read in eval
+    mode.
     """
 
     gamma: Tensor

@@ -286,32 +286,13 @@ class Tensor:
         )
 
     def __getitem__(self, key) -> "Tensor":
-        basic = _is_basic_key(key)
-
         def back(g, a=self):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            if basic:
-                a.grad[key] += g
-            else:
-                np.add.at(a.grad, key, g)
+            # add.at sums every selection of a repeated fancy index
+            np.add.at(a.grad, key, g)
 
         return _make(self.data[key], (self,), "getitem", back)
-
-
-def _is_basic_key(key) -> bool:
-    """True for keys of ints, slices, None and Ellipsis only.
-
-    Such a key selects each element at most once, so its backward can add
-    into the selected view; a fancy key may repeat an index (a token id
-    looked up twice) and needs `np.add.at`.
-    """
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(
-        k is None or k is Ellipsis or isinstance(k, slice)
-        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-        for k in parts
-    )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -337,7 +318,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def parameter(data) -> Tensor:
-    """A trainable leaf tensor."""
+    """A leaf tensor that gradients reach: a learned parameter."""
     return Tensor(data, requires_grad=True)
 
 

@@ -52,6 +52,10 @@ class TrainConfig:
             raise ConfigurationError("batch sizes must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.early_stop_patience < 1:
+            raise ConfigurationError(
+                f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
+            )
 
     def batch_size(self, kind: str) -> int:
         return self.cts_batch_size if kind == models.CTS_RNN else self.hcr_batch_size
@@ -352,9 +356,7 @@ def train_fold(
     seed_seq = np.random.SeedSequence((train_cfg.seed, fold_split.fold))
     init_seed, loop_seed = seed_seq.spawn(2)
     rng = np.random.default_rng(loop_seed)
-    params = models.init_model(
-        kind, model_cfg, seed=int(init_seed.generate_state(1)[0]), embeddings=embeddings
-    )
+    params = models.init_model(kind, model_cfg, seed=int(init_seed.generate_state(1)[0]))
     named = models.named_parameters(params)
     optimizer = AmsGrad(named, lr=train_cfg.lr)
     decay_groups: dict[float, list] = {}

@@ -94,7 +94,7 @@ class TestConfigParsing:
             model_cfg=models.ModelConfig(
                 note_len=16, embed_dim=8, conv_blocks=2, filters=4, spatial_dropout=0.25,
                 conv_decay=1e-4, temporal_hidden=5, cts_features=6, cts_hidden=(5, 3),
-                cts_decay=0.0, train_embeddings=True, bn_momentum=0.9,
+                cts_decay=0.0, bn_momentum=0.9,
             ),
             train_cfg=traineval.TrainConfig(
                 epochs=3, hcr_batch_size=4, cts_batch_size=8, lr=2.5e-4,
@@ -430,11 +430,12 @@ def _drop_last_line(data: bytes) -> bytes:
     return data[: data.rindex(b"\n", 0, -1) + 1]
 
 
-def _set_word_vector_value(data: bytes, text: bytes) -> bytes:
-    """The first value of the third line becomes text."""
+def _set_word_vector_value(data: bytes, text: bytes, line: int = 2) -> bytes:
+    """The first value of the line at 0-based index `line` (the row of
+    word id line - 1) becomes text."""
     lines = data.split(b"\n")
-    token, _, rest = lines[2].split(b" ", 2)
-    lines[2] = b" ".join([token, text, rest])
+    token, _, rest = lines[line].split(b" ", 2)
+    lines[line] = b" ".join([token, text, rest])
     return b"\n".join(lines)
 
 
@@ -444,6 +445,10 @@ def _non_numeric_value(data: bytes) -> bytes:
 
 def _nan_value(data: bytes) -> bytes:
     return _set_word_vector_value(data, b"nan")
+
+
+def _nonzero_pad_row(data: bytes) -> bytes:
+    return _set_word_vector_value(data, b"0.5", line=1)
 
 
 def _bad_header(data: bytes) -> bytes:
@@ -510,6 +515,7 @@ def _one_class_test_split(data: bytes) -> bytes:
      _prob_above_one, "fold0.scores.jsonl"),
     ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
      _label_two, "fold0.scores.jsonl"),
+    ("embeddings/embeddings.txt", "embed", ["train"], _nonzero_pad_row, "embeddings.txt"),
 ])
 def test_malformed_artifact_is_a_data_error(
     work, tmp_path, capsys, artifact, producer, stage, fault, named
@@ -544,6 +550,8 @@ def test_malformed_artifact_is_a_data_error(
     ("train.lr", 0, "train"),
     ("train.lr", "inf", "train"),
     ("train.seed", -3, "synth"),
+    ("train.early_stop_patience", 0, "train"),
+    ("embed.min_count", -5, "preprocess"),
     ("synth.note_tokens_mean", -3, "synth"),
     ("synth.notes_per_stay_mean", 0.5, "synth"),
     ("synth.notes_per_stay_mean", "nan", "synth"),
@@ -661,7 +669,7 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
         ("synth.wizardry", "9"), ("embed.subword", "true"), ("synth.obs_rate", "0.5"),
         ("model.kernel_size", "3"), ("model.fusion_dropout", "0.3"), ("model.bn_eps", "1e-5"),
         ("train.lr_drop_epochs", "10,50,90"), ("embed.negatives", "5"),
-        ("embed.batch_pairs", "256"),
+        ("embed.batch_pairs", "256"), ("model.train_embeddings", "true"),
     ):
         config.write_text(f"{key} = {value}\n")
         assert main(["--config", str(config), "synth"]) == 2

@@ -310,20 +310,20 @@ class TestEmbedNote:
 
     def test_pad_positions_are_zero(self):
         ids = np.array([2, 3, PAD_ID, PAD_ID])
-        out = lookup_note_embeddings(ids, self.emb, None).data
+        out = lookup_note_embeddings(ids, self.emb).data
         np.testing.assert_array_equal(out[2:], np.zeros((2, 4)))
         np.testing.assert_array_equal(out[0], self.emb.vectors[2])
 
     def test_oov_maps_to_zero(self):
-        out = lookup_note_embeddings(np.array([OOV_ID, 1]), self.emb, None).data
+        out = lookup_note_embeddings(np.array([OOV_ID, 1]), self.emb).data
         np.testing.assert_array_equal(out[0], np.zeros(4))
         np.testing.assert_array_equal(out[1], self.emb.vectors[1])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            lookup_note_embeddings(np.array([5]), self.emb, None)
+            lookup_note_embeddings(np.array([5]), self.emb)
         with pytest.raises(DataError):
-            lookup_note_embeddings(np.array([-2]), self.emb, None)
+            lookup_note_embeddings(np.array([-2]), self.emb)
 
 
 def test_embedding_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 oracle, branch ablation, checkpoint round trips, gradient checks."""
 
 import dataclasses
+import re
 from datetime import datetime
 
 import numpy as np
@@ -394,10 +395,18 @@ class TestCheckpointRoundTrip:
         assert forward(params) == forward(reloaded)
 
     def test_mismatched_entries_rejected(self):
-        entries = models.params_to_entries(models.init_model(models.NOTES_HCR, TOY, 1))
-        entries.pop("head.bias")
-        with pytest.raises(DataError):
-            models.load_params_from_entries(models.NOTES_HCR, TOY, entries)
+        """A missing entry, and the `embedding.vectors` entry that a
+        checkpoint with fine-tuned word vectors holds, are refused by name."""
+        saved = models.params_to_entries(models.init_model(models.NOTES_HCR, TOY, 1))
+        missing = dict(saved)
+        missing.pop("head.bias")
+        tuned = {**saved, "embedding.vectors": toy_embeddings().vectors}
+        for entries, message in (
+            (missing, "missing ['head.bias'], unexpected []"),
+            (tuned, "missing [], unexpected ['embedding.vectors']"),
+        ):
+            with pytest.raises(DataError, match=re.escape(f"checkpoint mismatch: {message}")):
+                models.load_params_from_entries(models.NOTES_HCR, TOY, entries)
 
 
 def gru_entries(prefix, gates=("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")):
@@ -416,7 +425,7 @@ NOTES_ENTRIES = [
 ]
 CTS_ENTRIES = [*gru_entries("cts.layer1"), *gru_entries("cts.layer2")]
 TAIL_ENTRIES = [
-    "head.weight", "head.bias", "embedding.vectors",
+    "head.weight", "head.bias",
     "semantical.block0.norm.running_mean", "semantical.block0.norm.running_var",
     "semantical.block1.norm.running_mean", "semantical.block1.norm.running_var",
     "semantical.block2.norm.running_mean", "semantical.block2.norm.running_var",
@@ -431,8 +440,7 @@ TAIL_ENTRIES = [
 def test_checkpoint_entry_names_are_frozen(kind, names):
     """Checkpoints written by earlier runs load only if these names and
     their order never change."""
-    cfg = dataclasses.replace(TOY, train_embeddings=kind != models.CTS_RNN)
-    params = models.init_model(kind, cfg, seed=0, embeddings=toy_embeddings())
+    params = models.init_model(kind, TOY, seed=0)
     assert list(models.params_to_entries(params)) == names
 
 
@@ -488,22 +496,3 @@ class TestFullModelGradients:
             return (probs * 2.0).sum()
 
         self.check(loss, params)
-
-    def test_trainable_embedding_gradients_and_pad_row(self):
-        cfg = ModelConfig(
-            note_len=8, embed_dim=4, conv_blocks=1, filters=2,
-            spatial_dropout=0.0, temporal_hidden=2, cts_hidden=(2, 2),
-            train_embeddings=True,
-        )
-        emb = toy_embeddings(seed=25)
-        params = models.init_model(models.NOTES_HCR, cfg, seed=26, embeddings=emb)
-        file = toy_file(n_notes=1, seed=27)
-        ids = np.stack([n.tokens for n in file])[None]
-
-        probs = models.forward(
-            params, cfg, emb, ids=ids, training=False
-        )
-        backward(probs.sum(), [params.embedding])
-        grad = params.embedding.grad
-        np.testing.assert_array_equal(grad[0], np.zeros(4))  # pad row untouched
-        assert np.any(grad != 0.0)

@@ -1,6 +1,5 @@
 """Loss, schedule, metrics, t-test, report, and the training loop."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -425,19 +424,6 @@ class TestTrainFold:
         test_ids = [h for h, r in toy_fold(dataset).roles.items() if r == "test"]
         assert sorted(result.test_scores) == sorted(test_ids)
         assert all(0.0 < p < 1.0 for p in result.test_scores.values())
-
-    def test_cts_rnn_ignores_train_embeddings(self):
-        """cts-rnn has no notes branch, so fine-tuning embeddings changes
-        nothing and its best-weight restore needs no embedding matrix."""
-        dataset = toy_dataset()
-        cfg = TrainConfig(epochs=2, seed=0, early_stop_patience=2,
-                          hcr_batch_size=8, cts_batch_size=8)
-        tuned_cfg = dataclasses.replace(TOY_CFG, train_embeddings=True)
-        tuned = train_fold(models.CTS_RNN, toy_fold(dataset), dataset, tuned_cfg, cfg)
-        plain, _ = self.run(kind=models.CTS_RNN, epochs=2)
-        assert "embedding.vectors" not in tuned.entries
-        assert tuned.history == plain.history
-        assert tuned.test_scores == plain.test_scores
 
     def test_nan_vital_sign_without_finite_val_loss_is_a_data_error(self):
         dataset = toy_dataset(n=30)
