@@ -5,6 +5,11 @@ stage validates its predecessor's outputs by content hash (recorded in
 per-stage manifests), writes its own artifacts plus a manifest, and is
 reproducible from (config, seed, input hashes).
 
+Each manifest also records the stage's cost: wall and CPU seconds from
+the start of its command to its manifest, and the peak RSS of its
+process so far. CPU and RSS are of the stage's own process; the fold
+workers of `train --jobs` above 1 are not counted.
+
 Exit codes: 0 success, 2 configuration error, 3 missing or stale
 dependency artifact, 4 runtime/data error.
 """
@@ -15,7 +20,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import resource
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -139,9 +146,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(work: Path, stage: str, config: RunConfig, inputs: list[Path], outputs: list[Path]) -> None:
+def _clock() -> tuple[float, float]:
+    """The wall and CPU clocks a stage's manifest measures from."""
+    return time.perf_counter(), time.process_time()
+
+
+def write_manifest(
+    work: Path, stage: str, config: RunConfig, inputs: list[Path], outputs: list[Path],
+    started: tuple[float, float],
+) -> None:
+    """The stage's manifest: config, input and output digests, and the
+    stage's cost since `started`, a `_clock()` reading."""
+    wall, cpu = started
     manifest = {
         "stage": stage,
+        "wall_s": time.perf_counter() - wall,
+        "cpu_s": time.process_time() - cpu,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "version": __version__,
         "seed": config.seed,
         "config_hash": config.hash(),
@@ -182,10 +203,11 @@ def require_stage(work: Path, stage: str, needed: list[str]) -> dict[str, Path]:
 
 
 def cmd_synth(config: RunConfig) -> int:
+    started = _clock()
     work = Path(config.work_dir)
     tables = generate_synthetic(config.synth, seed=config.seed)
     paths = tables.write(work / "tables")
-    write_manifest(work, "synth", config, [], list(paths.values()))
+    write_manifest(work, "synth", config, [], list(paths.values()), started)
     print(
         f"synth: {len(tables.admissions)} stays, {len(tables.notes)} notes, "
         f"{len(tables.timeseries)} time-series rows -> {work / 'tables'}"
@@ -194,6 +216,7 @@ def cmd_synth(config: RunConfig) -> int:
 
 
 def cmd_preprocess(config: RunConfig) -> int:
+    started = _clock()
     work = Path(config.work_dir)
     inputs = require_stage(work, "synth", ["tables/notes.csv"])
     raw_notes = notesproc.read_notes_csv(inputs["tables/notes.csv"])
@@ -210,7 +233,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     notesproc.write_jsonl(corpus_path, prep.embedding_sentences)
     write_manifest(
         work, "preprocess", config,
-        [inputs["tables/notes.csv"]], [vocab_path, clean_path, corpus_path],
+        [inputs["tables/notes.csv"]], [vocab_path, clean_path, corpus_path], started,
     )
     print(
         f"preprocess: {prep.n_raw} raw -> {prep.n_deduped} deduped notes, "
@@ -220,6 +243,7 @@ def cmd_preprocess(config: RunConfig) -> int:
 
 
 def cmd_embed(config: RunConfig) -> int:
+    started = _clock()
     work = Path(config.work_dir)
     inputs = require_stage(work, "preprocess", ["prep/vocab.txt", "prep/embed_corpus.jsonl"])
     vocab = read_vocab(inputs["prep/vocab.txt"])
@@ -233,7 +257,7 @@ def cmd_embed(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     emb_path = out / "embeddings.txt"
     save_embeddings(emb_path, vocab, result.embeddings)
-    write_manifest(work, "embed", config, list(inputs.values()), [emb_path])
+    write_manifest(work, "embed", config, list(inputs.values()), [emb_path], started)
     first, last = result.epoch_losses[0], result.epoch_losses[-1]
     print(
         f"embed: {vocab.size} x {ecfg.dim} vectors, loss {first:.4f} -> {last:.4f} "
@@ -243,6 +267,7 @@ def cmd_embed(config: RunConfig) -> int:
 
 
 def cmd_cohort(config: RunConfig) -> int:
+    started = _clock()
     work = Path(config.work_dir)
     tables = require_stage(
         work, "synth",
@@ -279,7 +304,7 @@ def cmd_cohort(config: RunConfig) -> int:
     arrays = pipeline.save_dataset(out / f"dataset_W{window}", dataset)
     write_manifest(
         work, f"cohort_W{window}", config,
-        list(tables.values()) + list(prep.values()), [manifest_path, *arrays],
+        list(tables.values()) + list(prep.values()), [manifest_path, *arrays], started,
     )
     prevalence = float(np.mean([wc.labels[h] for h in wc.eligible])) if wc.eligible else 0.0
     print(
@@ -321,6 +346,7 @@ def _load_cohort(config: RunConfig, work: Path):
 
 
 def cmd_train(config: RunConfig) -> int:
+    started = _clock()
     work = Path(config.work_dir)
     dataset, folds, inputs = _load_cohort(config, work)
     embeddings = None
@@ -358,7 +384,9 @@ def cmd_train(config: RunConfig) -> int:
             f"best epoch {res.best_epoch}, val loss {res.best_val_loss:.4f}, "
             f"test AUROC {traineval.auroc(test_scores, test_labels):.4f}"
         )
-    write_manifest(work, f"train_{config.model}_W{config.window}", config, inputs, outputs)
+    write_manifest(
+        work, f"train_{config.model}_W{config.window}", config, inputs, outputs, started
+    )
     return 0
 
 

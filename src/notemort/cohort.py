@@ -23,6 +23,7 @@ window is an error.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -349,14 +350,57 @@ TS_ROW = np.dtype(
     [("hadm_id", np.int64), ("hour", np.float64), ("variable", np.int8), ("value", np.float64)]
 )
 
+_TS_NAMES = np.array([name for name, _, _ in TS_VARIABLES], dtype=object)
+_TS_HEADER = ",".join(TIMESERIES_COLUMNS)
+
 
 def read_timeseries_csv(path) -> np.ndarray:
-    """Every row of the table as one TS_ROW record, in file order."""
-    return np.fromiter(read_csv_records(path, TIMESERIES_COLUMNS, _parse_observation), TS_ROW)
+    """Every row of the table as one TS_ROW record, in file order. A
+    table whose header is exactly TIMESERIES_COLUMNS is parsed column by
+    column; any other table, and any table that parse refuses, is parsed
+    row by row, which raises the DataError naming the bad row."""
+    rows = _read_timeseries_columns(path)
+    if rows is None:
+        rows = np.fromiter(read_csv_records(path, TIMESERIES_COLUMNS, _parse_observation), TS_ROW)
+    return rows
 
 
-def write_timeseries_csv(path, rows: Iterable[tuple[int, float, str, float]]) -> None:
-    write_csv_records(path, TIMESERIES_COLUMNS, (
-        [hadm_id, f"{hour:.2f}", variable, f"{value:.4f}"]
-        for hadm_id, hour, variable, value in rows
-    ))
+def _read_timeseries_columns(path) -> np.ndarray | None:
+    """The table parsed column by column, or None unless that equals the
+    row-by-row parse: the header must be exactly TIMESERIES_COLUMNS,
+    every field must convert, every name must be known and every number
+    finite. numpy converts a subset of the numbers int() and float()
+    accept, to the same values, and hands the name field over verbatim."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        if handle.readline().rstrip("\r\n") != _TS_HEADER:
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a table without rows
+                rows = np.loadtxt(
+                    handle, dtype=TS_ROW, delimiter=",", comments=None, ndmin=1,
+                    converters={2: TS_INDEX.__getitem__},
+                )
+        except ValueError:  # a field that did not convert, a row of the wrong length
+            return None
+    if not (np.isfinite(rows["hour"]).all() and np.isfinite(rows["value"]).all()):
+        return None
+    return rows
+
+
+_TS_BLOCK = 1 << 14  # rows formatted per write
+
+
+def write_timeseries_csv(path, rows: np.ndarray) -> None:
+    """TS_ROW records as the bytes `write_csv_records` writes for them:
+    CRLF line ends, hour with 2 decimals, value with 4, and no quoting,
+    which no field needs."""
+    line = "%d,%.2f,%s,%.4f\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(_TS_HEADER + "\r\n")
+        for start in range(0, len(rows), _TS_BLOCK):
+            block = rows[start:start + _TS_BLOCK]
+            fields = np.empty((len(block), 4), dtype=object)
+            fields[:, 0], fields[:, 1] = block["hadm_id"], block["hour"]
+            fields[:, 2], fields[:, 3] = _TS_NAMES[block["variable"]], block["value"]
+            handle.write((line * len(block)) % tuple(fields.ravel().tolist()))

@@ -12,6 +12,17 @@ count, so the empirical prevalence matches the configured one.
 With signal_strength 0 the tables contain no class signal at all and
 any model trained on them scores chance AUROC.
 
+Every draw is an array draw where the rule allows one. A note's words
+are drawn together: each token is a risk word with probability p_risk,
+a calm word with p_calm and a neutral word otherwise, uniform within
+its list. The time series of all stays is drawn at once as one array of
+`cohort.TS_ROW` records, in (stay, TS_VARIABLES, hour) order: each
+hourly variable is observed in each of the HOURS hours with OBS_RATE
+(heart_rate always in hour 0), at the hour plus U(0, 0.95), with value
+normal + scale * TS_NOISE * N(0, 1) + trend * hour / HOURS; height and
+weight get one row each at hour 0.0, with noise and no trend. The same
+config and seed give byte-identical tables.
+
 `SynthConfig` holds the six settable knobs: n_subjects, extra_stay_rate,
 prevalence, signal_strength, notes_per_stay_mean and note_tokens_mean.
 The generator's other rates are module constants: NOTE_WEIGHT,
@@ -29,11 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import TS_INDEX, TS_NORMALS, TS_SCALES, TS_VARIABLES, Admission, IcuStay
+from .cohort import (
+    N_TS_VARIABLES, TS_INDEX, TS_NORMALS, TS_ROW, TS_SCALES, TS_VARIABLES, Admission, IcuStay,
+    write_admissions_csv, write_icustays_csv, write_timeseries_csv,
+)
 from .errors import ConfigurationError
 from .ndcore.tensor import _sigmoid
 from .notesproc import RawNote, write_notes_csv
-from .cohort import write_admissions_csv, write_icustays_csv, write_timeseries_csv
 
 NEUTRAL_WORDS = [
     "patient", "seen", "today", "plan", "continue", "monitor", "overnight",
@@ -80,6 +93,13 @@ TS_TRENDS = {
     "height": 0.0,
     "weight": 0.0,
 }
+_TRENDS = np.array([TS_TRENDS[name] for name, _, _ in TS_VARIABLES])
+_STATIC = [TS_INDEX["height"], TS_INDEX["weight"]]  # one row per stay, at hour 0.0
+
+# the note words as one list, RISK_WORDS then CALM_WORDS then NEUTRAL_WORDS
+_WORDS = RISK_WORDS + CALM_WORDS + NEUTRAL_WORDS
+_WORD_COUNT = np.array([len(RISK_WORDS), len(CALM_WORDS), len(NEUTRAL_WORDS)])
+_WORD_START = np.cumsum(_WORD_COUNT) - _WORD_COUNT
 
 
 NOTE_WEIGHT = 1.0  # weight of the note factor in the label's risk score
@@ -141,7 +161,7 @@ class SyntheticTables:
     admissions: list[Admission]
     icustays: list[IcuStay]
     notes: list[RawNote]
-    timeseries: list[tuple[int, float, str, float]]
+    timeseries: np.ndarray  # TS_ROW records
 
     def write(self, out_dir) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -220,7 +240,6 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
     admissions: list[Admission] = []
     icustays: list[IcuStay] = []
     notes: list[RawNote] = []
-    ts_rows: list[tuple[int, float, str, float]] = []
     row_id = 1
 
     for stay in stays:
@@ -279,18 +298,17 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
         row_id = _emit_notes(
             config, rng, stay, positive, discharge, notes, row_id
         )
-        _emit_timeseries(config, rng, stay, ts_rows)
 
     # duplicates: re-emit a copy of some notes under a new row id
     originals = [n for n in notes if not n.is_error]
-    for note in originals:
-        if rng.random() < DUPLICATE_RATE:
+    for note, copied in zip(originals, rng.random(len(originals)) < DUPLICATE_RATE):
+        if copied:
             dup = RawNote(**{**note.__dict__})
             dup.row_id = row_id
             row_id += 1
             notes.append(dup)
 
-    return SyntheticTables(admissions, icustays, notes, ts_rows)
+    return SyntheticTables(admissions, icustays, notes, _timeseries(config, rng, stays))
 
 
 def hadm_to_icustay(hadm_id: int) -> int:
@@ -365,14 +383,9 @@ def _emit_notes(config, rng, stay, positive, discharge, notes, row_id) -> int:
 def _note_text(config, rng, p_risk: float, p_calm: float) -> str:
     n_tokens = max(5, int(rng.normal(config.note_tokens_mean, config.note_tokens_mean * 0.3)))
     draws = rng.random(n_tokens)
-    words = []
-    for u in draws:
-        if u < p_risk:
-            words.append(RISK_WORDS[int(rng.integers(len(RISK_WORDS)))])
-        elif u < p_risk + p_calm:
-            words.append(CALM_WORDS[int(rng.integers(len(CALM_WORDS)))])
-        else:
-            words.append(NEUTRAL_WORDS[int(rng.integers(len(NEUTRAL_WORDS)))])
+    # 0: a risk word below p_risk, 1: a calm word below p_risk + p_calm, 2: neutral
+    kind = (draws >= p_risk).astype(np.int64) + (draws >= p_risk + p_calm)
+    word = _WORD_START[kind] + rng.integers(0, _WORD_COUNT[kind])
     # sprinkle raw-text debris the cleaning rules must handle
     opener = ""
     u = rng.random()
@@ -382,7 +395,7 @@ def _note_text(config, rng, p_risk: float, p_calm: float) -> str:
         opener = f"[**Known lastname {int(rng.integers(100, 999))}**] reviewed. "
     elif u < 0.42:
         opener = f"[**Pager number {int(rng.integers(1000, 9999))}**] paged. "
-    body = " ".join(words)
+    body = " ".join([_WORDS[i] for i in word.tolist()])
     if rng.random() < 0.3:
         body += f" wbc {int(rng.integers(4, 18))} plt {int(rng.integers(1000, 4000))}"
     if rng.random() < 0.2:
@@ -390,24 +403,27 @@ def _note_text(config, rng, p_risk: float, p_calm: float) -> str:
     return opener + body
 
 
-def _emit_timeseries(config, rng, stay, ts_rows) -> None:
-    intensity = 2.0 * (_sigmoid(2.0 * stay.x_ts) - 0.5)  # -1 .. +1
-    for name, normal, scale in TS_VARIABLES:
-        trend = TS_TRENDS[name] * config.signal_strength * intensity
-        if name in ("height", "weight"):
-            value = normal + scale * TS_NOISE * float(rng.standard_normal())
-            ts_rows.append((stay.hadm_id, 0.0, name, value))
-            continue
-        for hour in range(HOURS):
-            forced = name == "heart_rate" and hour == 0
-            if not forced and rng.random() >= OBS_RATE:
-                continue
-            ramp = hour / HOURS
-            value = (
-                normal
-                + scale * TS_NOISE * float(rng.standard_normal())
-                + trend * ramp
-            )
-            ts_rows.append(
-                (stay.hadm_id, hour + float(rng.uniform(0.0, 0.95)), name, value)
-            )
+def _timeseries(config, rng, stays: list[_Stay]) -> np.ndarray:
+    """The time-series rows of all stays as TS_ROW records, in (stay,
+    TS_VARIABLES, hour) order. Each hourly variable is observed in an
+    hour with OBS_RATE (heart_rate always in hour 0) at that hour plus
+    U(0, 0.95); height and weight get one row each at hour 0.0."""
+    observed = rng.random((len(stays), N_TS_VARIABLES, HOURS)) < OBS_RATE
+    observed[:, TS_INDEX["heart_rate"], 0] = True
+    observed[:, _STATIC] = False
+    observed[:, _STATIC, 0] = True
+    stay, variable, hour = np.nonzero(observed)
+    static = np.isin(variable, _STATIC)
+    noise = rng.standard_normal(len(stay))
+    jitter = np.where(static, 0.0, rng.uniform(0.0, 0.95, len(stay)))
+    x_ts = np.array([s.x_ts for s in stays])
+    intensity = 2.0 * (_sigmoid(2.0 * x_ts) - 0.5)  # -1 .. +1
+    trend = _TRENDS[variable] * config.signal_strength * intensity[stay]
+    rows = np.empty(len(stay), TS_ROW)
+    rows["hadm_id"] = np.array([s.hadm_id for s in stays])[stay]
+    rows["hour"] = hour + jitter
+    rows["variable"] = variable
+    rows["value"] = (
+        TS_NORMALS[variable] + TS_SCALES[variable] * TS_NOISE * noise + trend * (hour / HOURS)
+    )
+    return rows

@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 
-from notemort.cohort import N_TS_VARIABLES, TS_NORMALS, standardize_values
+from notemort.cohort import (
+    N_TS_VARIABLES, TIMESERIES_COLUMNS, TS_NORMALS, TS_ROW, TS_VARIABLES, _parse_observation,
+    standardize_values,
+)
 from notemort.errors import DataError
 from notemort.ndcore import Tensor, concat, constant, stack
-from notemort.notesproc import PAD_ID
+from notemort.notesproc import PAD_ID, read_csv_records, write_csv_records
 
 
 def finite_diff_grad(f, param, h=1e-5):
@@ -202,6 +205,21 @@ def timeseries_grid_per_stay(rows, hadm_ids, window_hours):
             raw, mask[i] = impute_timeseries_per_stay(hadm_id, observations[hadm_id], window_hours)
             values[i] = standardize_values(raw)
     return values, mask
+
+
+def read_timeseries_per_row(path):
+    """The time-series table parsed one row at a time through
+    `read_csv_records`, as TS_ROW records."""
+    return np.fromiter(read_csv_records(path, TIMESERIES_COLUMNS, _parse_observation), TS_ROW)
+
+
+def write_timeseries_per_row(path, rows):
+    """TS_ROW records written one formatted row at a time by
+    `write_csv_records`'s csv.writer."""
+    write_csv_records(path, TIMESERIES_COLUMNS, (
+        [hadm_id, f"{hour:.2f}", TS_VARIABLES[variable][0], f"{value:.4f}"]
+        for hadm_id, hour, variable, value in rows.tolist()
+    ))
 
 
 def collect_pairs_loop(sentence, window, rng):

@@ -127,6 +127,8 @@ def test_pipeline_completes_and_writes_manifests(work):
                   "train_notes-hcr_W24", "train_cts-rnn_W24", "train_mm-hcr_W24"):
         manifest = json.loads((work_dir / f"{stage}.manifest.json").read_text())
         assert manifest["stage"] == stage
+        for field in ("cpu_s", "wall_s", "peak_rss_mb"):
+            assert manifest[field] > 0, (stage, field)
         for rel, digest in manifest["outputs"].items():
             assert (work_dir / rel).exists()
             assert len(digest) == 64
