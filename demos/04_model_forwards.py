@@ -54,7 +54,7 @@ for name, params in (("notes-hcr", notes_params), ("cts-rnn", cts_params),
 p_notes = models.forward(notes_params, cfg, embeddings, **inputs)
 p_cts = models.forward(cts_params, cfg, **inputs)
 p_mm = models.forward(mm_params, cfg, embeddings, **inputs)
-features = models.cts_forward(inputs["values"], inputs["obs_masks"], cts_params.cts, cfg)
+features = models.cts_forward(inputs["values"], inputs["obs_masks"], cts_params.cts)
 
 print("\nmortality probabilities (untrained weights)")
 print(f"  notes-hcr  {p_notes.item():.4f}   (3 notes -> shared encoder -> GRU)")

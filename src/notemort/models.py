@@ -48,11 +48,15 @@ MM_HCR = "mm-hcr"
 # kind -> branches it has; every per-kind structural choice reads this table
 BRANCHES = {NOTES_HCR: ("notes",), CTS_RNN: ("cts",), MM_HCR: ("notes", "cts")}
 MODEL_KINDS = tuple(BRANCHES)
-# the paper's fixed structure: conv kernel width, dropout before the head
-# and the batch-norm variance floor
+# the paper's fixed structure: conv blocks per note encoder and their
+# kernel width, the spatial dropout rate inside each block, dropout
+# before the head, and the batch-norm variance floor and momentum
+CONV_BLOCKS = 3
 KERNEL_SIZE = 3
+SPATIAL_DROPOUT = 0.5
 FUSION_DROPOUT = 0.3
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.99
 
 
 def branches(kind: str) -> tuple[str, ...]:
@@ -66,15 +70,11 @@ def branches(kind: str) -> tuple[str, ...]:
 class ModelConfig:
     note_len: int = 500
     embed_dim: int = 200
-    conv_blocks: int = 3
     filters: int = 200
-    spatial_dropout: float = 0.5
     conv_decay: float = 1e-5
     temporal_hidden: int = 64
-    cts_features: int = N_TS_VARIABLES
     cts_hidden: tuple[int, int] = (32, 16)
     cts_decay: float = 1e-3
-    bn_momentum: float = 0.99
 
     def validate(self) -> None:
         if len(self.cts_hidden) != 2:
@@ -82,10 +82,8 @@ class ModelConfig:
                 "cts_hidden must list exactly two sizes, got "
                 + ",".join(str(h) for h in self.cts_hidden)
             )
-        extents = (
-            self.note_len, self.embed_dim, self.conv_blocks, self.filters,
-            self.temporal_hidden, self.cts_features, *self.cts_hidden,
-        )
+        extents = (self.note_len, self.embed_dim, self.filters, self.temporal_hidden,
+                   *self.cts_hidden)
         if any(e < 1 for e in extents):
             raise ConfigurationError("all model extents must be positive")
         # written as `not (ok)` so that a NaN fails each check
@@ -93,12 +91,6 @@ class ModelConfig:
             raise ConfigurationError(f"conv_decay must be >= 0, got {self.conv_decay}")
         if not self.cts_decay >= 0.0:
             raise ConfigurationError(f"cts_decay must be >= 0, got {self.cts_decay}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ConfigurationError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
-        if not 0.0 <= self.spatial_dropout < 1.0:
-            raise ConfigurationError(
-                f"spatial_dropout must be in [0, 1), got {self.spatial_dropout}"
-            )
 
     def hash(self) -> str:
         text = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -153,14 +145,14 @@ def _init_conv(rng, kernel: int, c_in: int, c_out: int) -> Conv1dParams:
     )
 
 
-def _init_bn(channels: int, cfg: ModelConfig) -> BatchNormParams:
+def _init_bn(channels: int) -> BatchNormParams:
     return BatchNormParams(
         gamma=parameter(np.ones(channels)),
         beta=parameter(np.zeros(channels)),
         running_mean=np.zeros(channels),
         running_var=np.ones(channels),
         eps=BN_EPS,
-        momentum=cfg.bn_momentum,
+        momentum=BN_MOMENTUM,
     )
 
 
@@ -186,7 +178,7 @@ def _init_block(rng, c_in: int, cfg: ModelConfig) -> ConvBlockParams:
     # the shortcut draws before the conv: the stream older weights came from
     shortcut = _init_conv(rng, 1, c_in, cfg.filters) if c_in != cfg.filters else None
     conv = _init_conv(rng, KERNEL_SIZE, c_in, cfg.filters)
-    return ConvBlockParams(conv, shortcut, _init_bn(cfg.filters, cfg))
+    return ConvBlockParams(conv, shortcut, _init_bn(cfg.filters))
 
 
 def init_model(
@@ -202,13 +194,13 @@ def init_model(
     semantical = temporal = cts = None
     head_in = 0
     if "notes" in has:
-        c_ins = [cfg.embed_dim] + [cfg.filters] * (cfg.conv_blocks - 1)
+        c_ins = [cfg.embed_dim] + [cfg.filters] * (CONV_BLOCKS - 1)
         semantical = [_init_block(rng, c_in, cfg) for c_in in c_ins]
         temporal = _init_bigru(rng, cfg.filters, cfg.temporal_hidden)
         head_in += 2 * cfg.temporal_hidden
     if "cts" in has:
         h1, h2 = cfg.cts_hidden
-        layer1 = _init_bigru(rng, 2 * cfg.cts_features, h1)
+        layer1 = _init_bigru(rng, 2 * N_TS_VARIABLES, h1)
         cts = CtsParams(layer1, _init_bigru(rng, 2 * h1, h2))
         head_in += 2 * h2
     head = DenseParams(weight=_glorot(rng, (head_in, 1)), bias=parameter(np.zeros(1)))
@@ -278,7 +270,6 @@ def lookup_note_embeddings(ids: np.ndarray, embeddings: EmbeddingMatrix) -> Tens
 def semantical_forward(
     notes: Tensor,
     blocks: list[ConvBlockParams],
-    cfg: ModelConfig,
     *,
     training: bool,
     rng: np.random.Generator | None = None,
@@ -295,7 +286,7 @@ def semantical_forward(
     x = notes
     for block in blocks:
         y = conv1d(x, block.conv)
-        y = spatial_dropout(y, cfg.spatial_dropout, training=training, rng=rng)
+        y = spatial_dropout(y, SPATIAL_DROPOUT, training=training, rng=rng)
         y = batchnorm(y, block.norm, training=training)
         shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
         x = (y + shortcut).relu()
@@ -309,19 +300,16 @@ def temporal_forward(doc_vectors: Tensor, params: BiGruParams) -> Tensor:
     return final
 
 
-def cts_forward(
-    values: np.ndarray, obs_masks: np.ndarray, params: CtsParams, cfg: ModelConfig
-) -> Tensor:
-    """values/obs_masks [B, W, F] -> time-series features [B, 2 * h2].
+def cts_forward(values: np.ndarray, obs_masks: np.ndarray, params: CtsParams) -> Tensor:
+    """values/obs_masks [B, W, N_TS_VARIABLES] -> time-series features [B, 2 * h2].
 
     values are already standardized; the input concatenates them with
     their missingness indicators, layer 1 emits per-step outputs that
     layer 2 consumes.
     """
-    if values.shape[-1] != cfg.cts_features:
-        raise ConfigurationError(
-            f"time series has {values.shape[-1]} channels, "
-            f"config expects {cfg.cts_features}"
+    if values.shape[-1] != N_TS_VARIABLES:
+        raise DataError(
+            f"time series has {values.shape[-1]} channels, expected {N_TS_VARIABLES}"
         )
     x = Tensor(np.concatenate([values, obs_masks.astype(np.float64)], axis=-1))
     step_outputs, _ = bigru(x, params.layer1)
@@ -348,13 +336,12 @@ def forward(
         flat_ids = ids.reshape(n_files * n_notes, note_len)
         embedded = lookup_note_embeddings(flat_ids, embeddings)
         docs = semantical_forward(
-            embedded, model.semantical, cfg,
-            training=training, rng=rng, mask=flat_ids != PAD_ID,
+            embedded, model.semantical, training=training, rng=rng, mask=flat_ids != PAD_ID,
         )
         docs = docs.reshape((n_files, n_notes, cfg.filters))
         features.append(temporal_forward(docs, model.temporal))
     if model.cts is not None:
-        features.append(cts_forward(values, obs_masks, model.cts, cfg))
+        features.append(cts_forward(values, obs_masks, model.cts))
     x = concat(features, axis=-1) if len(features) > 1 else features[0]
     if model.cts is not None:
         x = dropout(x, FUSION_DROPOUT, training=training, rng=rng)

@@ -23,9 +23,9 @@ normal + scale * TS_NOISE * N(0, 1) + trend * hour / HOURS; height and
 weight get one row each at hour 0.0, with noise and no trend. The same
 config and seed give byte-identical tables.
 
-`SynthConfig` holds the six settable knobs: n_subjects, extra_stay_rate,
-prevalence, signal_strength, notes_per_stay_mean and note_tokens_mean.
-The generator's other rates are module constants: NOTE_WEIGHT,
+`SynthConfig` holds the four settable knobs: n_subjects, prevalence,
+signal_strength and note_tokens_mean. The generator's other rates are
+module constants: EXTRA_STAY_RATE, NOTES_PER_STAY_MEAN, NOTE_WEIGHT,
 TS_WEIGHT, LABEL_NOISE, HOURS, REVEAL_BY, EARLY_EXPRESSION, OBS_RATE,
 TS_NOISE, MISSING_TIME_RATE, DUPLICATE_RATE, ERROR_RATE, EXCLUSION_RATE,
 POSTDISCHARGE_DEATH_RATE and BASE_YEAR.
@@ -102,6 +102,8 @@ _WORD_COUNT = np.array([len(RISK_WORDS), len(CALM_WORDS), len(NEUTRAL_WORDS)])
 _WORD_START = np.cumsum(_WORD_COUNT) - _WORD_COUNT
 
 
+EXTRA_STAY_RATE = 0.15  # chance that a subject has one more admission, up to three
+NOTES_PER_STAY_MEAN = 4.0  # mean notes charted per stay: 1 + Poisson(mean - 1)
 NOTE_WEIGHT = 1.0  # weight of the note factor in the label's risk score
 TS_WEIGHT = 0.45  # weight of the time-series factor
 LABEL_NOISE = 0.35  # std of the noise added to the risk score
@@ -124,10 +126,8 @@ BASE_YEAR = 2100
 @dataclass
 class SynthConfig:
     n_subjects: int = 400
-    extra_stay_rate: float = 0.15
     prevalence: float = 0.15
     signal_strength: float = 1.0
-    notes_per_stay_mean: float = 4.0
     note_tokens_mean: int = 40
 
     def validate(self) -> None:
@@ -141,14 +141,6 @@ class SynthConfig:
         if not (math.isfinite(self.signal_strength) and self.signal_strength >= 0):
             raise ConfigurationError(
                 f"signal_strength must be finite and >= 0, got {self.signal_strength}"
-            )
-        if not 0.0 <= self.extra_stay_rate <= 1.0:
-            raise ConfigurationError(
-                f"extra_stay_rate must be in [0, 1], got {self.extra_stay_rate}"
-            )
-        if not (math.isfinite(self.notes_per_stay_mean) and self.notes_per_stay_mean >= 1):
-            raise ConfigurationError(
-                f"notes_per_stay_mean must be finite and >= 1, got {self.notes_per_stay_mean}"
             )
         if self.note_tokens_mean < 1:
             raise ConfigurationError(
@@ -200,7 +192,7 @@ def generate_synthetic(config: SynthConfig, seed: int = 0) -> SyntheticTables:
     violations = ["age", "multi_icu", "transfer", "early_death"]
     for subject in range(1, config.n_subjects + 1):
         n_stays = 1
-        while n_stays < 3 and rng.random() < config.extra_stay_rate:
+        while n_stays < 3 and rng.random() < EXTRA_STAY_RATE:
             n_stays += 1
         for stay_idx in range(n_stays):
             hadm_id += 1
@@ -319,7 +311,7 @@ def _emit_notes(config, rng, stay, positive, discharge, notes, row_id) -> int:
     """Model-corpus notes plus one discharge summary for the stay."""
     intensity = _sigmoid(2.0 * stay.x_note)
     reveal_hour = float(rng.uniform(1.0, REVEAL_BY))
-    n_notes = 1 + int(rng.poisson(config.notes_per_stay_mean - 1.0))
+    n_notes = 1 + int(rng.poisson(NOTES_PER_STAY_MEAN - 1.0))
     offsets = [float(rng.uniform(0.3, 9.5))]
     offsets += [
         float(rng.uniform(0.0, HOURS - 0.1)) for _ in range(n_notes - 1)

@@ -31,13 +31,14 @@ from .notesproc import PAD_ID
 
 # epochs at which the note models' learning rate drops tenfold
 LR_DROP_EPOCHS = (10, 50, 90)
+# stays per batch: the note models', and CTS-RNN's
+HCR_BATCH_SIZE = 16
+CTS_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
-    hcr_batch_size: int = 16
-    cts_batch_size: int = 64
     lr: float = 1e-3
     early_stop_patience: int = 10
     k: int = 5
@@ -48,8 +49,6 @@ class TrainConfig:
             raise ConfigurationError("need at least one epoch")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
-        if self.hcr_batch_size < 1 or self.cts_batch_size < 1:
-            raise ConfigurationError("batch sizes must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.early_stop_patience < 1:
@@ -58,7 +57,7 @@ class TrainConfig:
             )
 
     def batch_size(self, kind: str) -> int:
-        return self.cts_batch_size if kind == models.CTS_RNN else self.hcr_batch_size
+        return CTS_BATCH_SIZE if kind == models.CTS_RNN else HCR_BATCH_SIZE
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int, kind: str) -> float:

@@ -26,7 +26,6 @@ model = notes-hcr
 
 synth.n_subjects = 70
 synth.prevalence = 0.25
-synth.notes_per_stay_mean = 3
 synth.note_tokens_mean = 25
 
 embed.dim = 12
@@ -37,7 +36,6 @@ embed.min_count = 5
 model.note_len = 48
 model.embed_dim = 12
 model.filters = 8
-model.conv_blocks = 2
 model.temporal_hidden = 6
 model.cts_hidden = 6,4
 
@@ -87,18 +85,15 @@ class TestConfigParsing:
         config = cli.RunConfig(
             work_dir="runs/other", seed=5, window=48, model=models.MM_HCR, jobs=2,
             synth=SynthConfig(
-                n_subjects=9, extra_stay_rate=0.5, prevalence=0.3,
-                signal_strength=0.1 + 0.2, notes_per_stay_mean=2.5, note_tokens_mean=7,
+                n_subjects=9, prevalence=0.3, signal_strength=0.1 + 0.2, note_tokens_mean=7,
             ),
             embed=cli.EmbedConfig(dim=8, window=2, epochs=3, lr=0.125, min_count=4),
             model_cfg=models.ModelConfig(
-                note_len=16, embed_dim=8, conv_blocks=2, filters=4, spatial_dropout=0.25,
-                conv_decay=1e-4, temporal_hidden=5, cts_features=6, cts_hidden=(5, 3),
-                cts_decay=0.0, bn_momentum=0.9,
+                note_len=16, embed_dim=8, filters=4, conv_decay=1e-4, temporal_hidden=5,
+                cts_hidden=(5, 3), cts_decay=0.0,
             ),
             train_cfg=traineval.TrainConfig(
-                epochs=3, hcr_batch_size=4, cts_batch_size=8, lr=2.5e-4,
-                early_stop_patience=2, k=3, seed=11,
+                epochs=3, lr=2.5e-4, early_stop_patience=2, k=3, seed=11,
             ),
         )
         text = render_config(config)
@@ -546,8 +541,6 @@ def test_malformed_artifact_is_a_data_error(
     ("model.cts_hidden", "16,8,4", "train"),
     ("model.conv_decay", -0.5, "train"),
     ("model.cts_decay", -0.5, "train"),
-    ("model.bn_momentum", 1.5, "train"),
-    ("model.bn_momentum", -0.5, "train"),
     ("train.lr", -0.5, "train"),
     ("train.lr", 0, "train"),
     ("train.lr", "inf", "train"),
@@ -555,13 +548,8 @@ def test_malformed_artifact_is_a_data_error(
     ("train.early_stop_patience", 0, "train"),
     ("embed.min_count", -5, "preprocess"),
     ("synth.note_tokens_mean", -3, "synth"),
-    ("synth.notes_per_stay_mean", 0.5, "synth"),
-    ("synth.notes_per_stay_mean", "nan", "synth"),
-    ("synth.notes_per_stay_mean", "inf", "synth"),
     ("synth.signal_strength", "nan", "synth"),
     ("synth.signal_strength", "inf", "synth"),
-    ("synth.extra_stay_rate", 1.5, "synth"),
-    ("synth.extra_stay_rate", -0.5, "synth"),
 ])
 def test_out_of_range_config_value_exits_2(work, tmp_path, capsys, key, value, stage):
     _, copy = copy_run(work, tmp_path)
@@ -672,6 +660,10 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
         ("model.kernel_size", "3"), ("model.fusion_dropout", "0.3"), ("model.bn_eps", "1e-5"),
         ("train.lr_drop_epochs", "10,50,90"), ("embed.negatives", "5"),
         ("embed.batch_pairs", "256"), ("model.train_embeddings", "true"),
+        ("model.conv_blocks", "2"), ("model.spatial_dropout", "0.25"),
+        ("model.bn_momentum", "1.5"), ("model.cts_features", "6"),
+        ("train.hcr_batch_size", "4"), ("train.cts_batch_size", "8"),
+        ("synth.extra_stay_rate", "1.5"), ("synth.notes_per_stay_mean", "0.5"),
     ):
         config.write_text(f"{key} = {value}\n")
         assert main(["--config", str(config), "synth"]) == 2

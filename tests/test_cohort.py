@@ -483,7 +483,7 @@ class TestSyntheticGenerator:
         assert late["value"][of_positive].mean() > late["value"][~of_positive].mean()
 
     def test_exact_prevalence_on_large_corpus(self):
-        config = SynthConfig(n_subjects=4800, prevalence=0.1, extra_stay_rate=0.1)
+        config = SynthConfig(n_subjects=4800, prevalence=0.1)
         tables = generate_synthetic(config, seed=0)
         adms = {a.hadm_id: a for a in tables.admissions}
         clean = pipeline.preprocess_notes(tables.notes, min_count=5, note_len=32)

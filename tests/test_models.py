@@ -1,7 +1,6 @@
 """Model graphs: shape contracts, frozen parameter counts, composition
 oracle, branch ablation, checkpoint round trips, gradient checks."""
 
-import dataclasses
 import re
 from datetime import datetime
 
@@ -29,13 +28,7 @@ from notemort.cohort import N_TS_VARIABLES, standardize_values
 
 from oracles import finite_diff_grad, max_rel_err
 
-TOY = ModelConfig(
-    note_len=8, embed_dim=4, conv_blocks=3, filters=2,
-    spatial_dropout=0.0, temporal_hidden=3, cts_features=3, cts_hidden=(3, 2),
-)
-# stay-level tests consume full time series, which always carry every
-# physiology channel
-TOY_FULL_TS = dataclasses.replace(TOY, cts_features=N_TS_VARIABLES)
+TOY = ModelConfig(note_len=8, embed_dim=4, filters=2, temporal_hidden=3, cts_hidden=(3, 2))
 
 
 def toy_embeddings(vocab_size=12, dim=4, seed=0):
@@ -60,8 +53,8 @@ def toy_file(hadm=1, n_notes=2, seed=0, note_len=8, vocab=12):
     return notes
 
 
-def toy_ts(seed=0, steps=5, features=3):
-    """Raw values [steps, F] and their observation mask."""
+def toy_ts(seed=0, steps=5):
+    """Raw values [steps, N_TS_VARIABLES] and their observation mask."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((steps, N_TS_VARIABLES)) + 80.0
     return values, rng.random((steps, N_TS_VARIABLES)) > 0.3
@@ -94,7 +87,7 @@ def bigru_param_count(dim_in, hidden):
 def notes_hcr_count(cfg: ModelConfig) -> int:
     count = 0
     c_in = cfg.embed_dim
-    for _ in range(cfg.conv_blocks):
+    for _ in range(models.CONV_BLOCKS):
         count += models.KERNEL_SIZE * c_in * cfg.filters + cfg.filters
         if c_in != cfg.filters:
             count += 1 * c_in * cfg.filters + cfg.filters
@@ -108,7 +101,7 @@ def notes_hcr_count(cfg: ModelConfig) -> int:
 def cts_rnn_count(cfg: ModelConfig) -> int:
     h1, h2 = cfg.cts_hidden
     return (
-        bigru_param_count(2 * cfg.cts_features, h1)
+        bigru_param_count(2 * N_TS_VARIABLES, h1)
         + bigru_param_count(2 * h1, h2)
         + 2 * h2 + 1
     )
@@ -149,8 +142,7 @@ class TestShapes:
         params = models.init_model(models.NOTES_HCR, TOY, seed=1)
         rng = np.random.default_rng(0)
         out = models.semantical_forward(
-            Tensor(rng.standard_normal((5, 8, 4))), params.semantical, TOY,
-            training=False, mask=np.ones((5, 8), dtype=bool),
+            Tensor(rng.standard_normal((5, 8, 4))), params.semantical, training=False, mask=np.ones((5, 8), dtype=bool),
         )
         assert out.shape == (5, TOY.filters)
 
@@ -173,12 +165,10 @@ class TestShapes:
         file = toy_file()
         p_notes = stay_forward(models.init_model(models.NOTES_HCR, TOY, 1), TOY, emb, file)
         assert 0.0 < float(p_notes.data) < 1.0
-        cfg = TOY_FULL_TS
+        cfg = TOY
         cts_params = models.init_model(models.CTS_RNN, cfg, 2)
         inputs = stay_inputs(ts=toy_ts())
-        feats = models.cts_forward(
-            inputs["values"], inputs["obs_masks"], cts_params.cts, cfg
-        )[0]
+        feats = models.cts_forward(inputs["values"], inputs["obs_masks"], cts_params.cts)[0]
         p_cts = stay_forward(cts_params, cfg, ts=toy_ts())
         assert feats.shape == (2 * cfg.cts_hidden[1],)
         assert 0.0 < float(p_cts.data) < 1.0
@@ -252,11 +242,7 @@ def test_shared_weights_accumulate_gradients_across_notes():
 
 
 def test_eval_mode_is_deterministic():
-    cfg = ModelConfig(
-        note_len=8, embed_dim=4, conv_blocks=2, filters=3,
-        spatial_dropout=0.5,
-        temporal_hidden=3, cts_features=N_TS_VARIABLES, cts_hidden=(3, 2),
-    )
+    cfg = ModelConfig(note_len=8, embed_dim=4, filters=3, temporal_hidden=3, cts_hidden=(3, 2))
     emb = toy_embeddings()
     file = toy_file()
     ts = toy_ts()
@@ -276,7 +262,7 @@ def test_eval_mode_is_deterministic():
 
 
 def test_mm_reduces_to_notes_when_cts_branch_zeroed():
-    cfg = TOY_FULL_TS
+    cfg = TOY
     emb = toy_embeddings(seed=1)
     file = toy_file(n_notes=3, seed=2)
     mm = models.init_model(models.MM_HCR, cfg, seed=3)
@@ -307,7 +293,7 @@ def test_mm_requires_both_modalities():
     with pytest.raises(DataError):
         traineval.batch_forward(
             models.MM_HCR, [1], {1: notes_only},
-            models.init_model(models.MM_HCR, TOY_FULL_TS, 1), TOY_FULL_TS,
+            models.init_model(models.MM_HCR, TOY, 1), TOY,
             toy_embeddings(), training=False,
         )
 
@@ -321,7 +307,7 @@ def test_forward_rejects_empty_sequences(training):
     notes = models.init_model(models.NOTES_HCR, TOY, seed=0)
     with pytest.raises(DataError):
         models.forward(notes, TOY, toy_embeddings(), ids=ids, training=training, rng=rng)
-    values = np.zeros((2, 0, TOY.cts_features))
+    values = np.zeros((2, 0, N_TS_VARIABLES))
     cts = models.init_model(models.CTS_RNN, TOY, seed=0)
     with pytest.raises(DataError):
         models.forward(cts, TOY, values=values, obs_masks=values > 0,
@@ -342,8 +328,8 @@ def tensors_per_step(kind, cfg=DESK, n_stays=8, n_notes=3, hours=24):
         h: traineval.StayData(
             hadm_id=h, label=bool(h % 2),
             note_ids=rng.integers(1, 12, size=(n_notes, cfg.note_len)).astype(np.int32),
-            ts_values=rng.standard_normal((hours, cfg.cts_features)),
-            ts_mask=rng.random((hours, cfg.cts_features)) > 0.3,
+            ts_values=rng.standard_normal((hours, N_TS_VARIABLES)),
+            ts_mask=rng.random((hours, N_TS_VARIABLES)) > 0.3,
         )
         for h in range(1, n_stays + 1)
     }
@@ -374,7 +360,7 @@ def test_training_step_tape_size():
 class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     def test_bit_identical_outputs_after_reload(self, kind, tmp_path):
-        cfg = TOY_FULL_TS
+        cfg = TOY
         emb = toy_embeddings()
         params = models.init_model(kind, cfg, seed=6)
         # a train-mode forward perturbs batchnorm running stats first
@@ -473,6 +459,12 @@ class TestFullModelGradients:
         params = models.init_model(models.NOTES_HCR, TOY, seed=21)
         file = toy_file(n_notes=2, seed=22)
         ids = np.stack([n.tokens for n in file])[None]
+        # with zero betas, a channel that spatial dropout drops meets each
+        # pad position with exactly 0 before the ReLU, where the loss has no
+        # derivative; nonzero betas move the check off those kinks
+        rng = np.random.default_rng(25)
+        for block in params.semantical:
+            block.norm.beta.data[...] = rng.normal(0.0, 0.1, TOY.filters)
 
         def loss():
             probs = models.forward(
@@ -486,8 +478,8 @@ class TestFullModelGradients:
     def test_cts_rnn_gradients(self):
         params = models.init_model(models.CTS_RNN, TOY, seed=23)
         rng = np.random.default_rng(24)
-        values = rng.standard_normal((1, 4, 3))  # T=4, F=3, standardized
-        mask = rng.random((1, 4, 3)) > 0.3
+        values = rng.standard_normal((1, 4, N_TS_VARIABLES))  # T=4, standardized
+        mask = rng.random((1, 4, N_TS_VARIABLES)) > 0.3
 
         def loss():
             probs = models.forward(

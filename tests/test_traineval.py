@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from notemort import models, traineval
-from notemort.cohort import FoldSplit
+from notemort.cohort import N_TS_VARIABLES, FoldSplit
 from notemort.embed import EmbeddingMatrix
 from notemort.errors import ConfigurationError, DataError
 from notemort.ndcore import AmsGrad, Tensor, backward
@@ -314,8 +314,8 @@ def toy_dataset(n=40, seed=0, note_len=8, vocab=10, steps=4):
         dataset[hadm] = StayData(
             hadm_id=hadm, label=bool(label),
             note_ids=ids.astype(np.int32),
-            ts_values=rng.standard_normal((steps, 3)) + (0.8 if label else 0.0),
-            ts_mask=rng.random((steps, 3)) > 0.2,
+            ts_values=rng.standard_normal((steps, N_TS_VARIABLES)) + (0.8 if label else 0.0),
+            ts_mask=rng.random((steps, N_TS_VARIABLES)) > 0.2,
         )
     return dataset
 
@@ -330,8 +330,7 @@ def toy_fold(dataset, fold=0):
 
 
 TOY_CFG = models.ModelConfig(
-    note_len=8, embed_dim=4, conv_blocks=2, filters=4, spatial_dropout=0.2,
-    temporal_hidden=3, cts_features=3, cts_hidden=(3, 2),
+    note_len=8, embed_dim=4, filters=4, temporal_hidden=3, cts_hidden=(3, 2),
 )
 
 
@@ -345,8 +344,7 @@ def toy_emb(vocab=10, dim=4, seed=1):
 class TestTrainFold:
     def run(self, kind=models.NOTES_HCR, epochs=3, seed=0, dataset=None):
         dataset = dataset or toy_dataset()
-        cfg = TrainConfig(epochs=epochs, seed=seed, early_stop_patience=2,
-                          hcr_batch_size=8, cts_batch_size=8)
+        cfg = TrainConfig(epochs=epochs, seed=seed, early_stop_patience=2)
         emb = toy_emb() if kind != models.CTS_RNN else None
         return train_fold(kind, toy_fold(dataset), dataset, TOY_CFG, cfg, emb), dataset
 
