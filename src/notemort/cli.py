@@ -5,7 +5,10 @@ stage validates its predecessor's outputs by content hash (recorded in
 per-stage manifests), writes its own artifacts plus a manifest, and is
 reproducible from (config, seed, input hashes).
 
-Each manifest also records the stage's cost: wall and CPU seconds from
+A manifest also records, under `settings`, the config values its
+outputs were made with that every stage reading them must share
+(SETTINGS); a stage run with another value refuses those outputs as
+stale. And it records the stage's cost: wall and CPU seconds from
 the start of its command to its manifest, and the peak RSS of its
 process so far. CPU and RSS are of the stage's own process; the fold
 workers of `train --jobs` above 1 are not counted.
@@ -69,6 +72,11 @@ class RunConfig:
             raise ConfigurationError("jobs must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.embed.dim != self.model_cfg.embed_dim:
+            raise ConfigurationError(
+                f"embed.dim must equal model.embed_dim ({self.model_cfg.embed_dim}), "
+                f"got {self.embed.dim}"
+            )
         self.model_cfg.validate()
         self.train_cfg.validate()
         self.synth.validate()
@@ -137,6 +145,15 @@ def render_config(config: RunConfig) -> str:
 
 # -- manifests --------------------------------------------------------------------
 
+# stage -> the config keys its outputs were made with that every stage
+# reading them must share: clean notes are cut to note_len, vectors have
+# embed.dim values, the cohort holds note_len-wide ids in train.k folds
+SETTINGS = {
+    "preprocess": ("model.note_len",),
+    "embed": ("embed.dim",),
+    "cohort": ("model.note_len", "train.k"),
+}
+
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -158,6 +175,7 @@ def write_manifest(
     """The stage's manifest: config, input and output digests, and the
     stage's cost since `started`, a `_clock()` reading."""
     wall, cpu = started
+    values = _settings(config)
     manifest = {
         "stage": stage,
         "wall_s": time.perf_counter() - wall,
@@ -166,6 +184,7 @@ def write_manifest(
         "version": __version__,
         "seed": config.seed,
         "config_hash": config.hash(),
+        "settings": {key: values[key] for key in SETTINGS.get(stage.split("_")[0], ())},
         "inputs": {str(p.relative_to(work)): _sha256(p) for p in inputs},
         "outputs": {str(p.relative_to(work)): _sha256(p) for p in outputs},
     }
@@ -173,16 +192,25 @@ def write_manifest(
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def require_stage(work: Path, stage: str, needed: list[str]) -> dict[str, Path]:
-    """Verify a predecessor stage's manifest, the inputs it recorded and
-    the artifacts this stage consumes; returns resolved paths keyed by
-    relative name."""
+def require_stage(
+    work: Path, stage: str, needed: list[str], config: RunConfig
+) -> dict[str, Path]:
+    """Verify a predecessor stage's manifest, the settings and inputs it
+    recorded and the artifacts this stage consumes; returns resolved
+    paths keyed by relative name."""
     manifest_path = work / f"{stage}.manifest.json"
     if not manifest_path.exists():
         raise MissingArtifactError(
             f"missing manifest {manifest_path.name}: run the `{stage.split('_')[0]}` stage first"
         )
     manifest = json.loads(manifest_path.read_text())
+    values = _settings(config)
+    for key, recorded in manifest.get("settings", {}).items():
+        if values[key] != recorded:
+            raise MissingArtifactError(
+                f"{key} is {values[key]}, but stage `{stage}` ran with {recorded}: "
+                f"re-run `{stage.split('_')[0]}`"
+            )
     for rel in needed:
         if rel not in manifest["outputs"] or not (work / rel).exists():
             raise MissingArtifactError(
@@ -218,7 +246,7 @@ def cmd_synth(config: RunConfig) -> int:
 def cmd_preprocess(config: RunConfig) -> int:
     started = _clock()
     work = Path(config.work_dir)
-    inputs = require_stage(work, "synth", ["tables/notes.csv"])
+    inputs = require_stage(work, "synth", ["tables/notes.csv"], config)
     raw_notes = notesproc.read_notes_csv(inputs["tables/notes.csv"])
     prep = pipeline.preprocess_notes(
         raw_notes, min_count=config.embed.min_count, note_len=config.model_cfg.note_len
@@ -245,7 +273,9 @@ def cmd_preprocess(config: RunConfig) -> int:
 def cmd_embed(config: RunConfig) -> int:
     started = _clock()
     work = Path(config.work_dir)
-    inputs = require_stage(work, "preprocess", ["prep/vocab.txt", "prep/embed_corpus.jsonl"])
+    inputs = require_stage(
+        work, "preprocess", ["prep/vocab.txt", "prep/embed_corpus.jsonl"], config
+    )
     vocab = read_vocab(inputs["prep/vocab.txt"])
     corpus = list(notesproc.read_jsonl(inputs["prep/embed_corpus.jsonl"], lambda ids: ids))
     ecfg = config.embed
@@ -271,9 +301,9 @@ def cmd_cohort(config: RunConfig) -> int:
     work = Path(config.work_dir)
     tables = require_stage(
         work, "synth",
-        ["tables/admissions.csv", "tables/icustays.csv", "tables/timeseries.csv"],
+        ["tables/admissions.csv", "tables/icustays.csv", "tables/timeseries.csv"], config,
     )
-    prep = require_stage(work, "preprocess", ["prep/clean_notes.jsonl"])
+    prep = require_stage(work, "preprocess", ["prep/clean_notes.jsonl"], config)
     admissions = cohort.read_admissions_csv(tables["tables/admissions.csv"])
     icustays = cohort.read_icustays_csv(tables["tables/icustays.csv"])
     clean_notes = notesproc.read_clean_notes(
@@ -327,7 +357,7 @@ def _load_cohort(config: RunConfig, work: Path):
     directory = f"cohorts/dataset_W{window}"
     resolved = require_stage(
         work, f"cohort_W{window}",
-        [rel] + [f"{directory}/{name}.npy" for name in pipeline.DATASET_ARRAYS],
+        [rel] + [f"{directory}/{name}.npy" for name in pipeline.DATASET_ARRAYS], config,
     )
     labels: dict[int, bool] = {}
     roles: dict[int, dict[int, str]] = {}
@@ -335,11 +365,6 @@ def _load_cohort(config: RunConfig, work: Path):
         labels[hadm_id] = label
         for fold, role in stay_roles.items():
             roles.setdefault(fold, {})[hadm_id] = role
-    if sorted(roles) != list(range(config.train_cfg.k)):
-        raise MissingArtifactError(
-            f"{rel} holds {len(roles)} folds but train.k is {config.train_cfg.k}: "
-            f"re-run `cohort`"
-        )
     folds = [cohort.FoldSplit(fold=f, roles=roles[f]) for f in sorted(roles)]
     dataset = pipeline.load_dataset(work / directory, labels)
     return dataset, folds, list(resolved.values())
@@ -351,7 +376,7 @@ def cmd_train(config: RunConfig) -> int:
     dataset, folds, inputs = _load_cohort(config, work)
     embeddings = None
     if "notes" in models.branches(config.model):
-        emb_files = require_stage(work, "embed", ["embeddings/embeddings.txt"])
+        emb_files = require_stage(work, "embed", ["embeddings/embeddings.txt"], config)
         _, embeddings = load_embeddings(emb_files["embeddings/embeddings.txt"])
         inputs += emb_files.values()
     results = traineval.train(
@@ -414,7 +439,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         window = int(window_str)
         scores = require_stage(
             work, f"train_{model}_W{window}",
-            [f"train/{run_dir.name}/fold{fold}.scores.jsonl" for fold in range(k)],
+            [f"train/{run_dir.name}/fold{fold}.scores.jsonl" for fold in range(k)], config,
         )
         metrics: dict[str, list[float]] = {"auroc": [], "auprc": []}
         for fold, scores_path in enumerate(scores.values()):

@@ -118,10 +118,13 @@ def work(tmp_path_factory):
 
 def test_pipeline_completes_and_writes_manifests(work):
     work_dir, _ = work
+    settings = {"preprocess": {"model.note_len": 48}, "embed": {"embed.dim": 12},
+                "cohort_W24": {"model.note_len": 48, "train.k": 5}}
     for stage in ("synth", "preprocess", "embed", "cohort_W24",
                   "train_notes-hcr_W24", "train_cts-rnn_W24", "train_mm-hcr_W24"):
         manifest = json.loads((work_dir / f"{stage}.manifest.json").read_text())
         assert manifest["stage"] == stage
+        assert manifest["settings"] == settings.get(stage, {})
         for field in ("cpu_s", "wall_s", "peak_rss_mb"):
             assert manifest[field] > 0, (stage, field)
         for rel, digest in manifest["outputs"].items():
@@ -533,6 +536,7 @@ def test_malformed_artifact_is_a_data_error(
     ("embed.window", 0, "embed"),
     ("embed.epochs", 0, "embed"),
     ("embed.dim", 0, "embed"),
+    ("embed.dim", 16, "synth"),
     ("embed.lr", 0, "embed"),
     ("embed.lr", -5, "embed"),
     ("embed.lr", "nan", "embed"),
@@ -597,6 +601,19 @@ def test_fold_count_mismatch_refused(work, tmp_path, capsys):
     config.write_text(SMALL_CONFIG + f"\ntrain.k = 3\nwork_dir = {work_dir}\n")
     assert main(["--config", str(config), "train"]) == 3
     assert "re-run `cohort`" in capsys.readouterr().err
+
+
+def test_clean_notes_of_another_note_len_refused(work, tmp_path, capsys):
+    args, copy = copy_run(work, tmp_path)
+    short = tmp_path / "short.cfg"
+    short.write_text(SMALL_CONFIG + f"\nmodel.note_len = 16\nwork_dir = {copy}\n")
+    assert main(["--config", str(short), "preprocess"]) == 0
+    capsys.readouterr()
+
+    assert main(args + ["cohort"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "model.note_len is 48, but stage `preprocess` ran with 16: re-run `preprocess`" in err
 
 
 def test_stale_training_results_refused(work, tmp_path):
