@@ -142,7 +142,8 @@ class TestShapes:
         params = models.init_model(models.NOTES_HCR, TOY, seed=1)
         rng = np.random.default_rng(0)
         out = models.semantical_forward(
-            Tensor(rng.standard_normal((5, 8, 4))), params.semantical, training=False, mask=np.ones((5, 8), dtype=bool),
+            Tensor(rng.standard_normal((5, 8, 4))), params.semantical,
+            training=False, mask=np.ones((5, 8), dtype=bool),
         )
         assert out.shape == (5, TOY.filters)
 
@@ -242,7 +243,7 @@ def test_shared_weights_accumulate_gradients_across_notes():
 
 
 def test_eval_mode_is_deterministic():
-    cfg = ModelConfig(note_len=8, embed_dim=4, filters=3, temporal_hidden=3, cts_hidden=(3, 2))
+    cfg = TOY
     emb = toy_embeddings()
     file = toy_file()
     ts = toy_ts()
