@@ -147,11 +147,13 @@ def render_config(config: RunConfig) -> str:
 
 # stage -> the config keys its outputs were made with that every stage
 # reading them must share: clean notes are cut to note_len, vectors have
-# embed.dim values, the cohort holds note_len-wide ids in train.k folds
+# embed.dim values, the cohort holds note_len-wide ids in train.k folds,
+# and a training run writes one score file per each of its train.k folds
 SETTINGS = {
     "preprocess": ("model.note_len",),
     "embed": ("embed.dim",),
     "cohort": ("model.note_len", "train.k"),
+    "train": ("train.k",),
 }
 
 

@@ -29,11 +29,13 @@ from .ndcore import (
     DenseParams,
     GruDirectionParams,
     Tensor,
+    add_relu,
     bigru,
     batchnorm,
     concat,
     conv1d,
     dense_sigmoid,
+    fold_batchnorm,
     global_avg_pool,
     parameter,
     spatial_dropout,
@@ -282,14 +284,25 @@ def semantical_forward(
     counts differ) and applies ReLU after the addition. A global average
     pool over the lexical axis, over the `mask` positions when given,
     produces the document vector.
+
+    In eval mode SpatialDropout is the identity and BatchNorm an affine
+    map per channel, so each block is one conv1d whose kernels and bias
+    have the norm folded in (`fold_batchnorm`); the outputs differ from
+    the unfolded chain only by rounding, and gradients still reach every
+    parameter. The residual add and ReLU are one node (`add_relu`), and
+    so is the masked pool; train-mode values and gradients carry the bits
+    of the plain composition.
     """
     x = notes
     for block in blocks:
-        y = conv1d(x, block.conv)
-        y = spatial_dropout(y, SPATIAL_DROPOUT, training=training, rng=rng)
-        y = batchnorm(y, block.norm, training=training)
+        if training:
+            y = conv1d(x, block.conv)
+            y = spatial_dropout(y, SPATIAL_DROPOUT, training=True, rng=rng)
+            y = batchnorm(y, block.norm, training=True)
+        else:
+            y = conv1d(x, fold_batchnorm(block.conv, block.norm))
         shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
-        x = (y + shortcut).relu()
+        x = add_relu(y, shortcut)
     return global_avg_pool(x, mask=mask)
 
 

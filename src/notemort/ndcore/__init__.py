@@ -1,7 +1,8 @@
 """Minimal dense-tensor numerics with reverse-mode autodiff.
 
 Exactly the layer set the mortality models need: 1-D convolution,
-channel dropout, batch normalization, masked pooling, bidirectional
+channel dropout, batch normalization (folded into the convolution in
+eval mode), the residual add+ReLU, masked pooling, bidirectional
 GRUs, a sigmoid head, an L2 weight penalty, and the AMSGrad optimizer.
 Everything is float64 and deterministic given an explicit RNG.
 """
@@ -24,6 +25,8 @@ from .layers import (
     conv1d,
     spatial_dropout,
     batchnorm,
+    fold_batchnorm,
+    add_relu,
     global_avg_pool,
     bigru,
     dense,
@@ -49,6 +52,8 @@ __all__ = [
     "conv1d",
     "spatial_dropout",
     "batchnorm",
+    "fold_batchnorm",
+    "add_relu",
     "global_avg_pool",
     "bigru",
     "dense",

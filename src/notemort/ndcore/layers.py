@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from .tensor import Tensor, _make, _recording, _sigmoid, concat
+from .tensor import Tensor, _make, _recording, _sigmoid, _unbroadcast, concat
 
 # -- parameter containers -----------------------------------------------------
 
@@ -201,19 +201,43 @@ def dropout(
 # -- batch normalization ---------------------------------------------------------
 
 
+def _eval_affine(params: BatchNormParams) -> tuple[Tensor, Tensor]:
+    """Eval-mode batchnorm as the per-channel map x * scale + shift, with
+    scale = gamma / sqrt(running_var + eps) and shift = beta - running_mean * scale.
+
+    Both are tape ops on the [C] parameters, so a recorded forward through
+    them still sends gradients to gamma and beta.
+    """
+    scale = params.gamma * (1.0 / np.sqrt(params.running_var + params.eps))
+    return scale, params.beta - params.running_mean * scale
+
+
+def fold_batchnorm(conv: Conv1dParams, norm: BatchNormParams) -> Conv1dParams:
+    """The convolution equal to eval-mode batchnorm after `conv`.
+
+    batchnorm(conv1d(x, conv), norm, training=False) is conv1d(x, folded)
+    up to rounding, with W' = W * scale and b' = b * scale + shift per
+    output channel (Jacob et al. 2018, section 3.2). Built from tape ops
+    on the small parameter tensors: the kernels, bias, gamma and beta
+    still receive gradients through it.
+    """
+    scale, shift = _eval_affine(norm)
+    return Conv1dParams(kernels=conv.kernels * scale, bias=conv.bias * scale + shift)
+
+
 def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
     """Normalize per channel over all leading axes of [..., L, C].
 
     Train mode uses batch statistics and updates the running ones by
     exponential moving average (running variance uses the unbiased batch
-    variance); eval mode uses the running statistics. Train mode is one
-    tape node whose backward is the closed form
+    variance); eval mode uses the running statistics, as the affine map
+    of `_eval_affine`. Train mode is one tape node whose backward is the
+    closed form
     dx = (gamma*g - mean(gamma*g) - xhat * mean(gamma*g * xhat)) / sigma.
     """
     if not training:
-        scale = 1.0 / np.sqrt(params.running_var + params.eps)
-        xhat = (x - params.running_mean) * scale
-        return params.gamma * xhat + params.beta
+        scale, shift = _eval_affine(params)
+        return x * scale + shift
     channels = x.shape[-1]
     count = int(np.prod(x.shape[:-1]))
     if count < 2:
@@ -255,19 +279,47 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
     return _make(out.reshape(x.shape), (x, gamma, beta), "batchnorm", back)
 
 
-# -- pooling --------------------------------------------------------------------
+# -- residual join and pooling ------------------------------------------------------
+
+
+def add_relu(a: Tensor, b: Tensor) -> Tensor:
+    """relu(a + b) as one tape node, with the bits of `(a + b).relu()`.
+
+    The backward builds one masked gradient; the first parent that needs
+    it adopts it and the other gets one copy.
+    """
+    out = a.data + b.data
+    np.maximum(out, 0.0, out=out)
+
+    def back(g):
+        g = g * (out > 0.0)
+        fresh = True
+        for t in (a, b):
+            if t.requires_grad:
+                t._accum(_unbroadcast(g, t.shape), fresh=fresh)
+                fresh = False
+
+    return _make(out, (a, b), "add_relu", back)
 
 
 def global_avg_pool(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Per-channel mean over (unmasked) positions: [..., L, C] -> [..., C]."""
+    """Per-channel mean over (unmasked) positions: [..., L, C] -> [..., C].
+
+    With a mask, one tape node with the bits of the composition
+    `(x * weights).sum(axis=-2) / counts` (weights: the mask as 0/1).
+    """
     if mask is None:
         return x.mean(axis=-2)
     mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=-1)
+    counts = mask.sum(axis=-1)[..., None]
     if np.any(counts == 0):
         raise DataError("global_avg_pool: some input has every position masked")
     weights = mask.astype(np.float64)[..., None]
-    return (x * weights).sum(axis=-2) / counts[..., None]
+
+    def back(g):
+        x._accum(_unbroadcast((g / counts)[..., None, :] * weights, x.shape), fresh=True)
+
+    return _make((x.data * weights).sum(axis=-2) / counts, (x,), "global_avg_pool", back)
 
 
 # -- recurrent layers -------------------------------------------------------------

@@ -15,7 +15,10 @@ from notemort.cohort import (
     standardize_values,
 )
 from notemort.errors import DataError
-from notemort.ndcore import Tensor, concat, constant, stack
+from notemort.models import SPATIAL_DROPOUT, lookup_note_embeddings, temporal_forward
+from notemort.ndcore import (
+    Tensor, batchnorm, concat, constant, conv1d, dense_sigmoid, spatial_dropout, stack,
+)
 from notemort.notesproc import PAD_ID, read_csv_records, write_csv_records
 
 
@@ -99,6 +102,49 @@ def batchnorm_train_composed(x, params):
     params.running_var *= mom
     params.running_var += (1.0 - mom) * var.data.reshape(-1) * (count / (count - 1))
     return params.gamma * xhat + params.beta
+
+
+def batchnorm_eval_composed(x, params):
+    """Eval-mode batchnorm as the four-node chain over the running
+    statistics that the folded convolution replaces."""
+    scale = 1.0 / np.sqrt(params.running_var + params.eps)
+    xhat = (x - params.running_mean) * scale
+    return params.gamma * xhat + params.beta
+
+
+def add_relu_composed(a, b):
+    """The residual join as the add and relu nodes `add_relu` replaces."""
+    return (a + b).relu()
+
+
+def global_avg_pool_composed(x, mask):
+    """Masked mean pooling as the mul/sum/div node chain the pooling
+    node replaces."""
+    mask = np.asarray(mask, dtype=bool)
+    counts = mask.sum(axis=-1)
+    weights = constant(mask.astype(np.float64)[..., None])
+    return (x * weights).sum(axis=-2) / counts[..., None]
+
+
+def notes_forward_composed(model, cfg, embeddings, ids, *, training, rng=None):
+    """models.forward for a notes-hcr model with each block's residual
+    join and the pooling as generic tape nodes, and eval-mode batchnorm
+    as `batchnorm_eval_composed` after the unfolded convolution."""
+    n_files, n_notes, note_len = ids.shape
+    flat_ids = ids.reshape(n_files * n_notes, note_len)
+    x = lookup_note_embeddings(flat_ids, embeddings)
+    for block in model.semantical:
+        y = conv1d(x, block.conv)
+        if training:
+            y = spatial_dropout(y, SPATIAL_DROPOUT, training=True, rng=rng)
+            y = batchnorm(y, block.norm, training=True)
+        else:
+            y = batchnorm_eval_composed(y, block.norm)
+        shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
+        x = add_relu_composed(y, shortcut)
+    docs = global_avg_pool_composed(x, flat_ids != PAD_ID)
+    docs = docs.reshape((n_files, n_notes, cfg.filters))
+    return dense_sigmoid(temporal_forward(docs, model.temporal), model.head)
 
 
 def sigmoid_masked(x):

@@ -31,6 +31,37 @@ def load(name: str):
     return module
 
 
+# tiny shapes of the kind `spans.SHAPE_RECORDERS` records, one per probed op
+PROBE_SHAPES = {
+    "conv1d": {"x": [2, 5, 3], "kernels": [3, 3, 4]},
+    "batchnorm": {"x": [2, 5, 3]},
+    "spatial_dropout": {"x": [2, 5, 3], "p": 0.5},
+    "global_avg_pool": {"x": [2, 5, 3], "masked": True},
+    "bigru": {"x": [2, 4, 3], "hidden": 2},
+    "dense_sigmoid": {"x": [2, 3], "weight": [3, 1]},
+    "l2_penalty": {"weights": [[3, 2], [2, 2]], "lam": 0.1},
+}
+
+
+def test_every_probe_runs():
+    """`probes.py` imports `step` from its own directory, so perfbench/ is
+    on the path while it loads; the path is restored after, and the
+    perfbench modules it imported are dropped."""
+    path, modules = list(sys.path), set(sys.modules)
+    sys.path.insert(0, str(BENCH))
+    try:
+        probes = load("probes")
+        assert set(probes.OPS) == set(PROBE_SHAPES)
+        for op in probes.OPS:
+            result = probes.probe_op(op, PROBE_SHAPES[op], repeats=1)
+            assert all(value >= 0.0 for value in result.values()), op
+    finally:
+        sys.path[:] = path
+        for name in set(sys.modules) - modules:
+            if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == BENCH:
+                del sys.modules[name]
+
+
 def test_every_trace_target_resolves():
     """The lookup `Tracer.install` makes for each target."""
     for owner_path, attr, _ in load("spans").TARGETS:

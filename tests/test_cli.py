@@ -119,7 +119,8 @@ def work(tmp_path_factory):
 def test_pipeline_completes_and_writes_manifests(work):
     work_dir, _ = work
     settings = {"preprocess": {"model.note_len": 48}, "embed": {"embed.dim": 12},
-                "cohort_W24": {"model.note_len": 48, "train.k": 5}}
+                "cohort_W24": {"model.note_len": 48, "train.k": 5},
+                **{f"train_{kind}_W24": {"train.k": 5} for kind in models.MODEL_KINDS}}
     for stage in ("synth", "preprocess", "embed", "cohort_W24",
                   "train_notes-hcr_W24", "train_cts-rnn_W24", "train_mm-hcr_W24"):
         manifest = json.loads((work_dir / f"{stage}.manifest.json").read_text())
@@ -616,6 +617,21 @@ def test_fold_count_mismatch_refused(work, tmp_path, capsys):
     config.write_text(SMALL_CONFIG + f"\ntrain.k = 3\nwork_dir = {work_dir}\n")
     assert main(["--config", str(config), "train"]) == 3
     assert "re-run `cohort`" in capsys.readouterr().err
+
+
+def test_evaluate_at_another_fold_count_refused(work, tmp_path, capsys):
+    """Runs trained at k = 5 are refused at k = 3, and eval/ is left as it was."""
+    _, copy = copy_run(work, tmp_path)
+    report = (copy / "eval" / "report.jsonl").read_bytes()
+    config = tmp_path / "k3.cfg"
+    config.write_text(SMALL_CONFIG + f"\ntrain.k = 3\nwork_dir = {copy}\n")
+    capsys.readouterr()
+
+    assert main(["--config", str(config), "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "train.k is 3, but stage `train_" in err and "re-run `train`" in err
+    assert (copy / "eval" / "report.jsonl").read_bytes() == report
 
 
 def test_clean_notes_of_another_note_len_refused(work, tmp_path, capsys):

@@ -12,11 +12,13 @@ from notemort.ndcore import (
     DenseParams,
     GruDirectionParams,
     Tensor,
+    add_relu,
     backward,
     bigru,
     batchnorm,
     conv1d,
     dense_sigmoid,
+    fold_batchnorm,
     global_avg_pool,
     l2_penalty,
     parameter,
@@ -26,12 +28,15 @@ from notemort.ndcore import (
 from notemort.ndcore.tensor import _sigmoid
 
 from oracles import (
+    add_relu_composed,
+    batchnorm_eval_composed,
     batchnorm_train_composed,
     bigru_composed,
     bigru_scalar,
     conv1d_composed,
     conv1d_loops,
     finite_diff_grad,
+    global_avg_pool_composed,
     gru_scalar_step,
     gru_step_composed,
     l2_penalty_composed,
@@ -330,7 +335,117 @@ def test_fused_conv1d_and_batchnorm_add_one_tape_node_each():
     assert z._parents == (y, bn.gamma, bn.beta)
 
 
-# -- pooling ----------------------------------------------------------------------
+def random_bn(rng, channels):
+    """Batchnorm parameters at random gamma, beta and running statistics."""
+    return BatchNormParams(
+        gamma=parameter(rng.normal(1.0, 0.5, channels)),
+        beta=parameter(rng.normal(0.0, 0.5, channels)),
+        running_mean=rng.normal(0.0, 1.0, channels),
+        running_var=rng.uniform(0.2, 3.0, channels),
+    )
+
+
+def forward_and_grads(build, leaves, grad_out):
+    """`build()`'s output and the gradients of sum(out * grad_out) with
+    respect to each leaf; the leaves' gradients are cleared afterwards."""
+    out = build()
+    (out * grad_out).sum().backward()
+    grads = [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return out.data, grads
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batchnorm_eval_matches_composition(seed):
+    rng = np.random.default_rng(seed)
+    x = parameter(rng.standard_normal((2, 5, 3)) * 2.0 + 0.5)
+    bn = random_bn(rng, 3)
+    grad_out = rng.standard_normal((2, 5, 3))
+    leaves = [x, bn.gamma, bn.beta]
+    out, grads = forward_and_grads(lambda: batchnorm(x, bn, training=False), leaves, grad_out)
+    want, want_grads = forward_and_grads(lambda: batchnorm_eval_composed(x, bn), leaves, grad_out)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    for got, expected in zip(grads, want_grads):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_folded_conv_matches_conv_then_eval_batchnorm(seed):
+    """conv1d with the norm folded in against the unfolded chain, in
+    values and in the gradients of the input, kernels, bias, gamma and beta."""
+    rng = np.random.default_rng(seed)
+    x = parameter(rng.standard_normal((2, 6, 3)))
+    conv = make_conv(rng, 3, 3, 4)
+    bn = random_bn(rng, 4)
+    grad_out = rng.standard_normal((2, 6, 4))
+    leaves = [x, conv.kernels, conv.bias, bn.gamma, bn.beta]
+    out, grads = forward_and_grads(
+        lambda: conv1d(x, fold_batchnorm(conv, bn)), leaves, grad_out
+    )
+    want, want_grads = forward_and_grads(
+        lambda: batchnorm_eval_composed(conv1d(x, conv), bn), leaves, grad_out
+    )
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    for got, expected in zip(grads, want_grads):
+        assert np.any(got != 0.0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+# -- residual join and pooling ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("needs_grad", ["both", "a", "b", "same"])
+def test_add_relu_bit_identical_to_composition(needs_grad):
+    """Values and gradients, with sums of exactly zero at the kink and
+    with both inputs used again by nodes the backward reaches later."""
+    rng = np.random.default_rng(3)
+    shape = (2, 5, 3)
+    a_data, b_data = rng.standard_normal(shape), rng.standard_normal(shape)
+    b_data[0, :2] = -a_data[0, :2]
+    grad_out, other = rng.standard_normal(shape), rng.standard_normal(shape)
+    results = []
+    for op in (add_relu, add_relu_composed):
+        a = Tensor(a_data.copy(), requires_grad=needs_grad != "b")
+        b = a if needs_grad == "same" else Tensor(b_data.copy(), requires_grad=needs_grad != "a")
+        earlier = (a * other + b * other).sum()
+        out = op(a, b)
+        ((out * grad_out).sum() + earlier).backward()
+        results.append([out.data, a.grad, b.grad])
+    for got, want in zip(*results):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (2, 2, 5, 3)])
+def test_global_avg_pool_bit_identical_to_composition(shape):
+    rng = np.random.default_rng(len(shape))
+    x_data = rng.standard_normal(shape)
+    mask = rng.random(shape[:-1]) > 0.4
+    mask[..., 0] = True
+    grad_out = rng.standard_normal(shape[:-2] + shape[-1:])
+    x = parameter(x_data)
+    out, grads = forward_and_grads(lambda: global_avg_pool(x, mask=mask), [x], grad_out)
+    want, want_grads = forward_and_grads(
+        lambda: global_avg_pool_composed(x, mask), [x], grad_out
+    )
+    assert np.array_equal(out, want)
+    assert np.array_equal(grads[0], want_grads[0])
+
+
+def test_add_relu_and_masked_pool_add_one_tape_node_each():
+    rng = np.random.default_rng(10)
+    a = parameter(rng.standard_normal((2, 5, 3)))
+    b = parameter(rng.standard_normal((2, 5, 3)))
+    start = Tensor(0.0)._id
+    y = add_relu(a, b)
+    assert y._id == start + 1 and y._parents == (a, b)
+    start = Tensor(0.0)._id
+    pooled = global_avg_pool(y, mask=rng.random((2, 5)) > -1.0)
+    assert pooled._id == start + 1 and pooled._parents == (y,)
+
+
 
 
 def test_global_avg_pool_examples():

@@ -15,10 +15,8 @@ from notemort.ndcore import (
     Tensor,
     backward,
     bigru,
-    batchnorm,
     conv1d,
     dense_sigmoid,
-    global_avg_pool,
     load_checkpoint,
     no_grad,
     save_checkpoint,
@@ -26,7 +24,14 @@ from notemort.ndcore import (
 from notemort.notesproc import CleanNote, truncate_pad
 from notemort.cohort import N_TS_VARIABLES, standardize_values
 
-from oracles import finite_diff_grad, max_rel_err
+from oracles import (
+    add_relu_composed,
+    batchnorm_eval_composed,
+    finite_diff_grad,
+    global_avg_pool_composed,
+    max_rel_err,
+    notes_forward_composed,
+)
 
 TOY = ModelConfig(note_len=8, embed_dim=4, filters=2, temporal_hidden=3, cts_hidden=(3, 2))
 
@@ -75,6 +80,18 @@ def stay_inputs(file=None, ts=None) -> dict:
 def stay_forward(params, cfg, emb=None, file=None, ts=None, **kwargs) -> Tensor:
     """One stay through models.forward -> scalar probability."""
     return models.forward(params, cfg, emb, **stay_inputs(file, ts), **kwargs).reshape(())
+
+
+def randomize_norms(params, seed):
+    """Non-default gamma, beta and running statistics in every conv block:
+    at the initial ones (1, 0, 0, 1) eval-mode batchnorm nearly is the identity."""
+    rng = np.random.default_rng(seed)
+    for block in params.semantical:
+        channels = block.norm.beta.shape[0]
+        block.norm.gamma.data[...] = rng.normal(1.0, 0.3, channels)
+        block.norm.beta.data[...] = rng.normal(0.0, 0.3, channels)
+        block.norm.running_mean[...] = rng.normal(0.0, 0.5, channels)
+        block.norm.running_var[...] = rng.uniform(0.3, 2.0, channels)
 
 
 # -- parameter counts: independent shape-walk oracle, frozen regression values --
@@ -182,6 +199,7 @@ def test_single_note_pipeline_matches_layer_composition():
     cfg = TOY
     emb = toy_embeddings(seed=4)
     params = models.init_model(models.NOTES_HCR, cfg, seed=5)
+    randomize_norms(params, seed=7)
     file = toy_file(n_notes=1, seed=6)
     note = file[0]
 
@@ -192,11 +210,10 @@ def test_single_note_pipeline_matches_layer_composition():
         real = note.tokens != 0
         x = Tensor(emb.vectors[safe] * real[:, None])
         for block in params.semantical:
-            y = conv1d(x, block.conv)
-            y = batchnorm(y, block.norm, training=False)
+            y = batchnorm_eval_composed(conv1d(x, block.conv), block.norm)
             shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
-            x = (y + shortcut).relu()
-        doc = global_avg_pool(x, mask=real)
+            x = add_relu_composed(y, shortcut)
+        doc = global_avg_pool_composed(x, real)
         _, patient = bigru(doc.reshape((1, 1, cfg.filters)), params.temporal)
         head = dense_sigmoid(patient, params.head)
         assert head.shape == (1,)
@@ -240,6 +257,71 @@ def test_shared_weights_accumulate_gradients_across_notes():
         np.testing.assert_allclose(
             g_ab[key], g_a[key] + g_b[key], rtol=1e-9, atol=1e-12
         )
+    # the eval-mode fold must not cut the kernels off the tape
+    for i in range(models.CONV_BLOCKS):
+        assert np.any(g_ab[f"semantical.block{i}.conv.kernels"] != 0.0)
+
+
+@pytest.mark.parametrize("block", range(models.CONV_BLOCKS))
+def test_eval_mode_gradients_through_the_fold(block):
+    """Finite differences of an eval-mode forward, whose batchnorm is
+    folded into the convolution, for one block's kernels, bias, gamma
+    and beta, at non-default running statistics."""
+    emb = toy_embeddings(seed=40)
+    params = models.init_model(models.NOTES_HCR, TOY, seed=41)
+    randomize_norms(params, seed=42)
+    ids = np.stack([n.tokens for n in toy_file(n_notes=2, seed=43)])[None]
+    blk = params.semantical[block]
+    tensors = {"kernels": blk.conv.kernels, "bias": blk.conv.bias,
+               "gamma": blk.norm.gamma, "beta": blk.norm.beta}
+
+    def loss():
+        probs = models.forward(params, TOY, emb, ids=ids, training=False)
+        return (probs * probs).sum()
+
+    backward(loss(), tensors.values())
+    for name, tensor in tensors.items():
+        assert np.any(tensor.grad != 0.0), name
+        err = max_rel_err(tensor.grad, finite_diff_grad(loss, tensor))
+        assert err < 1e-4, f"{name}: {err:.2e}"
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_notes_step_matches_oracle_composition(training):
+    """One toy notes-hcr step, loss with the L2 terms and backward: in
+    train mode the loss, every gradient and the running statistics carry
+    the bits of the generic-node composition; in eval mode they agree
+    with the unfolded chain within 1e-12."""
+    emb = toy_embeddings(seed=50)
+    ids = np.stack([
+        np.stack([n.tokens for n in toy_file(n_notes=3, seed=51 + i)]) for i in range(2)
+    ])
+    labels = np.array([1.0, 0.0])
+    results = []
+    for forward in (
+        lambda m, rng: models.forward(m, TOY, emb, ids=ids, training=training, rng=rng),
+        lambda m, rng: notes_forward_composed(m, TOY, emb, ids, training=training, rng=rng),
+    ):
+        params = models.init_model(models.NOTES_HCR, TOY, seed=52)
+        randomize_norms(params, seed=53)
+        named = models.named_parameters(params)
+        probs = forward(params, np.random.default_rng(54))
+        loss = traineval.weighted_bce(probs, labels, 2.0, 0.5)
+        for weight, lam in models.decayed_weights(params, TOY):
+            loss = loss + traineval.l2_penalty([weight], lam)
+        backward(loss, named.values())
+        arrays = {k: t.grad for k, t in named.items()}
+        arrays.update(models.named_buffers(params))
+        results.append((loss.item(), arrays))
+    (loss, arrays), (want_loss, want_arrays) = results
+    if training:
+        assert loss == want_loss
+        for name, want in want_arrays.items():
+            assert np.array_equal(arrays[name], want), name
+    else:
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+        for name, want in want_arrays.items():
+            np.testing.assert_allclose(arrays[name], want, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_eval_mode_is_deterministic():
