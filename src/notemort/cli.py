@@ -11,7 +11,10 @@ outputs were made with that every stage reading them must share
 stale. And it records the stage's cost: wall and CPU seconds from
 the start of its command to its manifest, and the peak RSS of its
 process so far. CPU and RSS are of the stage's own process; the fold
-workers of `train --jobs` above 1 are not counted.
+workers of `train --jobs` above 1 are not counted. Under `environment`
+it records what the numbers ran on: the numpy version, the BLAS numpy
+was built with, and every `*_NUM_THREADS` environment variable that is
+set. No stage reads `environment` back.
 
 Exit codes: 0 success, 2 configuration error, 3 missing or stale
 dependency artifact, 4 runtime/data error.
@@ -23,6 +26,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import resource
 import sys
 import time
@@ -170,6 +174,16 @@ def _clock() -> tuple[float, float]:
     return time.perf_counter(), time.process_time()
 
 
+def _environment() -> dict:
+    """The numpy version, its BLAS and the thread-count variables."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "num_threads": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+    }
+
+
 def write_manifest(
     work: Path, stage: str, config: RunConfig, inputs: list[Path], outputs: list[Path],
     started: tuple[float, float],
@@ -183,6 +197,7 @@ def write_manifest(
         "wall_s": time.perf_counter() - wall,
         "cpu_s": time.process_time() - cpu,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "environment": _environment(),
         "version": __version__,
         "seed": config.seed,
         "config_hash": config.hash(),

@@ -31,14 +31,15 @@ from .ndcore import (
     Tensor,
     add_relu,
     bigru,
-    batchnorm,
+    batchnorm,  # not called here: perfbench/spans.py traces models.batchnorm
     concat,
     conv1d,
+    conv_block_train,
     dense_sigmoid,
     fold_batchnorm,
     global_avg_pool,
     parameter,
-    spatial_dropout,
+    spatial_dropout,  # not called here: perfbench/spans.py traces models.spatial_dropout
 )
 from .ndcore.layers import dropout
 from .notesproc import OOV_ID, PAD_ID
@@ -285,24 +286,24 @@ def semantical_forward(
     pool over the lexical axis, over the `mask` positions when given,
     produces the document vector.
 
-    In eval mode SpatialDropout is the identity and BatchNorm an affine
-    map per channel, so each block is one conv1d whose kernels and bias
-    have the norm folded in (`fold_batchnorm`); the outputs differ from
-    the unfolded chain only by rounding, and gradients still reach every
-    parameter. The residual add and ReLU are one node (`add_relu`), and
-    so is the masked pool; train-mode values and gradients carry the bits
-    of the plain composition.
+    In train mode each block is one tape node (`conv_block_train`) whose
+    values, gradients and running statistics carry the bits of that
+    chain. In eval mode SpatialDropout is the identity and BatchNorm an
+    affine map per channel, so each block is one conv1d whose kernels
+    and bias have the norm folded in (`fold_batchnorm`), then one
+    `add_relu`; the outputs differ from the unfolded chain only by
+    rounding, and gradients still reach every parameter. The masked pool
+    is one node.
     """
     x = notes
     for block in blocks:
         if training:
-            y = conv1d(x, block.conv)
-            y = spatial_dropout(y, SPATIAL_DROPOUT, training=True, rng=rng)
-            y = batchnorm(y, block.norm, training=True)
+            x = conv_block_train(
+                x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng
+            )
         else:
             y = conv1d(x, fold_batchnorm(block.conv, block.norm))
-        shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
-        x = add_relu(y, shortcut)
+            x = add_relu(y, x if block.shortcut is None else conv1d(x, block.shortcut))
     return global_avg_pool(x, mask=mask)
 
 

@@ -2,8 +2,9 @@
 
 Exactly the layer set the mortality models need: 1-D convolution,
 channel dropout, batch normalization (folded into the convolution in
-eval mode), the residual add+ReLU, masked pooling, bidirectional
-GRUs, a sigmoid head, an L2 weight penalty, and the AMSGrad optimizer.
+eval mode), the residual add+ReLU, the train-mode conv block as one op,
+masked pooling, bidirectional GRUs, a sigmoid head, an L2 weight
+penalty, and the AMSGrad optimizer.
 Everything is float64 and deterministic given an explicit RNG.
 """
 
@@ -27,6 +28,7 @@ from .layers import (
     batchnorm,
     fold_batchnorm,
     add_relu,
+    conv_block_train,
     global_avg_pool,
     bigru,
     dense,
@@ -54,6 +56,7 @@ __all__ = [
     "batchnorm",
     "fold_batchnorm",
     "add_relu",
+    "conv_block_train",
     "global_avg_pool",
     "bigru",
     "dense",

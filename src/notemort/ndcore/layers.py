@@ -86,97 +86,131 @@ class DenseParams:
 _COLS_BYTES = 4 << 20
 
 
-def conv1d(x: Tensor, params: Conv1dParams) -> Tensor:
-    """Same-length cross-correlation along the lexical axis.
+class _ConvGemm:
+    """The arrays of one same-length conv1d over x [..., L, C_in].
 
-    x: [..., L, C_in] -> [..., L, C_out]. Zero padding of (K-1)/2 on each
-    side; kernel size must be odd. out[i] = sum_k x[i + k - K//2] . W[k].
-
-    One tape node: the windows are unrolled into columns
-    cols[n, i, k, :] = x[n, i + k - K//2, :] (zero outside the input) and
-    multiplied by the flattened kernel in one GEMM per leading index n
-    (Chellapilla, Puri & Simard 2006). The leading axes stay a batch axis
-    of the matmul instead of being folded into its rows: the per-n GEMMs
-    are small enough that OpenBLAS runs them on one thread, which at desk
-    sizes costs less CPU time than one large threaded GEMM. Columns are
-    built a few leading indices at a time (about `_COLS_BYTES`) and
-    rebuilt in the backward pass, so they are never held whole.
+    Zero padding of (K-1)/2 on each side; kernel size must be odd.
+    out[i] = sum_k x[i + k - K//2] . W[k]. The windows are unrolled into
+    columns cols[n, i, k, :] = x[n, i + k - K//2, :] (zero outside the
+    input) and multiplied by the flattened kernel in one GEMM per leading
+    index n (Chellapilla, Puri & Simard 2006). Columns are built a few
+    leading indices at a time (about `_COLS_BYTES`) and rebuilt in the
+    backward pass, so they are never held whole.
     """
-    kernels, bias = params.kernels, params.bias
-    k_size, c_in, c_out = kernels.shape
-    if k_size % 2 == 0:
-        raise ConfigurationError(f"kernel size must be odd, got {k_size}")
-    if x.shape[-1] != c_in:
-        raise ConfigurationError(
-            f"input has {x.shape[-1]} channels, kernel expects {c_in}"
-        )
-    length = x.shape[-2]
-    if length < 1:
-        raise ConfigurationError("conv1d needs at least one position")
-    # tap k reads input rows [src, src + m) into output rows [dst, dst + m)
-    taps = []
-    for k in range(k_size):
-        shift = k - (k_size - 1) // 2
-        m = max(length - abs(shift), 0)
-        dst = max(-shift, 0)
-        taps.append((k, dst, dst + shift, m))
-    xs = x.data.reshape(-1, length, c_in)
-    per_index = length * k_size * c_in * xs.itemsize
-    step = max(1, _COLS_BYTES // per_index)
-    chunks = [slice(i, i + step) for i in range(0, len(xs), step)]
 
-    def unroll(part: np.ndarray) -> np.ndarray:
-        cols = np.zeros((len(part), length, k_size, c_in))
-        for k, dst, src, m in taps:
+    def __init__(self, x: np.ndarray, kernels: np.ndarray):
+        k_size, c_in, c_out = kernels.shape
+        if k_size % 2 == 0:
+            raise ConfigurationError(f"kernel size must be odd, got {k_size}")
+        if x.shape[-1] != c_in:
+            raise ConfigurationError(
+                f"input has {x.shape[-1]} channels, kernel expects {c_in}"
+            )
+        length = x.shape[-2]
+        if length < 1:
+            raise ConfigurationError("conv1d needs at least one position")
+        # tap k reads input rows [src, src + m) into output rows [dst, dst + m)
+        self.taps = []
+        for k in range(k_size):
+            shift = k - (k_size - 1) // 2
+            m = max(length - abs(shift), 0)
+            dst = max(-shift, 0)
+            self.taps.append((k, dst, dst + shift, m))
+        self.xs = x.reshape(-1, length, c_in)
+        self.w2 = kernels.reshape(k_size * c_in, c_out)
+        step = max(1, _COLS_BYTES // (length * k_size * c_in * self.xs.itemsize))
+        self.chunks = [slice(i, i + step) for i in range(0, len(self.xs), step)]
+        self.out_shape = (len(self.xs), length, c_out)
+
+    def _unroll(self, part: np.ndarray) -> np.ndarray:
+        n, length, c_in = part.shape
+        cols = np.zeros((n, length, len(self.taps), c_in))
+        for k, dst, src, m in self.taps:
             cols[:, dst : dst + m, k] = part[:, src : src + m]
-        return cols.reshape(len(part), length, k_size * c_in)
+        return cols.reshape(n, length, -1)
 
-    w2 = kernels.data.reshape(k_size * c_in, c_out)
-    out = np.empty((len(xs), length, c_out))
-    for chunk in chunks:
-        np.matmul(unroll(xs[chunk]), w2, out=out[chunk])
-    out += bias.data
+    def forward(self, bias: np.ndarray) -> np.ndarray:
+        """The convolution [n, L, C_out], n the product of the leading axes."""
+        out = np.empty(self.out_shape)
+        for chunk in self.chunks:
+            np.matmul(self._unroll(self.xs[chunk]), self.w2, out=out[chunk])
+        out += bias
+        return out
 
-    def back(g):
-        g = g.reshape(-1, length, c_out)
-        dx = np.zeros_like(xs) if x.requires_grad else None
-        dw = np.zeros_like(w2) if kernels.requires_grad else None
-        for chunk in chunks:
+    def backward(self, g: np.ndarray, params: Conv1dParams, need_dx: bool) -> np.ndarray | None:
+        """Accumulate the kernel and bias gradients of output gradient
+        g [n, L, C_out] into `params`; returns the input gradient
+        [n, L, C_in] when `need_dx`, else None."""
+        k_size, c_in = len(self.taps), self.xs.shape[-1]
+        dx = np.zeros_like(self.xs) if need_dx else None
+        dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
+        for chunk in self.chunks:
             if dx is not None:
-                gcols = (g[chunk] @ w2.T).reshape(-1, length, k_size, c_in)
-                for k, dst, src, m in taps:
+                gcols = (g[chunk] @ self.w2.T).reshape(-1, g.shape[1], k_size, c_in)
+                for k, dst, src, m in self.taps:
                     dx[chunk, src : src + m] += gcols[:, dst : dst + m, k]
             if dw is not None:
-                for cols, g_n in zip(unroll(xs[chunk]), g[chunk]):
+                for cols, g_n in zip(self._unroll(self.xs[chunk]), g[chunk]):
                     dw += cols.T @ g_n
+        if dw is not None:
+            params.kernels._accum(dw.reshape(params.kernels.shape), fresh=True)
+        if params.bias.requires_grad:
+            params.bias._accum(g.sum(axis=(0, 1)), fresh=True)
+        return dx
+
+
+def conv1d(x: Tensor, params: Conv1dParams) -> Tensor:
+    """Same-length cross-correlation along the lexical axis, as one tape node.
+
+    x: [..., L, C_in] -> [..., L, C_out], computed by `_ConvGemm`. The
+    leading axes stay a batch axis of the matmul instead of being folded
+    into its rows, so every GEMM is one note's. Such a GEMM is not small
+    enough to keep OpenBLAS on one thread at paper shapes
+    ([500 x 600] @ [600 x 200]). Measured on 2 vCPUs with OpenBLAS
+    0.3.31: one took 0.93 ms at the default thread count and 1.85 ms at
+    OPENBLAS_NUM_THREADS=1, and a paper-scale notes-hcr training step
+    read 3.1 CPU-s over 1.75 s wall against 2.05 over 2.05 on one
+    thread. The idle BLAS worker spins through the numpy passes between
+    GEMMs, so each elementwise pass over a conv-sized array costs about
+    twice its wall time in CPU seconds.
+    """
+    gemm = _ConvGemm(x.data, params.kernels.data)
+    out = gemm.forward(params.bias.data)
+
+    def back(g):
+        dx = gemm.backward(g.reshape(gemm.out_shape), params, x.requires_grad)
         if dx is not None:
             x._accum(dx.reshape(x.shape), fresh=True)
-        if dw is not None:
-            kernels._accum(dw.reshape(kernels.shape), fresh=True)
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 1)), fresh=True)
 
     return _make(
-        out.reshape(x.shape[:-1] + (c_out,)), (x, kernels, bias), "conv1d", back
+        out.reshape(x.shape[:-1] + out.shape[-1:]),
+        (x, params.kernels, params.bias), "conv1d", back,
     )
 
 
 # -- regularization ------------------------------------------------------------
 
 
-def _dropout(
-    x: Tensor, p: float, training: bool, rng: np.random.Generator | None,
-    mask_shape: tuple[int, ...],
-) -> Tensor:
-    """Inverted dropout under a keep mask of mask_shape, broadcast over x."""
+def _keep_scale(
+    p: float, training: bool, rng: np.random.Generator | None, mask_shape: tuple[int, ...]
+) -> np.ndarray | None:
+    """The inverted-dropout factor keep / (1 - p) under one fresh keep
+    mask of mask_shape, or None when dropout is the identity (eval mode
+    or p = 0), which draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x
+        return None
     if rng is None:
         raise ConfigurationError("train-mode dropout requires an explicit rng")
     keep = (rng.random(mask_shape) >= p).astype(np.float64)
-    return x * (keep / (1.0 - p))
+    return keep / (1.0 - p)
+
+
+def _channel_mask(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Spatial dropout's mask shape for [..., L, C]: one draw per channel
+    of each sample, shared along the lexical axis."""
+    return shape[:-2] + (1, shape[-1])
 
 
 def spatial_dropout(
@@ -188,14 +222,16 @@ def spatial_dropout(
     with probability p and survivors are scaled by 1/(1-p); eval mode is
     the exact identity.
     """
-    return _dropout(x, p, training, rng, x.shape[:-2] + (1, x.shape[-1]))
+    scale = _keep_scale(p, training, rng, _channel_mask(x.shape))
+    return x if scale is None else x * scale
 
 
 def dropout(
     x: Tensor, p: float, *, training: bool, rng: np.random.Generator | None = None
 ) -> Tensor:
     """Plain elementwise inverted dropout (used before fusion heads)."""
-    return _dropout(x, p, training, rng, x.shape)
+    scale = _keep_scale(p, training, rng, x.shape)
+    return x if scale is None else x * scale
 
 
 # -- batch normalization ---------------------------------------------------------
@@ -225,28 +261,23 @@ def fold_batchnorm(conv: Conv1dParams, norm: BatchNormParams) -> Conv1dParams:
     return Conv1dParams(kernels=conv.kernels * scale, bias=conv.bias * scale + shift)
 
 
-def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
-    """Normalize per channel over all leading axes of [..., L, C].
+def _normalize(
+    flat: np.ndarray, params: BatchNormParams, xhat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train-mode batchnorm of flat [n, C] by its batch statistics.
 
-    Train mode uses batch statistics and updates the running ones by
-    exponential moving average (running variance uses the unbiased batch
-    variance); eval mode uses the running statistics, as the affine map
-    of `_eval_affine`. Train mode is one tape node whose backward is the
-    closed form
-    dx = (gamma*g - mean(gamma*g) - xhat * mean(gamma*g * xhat)) / sigma.
+    Writes xhat = (flat - mean) / sigma into `xhat` (which may be `flat`
+    itself), updates the running statistics by exponential moving
+    average (the running variance from the unbiased batch variance), and
+    returns sigma and the new array xhat * gamma + beta.
     """
-    if not training:
-        scale, shift = _eval_affine(params)
-        return x * scale + shift
-    channels = x.shape[-1]
-    count = int(np.prod(x.shape[:-1]))
+    count = len(flat)
     if count < 2:
         raise DataError(
             f"batchnorm train mode needs >= 2 values per channel, got {count}"
         )
-    flat = x.data.reshape(count, channels)
     mu = flat.sum(axis=0) * (1.0 / count)
-    xhat = flat - mu
+    np.subtract(flat, mu, out=xhat)
     var = np.einsum("nc,nc->c", xhat, xhat) * (1.0 / count)
     sigma = np.sqrt(var + params.eps)
     xhat /= sigma
@@ -256,30 +287,60 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
     unbiased = var * (count / (count - 1))
     params.running_var *= mom
     params.running_var += (1.0 - mom) * unbiased
-    gamma, beta = params.gamma, params.beta
-    out = xhat * gamma.data
-    out += beta.data
+    out = xhat * params.gamma.data
+    out += params.beta.data
+    return sigma, out
+
+
+def _normalize_backward(
+    g: np.ndarray, xhat: np.ndarray, sigma: np.ndarray, params: BatchNormParams,
+    dx: np.ndarray | None,
+) -> None:
+    """Accumulate the gamma and beta gradients of output gradient g [n, C]
+    into `params`, and write the input gradient into `dx` (which may be
+    `xhat` itself) unless it is None. The closed form is
+    dx = (gamma*g - mean(gamma*g) - xhat * mean(gamma*g * xhat)) / sigma.
+    """
+    count = len(g)
+    dgamma = np.einsum("nc,nc->c", g, xhat)
+    dbeta = g.sum(axis=0)
+    if params.gamma.requires_grad:
+        params.gamma._accum(dgamma, fresh=True)
+    if params.beta.requires_grad:
+        params.beta._accum(dbeta, fresh=True)
+    if dx is not None:
+        # mean(gamma*g) = gamma*dbeta/n and mean(gamma*g*xhat) = gamma*dgamma/n
+        np.multiply(xhat, dgamma * (1.0 / count), out=dx)
+        dx -= g
+        dx += dbeta * (1.0 / count)
+        dx *= -(params.gamma.data / sigma)
+
+
+def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
+    """Normalize per channel over all leading axes of [..., L, C].
+
+    Train mode uses batch statistics and updates the running ones
+    (`_normalize`), as one tape node with the closed-form backward of
+    `_normalize_backward`; eval mode uses the running statistics, as the
+    affine map of `_eval_affine`.
+    """
+    if not training:
+        scale, shift = _eval_affine(params)
+        return x * scale + shift
+    flat = x.data.reshape(-1, x.shape[-1])
+    xhat = np.empty_like(flat)
+    sigma, out = _normalize(flat, params, xhat)
 
     def back(g):
-        g = g.reshape(count, channels)
-        dgamma = np.einsum("nc,nc->c", g, xhat)
-        dbeta = g.sum(axis=0)
-        if gamma.requires_grad:
-            gamma._accum(dgamma, fresh=True)
-        if beta.requires_grad:
-            beta._accum(dbeta, fresh=True)
-        if x.requires_grad:
-            # mean(gamma*g) = gamma*dbeta/n and mean(gamma*g*xhat) = gamma*dgamma/n
-            dx = xhat * (dgamma * (1.0 / count))
-            dx -= g
-            dx += dbeta * (1.0 / count)
-            dx *= -(gamma.data / sigma)
+        dx = np.empty_like(xhat) if x.requires_grad else None
+        _normalize_backward(g.reshape(flat.shape), xhat, sigma, params, dx)
+        if dx is not None:
             x._accum(dx.reshape(x.shape), fresh=True)
 
-    return _make(out.reshape(x.shape), (x, gamma, beta), "batchnorm", back)
+    return _make(out.reshape(x.shape), (x, params.gamma, params.beta), "batchnorm", back)
 
 
-# -- residual join and pooling ------------------------------------------------------
+# -- residual join, the train-mode conv block and pooling ------------------------------
 
 
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
@@ -300,6 +361,64 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
                 fresh = False
 
     return _make(out, (a, b), "add_relu", back)
+
+
+def conv_block_train(
+    x: Tensor, conv: Conv1dParams, norm: BatchNormParams, shortcut: Conv1dParams | None,
+    *, p: float, rng: np.random.Generator | None,
+) -> Tensor:
+    """One train-mode residual conv block as one tape node:
+    relu(batchnorm(spatial_dropout(conv1d(x, conv))) + s), where s is x
+    (identity shortcut) or conv1d(x, shortcut) (a 1x1 projection).
+
+    x: [..., L, C_in] -> [..., L, C_out]. Values, gradients, running
+    statistics and the rng draw carry the bits of that composition. The
+    node keeps two conv-sized arrays, xhat and its output, where the
+    composition keeps five: the conv output is scaled by the dropout
+    factor and normalized in place into xhat, and the affine map, the
+    shortcut add and the ReLU run in place on the output. The backward
+    turns xhat into the gradient of the conv output in place, so it runs
+    at most once per node, and adds the shortcut's gradient into the
+    conv's input gradient.
+    """
+    gemm = _ConvGemm(x.data, conv.kernels.data)
+    c_out = gemm.out_shape[-1]
+    if shortcut is None and x.shape[-1] != c_out:
+        raise ConfigurationError(
+            f"identity shortcut needs {c_out} input channels, got {x.shape[-1]}"
+        )
+    proj = None if shortcut is None else _ConvGemm(x.data, shortcut.kernels.data)
+    scale = _keep_scale(p, True, rng, _channel_mask(gemm.out_shape))
+    y = gemm.forward(conv.bias.data)
+    if scale is not None:
+        y *= scale
+    xhat = y.reshape(-1, c_out)
+    sigma, out = _normalize(xhat, norm, xhat)
+    out += (x.data if proj is None else proj.forward(shortcut.bias.data)).reshape(out.shape)
+    np.maximum(out, 0.0, out=out)
+    parents = (x, conv.kernels, conv.bias, norm.gamma, norm.beta)
+    if shortcut is not None:
+        parents += (shortcut.kernels, shortcut.bias)
+
+    def back(g):
+        nonlocal xhat
+        if xhat is None:
+            raise ConfigurationError("conv_block_train: backward ran twice through one node")
+        dy, xhat = xhat, None
+        g = g.reshape(out.shape) * (out > 0.0)
+        _normalize_backward(g, dy, sigma, norm, dy)
+        dy = dy.reshape(gemm.out_shape)
+        if scale is not None:
+            dy *= scale
+        dx = gemm.backward(dy, conv, x.requires_grad)
+        g = g.reshape(gemm.out_shape)
+        if proj is not None:
+            g = proj.backward(g, shortcut, x.requires_grad)
+        if dx is not None:
+            dx += g
+            x._accum(dx.reshape(x.shape), fresh=True)
+
+    return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, "conv_block", back)
 
 
 def global_avg_pool(x: Tensor, mask: np.ndarray | None = None) -> Tensor:

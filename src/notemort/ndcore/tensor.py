@@ -108,7 +108,11 @@ class Tensor:
     def backward(self) -> None:
         """Reverse sweep from this scalar node.
 
-        Every reachable grad-requiring tensor receives d(self)/d(tensor).
+        Every reachable grad-requiring leaf receives d(self)/d(leaf), and
+        this node keeps its own gradient (ones). An interior node -- one
+        with a backward closure -- drops its gradient (`grad` is None
+        again) once its closure has pushed it into its parents, so the
+        sweep holds only the gradients still to be propagated.
         """
         if self.data.size != 1:
             raise ConfigurationError(
@@ -129,6 +133,8 @@ class Tensor:
         for node in nodes:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -126,22 +126,32 @@ def global_avg_pool_composed(x, mask):
     return (x * weights).sum(axis=-2) / counts[..., None]
 
 
+def conv_block_train_composed(x, conv, norm, shortcut, *, p, rng):
+    """The train-mode residual conv block as the chain of separate nodes
+    `conv_block_train` replaces: conv1d, spatial dropout, batchnorm, the
+    shortcut (x or a 1x1 projection), then the generic add and relu."""
+    y = conv1d(x, conv)
+    y = spatial_dropout(y, p, training=True, rng=rng)
+    y = batchnorm(y, norm, training=True)
+    return add_relu_composed(y, x if shortcut is None else conv1d(x, shortcut))
+
+
 def notes_forward_composed(model, cfg, embeddings, ids, *, training, rng=None):
-    """models.forward for a notes-hcr model with each block's residual
-    join and the pooling as generic tape nodes, and eval-mode batchnorm
-    as `batchnorm_eval_composed` after the unfolded convolution."""
+    """models.forward for a notes-hcr model with each block as separate
+    nodes (`conv_block_train_composed` in train mode; in eval mode
+    `batchnorm_eval_composed` after the unfolded convolution, then the
+    generic add and relu) and the pooling as generic tape nodes."""
     n_files, n_notes, note_len = ids.shape
     flat_ids = ids.reshape(n_files * n_notes, note_len)
     x = lookup_note_embeddings(flat_ids, embeddings)
     for block in model.semantical:
-        y = conv1d(x, block.conv)
         if training:
-            y = spatial_dropout(y, SPATIAL_DROPOUT, training=True, rng=rng)
-            y = batchnorm(y, block.norm, training=True)
+            x = conv_block_train_composed(
+                x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng
+            )
         else:
-            y = batchnorm_eval_composed(y, block.norm)
-        shortcut = x if block.shortcut is None else conv1d(x, block.shortcut)
-        x = add_relu_composed(y, shortcut)
+            y = batchnorm_eval_composed(conv1d(x, block.conv), block.norm)
+            x = add_relu_composed(y, x if block.shortcut is None else conv1d(x, block.shortcut))
     docs = global_avg_pool_composed(x, flat_ids != PAD_ID)
     docs = docs.reshape((n_files, n_notes, cfg.filters))
     return dense_sigmoid(temporal_forward(docs, model.temporal), model.head)

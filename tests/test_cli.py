@@ -4,6 +4,7 @@ and the full small-pipeline smoke run."""
 import csv
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -128,9 +129,30 @@ def test_pipeline_completes_and_writes_manifests(work):
         assert manifest["settings"] == settings.get(stage, {})
         for field in ("cpu_s", "wall_s", "peak_rss_mb"):
             assert manifest[field] > 0, (stage, field)
+        environment = manifest["environment"]
+        assert environment["numpy"] == np.__version__
+        assert environment["blas"]["name"] and environment["blas"]["version"]
+        assert environment["num_threads"] == {
+            k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")
+        }
         for rel, digest in manifest["outputs"].items():
             assert (work_dir / rel).exists()
             assert len(digest) == 64
+
+
+def test_manifest_environment_is_recorded_and_never_checked(tmp_path, monkeypatch):
+    """The thread variables set for a stage are recorded; a later stage
+    accepts its predecessor's manifest whatever environment it names."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(SMALL_CONFIG + f"\nwork_dir = {tmp_path / 'run'}\n")
+    assert main(["--config", str(config_path), "synth"]) == 0
+    manifest_path = tmp_path / "run" / "synth.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["environment"]["num_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    manifest["environment"] = {"numpy": "0.0", "blas": {}, "num_threads": {"X_NUM_THREADS": "9"}}
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["--config", str(config_path), "preprocess"]) == 0
 
 
 def test_synth_rerun_is_byte_identical(work, tmp_path):

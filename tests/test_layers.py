@@ -17,6 +17,7 @@ from notemort.ndcore import (
     bigru,
     batchnorm,
     conv1d,
+    conv_block_train,
     dense_sigmoid,
     fold_batchnorm,
     global_avg_pool,
@@ -35,6 +36,7 @@ from oracles import (
     bigru_scalar,
     conv1d_composed,
     conv1d_loops,
+    conv_block_train_composed,
     finite_diff_grad,
     global_avg_pool_composed,
     gru_scalar_step,
@@ -390,6 +392,130 @@ def test_folded_conv_matches_conv_then_eval_batchnorm(seed):
     for got, expected in zip(grads, want_grads):
         assert np.any(got != 0.0)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+# -- the train-mode conv block -------------------------------------------------------
+
+
+def make_block(seed, c_in, c_out):
+    """A block's conv, norm (random statistics) and shortcut, the 1x1
+    projection when the channel counts differ; the same seed gives equal
+    copies."""
+    rng = np.random.default_rng(seed)
+    conv = make_conv(rng, 3, c_in, c_out)
+    norm = random_bn(rng, c_out)
+    shortcut = None if c_in == c_out else make_conv(rng, 1, c_in, c_out)
+    return conv, norm, shortcut
+
+
+def block_leaves(conv, norm, shortcut):
+    leaves = [conv.kernels, conv.bias, norm.gamma, norm.beta]
+    return leaves if shortcut is None else leaves + [shortcut.kernels, shortcut.bias]
+
+
+# (input shape, C_out, x requires grad, p): the identity shortcut
+# (C_in = C_out) with and without leading axes, the projection with a
+# recorded and a constant input (a model's first block), and no dropout
+FUSED_BLOCK_CASES = [
+    ((2, 7, 4), 4, True, 0.5),
+    ((2, 3, 7, 4), 4, True, 0.5),
+    ((7, 4), 4, True, 0.5),
+    ((2, 7, 3), 4, True, 0.5),
+    ((2, 7, 3), 4, False, 0.5),
+    ((2, 7, 4), 4, True, 0.0),
+]
+
+
+@pytest.mark.parametrize("one_index_per_chunk", [False, True])
+@pytest.mark.parametrize("shape,c_out,x_grad,p", FUSED_BLOCK_CASES)
+def test_conv_block_train_bit_identical_to_composition(
+    shape, c_out, x_grad, p, one_index_per_chunk, monkeypatch
+):
+    """Two steps of the fused block and of the separate nodes: outputs,
+    the gradients of x and of every parameter, the running statistics
+    and the rng state afterwards are equal bit for bit."""
+    if one_index_per_chunk:
+        monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    data = np.random.default_rng(len(shape) + shape[-1])
+    batches = [data.standard_normal(shape) * 2.0 + 0.5 for _ in range(2)]
+    grad_out = data.standard_normal(shape[:-1] + (c_out,))
+    results = []
+    for op in (conv_block_train, conv_block_train_composed):
+        conv, norm, shortcut = make_block(7, shape[-1], c_out)
+        leaves = block_leaves(conv, norm, shortcut)
+        rng = np.random.default_rng(8)
+        steps = []
+        for x_data in batches:  # two steps, so the running statistics compound
+            x = Tensor(x_data.copy(), requires_grad=x_grad)
+            out = op(x, conv, norm, shortcut, p=p, rng=rng)
+            (out * grad_out).sum().backward()
+            arrays = [out.data, x.grad, *(t.grad for t in leaves),
+                      norm.running_mean.copy(), norm.running_var.copy()]
+            steps.append((arrays, rng.bit_generator.state))
+            for t in leaves:
+                t.grad = None
+        results.append(steps)
+    for (got_arrays, got_rng), (want_arrays, want_rng) in zip(*results):
+        assert got_rng == want_rng
+        assert (got_arrays[1] is None) == (not x_grad)
+        for got, want in zip(got_arrays, want_arrays, strict=True):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+
+
+def test_conv_block_train_is_one_tape_node():
+    rng = np.random.default_rng(11)
+    x = parameter(rng.standard_normal((2, 5, 3)))
+    conv, norm, shortcut = make_block(12, 3, 4)
+    start = Tensor(0.0)._id
+    out = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=rng)
+    assert out._id == start + 1
+    assert out._parents == (x, *block_leaves(conv, norm, shortcut))
+    out.sum().backward()
+    with pytest.raises(ConfigurationError):  # its saved xhat is spent
+        out.sum().backward()
+
+
+@pytest.mark.parametrize("c_in", [3, 4])
+def test_conv_block_train_gradients(c_in):
+    """Finite differences through the projection (C_in 3) and the
+    identity shortcut (C_in 4), under one frozen dropout mask."""
+    rng = np.random.default_rng(c_in)
+    x = parameter(rng.standard_normal((2, 5, c_in)))
+    conv, norm, shortcut = make_block(13, c_in, 4)
+
+    def loss():
+        mask_rng = np.random.default_rng(42)
+        return (conv_block_train(x, conv, norm, shortcut, p=0.5, rng=mask_rng) ** 2).sum()
+
+    tensors = [x] + block_leaves(conv, norm, shortcut)
+    backward(loss(), tensors)
+    for t in tensors:
+        assert max_rel_err(t.grad, finite_diff_grad(loss, t)) < TOL
+        t.grad = None
+
+
+@pytest.mark.parametrize("shape,p,with_rng,error", [
+    ((1, 1, 4), 0.5, True, DataError),  # one value per channel
+    ((2, 5, 4), 0.5, False, ConfigurationError),
+    ((2, 5, 4), 1.0, True, ConfigurationError),
+    ((2, 5, 4), -0.1, True, ConfigurationError),
+])
+def test_conv_block_train_rejects_what_the_separate_layers_reject(shape, p, with_rng, error):
+    for op in (conv_block_train, conv_block_train_composed):
+        conv, norm, shortcut = make_block(14, 4, 4)
+        rng = np.random.default_rng(0) if with_rng else None
+        with pytest.raises(error):
+            op(Tensor(np.ones(shape)), conv, norm, shortcut, p=p, rng=rng)
+
+
+def test_conv_block_train_identity_shortcut_needs_matching_channels():
+    conv, norm, _ = make_block(15, 3, 4)
+    with pytest.raises(ConfigurationError):
+        conv_block_train(
+            Tensor(np.ones((2, 5, 3))), conv, norm, None, p=0.5, rng=np.random.default_rng(0)
+        )
 
 
 # -- residual join and pooling ---------------------------------------------------------

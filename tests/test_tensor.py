@@ -163,6 +163,22 @@ def test_add_does_not_share_one_gradient_between_parents():
     np.testing.assert_array_equal(a.grad, 2.0 * (a.data + b.data) + 3.0)
 
 
+def test_backward_releases_interior_gradients_only():
+    """Interior nodes drop their gradient once pushed to their parents;
+    the leaves keep theirs, with the values of the chain rule, and the
+    root keeps its own."""
+    a = parameter([1.0, -2.0])
+    b = parameter([3.0, 0.5])
+    prod = a * b
+    total = prod + a
+    loss = (total * total).sum()
+    loss.backward()
+    assert prod.grad is None and total.grad is None
+    np.testing.assert_array_equal(loss.grad, 1.0)
+    np.testing.assert_array_equal(a.grad, 2.0 * (a.data * b.data + a.data) * (b.data + 1.0))
+    np.testing.assert_array_equal(b.grad, 2.0 * (a.data * b.data + a.data) * a.data)
+
+
 def test_node_ids_increase_in_forward_order():
     a = parameter([1.0])
     b = a * 2.0
