@@ -95,7 +95,11 @@ class _ConvGemm:
     input) and multiplied by the flattened kernel in one GEMM per leading
     index n (Chellapilla, Puri & Simard 2006). Columns are built a few
     leading indices at a time (about `_COLS_BYTES`) and rebuilt in the
-    backward pass, so they are never held whole.
+    backward pass, so they are never held whole: each pass fills one
+    column buffer the size of a chunk, reused by every chunk and dropped
+    when the pass returns. Each unroll writes every cell of the buffer,
+    the taps' rows and the (K-1)/2 zero border rows of each shifted tap,
+    so the backward can also take the GEMM of the input gradient into it.
     """
 
     def __init__(self, x: np.ndarray, kernels: np.ndarray):
@@ -121,50 +125,73 @@ class _ConvGemm:
         step = max(1, _COLS_BYTES // (length * k_size * c_in * self.xs.itemsize))
         self.chunks = [slice(i, i + step) for i in range(0, len(self.xs), step)]
         self.out_shape = (len(self.xs), length, c_out)
+        # one pass's column buffer: the largest chunk's columns
+        self.cols_shape = (min(step, len(self.xs)), length, k_size * c_in)
 
-    def _unroll(self, part: np.ndarray) -> np.ndarray:
+    def _unroll(self, part: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """The columns of `part` [n, L, C_in], written over buf[:n]."""
         n, length, c_in = part.shape
-        cols = np.zeros((n, length, len(self.taps), c_in))
+        cols = buf[:n].reshape(n, length, len(self.taps), c_in)
         for k, dst, src, m in self.taps:
             cols[:, dst : dst + m, k] = part[:, src : src + m]
-        return cols.reshape(n, length, -1)
+            cols[:, :dst, k] = 0.0
+            cols[:, dst + m :, k] = 0.0
+        return buf[:n]
 
     def forward(self, bias: np.ndarray) -> np.ndarray:
         """The convolution [n, L, C_out], n the product of the leading axes."""
         out = np.empty(self.out_shape)
+        buf = np.empty(self.cols_shape)
         for chunk in self.chunks:
-            np.matmul(self._unroll(self.xs[chunk]), self.w2, out=out[chunk])
+            np.matmul(self._unroll(self.xs[chunk], buf), self.w2, out=out[chunk])
         out += bias
         return out
 
     def backward(self, g: np.ndarray, params: Conv1dParams, need_dx: bool) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
         g [n, L, C_out] into `params`; returns the input gradient
-        [n, L, C_in] when `need_dx`, else None."""
+        [n, L, C_in] when `need_dx`, else None.
+
+        The caller hands over g: when it has the input's shape (C_in ==
+        C_out), the input gradient is written over it, each chunk once
+        both GEMMs have read that chunk, and g itself is returned.
+        """
         k_size, c_in = len(self.taps), self.xs.shape[-1]
-        dx = np.zeros_like(self.xs) if need_dx else None
-        dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
-        for chunk in self.chunks:
-            if dx is not None:
-                gcols = (g[chunk] @ self.w2.T).reshape(-1, g.shape[1], k_size, c_in)
-                for k, dst, src, m in self.taps:
-                    dx[chunk, src : src + m] += gcols[:, dst : dst + m, k]
-            if dw is not None:
-                for cols, g_n in zip(self._unroll(self.xs[chunk]), g[chunk]):
-                    dw += cols.T @ g_n
-        if dw is not None:
-            params.kernels._accum(dw.reshape(params.kernels.shape), fresh=True)
         if params.bias.requires_grad:
             params.bias._accum(g.sum(axis=(0, 1)), fresh=True)
+        dx = None
+        if need_dx:
+            dx = g if g.shape == self.xs.shape else np.empty_like(self.xs)
+        dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
+        buf = np.empty(self.cols_shape)
+        for chunk in self.chunks:
+            g_part = g[chunk]
+            if dw is not None:
+                for cols, g_n in zip(self._unroll(self.xs[chunk], buf), g_part):
+                    dw += cols.T @ g_n
+            if dx is not None:
+                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part)]).reshape(
+                    -1, g.shape[1], k_size, c_in
+                )
+                dx_part = dx[chunk]
+                dx_part.fill(0.0)
+                for k, dst, src, m in self.taps:
+                    dx_part[:, src : src + m] += gcols[:, dst : dst + m, k]
+        if dw is not None:
+            params.kernels._accum(dw.reshape(params.kernels.shape), fresh=True)
         return dx
 
 
 def conv1d(x: Tensor, params: Conv1dParams) -> Tensor:
     """Same-length cross-correlation along the lexical axis, as one tape node.
 
-    x: [..., L, C_in] -> [..., L, C_out], computed by `_ConvGemm`. The
-    leading axes stay a batch axis of the matmul instead of being folded
-    into its rows, so every GEMM is one note's. Such a GEMM is not small
+    x: [..., L, C_in] -> [..., L, C_out], computed by `_ConvGemm`. Each
+    pass unrolls the windows into one reused column buffer of about
+    `_COLS_BYTES`, and at C_in == C_out the backward writes the input
+    gradient over the output gradient it is handed, so it allocates no
+    array the size of x. The leading axes stay a batch axis of the
+    matmul instead of being folded into its rows, so every GEMM is one
+    note's. Such a GEMM is not small
     enough to keep OpenBLAS on one thread at paper shapes
     ([500 x 600] @ [600 x 200]). Measured on 2 vCPUs with OpenBLAS
     0.3.31: one took 0.93 ms at the default thread count and 1.85 ms at
@@ -377,8 +404,11 @@ def conv_block_train(
     composition keeps five: the conv output is scaled by the dropout
     factor and normalized in place into xhat, and the affine map, the
     shortcut add and the ReLU run in place on the output. The backward
-    turns xhat into the gradient of the conv output in place, so it runs
-    at most once per node, and adds the shortcut's gradient into the
+    allocates no conv-sized array of its own: it masks the gradient it
+    is handed in place, turns xhat into the gradient of the conv output
+    in place (so it runs at most once per node), and at C_in == C_out
+    the conv writes its input gradient over xhat and a projection over
+    the masked gradient; the shortcut's gradient is added into the
     conv's input gradient.
     """
     gemm = _ConvGemm(x.data, conv.kernels.data)
@@ -405,7 +435,8 @@ def conv_block_train(
         if xhat is None:
             raise ConfigurationError("conv_block_train: backward ran twice through one node")
         dy, xhat = xhat, None
-        g = g.reshape(out.shape) * (out > 0.0)
+        g = g.reshape(out.shape)
+        np.multiply(g, out > 0.0, out=g)
         _normalize_backward(g, dy, sigma, norm, dy)
         dy = dy.reshape(gemm.out_shape)
         if scale is not None:

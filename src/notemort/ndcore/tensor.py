@@ -92,11 +92,15 @@ class Tensor:
         """Add `g` into this tensor's gradient.
 
         The first gradient is stored without a zero-fill. `fresh=True`
-        says that no one else holds `g` (a new array made by the
-        backward closure), so it is adopted as it is; anything else --
-        the output's own gradient, a view or a slice of it -- is copied,
-        because later accumulations write into the stored array. A numpy
-        scalar (what a full reduction returns) becomes a 0-d array.
+        says that no one else holds `g` or any of its elements: a new
+        array made by the backward closure, or the closure's own
+        gradient (or a view of it) once the closure is done with it. Such
+        a `g` is adopted as it is. Anything another holder can still see
+        -- a parameter's or input's data, a saved forward array, or the
+        gradient a closure also passes to another parent -- is copied,
+        because later accumulations and the consumer's own backward
+        closure write into the stored array. A numpy scalar (what a full
+        reduction returns) becomes a 0-d array.
         """
         if self.grad is None:
             self.grad = g if fresh and isinstance(g, np.ndarray) else np.array(g)
@@ -111,8 +115,13 @@ class Tensor:
         Every reachable grad-requiring leaf receives d(self)/d(leaf), and
         this node keeps its own gradient (ones). An interior node -- one
         with a backward closure -- drops its gradient (`grad` is None
-        again) once its closure has pushed it into its parents, so the
-        sweep holds only the gradients still to be propagated.
+        again) as its closure is handed it, so the sweep holds only the
+        gradients still to be propagated.
+
+        A closure owns the gradient it is handed: nothing reads it after
+        the closure, so the closure may overwrite it, or pass it (or a
+        view of it) on with `_accum(..., fresh=True)` once it is done
+        with it. The root's closure gets its own array of ones.
         """
         if self.data.size != 1:
             raise ConfigurationError(
@@ -132,9 +141,9 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in nodes:
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node is not self:
-                    node.grad = None
+                g, node.grad = node.grad, None
+                node._backward(g)
+        self.grad = np.ones_like(self.data)
 
     # -- arithmetic ----------------------------------------------------------
 

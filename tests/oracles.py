@@ -19,6 +19,7 @@ from notemort.models import SPATIAL_DROPOUT, lookup_note_embeddings, temporal_fo
 from notemort.ndcore import (
     Tensor, batchnorm, concat, constant, conv1d, dense_sigmoid, spatial_dropout, stack,
 )
+from notemort.ndcore.tensor import _make
 from notemort.notesproc import PAD_ID, read_csv_records, write_csv_records
 
 
@@ -87,6 +88,55 @@ def conv1d_composed(x, params):
     return out + params.bias
 
 
+def conv1d_unrolled(x, params):
+    """conv1d as one plain unrolled-window GEMM per leading index, as a
+    tape node whose backward builds every gradient in new arrays.
+
+    The arithmetic of `_ConvGemm` (the same columns, one GEMM per note,
+    the same order of sums), so it carries the fused op's bits, but
+    without column chunks, a reused column buffer or an input gradient
+    written over the output gradient.
+    """
+    kernels, bias = params.kernels.data, params.bias.data
+    k_size, c_in, c_out = kernels.shape
+    length = x.shape[-2]
+    pad = (k_size - 1) // 2
+    xs = x.data.reshape(-1, length, c_in)
+    w2 = kernels.reshape(k_size * c_in, c_out)
+    cols = []
+    for note in xs:
+        c = np.zeros((length, k_size, c_in))
+        for k in range(k_size):
+            for i in range(length):
+                if 0 <= i + k - pad < length:
+                    c[i, k] = note[i + k - pad]
+        cols.append(c.reshape(length, -1))
+    out = np.stack([c @ w2 for c in cols])
+    out += bias
+
+    def back(g):
+        g = g.reshape(out.shape)
+        if params.bias.requires_grad:
+            params.bias._accum(g.sum(axis=(0, 1)), fresh=True)
+        if params.kernels.requires_grad:
+            dw = np.zeros_like(w2)
+            for c, g_n in zip(cols, g):
+                dw += c.T @ g_n
+            params.kernels._accum(dw.reshape(kernels.shape), fresh=True)
+        if x.requires_grad:
+            dx = np.zeros_like(xs)
+            for n, g_n in enumerate(g):
+                gcols = (g_n @ w2.T).reshape(length, k_size, c_in)
+                for k in range(k_size):
+                    shift = k - pad
+                    lo, hi = max(-shift, 0), min(length, length - shift)
+                    dx[n, lo + shift : hi + shift] += gcols[lo:hi, k]
+            x._accum(dx.reshape(x.shape), fresh=True)
+
+    return _make(out.reshape(x.shape[:-1] + (c_out,)), (x, params.kernels, params.bias),
+                 "conv1d_unrolled", back)
+
+
 def batchnorm_train_composed(x, params):
     """Train-mode batchnorm as the plain mean/var/sqrt node chain the
     fused op replaces, with the same running-statistics update."""
@@ -126,14 +176,16 @@ def global_avg_pool_composed(x, mask):
     return (x * weights).sum(axis=-2) / counts[..., None]
 
 
-def conv_block_train_composed(x, conv, norm, shortcut, *, p, rng):
+def conv_block_train_composed(x, conv, norm, shortcut, *, p, rng, conv_op=conv1d):
     """The train-mode residual conv block as the chain of separate nodes
     `conv_block_train` replaces: conv1d, spatial dropout, batchnorm, the
-    shortcut (x or a 1x1 projection), then the generic add and relu."""
-    y = conv1d(x, conv)
+    shortcut (x or a 1x1 projection), then the generic add and relu.
+    `conv_op` runs both convolutions (`conv1d_unrolled` keeps every
+    gradient in new arrays)."""
+    y = conv_op(x, conv)
     y = spatial_dropout(y, p, training=True, rng=rng)
     y = batchnorm(y, norm, training=True)
-    return add_relu_composed(y, x if shortcut is None else conv1d(x, shortcut))
+    return add_relu_composed(y, x if shortcut is None else conv_op(x, shortcut))
 
 
 def notes_forward_composed(model, cfg, embeddings, ids, *, training, rng=None):

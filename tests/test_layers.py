@@ -1,5 +1,8 @@
 """Layer forwards against independent oracles, plus gradient checks."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,7 @@ from oracles import (
     bigru_scalar,
     conv1d_composed,
     conv1d_loops,
+    conv1d_unrolled,
     conv_block_train_composed,
     finite_diff_grad,
     global_avg_pool_composed,
@@ -138,7 +142,8 @@ def test_conv1d_gradients(seed):
 
 
 # (input shape, kernel size): 2-D [L, C], 3-D and 4-D leading axes, the
-# 1x1 shortcut projection, K = 5, a single position and L < K
+# 1x1 shortcut projection, K = 5, a single position, L < K, and C_in =
+# C_out (4), where the input gradient is written over the output gradient
 FUSED_CONV_CASES = [
     ((7, 3), 3),
     ((2, 7, 3), 3),
@@ -147,6 +152,8 @@ FUSED_CONV_CASES = [
     ((2, 7, 3), 5),
     ((3, 1, 3), 3),
     ((2, 2, 3), 5),
+    ((2, 7, 4), 3),
+    ((2, 7, 4), 1),
 ]
 
 
@@ -180,6 +187,45 @@ def test_conv1d_fused_matches_composition(shape, k, one_index_per_chunk, monkeyp
     assert len(grads) == len(want_grads) == 3
     for got, want in zip(grads, want_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def notes_per_chunk(monkeypatch, n, length, k, c_in):
+    """Patch the column chunk to n leading indices of [length, C_in] at kernel size k."""
+    monkeypatch.setattr(layers, "_COLS_BYTES", n * length * k * c_in * 8)
+
+
+# (input shape, kernel size, leading indices per column chunk; None: the default)
+UNROLLED_CONV_CASES = [
+    ((2, 7, 4), 3, None),
+    ((2, 3, 7, 4), 5, None),
+    ((7, 4), 3, None),
+    ((2, 7, 4), 1, 1),
+    ((5, 7, 4), 3, 2),  # chunks of 2, 2 and 1 notes share one column buffer
+    ((5, 7, 3), 3, 2),
+]
+
+
+@pytest.mark.parametrize("shape,k,per_chunk", UNROLLED_CONV_CASES)
+def test_conv1d_bit_identical_to_unrolled_gemm(shape, k, per_chunk, monkeypatch):
+    """Values and the gradients of x, kernels and bias against one plain
+    GEMM per note whose backward keeps every gradient in new arrays; at
+    C_in = C_out the input gradient is written over the output gradient."""
+    if per_chunk is not None:
+        notes_per_chunk(monkeypatch, per_chunk, shape[-2], k, shape[-1])
+    rng = np.random.default_rng(len(shape) + k)
+    x = rng.standard_normal(shape)
+    kernels = rng.standard_normal((k, shape[-1], 4))
+    bias = rng.standard_normal(4)
+    grad_out = rng.standard_normal(shape[:-1] + (4,))
+    (out, grads), (want_out, want_grads) = [
+        run_with_grads(
+            op, x, Conv1dParams(parameter(kernels.copy()), parameter(bias.copy())), grad_out
+        )
+        for op in (conv1d, conv1d_unrolled)
+    ]
+    assert np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads, strict=True):
+        assert np.array_equal(got, want)
 
 
 # -- spatial dropout --------------------------------------------------------
@@ -462,6 +508,86 @@ def test_conv_block_train_bit_identical_to_composition(
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want)
+
+
+# (input shape, 1x1 projection at C_in = C_out, consumers of the block's
+# output, leading indices per column chunk; None: the default)
+IN_PLACE_BLOCK_CASES = [
+    ((2, 7, 4), True, 1, None),  # both GEMMs write their input gradient over their g
+    ((2, 7, 4), False, 2, None),  # the output's gradient is summed, then masked in place
+    ((2, 7, 4), True, 2, 1),
+    ((5, 7, 4), False, 1, 2),  # chunks of 2, 2 and 1 notes share one column buffer
+    ((5, 7, 4), True, 1, 2),
+]
+
+
+@pytest.mark.parametrize("shape,project,consumers,per_chunk", IN_PLACE_BLOCK_CASES)
+def test_conv_block_train_in_place_backward_bit_identical(
+    shape, project, consumers, per_chunk, monkeypatch
+):
+    """Two steps of the block against the chain of separate nodes with
+    convolutions that keep every gradient in new arrays, with x also read
+    by a node the backward reaches later: outputs, the gradients of x and
+    of every parameter, the running statistics and the rng state are
+    equal bit for bit."""
+    c = shape[-1]
+    if per_chunk is not None:
+        notes_per_chunk(monkeypatch, per_chunk, shape[-2], 3, c)
+    data = np.random.default_rng(len(shape) + consumers)
+    batches = [data.standard_normal(shape) * 2.0 + 0.5 for _ in range(2)]
+    grad_outs = [data.standard_normal(shape) for _ in range(consumers)]
+    other = data.standard_normal(shape)
+    results = []
+    for op in (conv_block_train, partial(conv_block_train_composed, conv_op=conv1d_unrolled)):
+        conv, norm, _ = make_block(7, c, c)
+        shortcut = make_conv(np.random.default_rng(9), 1, c, c) if project else None
+        leaves = block_leaves(conv, norm, shortcut)
+        rng = np.random.default_rng(8)
+        steps = []
+        for x_data in batches:
+            x = parameter(x_data.copy())
+            earlier = (x * other).sum()
+            out = op(x, conv, norm, shortcut, p=0.5, rng=rng)
+            loss = earlier
+            for grad_out in grad_outs:
+                loss = loss + (out * grad_out).sum()
+            loss.backward()
+            arrays = [out.data, x.grad, *(t.grad for t in leaves),
+                      norm.running_mean.copy(), norm.running_var.copy()]
+            steps.append((arrays, rng.bit_generator.state))
+            for t in leaves:
+                t.grad = None
+        results.append(steps)
+    for (got_arrays, got_rng), (want_arrays, want_rng) in zip(*results):
+        assert got_rng == want_rng
+        for got, want in zip(got_arrays, want_arrays, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_conv_block_train_backward_allocates_no_conv_sized_array():
+    """The identity block's backward masks its gradient in place and
+    writes the input gradient over xhat, with one column buffer: its
+    tracemalloc peak above the pre-backward baseline stays below one
+    conv-sized array plus one column chunk. Notes are 500 long: at a
+    few dozen positions numpy's buffered iterator, which can take three
+    operand copies of a tap's scatter-add, is itself near conv-sized."""
+    shape = (6, 500, 16)
+    rng = np.random.default_rng(5)
+    conv, norm, _ = make_block(16, 16, 16)
+    x = parameter(rng.standard_normal(shape))
+    out = conv_block_train(x, conv, norm, None, p=0.5, rng=rng)
+    g = rng.standard_normal(shape)
+    chunk_bytes = 3 * g.nbytes  # the columns [6, 500, 3 * 16] of all six notes
+    assert layers._COLS_BYTES >= chunk_bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak - base < g.nbytes + chunk_bytes
 
 
 def test_conv_block_train_is_one_tape_node():

@@ -5,6 +5,7 @@ import pytest
 
 from notemort.errors import ConfigurationError
 from notemort.ndcore import Tensor, backward, concat, constant, no_grad, parameter, stack
+from notemort.ndcore.tensor import _make
 
 from oracles import finite_diff_grad, max_rel_err
 
@@ -177,6 +178,22 @@ def test_backward_releases_interior_gradients_only():
     np.testing.assert_array_equal(loss.grad, 1.0)
     np.testing.assert_array_equal(a.grad, 2.0 * (a.data * b.data + a.data) * (b.data + 1.0))
     np.testing.assert_array_equal(b.grad, 2.0 * (a.data * b.data + a.data) * a.data)
+
+
+def test_backward_hands_the_root_closure_its_own_gradient():
+    """A closure owns the gradient it is handed and may overwrite it; the
+    root still keeps ones."""
+    x = parameter([2.0])
+
+    def back(g):
+        g *= 3.0
+        x._accum(g, fresh=True)
+
+    loss = _make(x.data * 3.0, (x,), "triple", back)
+    loss.backward()
+    np.testing.assert_array_equal(loss.grad, 1.0)
+    np.testing.assert_array_equal(x.grad, 3.0)
+    assert x.grad is not loss.grad
 
 
 def test_node_ids_increase_in_forward_order():
