@@ -29,11 +29,11 @@ from .ndcore import (
     DenseParams,
     GruDirectionParams,
     Tensor,
-    add_relu,
     bigru,
     batchnorm,  # not called here: perfbench/spans.py traces models.batchnorm
     concat,
-    conv1d,
+    conv1d,  # not called here: perfbench/spans.py traces models.conv1d
+    conv_block_eval,
     conv_block_train,
     dense_sigmoid,
     fold_batchnorm,
@@ -286,15 +286,27 @@ def semantical_forward(
     pool over the lexical axis, over the `mask` positions when given,
     produces the document vector.
 
-    In train mode each block is one tape node (`conv_block_train`) whose
-    values, gradients and running statistics carry the bits of that
-    chain. In eval mode SpatialDropout is the identity and BatchNorm an
-    affine map per channel, so each block is one conv1d whose kernels
-    and bias have the norm folded in (`fold_batchnorm`), then one
-    `add_relu`; the outputs differ from the unfolded chain only by
-    rounding, and gradients still reach every parameter. The masked pool
-    is one node.
+    Each block is one tape node. In train mode it is `conv_block_train`,
+    whose values, gradients and running statistics carry the bits of
+    that chain. In eval mode SpatialDropout is the identity and BatchNorm
+    an affine map per channel, so each block is `conv_block_eval` over a
+    convolution whose kernels and bias have the norm folded in
+    (`fold_batchnorm`); the outputs differ from the unfolded chain only
+    by rounding, and gradients still reach every parameter. With a mask,
+    eval mode skips each note's padded tail: the pooled rows, up to the
+    note's last unmasked position, read no input row further past it
+    than the blocks' reach (KERNEL_SIZE // 2 rows per block), so each
+    block computes its rows only up to there, and the document vectors
+    carry the bits of blocks that compute every row. Train mode computes
+    every row, because batchnorm's batch statistics read the pad rows
+    too. The masked pool is one node.
     """
+    rows = None
+    if mask is not None and not training:
+        length = notes.shape[-2]
+        last = length - 1 - np.argmax(np.asarray(mask)[..., ::-1], axis=-1)
+        reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
+        rows = np.minimum(length, last + 1 + reach).reshape(-1)
     x = notes
     for block in blocks:
         if training:
@@ -302,8 +314,7 @@ def semantical_forward(
                 x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng
             )
         else:
-            y = conv1d(x, fold_batchnorm(block.conv, block.norm))
-            x = add_relu(y, x if block.shortcut is None else conv1d(x, block.shortcut))
+            x = conv_block_eval(x, fold_batchnorm(block.conv, block.norm), block.shortcut, rows)
     return global_avg_pool(x, mask=mask)
 
 

@@ -2,8 +2,8 @@
 
 Exactly the layer set the mortality models need: 1-D convolution,
 channel dropout, batch normalization (folded into the convolution in
-eval mode), the residual add+ReLU, the train-mode conv block as one op,
-masked pooling, bidirectional GRUs, a sigmoid head, an L2 weight
+eval mode), the eval-mode and train-mode residual conv blocks as one op
+each, masked pooling, bidirectional GRUs, a sigmoid head, an L2 weight
 penalty, and the AMSGrad optimizer.
 Everything is float64 and deterministic given an explicit RNG.
 """
@@ -27,7 +27,7 @@ from .layers import (
     spatial_dropout,
     batchnorm,
     fold_batchnorm,
-    add_relu,
+    conv_block_eval,
     conv_block_train,
     global_avg_pool,
     bigru,
@@ -55,7 +55,7 @@ __all__ = [
     "spatial_dropout",
     "batchnorm",
     "fold_batchnorm",
-    "add_relu",
+    "conv_block_eval",
     "conv_block_train",
     "global_avg_pool",
     "bigru",

@@ -84,6 +84,21 @@ class DenseParams:
 
 # bytes of unrolled columns built at a time: small enough to stay in cache
 _COLS_BYTES = 4 << 20
+# OpenBLAS (0.3.31) multiplies a GEMM of at most 100**3 multiply-adds with
+# its small-matrix kernel, which sums in another order than its blocked
+# one once the inner dimension spans more than one block, and numpy
+# multiplies a one-row matrix by GEMV. A GEMM cut to fewer rows stays on
+# the uncut one's side of both lines (`_ConvGemm`), so that each of its
+# rows carries the uncut product's bits.
+_SMALL_GEMM = 100**3
+
+
+def _min_gemm_rows(rows: int, depth: int, width: int) -> int:
+    """The fewest of `rows` that a [rows, depth] @ [depth, width] GEMM
+    can be cut to while each row keeps its bits (`_SMALL_GEMM`)."""
+    if rows * depth * width <= _SMALL_GEMM:
+        return min(rows, 2)
+    return min(rows, _SMALL_GEMM // (depth * width) + 1)
 
 
 class _ConvGemm:
@@ -97,12 +112,19 @@ class _ConvGemm:
     leading indices at a time (about `_COLS_BYTES`) and rebuilt in the
     backward pass, so they are never held whole: each pass fills one
     column buffer the size of a chunk, reused by every chunk and dropped
-    when the pass returns. Each unroll writes every cell of the buffer,
-    the taps' rows and the (K-1)/2 zero border rows of each shifted tap,
-    so the backward can also take the GEMM of the input gradient into it.
+    when the pass returns.
+
+    `rows` [n], when given, asks only for the first rows[n] output rows
+    of each leading index. Each chunk then unrolls and multiplies only up
+    to its cut, its largest `rows` (never fewer than `_min_gemm_rows`),
+    which reads the input up to (K-1)/2 rows further, and its output rows
+    past the cut are 0. Every unroll writes every cell of the part of the
+    buffer it uses, the taps' rows and the zero border rows of each
+    shifted tap, so the backward can also take the GEMM of the input
+    gradient into it.
     """
 
-    def __init__(self, x: np.ndarray, kernels: np.ndarray):
+    def __init__(self, x: np.ndarray, kernels: np.ndarray, rows: np.ndarray | None = None):
         k_size, c_in, c_out = kernels.shape
         if k_size % 2 == 0:
             raise ConfigurationError(f"kernel size must be odd, got {k_size}")
@@ -123,34 +145,56 @@ class _ConvGemm:
         self.xs = x.reshape(-1, length, c_in)
         self.w2 = kernels.reshape(k_size * c_in, c_out)
         step = max(1, _COLS_BYTES // (length * k_size * c_in * self.xs.itemsize))
-        self.chunks = [slice(i, i + step) for i in range(0, len(self.xs), step)]
+        chunks = [slice(i, i + step) for i in range(0, len(self.xs), step)]
+        # (chunk, its cut: the output rows its GEMMs produce)
+        if rows is None:
+            self.spans = [(chunk, length) for chunk in chunks]
+        else:
+            least = _min_gemm_rows(length, k_size * c_in, c_out)
+            self.spans = [(chunk, max(least, int(rows[chunk].max()))) for chunk in chunks]
         self.out_shape = (len(self.xs), length, c_out)
         # one pass's column buffer: the largest chunk's columns
         self.cols_shape = (min(step, len(self.xs)), length, k_size * c_in)
 
-    def _unroll(self, part: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """The columns of `part` [n, L, C_in], written over buf[:n]."""
-        n, length, c_in = part.shape
-        cols = buf[:n].reshape(n, length, len(self.taps), c_in)
-        for k, dst, src, m in self.taps:
-            cols[:, dst : dst + m, k] = part[:, src : src + m]
-            cols[:, :dst, k] = 0.0
-            cols[:, dst + m :, k] = 0.0
-        return buf[:n]
+    def _taps(self, cut: int):
+        """The taps (k, dst, src, m) cut to output rows [0, cut)."""
+        return [(k, dst, src, max(min(m, cut - dst), 0)) for k, dst, src, m in self.taps]
+
+    def _cols(self, buf: np.ndarray, n: int, cut: int) -> np.ndarray:
+        """The first n * cut column rows of `buf`, as [n, cut, K * C_in]."""
+        width = buf.shape[-1]
+        return buf.reshape(-1)[: n * cut * width].reshape(n, cut, width)
+
+    def _unroll(self, part: np.ndarray, buf: np.ndarray, cut: int) -> np.ndarray:
+        """The columns of the first `cut` output rows of `part` [n, L, C_in],
+        written over the start of buf."""
+        n, _, c_in = part.shape
+        cols = self._cols(buf, n, cut)
+        taps = cols.reshape(n, cut, len(self.taps), c_in)
+        for k, dst, src, m in self._taps(cut):
+            taps[:, dst : dst + m, k] = part[:, src : src + m]
+            taps[:, :dst, k] = 0.0
+            taps[:, dst + m :, k] = 0.0
+        return cols
 
     def forward(self, bias: np.ndarray) -> np.ndarray:
         """The convolution [n, L, C_out], n the product of the leading axes."""
         out = np.empty(self.out_shape)
         buf = np.empty(self.cols_shape)
-        for chunk in self.chunks:
-            np.matmul(self._unroll(self.xs[chunk], buf), self.w2, out=out[chunk])
-        out += bias
+        for chunk, cut in self.spans:
+            np.matmul(self._unroll(self.xs[chunk], buf, cut), self.w2, out=out[chunk, :cut])
+        # after all GEMMs: a pass between two of them runs while the idle
+        # BLAS worker spins, at twice its CPU cost (`conv1d`)
+        for chunk, cut in self.spans:
+            out[chunk, :cut] += bias
+            out[chunk, cut:] = 0.0
         return out
 
     def backward(self, g: np.ndarray, params: Conv1dParams, need_dx: bool) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
         g [n, L, C_out] into `params`; returns the input gradient
-        [n, L, C_in] when `need_dx`, else None.
+        [n, L, C_in] when `need_dx`, else None. The GEMMs read only each
+        chunk's cut, so g must be 0 past it.
 
         The caller hands over g: when it has the input's shape (C_in ==
         C_out), the input gradient is written over it, each chunk once
@@ -164,18 +208,18 @@ class _ConvGemm:
             dx = g if g.shape == self.xs.shape else np.empty_like(self.xs)
         dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
         buf = np.empty(self.cols_shape)
-        for chunk in self.chunks:
-            g_part = g[chunk]
+        for chunk, cut in self.spans:
+            g_part = g[chunk, :cut]
             if dw is not None:
-                for cols, g_n in zip(self._unroll(self.xs[chunk], buf), g_part):
+                for cols, g_n in zip(self._unroll(self.xs[chunk], buf, cut), g_part):
                     dw += cols.T @ g_n
             if dx is not None:
-                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part)]).reshape(
-                    -1, g.shape[1], k_size, c_in
-                )
+                gcols = np.matmul(
+                    g_part, self.w2.T, out=self._cols(buf, len(g_part), cut)
+                ).reshape(-1, cut, k_size, c_in)
                 dx_part = dx[chunk]
                 dx_part.fill(0.0)
-                for k, dst, src, m in self.taps:
+                for k, dst, src, m in self._taps(cut):
                     dx_part[:, src : src + m] += gcols[:, dst : dst + m, k]
         if dw is not None:
             params.kernels._accum(dw.reshape(params.kernels.shape), fresh=True)
@@ -185,7 +229,10 @@ class _ConvGemm:
 def conv1d(x: Tensor, params: Conv1dParams) -> Tensor:
     """Same-length cross-correlation along the lexical axis, as one tape node.
 
-    x: [..., L, C_in] -> [..., L, C_out], computed by `_ConvGemm`. Each
+    x: [..., L, C_in] -> [..., L, C_out], every output row, computed by
+    `_ConvGemm`. The model's conv blocks run the same GEMMs inside one
+    node each (`conv_block_train`, and `conv_block_eval`, which cuts them
+    to each note's extent), so they do not call this op. Each
     pass unrolls the windows into one reused column buffer of about
     `_COLS_BYTES`, and at C_in == C_out the backward writes the input
     gradient over the output gradient it is handed, so it allocates no
@@ -367,27 +414,80 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
     return _make(out.reshape(x.shape), (x, params.gamma, params.beta), "batchnorm", back)
 
 
-# -- residual join, the train-mode conv block and pooling ------------------------------
+# -- the residual conv blocks and pooling -------------------------------------------
 
 
-def add_relu(a: Tensor, b: Tensor) -> Tensor:
-    """relu(a + b) as one tape node, with the bits of `(a + b).relu()`.
+def _join_backward(
+    x: Tensor, dx: np.ndarray | None, g: np.ndarray,
+    proj: _ConvGemm | None, shortcut: Conv1dParams | None,
+) -> None:
+    """The end of a block's backward: g [n, L, C_out] is the gradient of
+    y + s, dx the input gradient of the conv that made y (None when x
+    needs none). The shortcut s's input gradient, g itself or the
+    projection's (which may be written over g), is added into dx, which
+    goes to x."""
+    if proj is not None:
+        g = proj.backward(g, shortcut, x.requires_grad)
+    if dx is not None:
+        dx += g
+        x._accum(dx.reshape(x.shape), fresh=True)
 
-    The backward builds one masked gradient; the first parent that needs
-    it adopts it and the other gets one copy.
+
+def _block_gemms(
+    x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None,
+    rows: np.ndarray | None = None,
+) -> tuple[_ConvGemm, _ConvGemm | None]:
+    """The conv and shortcut-projection (None: identity) GEMMs of a block over x."""
+    gemm = _ConvGemm(x.data, conv.kernels.data, rows)
+    c_out = gemm.out_shape[-1]
+    if shortcut is None and x.shape[-1] != c_out:
+        raise ConfigurationError(
+            f"identity shortcut needs {c_out} input channels, got {x.shape[-1]}"
+        )
+    proj = None if shortcut is None else _ConvGemm(x.data, shortcut.kernels.data, rows)
+    return gemm, proj
+
+
+def conv_block_eval(
+    x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None,
+    rows: np.ndarray | None = None,
+) -> Tensor:
+    """One eval-mode residual conv block as one tape node:
+    relu(conv1d(x, conv) + s), where `conv` has the block's batchnorm
+    folded in (`fold_batchnorm`) and s is x (identity shortcut) or
+    conv1d(x, shortcut) (a 1x1 projection).
+
+    x: [..., L, C_in] -> [..., L, C_out]. `rows` [n], one per leading
+    index (n the product of the leading axes), asks for the first rows[n]
+    output rows of each: those carry the bits of the composition. The
+    convolutions multiply only up to each column chunk's cut, its largest
+    `rows` (`_ConvGemm`), and the shortcut add and the ReLU run in place
+    on the conv output up to there; the rows past the cut are 0. A note's
+    rows between its own `rows` and the cut depend on its chunk
+    neighbours; zeroing them per note cost about 6 % of scoring at desk
+    shapes, where a chunk holds a hundred notes and the cut is L, and no
+    caller reads them. The backward masks the gradient it is handed in
+    place.
     """
-    out = a.data + b.data
-    np.maximum(out, 0.0, out=out)
+    gemm, proj = _block_gemms(x, conv, shortcut, rows)
+    out = gemm.forward(conv.bias.data)
+    s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
+    for chunk, cut in gemm.spans:
+        part = out[chunk, :cut]
+        part += s[chunk, :cut]
+        np.maximum(part, 0.0, out=part)
+    parents = (x, conv.kernels, conv.bias)
+    if shortcut is not None:
+        parents += (shortcut.kernels, shortcut.bias)
 
     def back(g):
-        g = g * (out > 0.0)
-        fresh = True
-        for t in (a, b):
-            if t.requires_grad:
-                t._accum(_unbroadcast(g, t.shape), fresh=fresh)
-                fresh = False
+        g = g.reshape(out.shape)
+        np.multiply(g, out > 0.0, out=g)
+        # the conv may write its input gradient over what it is handed
+        dx = gemm.backward(g.copy() if x.requires_grad else g, conv, x.requires_grad)
+        _join_backward(x, dx, g, proj, shortcut)
 
-    return _make(out, (a, b), "add_relu", back)
+    return _make(out.reshape(x.shape[:-1] + out.shape[-1:]), parents, "conv_block", back)
 
 
 def conv_block_train(
@@ -403,21 +503,17 @@ def conv_block_train(
     node keeps two conv-sized arrays, xhat and its output, where the
     composition keeps five: the conv output is scaled by the dropout
     factor and normalized in place into xhat, and the affine map, the
-    shortcut add and the ReLU run in place on the output. The backward
-    allocates no conv-sized array of its own: it masks the gradient it
-    is handed in place, turns xhat into the gradient of the conv output
-    in place (so it runs at most once per node), and at C_in == C_out
-    the conv writes its input gradient over xhat and a projection over
-    the masked gradient; the shortcut's gradient is added into the
-    conv's input gradient.
+    shortcut add and the ReLU run in place on the output. Every row is
+    computed: batchnorm's batch statistics read every row, pad rows
+    included. The backward allocates no conv-sized array of its own: it
+    masks the gradient it is handed in place, turns xhat into the
+    gradient of the conv output in place (so it runs at most once per
+    node), and at C_in == C_out the conv writes its input gradient over
+    xhat and a projection over the masked gradient; the shortcut's
+    gradient is added into the conv's input gradient.
     """
-    gemm = _ConvGemm(x.data, conv.kernels.data)
+    gemm, proj = _block_gemms(x, conv, shortcut)
     c_out = gemm.out_shape[-1]
-    if shortcut is None and x.shape[-1] != c_out:
-        raise ConfigurationError(
-            f"identity shortcut needs {c_out} input channels, got {x.shape[-1]}"
-        )
-    proj = None if shortcut is None else _ConvGemm(x.data, shortcut.kernels.data)
     scale = _keep_scale(p, True, rng, _channel_mask(gemm.out_shape))
     y = gemm.forward(conv.bias.data)
     if scale is not None:
@@ -442,12 +538,7 @@ def conv_block_train(
         if scale is not None:
             dy *= scale
         dx = gemm.backward(dy, conv, x.requires_grad)
-        g = g.reshape(gemm.out_shape)
-        if proj is not None:
-            g = proj.backward(g, shortcut, x.requires_grad)
-        if dx is not None:
-            dx += g
-            x._accum(dx.reshape(x.shape), fresh=True)
+        _join_backward(x, dx, g.reshape(gemm.out_shape), proj, shortcut)
 
     return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, "conv_block", back)
 

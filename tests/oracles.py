@@ -17,7 +17,8 @@ from notemort.cohort import (
 from notemort.errors import DataError
 from notemort.models import SPATIAL_DROPOUT, lookup_note_embeddings, temporal_forward
 from notemort.ndcore import (
-    Tensor, batchnorm, concat, constant, conv1d, dense_sigmoid, spatial_dropout, stack,
+    Tensor, batchnorm, concat, constant, conv1d, dense_sigmoid, fold_batchnorm,
+    spatial_dropout, stack,
 )
 from notemort.ndcore.tensor import _make
 from notemort.notesproc import PAD_ID, read_csv_records, write_csv_records
@@ -163,7 +164,8 @@ def batchnorm_eval_composed(x, params):
 
 
 def add_relu_composed(a, b):
-    """The residual join as the add and relu nodes `add_relu` replaces."""
+    """The residual join as the generic add and relu nodes that the
+    conv blocks replace."""
     return (a + b).relu()
 
 
@@ -188,25 +190,52 @@ def conv_block_train_composed(x, conv, norm, shortcut, *, p, rng, conv_op=conv1d
     return add_relu_composed(y, x if shortcut is None else conv_op(x, shortcut))
 
 
+def conv_block_eval_composed(x, conv, shortcut):
+    """The eval-mode residual conv block over folded parameters as the
+    separate nodes `conv_block_eval` replaces: conv1d over every row, the
+    shortcut (x or a 1x1 projection), then the generic add and relu."""
+    return add_relu_composed(conv1d(x, conv), x if shortcut is None else conv1d(x, shortcut))
+
+
+def _notes_forward(model, cfg, embeddings, ids, block_op):
+    """models.forward for a notes-hcr model with each conv block as
+    `block_op(x, block)` and the pooling as generic tape nodes."""
+    n_files, n_notes, note_len = ids.shape
+    flat_ids = ids.reshape(n_files * n_notes, note_len)
+    x = lookup_note_embeddings(flat_ids, embeddings)
+    for block in model.semantical:
+        x = block_op(x, block)
+    docs = global_avg_pool_composed(x, flat_ids != PAD_ID)
+    docs = docs.reshape((n_files, n_notes, cfg.filters))
+    return dense_sigmoid(temporal_forward(docs, model.temporal), model.head)
+
+
 def notes_forward_composed(model, cfg, embeddings, ids, *, training, rng=None):
     """models.forward for a notes-hcr model with each block as separate
     nodes (`conv_block_train_composed` in train mode; in eval mode
     `batchnorm_eval_composed` after the unfolded convolution, then the
     generic add and relu) and the pooling as generic tape nodes."""
-    n_files, n_notes, note_len = ids.shape
-    flat_ids = ids.reshape(n_files * n_notes, note_len)
-    x = lookup_note_embeddings(flat_ids, embeddings)
-    for block in model.semantical:
+    def block_op(x, block):
         if training:
-            x = conv_block_train_composed(
+            return conv_block_train_composed(
                 x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng
             )
-        else:
-            y = batchnorm_eval_composed(conv1d(x, block.conv), block.norm)
-            x = add_relu_composed(y, x if block.shortcut is None else conv1d(x, block.shortcut))
-    docs = global_avg_pool_composed(x, flat_ids != PAD_ID)
-    docs = docs.reshape((n_files, n_notes, cfg.filters))
-    return dense_sigmoid(temporal_forward(docs, model.temporal), model.head)
+        y = batchnorm_eval_composed(conv1d(x, block.conv), block.norm)
+        return add_relu_composed(y, x if block.shortcut is None else conv1d(x, block.shortcut))
+
+    return _notes_forward(model, cfg, embeddings, ids, block_op)
+
+
+def notes_forward_folded(model, cfg, embeddings, ids):
+    """Eval-mode models.forward for a notes-hcr model with each block as
+    `conv_block_eval_composed` over the `fold_batchnorm` parameters: the
+    folded chain with every row of every note computed."""
+    return _notes_forward(
+        model, cfg, embeddings, ids,
+        lambda x, block: conv_block_eval_composed(
+            x, fold_batchnorm(block.conv, block.norm), block.shortcut
+        ),
+    )
 
 
 def sigmoid_masked(x):

@@ -15,11 +15,11 @@ from notemort.ndcore import (
     DenseParams,
     GruDirectionParams,
     Tensor,
-    add_relu,
     backward,
     bigru,
     batchnorm,
     conv1d,
+    conv_block_eval,
     conv_block_train,
     dense_sigmoid,
     fold_batchnorm,
@@ -32,7 +32,6 @@ from notemort.ndcore import (
 from notemort.ndcore.tensor import _sigmoid
 
 from oracles import (
-    add_relu_composed,
     batchnorm_eval_composed,
     batchnorm_train_composed,
     bigru_composed,
@@ -40,6 +39,7 @@ from oracles import (
     conv1d_composed,
     conv1d_loops,
     conv1d_unrolled,
+    conv_block_eval_composed,
     conv_block_train_composed,
     finite_diff_grad,
     global_avg_pool_composed,
@@ -644,30 +644,148 @@ def test_conv_block_train_identity_shortcut_needs_matching_channels():
         )
 
 
-# -- residual join and pooling ---------------------------------------------------------
+# -- the eval-mode conv block -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("needs_grad", ["both", "a", "b", "same"])
-def test_add_relu_bit_identical_to_composition(needs_grad):
-    """Values and gradients, with sums of exactly zero at the kink and
-    with both inputs used again by nodes the backward reaches later."""
+# (C_in, x requires grad, parameters require grad): the identity shortcut
+# (C_in = C_out = 3) with x and the parameters recorded, with a constant
+# x (a model's first block) and with constant parameters, and the 1x1
+# projection (C_in 2)
+EVAL_BLOCK_CASES = {
+    "identity": (3, True, True),
+    "identity-constant-x": (3, False, True),
+    "identity-constant-params": (3, True, False),
+    "projection": (2, True, True),
+}
+
+
+@pytest.mark.parametrize("case", list(EVAL_BLOCK_CASES))
+def test_conv_block_eval_bit_identical_to_composition(case):
+    """Every row, as `rows` None computes it: values and gradients equal
+    those of the separate nodes bit for bit, with sums of exactly zero at
+    the ReLU's kink and with x also read by a node the backward reaches
+    later."""
+    c_in, x_grad, params_grad = EVAL_BLOCK_CASES[case]
     rng = np.random.default_rng(3)
-    shape = (2, 5, 3)
-    a_data, b_data = rng.standard_normal(shape), rng.standard_normal(shape)
-    b_data[0, :2] = -a_data[0, :2]
-    grad_out, other = rng.standard_normal(shape), rng.standard_normal(shape)
+    shape = (2, 5, c_in)
+    x_data = rng.standard_normal(shape)
+    conv, _, shortcut = make_block(4, c_in, 3)
+    # channel 0: no kernel and bias 0.5, so x = -0.5 puts its first two sums at 0
+    conv.kernels.data[..., 0] = 0.0
+    conv.bias.data[0] = 0.5
+    if shortcut is None:
+        x_data[0, :2, 0] = -0.5
+    else:
+        shortcut.kernels.data[..., 0] = 0.0
+        shortcut.bias.data[0] = -0.5
+    leaves = [conv.kernels, conv.bias]
+    if shortcut is not None:
+        leaves += [shortcut.kernels, shortcut.bias]
+    for t in leaves:
+        t.requires_grad = params_grad
+    grad_out, other = rng.standard_normal(shape[:-1] + (3,)), rng.standard_normal(shape)
     results = []
-    for op in (add_relu, add_relu_composed):
-        a = Tensor(a_data.copy(), requires_grad=needs_grad != "b")
-        b = a if needs_grad == "same" else Tensor(b_data.copy(), requires_grad=needs_grad != "a")
-        earlier = (a * other + b * other).sum()
-        out = op(a, b)
-        ((out * grad_out).sum() + earlier).backward()
-        results.append([out.data, a.grad, b.grad])
-    for got, want in zip(*results):
+    for op in (conv_block_eval, conv_block_eval_composed):
+        x = Tensor(x_data.copy(), requires_grad=x_grad)
+        earlier = (x * other).sum()
+        out = op(x, conv, shortcut)
+        loss = (out * grad_out).sum() + earlier
+        if loss.requires_grad:
+            loss.backward()
+        results.append([out.data, x.grad] + [t.grad for t in leaves])
+        for t in leaves:
+            t.grad = None
+    assert np.all(results[0][0][0, :2, 0] == 0.0)
+    for got, want in zip(*results, strict=True):
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got, want)
+
+
+# (input shape, C_out, rows, leading indices per column chunk; None: the
+# default): the identity shortcut and the projection, notes of one row
+# and of every row, chunks of one, two and all notes. At C = 200 a GEMM
+# of fewer than 9 rows would take the BLAS's small-matrix kernel, which
+# sums in another order than the uncut GEMM of 40 rows.
+EVAL_ROWS_CASES = [
+    ((5, 9, 4), 4, [1, 4, 9, 2, 6], None),
+    ((5, 9, 3), 4, [1, 4, 9, 2, 6], 1),
+    ((5, 9, 4), 4, [3, 9, 1, 1, 5], 2),
+    ((3, 40, 200), 200, [4, 9, 40], 1),
+]
+
+
+def eval_rows_case(shape, c_out, per_chunk, monkeypatch):
+    """Input data that is not zero anywhere and a block for one case."""
+    if per_chunk is not None:
+        notes_per_chunk(monkeypatch, per_chunk, shape[-2], 3, shape[-1])
+    rng = np.random.default_rng(shape[-1] + len(shape))
+    conv, _, shortcut = make_block(shape[-2], shape[-1], c_out)
+    conv.kernels.data *= 1.0 / np.sqrt(3 * shape[-1])
+    return rng.standard_normal(shape), conv, shortcut
+
+
+@pytest.mark.parametrize("shape,c_out,rows,per_chunk", EVAL_ROWS_CASES)
+def test_conv_block_eval_rows_match_untrimmed_block(shape, c_out, rows, per_chunk, monkeypatch):
+    """Below each note's `rows`, the block carries the bits of the block
+    that computes every row; past its column chunk's cut it is exactly 0."""
+    x, conv, shortcut = eval_rows_case(shape, c_out, per_chunk, monkeypatch)
+    rows = np.array(rows)
+    got = conv_block_eval(Tensor(x), conv, shortcut, rows).data
+    want = conv_block_eval_composed(Tensor(x), conv, shortcut).data
+    for chunk, cut in layers._ConvGemm(x, conv.kernels.data, rows).spans:
+        for n in range(*chunk.indices(len(x))):
+            assert rows[n] <= cut
+            assert np.array_equal(got[n, : rows[n]], want[n, : rows[n]]), n
+            assert np.any(got[n, : rows[n]] != 0.0), n
+            assert np.all(got[n, cut:] == 0.0), n
+
+
+@pytest.mark.parametrize("shape,c_out", [((2, 9, 4), 4), ((2, 40, 200), 200)])
+def test_conv_block_eval_note_bits_do_not_depend_on_chunk_neighbours(shape, c_out, monkeypatch):
+    """A note of 4 rows alone, and in one column chunk with a neighbour
+    of one row or of every row: its first 4 rows carry the same bits,
+    although the chunk's GEMMs then have 4 rows (9 at C = 200, the row
+    bound) or every row."""
+    x, conv, shortcut = eval_rows_case(shape, c_out, None, monkeypatch)
+    assert layers._COLS_BYTES >= x.nbytes * 3  # both notes in one chunk
+    alone = conv_block_eval(Tensor(x[:1]), conv, shortcut, np.array([4])).data[0, :4]
+    for neighbour in (1, shape[-2]):
+        out = conv_block_eval(Tensor(x), conv, shortcut, np.array([4, neighbour])).data
+        assert np.array_equal(out[0, :4], alone), neighbour
+
+
+@pytest.mark.parametrize("c_in", [3, 4])
+def test_conv_block_eval_gradients(c_in, monkeypatch):
+    """Finite differences through the projection (C_in 3) and the
+    identity shortcut (C_in 4), one note per column chunk, with notes of
+    one row, of every row and between."""
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    rng = np.random.default_rng(c_in)
+    x = parameter(rng.standard_normal((3, 6, c_in)))
+    conv, _, shortcut = make_block(16, c_in, 4)
+    rows = np.array([1, 6, 3])
+
+    def loss():
+        return (conv_block_eval(x, conv, shortcut, rows) ** 2).sum()
+
+    tensors = [x, conv.kernels, conv.bias]
+    if shortcut is not None:
+        tensors += [shortcut.kernels, shortcut.bias]
+    backward(loss(), tensors)
+    for t in tensors:
+        assert np.any(t.grad != 0.0)
+        assert max_rel_err(t.grad, finite_diff_grad(loss, t)) < TOL
+        t.grad = None
+
+
+def test_conv_block_eval_identity_shortcut_needs_matching_channels():
+    conv, _, _ = make_block(15, 3, 4)
+    with pytest.raises(ConfigurationError):
+        conv_block_eval(Tensor(np.ones((2, 5, 3))), conv, None)
+
+
+# -- pooling ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (2, 2, 5, 3)])
@@ -685,13 +803,14 @@ def test_global_avg_pool_bit_identical_to_composition(shape):
     assert np.array_equal(grads[0], want_grads[0])
 
 
-def test_add_relu_and_masked_pool_add_one_tape_node_each():
+def test_conv_block_eval_and_masked_pool_add_one_tape_node_each():
     rng = np.random.default_rng(10)
-    a = parameter(rng.standard_normal((2, 5, 3)))
-    b = parameter(rng.standard_normal((2, 5, 3)))
+    x = parameter(rng.standard_normal((2, 5, 3)))
+    conv, _, shortcut = make_block(17, 3, 4)
     start = Tensor(0.0)._id
-    y = add_relu(a, b)
-    assert y._id == start + 1 and y._parents == (a, b)
+    y = conv_block_eval(x, conv, shortcut, np.array([2, 5]))
+    assert y._id == start + 1
+    assert y._parents == (x, conv.kernels, conv.bias, shortcut.kernels, shortcut.bias)
     start = Tensor(0.0)._id
     pooled = global_avg_pool(y, mask=np.ones((2, 5), dtype=bool))
     assert pooled._id == start + 1 and pooled._parents == (y,)

@@ -19,9 +19,10 @@ from notemort.ndcore import (
     dense_sigmoid,
     load_checkpoint,
     no_grad,
+    layers,
     save_checkpoint,
 )
-from notemort.notesproc import CleanNote, truncate_pad
+from notemort.notesproc import OOV_ID, PAD_ID, CleanNote, truncate_pad
 from notemort.cohort import N_TS_VARIABLES, standardize_values
 
 from oracles import (
@@ -31,9 +32,13 @@ from oracles import (
     global_avg_pool_composed,
     max_rel_err,
     notes_forward_composed,
+    notes_forward_folded,
 )
 
 TOY = ModelConfig(note_len=8, embed_dim=4, filters=2, temporal_hidden=3, cts_hidden=(3, 2))
+# paper-wide blocks on short notes: a conv GEMM of fewer than 9 rows would
+# take the BLAS's small-matrix kernel, which sums in another order
+WIDE = ModelConfig(note_len=24, embed_dim=200, filters=200, temporal_hidden=3, cts_hidden=(3, 2))
 
 
 def toy_embeddings(vocab_size=12, dim=4, seed=0):
@@ -322,6 +327,54 @@ def test_notes_step_matches_oracle_composition(training):
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
         for name, want in want_arrays.items():
             np.testing.assert_allclose(arrays[name], want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def ragged_ids(note_len, vocab, seed):
+    """Token ids [3 stays, 3 notes, L] whose notes end their real tokens
+    at positions 0, 1, 2, L-4, L-3, L-2, L-1 and two random ones; one note
+    has two PADs between real tokens and one an OOV token."""
+    rng = np.random.default_rng(seed)
+    lasts = [0, note_len - 4, note_len - 3, note_len - 2, note_len - 1, 1, 2,
+             *rng.integers(0, note_len, 2)]
+    ids = np.zeros((len(lasts), note_len), dtype=np.int32)
+    for n, last in enumerate(lasts):
+        ids[n, : last + 1] = rng.integers(1, vocab, last + 1)
+    ids[1, 1:3] = PAD_ID
+    ids[2, 0] = OOV_ID
+    return ids.reshape(3, 3, note_len)
+
+
+@pytest.mark.parametrize("cfg,one_note_per_chunk", [(TOY, False), (TOY, True), (WIDE, True)],
+                         ids=["toy", "toy-one-note-per-chunk", "wide-one-note-per-chunk"])
+def test_eval_scores_bit_equal_to_untrimmed_folded_chain(cfg, one_note_per_chunk, monkeypatch):
+    """Eval mode skips each note's padded tail; `models.forward` and
+    `traineval.predict_scores` still carry the bits of the folded chain
+    that computes every row."""
+    if one_note_per_chunk:
+        monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    emb = toy_embeddings(dim=cfg.embed_dim, seed=60)
+    params = models.init_model(models.NOTES_HCR, cfg, seed=61)
+    randomize_norms(params, seed=62)
+    ids = ragged_ids(cfg.note_len, emb.vocab_size, seed=63)
+    with no_grad():
+        got = models.forward(params, cfg, emb, ids=ids, training=False).data
+        assert np.array_equal(got, notes_forward_folded(params, cfg, emb, ids).data)
+    notes = [ids[0], ids[1], ids[2], ids[2, :2]]
+    dataset = {
+        h: traineval.StayData(hadm_id=h, label=bool(h % 2), note_ids=stay_ids)
+        for h, stay_ids in enumerate(notes)
+    }
+    scores = traineval.predict_scores(
+        models.NOTES_HCR, list(dataset), dataset, params, cfg, emb, batch_size=2
+    )
+    batches = traineval.make_batches(models.NOTES_HCR, list(dataset), dataset, 2)
+    assert len(batches) == 3
+    for batch in batches:
+        with no_grad():
+            want = notes_forward_folded(
+                params, cfg, emb, np.stack([dataset[h].note_ids for h in batch])
+            )
+        assert [scores[h] for h in batch] == want.data.tolist()
 
 
 def test_eval_mode_is_deterministic():
