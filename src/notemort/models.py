@@ -32,8 +32,7 @@ from .ndcore import (
     bigru,
     batchnorm,  # not called here: perfbench/spans.py traces models.batchnorm
     concat,
-    conv1d,  # not called here: perfbench/spans.py traces models.conv1d
-    conv_block_eval,
+    conv1d,
     conv_block_train,
     dense_sigmoid,
     fold_batchnorm,
@@ -289,8 +288,9 @@ def semantical_forward(
     Each block is one tape node. In train mode it is `conv_block_train`,
     whose values, gradients and running statistics carry the bits of
     that chain. In eval mode SpatialDropout is the identity and BatchNorm
-    an affine map per channel, so each block is `conv_block_eval` over a
-    convolution whose kernels and bias have the norm folded in
+    an affine map per channel, so each block is one residual `conv1d`
+    (the convolution with the shortcut add and the ReLU fused onto its
+    output) whose kernels and bias have the norm folded in
     (`fold_batchnorm`); the outputs differ from the unfolded chain only
     by rounding, and gradients still reach every parameter. With a mask,
     eval mode skips each note's padded tail: the pooled rows, up to the
@@ -304,9 +304,10 @@ def semantical_forward(
     rows = None
     if mask is not None and not training:
         length = notes.shape[-2]
-        last = length - 1 - np.argmax(np.asarray(mask)[..., ::-1], axis=-1)
         reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
-        rows = np.minimum(length, last + 1 + reach).reshape(-1)
+        # the last unmasked position + 1 + reach, at most L
+        rows = length + reach - np.argmax(np.asarray(mask)[..., ::-1], axis=-1).reshape(-1)
+        np.minimum(rows, length, out=rows)
     x = notes
     for block in blocks:
         if training:
@@ -314,7 +315,10 @@ def semantical_forward(
                 x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng
             )
         else:
-            x = conv_block_eval(x, fold_batchnorm(block.conv, block.norm), block.shortcut, rows)
+            x = conv1d(
+                x, fold_batchnorm(block.conv, block.norm), rows=rows,
+                residual=True, shortcut=block.shortcut,
+            )
     return global_avg_pool(x, mask=mask)
 
 

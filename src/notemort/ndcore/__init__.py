@@ -2,9 +2,10 @@
 
 Exactly the layer set the mortality models need: 1-D convolution,
 channel dropout, batch normalization (folded into the convolution in
-eval mode), the eval-mode and train-mode residual conv blocks as one op
-each, masked pooling, bidirectional GRUs, a sigmoid head, an L2 weight
-penalty, and the AMSGrad optimizer.
+eval mode, where the convolution also runs a conv block's residual
+join), the train-mode residual conv block as one op, masked pooling,
+bidirectional GRUs, a sigmoid head, an L2 weight penalty, and the
+AMSGrad optimizer.
 Everything is float64 and deterministic given an explicit RNG.
 """
 
@@ -27,7 +28,6 @@ from .layers import (
     spatial_dropout,
     batchnorm,
     fold_batchnorm,
-    conv_block_eval,
     conv_block_train,
     global_avg_pool,
     bigru,
@@ -55,7 +55,6 @@ __all__ = [
     "spatial_dropout",
     "batchnorm",
     "fold_batchnorm",
-    "conv_block_eval",
     "conv_block_train",
     "global_avg_pool",
     "bigru",

@@ -84,12 +84,14 @@ class DenseParams:
 
 # bytes of unrolled columns built at a time: small enough to stay in cache
 _COLS_BYTES = 4 << 20
-# OpenBLAS (0.3.31) multiplies a GEMM of at most 100**3 multiply-adds with
-# its small-matrix kernel, which sums in another order than its blocked
-# one once the inner dimension spans more than one block, and numpy
-# multiplies a one-row matrix by GEMV. A GEMM cut to fewer rows stays on
-# the uncut one's side of both lines (`_ConvGemm`), so that each of its
-# rows carries the uncut product's bits.
+# OpenBLAS 0.3.31 with its Haswell kernels multiplies a GEMM of at most
+# 100**3 multiply-adds with its small-matrix kernel, which sums in another
+# order than its blocked one once the inner dimension spans more than one
+# block, and numpy multiplies a one-row matrix by GEMV. A GEMM cut to
+# fewer rows stays on the uncut one's side of both lines (`_ConvGemm`),
+# so that each of its rows carries the uncut product's bits. The bound
+# was measured on that build only: other OpenBLAS CPU kernels and other
+# BLAS libraries may switch elsewhere and need it measured again.
 _SMALL_GEMM = 100**3
 
 
@@ -115,10 +117,15 @@ class _ConvGemm:
     when the pass returns.
 
     `rows` [n], when given, asks only for the first rows[n] output rows
-    of each leading index. Each chunk then unrolls and multiplies only up
-    to its cut, its largest `rows` (never fewer than `_min_gemm_rows`),
+    of each leading index. A chunk of one leading index (at paper shapes
+    one note's columns fill `_COLS_BYTES`) then unrolls and multiplies
+    only up to its cut, rows[n] but never fewer than `_min_gemm_rows`,
     which reads the input up to (K-1)/2 rows further, and its output rows
-    past the cut are 0. Every unroll writes every cell of the part of the
+    past the cut are 0. A chunk of several is not cut: its first rows
+    would be strided views, over which the elementwise passes cost more
+    than the skipped rows save (at desk shapes, a few dozen notes of 64
+    rows per chunk). When no chunk is cut short of L, every pass runs as
+    without `rows`. Every unroll writes every cell of the part of the
     buffer it uses, the taps' rows and the zero border rows of each
     shifted tap, so the backward can also take the GEMM of the input
     gradient into it.
@@ -145,31 +152,45 @@ class _ConvGemm:
         self.xs = x.reshape(-1, length, c_in)
         self.w2 = kernels.reshape(k_size * c_in, c_out)
         step = max(1, _COLS_BYTES // (length * k_size * c_in * self.xs.itemsize))
-        chunks = [slice(i, i + step) for i in range(0, len(self.xs), step)]
-        # (chunk, its cut: the output rows its GEMMs produce)
-        if rows is None:
-            self.spans = [(chunk, length) for chunk in chunks]
-        else:
+        starts = range(0, len(self.xs), step)
+        cuts = [length] * len(starts)
+        if rows is not None and step == 1:
             least = _min_gemm_rows(length, k_size * c_in, c_out)
-            self.spans = [(chunk, max(least, int(rows[chunk].max()))) for chunk in chunks]
+            cuts = [min(max(r, least), length) for r in rows.tolist()]
+        # (chunk, its cut: the output rows its GEMMs produce)
+        self.spans = [(slice(i, i + step), cut) for i, cut in zip(starts, cuts)]
+        # whether any chunk is cut short of L
+        self.trimmed = any(cut < length for cut in cuts)
         self.out_shape = (len(self.xs), length, c_out)
         # one pass's column buffer: the largest chunk's columns
         self.cols_shape = (min(step, len(self.xs)), length, k_size * c_in)
 
+    def cut_rows(self) -> np.ndarray:
+        """Each leading index's cut: the output rows computed for it."""
+        rows = np.empty(len(self.xs), dtype=np.intp)
+        for chunk, cut in self.spans:
+            rows[chunk] = cut
+        return rows
+
+    def computed(self, a: np.ndarray) -> list[np.ndarray]:
+        """The views of a [n, L, C] over the rows this GEMM computes: a
+        itself when no chunk is cut short."""
+        if not self.trimmed:
+            return [a]
+        return [a[chunk, :cut] for chunk, cut in self.spans]
+
     def _taps(self, cut: int):
         """The taps (k, dst, src, m) cut to output rows [0, cut)."""
+        if cut == self.out_shape[1]:
+            return self.taps
         return [(k, dst, src, max(min(m, cut - dst), 0)) for k, dst, src, m in self.taps]
-
-    def _cols(self, buf: np.ndarray, n: int, cut: int) -> np.ndarray:
-        """The first n * cut column rows of `buf`, as [n, cut, K * C_in]."""
-        width = buf.shape[-1]
-        return buf.reshape(-1)[: n * cut * width].reshape(n, cut, width)
 
     def _unroll(self, part: np.ndarray, buf: np.ndarray, cut: int) -> np.ndarray:
         """The columns of the first `cut` output rows of `part` [n, L, C_in],
         written over the start of buf."""
         n, _, c_in = part.shape
-        cols = self._cols(buf, n, cut)
+        # contiguous: a chunk is cut only when it holds one note
+        cols = buf[:n, :cut]
         taps = cols.reshape(n, cut, len(self.taps), c_in)
         for k, dst, src, m in self._taps(cut):
             taps[:, dst : dst + m, k] = part[:, src : src + m]
@@ -185,16 +206,19 @@ class _ConvGemm:
             np.matmul(self._unroll(self.xs[chunk], buf, cut), self.w2, out=out[chunk, :cut])
         # after all GEMMs: a pass between two of them runs while the idle
         # BLAS worker spins, at twice its CPU cost (`conv1d`)
-        for chunk, cut in self.spans:
-            out[chunk, :cut] += bias
-            out[chunk, cut:] = 0.0
+        for part in self.computed(out):
+            part += bias
+        if self.trimmed:
+            for chunk, cut in self.spans:
+                out[chunk, cut:] = 0.0
         return out
 
     def backward(self, g: np.ndarray, params: Conv1dParams, need_dx: bool) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
         g [n, L, C_out] into `params`; returns the input gradient
         [n, L, C_in] when `need_dx`, else None. The GEMMs read only each
-        chunk's cut, so g must be 0 past it.
+        chunk's cut, so g must be 0 past it (the bias gradient sums every
+        row).
 
         The caller hands over g: when it has the input's shape (C_in ==
         C_out), the input gradient is written over it, each chunk once
@@ -214,9 +238,9 @@ class _ConvGemm:
                 for cols, g_n in zip(self._unroll(self.xs[chunk], buf, cut), g_part):
                     dw += cols.T @ g_n
             if dx is not None:
-                gcols = np.matmul(
-                    g_part, self.w2.T, out=self._cols(buf, len(g_part), cut)
-                ).reshape(-1, cut, k_size, c_in)
+                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part), :cut]).reshape(
+                    -1, cut, k_size, c_in
+                )
                 dx_part = dx[chunk]
                 dx_part.fill(0.0)
                 for k, dst, src, m in self._taps(cut):
@@ -226,13 +250,13 @@ class _ConvGemm:
         return dx
 
 
-def conv1d(x: Tensor, params: Conv1dParams) -> Tensor:
+def conv1d(
+    x: Tensor, params: Conv1dParams, *, rows: np.ndarray | None = None,
+    residual: bool = False, shortcut: Conv1dParams | None = None,
+) -> Tensor:
     """Same-length cross-correlation along the lexical axis, as one tape node.
 
-    x: [..., L, C_in] -> [..., L, C_out], every output row, computed by
-    `_ConvGemm`. The model's conv blocks run the same GEMMs inside one
-    node each (`conv_block_train`, and `conv_block_eval`, which cuts them
-    to each note's extent), so they do not call this op. Each
+    x: [..., L, C_in] -> [..., L, C_out], computed by `_ConvGemm`. Each
     pass unrolls the windows into one reused column buffer of about
     `_COLS_BYTES`, and at C_in == C_out the backward writes the input
     gradient over the output gradient it is handed, so it allocates no
@@ -247,18 +271,54 @@ def conv1d(x: Tensor, params: Conv1dParams) -> Tensor:
     thread. The idle BLAS worker spins through the numpy passes between
     GEMMs, so each elementwise pass over a conv-sized array costs about
     twice its wall time in CPU seconds.
+
+    With `residual`, the node is an eval-mode residual conv block,
+    relu(conv1d(x, params) + s), where `params` has the block's
+    batchnorm folded in (`fold_batchnorm`) and s is x (`shortcut` None,
+    the identity) or conv1d(x, shortcut) (a 1x1 projection). The
+    shortcut add and the ReLU run in place over the convolution's
+    output, and the backward masks the gradient it is handed in place.
+    The train-mode block is `conv_block_train`.
+
+    `rows` [n] (residual only), one per leading index (n the product of
+    the leading axes), asks for the first rows[n] output rows of each.
+    The convolutions may multiply a note only up to its cut (`_ConvGemm`),
+    rows[n] or more: its first cut rows carry the bits of the node that
+    computes every row, and the rest are 0.
     """
-    gemm = _ConvGemm(x.data, params.kernels.data)
+    if residual:
+        gemm, proj = _block_gemms(x, params, shortcut, rows)
+    elif rows is not None or shortcut is not None:
+        raise ConfigurationError("conv1d: rows and shortcut need residual=True")
+    else:
+        gemm, proj = _ConvGemm(x.data, params.kernels.data), None
     out = gemm.forward(params.bias.data)
+    parents = (x, params.kernels, params.bias)
+    if residual:
+        s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
+        for part, s_part in zip(gemm.computed(out), gemm.computed(s)):
+            part += s_part
+            np.maximum(part, 0.0, out=part)
+        if shortcut is not None:
+            parents += (shortcut.kernels, shortcut.bias)
 
     def back(g):
-        dx = gemm.backward(g.reshape(gemm.out_shape), params, x.requires_grad)
-        if dx is not None:
-            x._accum(dx.reshape(x.shape), fresh=True)
+        g = g.reshape(out.shape)
+        if not residual:
+            dx = gemm.backward(g, params, x.requires_grad)
+            if dx is not None:
+                x._accum(dx.reshape(x.shape), fresh=True)
+            return
+        # the mask also zeroes g past each chunk's cut, which the
+        # backward needs: its bias gradient sums every row
+        np.multiply(g, out > 0.0, out=g)
+        # the conv may write its input gradient over what it is handed
+        dx = gemm.backward(g.copy() if x.requires_grad else g, params, x.requires_grad)
+        _join_backward(x, dx, g, proj, shortcut)
 
     return _make(
-        out.reshape(x.shape[:-1] + out.shape[-1:]),
-        (x, params.kernels, params.bias), "conv1d", back,
+        out.reshape(x.shape[:-1] + out.shape[-1:]), parents,
+        "conv_block" if residual else "conv1d", back,
     )
 
 
@@ -437,57 +497,19 @@ def _block_gemms(
     x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None,
     rows: np.ndarray | None = None,
 ) -> tuple[_ConvGemm, _ConvGemm | None]:
-    """The conv and shortcut-projection (None: identity) GEMMs of a block over x."""
+    """The conv and shortcut-projection (None: identity) GEMMs of a block
+    over x. The projection computes at least every row the conv does,
+    which the join reads: its chunks need not be the conv's."""
     gemm = _ConvGemm(x.data, conv.kernels.data, rows)
     c_out = gemm.out_shape[-1]
     if shortcut is None and x.shape[-1] != c_out:
         raise ConfigurationError(
             f"identity shortcut needs {c_out} input channels, got {x.shape[-1]}"
         )
-    proj = None if shortcut is None else _ConvGemm(x.data, shortcut.kernels.data, rows)
-    return gemm, proj
-
-
-def conv_block_eval(
-    x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None,
-    rows: np.ndarray | None = None,
-) -> Tensor:
-    """One eval-mode residual conv block as one tape node:
-    relu(conv1d(x, conv) + s), where `conv` has the block's batchnorm
-    folded in (`fold_batchnorm`) and s is x (identity shortcut) or
-    conv1d(x, shortcut) (a 1x1 projection).
-
-    x: [..., L, C_in] -> [..., L, C_out]. `rows` [n], one per leading
-    index (n the product of the leading axes), asks for the first rows[n]
-    output rows of each: those carry the bits of the composition. The
-    convolutions multiply only up to each column chunk's cut, its largest
-    `rows` (`_ConvGemm`), and the shortcut add and the ReLU run in place
-    on the conv output up to there; the rows past the cut are 0. A note's
-    rows between its own `rows` and the cut depend on its chunk
-    neighbours; zeroing them per note cost about 6 % of scoring at desk
-    shapes, where a chunk holds a hundred notes and the cut is L, and no
-    caller reads them. The backward masks the gradient it is handed in
-    place.
-    """
-    gemm, proj = _block_gemms(x, conv, shortcut, rows)
-    out = gemm.forward(conv.bias.data)
-    s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
-    for chunk, cut in gemm.spans:
-        part = out[chunk, :cut]
-        part += s[chunk, :cut]
-        np.maximum(part, 0.0, out=part)
-    parents = (x, conv.kernels, conv.bias)
-    if shortcut is not None:
-        parents += (shortcut.kernels, shortcut.bias)
-
-    def back(g):
-        g = g.reshape(out.shape)
-        np.multiply(g, out > 0.0, out=g)
-        # the conv may write its input gradient over what it is handed
-        dx = gemm.backward(g.copy() if x.requires_grad else g, conv, x.requires_grad)
-        _join_backward(x, dx, g, proj, shortcut)
-
-    return _make(out.reshape(x.shape[:-1] + out.shape[-1:]), parents, "conv_block", back)
+    if shortcut is None:
+        return gemm, None
+    rows = gemm.cut_rows() if gemm.trimmed else None
+    return gemm, _ConvGemm(x.data, shortcut.kernels.data, rows)
 
 
 def conv_block_train(

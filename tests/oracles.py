@@ -192,8 +192,9 @@ def conv_block_train_composed(x, conv, norm, shortcut, *, p, rng, conv_op=conv1d
 
 def conv_block_eval_composed(x, conv, shortcut):
     """The eval-mode residual conv block over folded parameters as the
-    separate nodes `conv_block_eval` replaces: conv1d over every row, the
-    shortcut (x or a 1x1 projection), then the generic add and relu."""
+    separate nodes `conv1d(..., residual=True)` replaces: conv1d over
+    every row, the shortcut (x or a 1x1 projection), then the generic add
+    and relu."""
     return add_relu_composed(conv1d(x, conv), x if shortcut is None else conv1d(x, shortcut))
 
 

@@ -19,7 +19,6 @@ from notemort.ndcore import (
     bigru,
     batchnorm,
     conv1d,
-    conv_block_eval,
     conv_block_train,
     dense_sigmoid,
     fold_batchnorm,
@@ -644,7 +643,12 @@ def test_conv_block_train_identity_shortcut_needs_matching_channels():
         )
 
 
-# -- the eval-mode conv block -----------------------------------------------------------
+# -- the eval-mode conv block: conv1d with the residual join -----------------------------
+
+
+def residual_conv1d(x, conv, shortcut, rows=None):
+    """The eval-mode residual conv block over folded parameters."""
+    return conv1d(x, conv, rows=rows, residual=True, shortcut=shortcut)
 
 
 # (C_in, x requires grad, parameters require grad): the identity shortcut
@@ -660,7 +664,7 @@ EVAL_BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", list(EVAL_BLOCK_CASES))
-def test_conv_block_eval_bit_identical_to_composition(case):
+def test_residual_conv1d_bit_identical_to_composition(case):
     """Every row, as `rows` None computes it: values and gradients equal
     those of the separate nodes bit for bit, with sums of exactly zero at
     the ReLU's kink and with x also read by a node the backward reaches
@@ -685,7 +689,7 @@ def test_conv_block_eval_bit_identical_to_composition(case):
         t.requires_grad = params_grad
     grad_out, other = rng.standard_normal(shape[:-1] + (3,)), rng.standard_normal(shape)
     results = []
-    for op in (conv_block_eval, conv_block_eval_composed):
+    for op in (residual_conv1d, conv_block_eval_composed):
         x = Tensor(x_data.copy(), requires_grad=x_grad)
         earlier = (x * other).sum()
         out = op(x, conv, shortcut)
@@ -704,9 +708,10 @@ def test_conv_block_eval_bit_identical_to_composition(case):
 
 # (input shape, C_out, rows, leading indices per column chunk; None: the
 # default): the identity shortcut and the projection, notes of one row
-# and of every row, chunks of one, two and all notes. At C = 200 a GEMM
-# of fewer than 9 rows would take the BLAS's small-matrix kernel, which
-# sums in another order than the uncut GEMM of 40 rows.
+# and of every row, chunks of one, two and all notes (only chunks of one
+# note are cut). At C = 200 a GEMM of fewer than 9 rows would take the
+# BLAS's small-matrix kernel, which sums in another order than the uncut
+# GEMM of 40 rows.
 EVAL_ROWS_CASES = [
     ((5, 9, 4), 4, [1, 4, 9, 2, 6], None),
     ((5, 9, 3), 4, [1, 4, 9, 2, 6], 1),
@@ -726,12 +731,12 @@ def eval_rows_case(shape, c_out, per_chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("shape,c_out,rows,per_chunk", EVAL_ROWS_CASES)
-def test_conv_block_eval_rows_match_untrimmed_block(shape, c_out, rows, per_chunk, monkeypatch):
+def test_residual_conv1d_rows_match_untrimmed_block(shape, c_out, rows, per_chunk, monkeypatch):
     """Below each note's `rows`, the block carries the bits of the block
     that computes every row; past its column chunk's cut it is exactly 0."""
     x, conv, shortcut = eval_rows_case(shape, c_out, per_chunk, monkeypatch)
     rows = np.array(rows)
-    got = conv_block_eval(Tensor(x), conv, shortcut, rows).data
+    got = residual_conv1d(Tensor(x), conv, shortcut, rows).data
     want = conv_block_eval_composed(Tensor(x), conv, shortcut).data
     for chunk, cut in layers._ConvGemm(x, conv.kernels.data, rows).spans:
         for n in range(*chunk.indices(len(x))):
@@ -742,21 +747,21 @@ def test_conv_block_eval_rows_match_untrimmed_block(shape, c_out, rows, per_chun
 
 
 @pytest.mark.parametrize("shape,c_out", [((2, 9, 4), 4), ((2, 40, 200), 200)])
-def test_conv_block_eval_note_bits_do_not_depend_on_chunk_neighbours(shape, c_out, monkeypatch):
-    """A note of 4 rows alone, and in one column chunk with a neighbour
-    of one row or of every row: its first 4 rows carry the same bits,
-    although the chunk's GEMMs then have 4 rows (9 at C = 200, the row
-    bound) or every row."""
+def test_residual_conv1d_note_bits_do_not_depend_on_chunk_neighbours(shape, c_out, monkeypatch):
+    """A note of 4 rows alone, in a chunk cut to 4 rows (9 at C = 200,
+    the row bound), and beside a neighbour of one row or of every row, in
+    one chunk of two that is not cut: its first 4 rows carry the same
+    bits."""
     x, conv, shortcut = eval_rows_case(shape, c_out, None, monkeypatch)
     assert layers._COLS_BYTES >= x.nbytes * 3  # both notes in one chunk
-    alone = conv_block_eval(Tensor(x[:1]), conv, shortcut, np.array([4])).data[0, :4]
+    alone = residual_conv1d(Tensor(x[:1]), conv, shortcut, np.array([4])).data[0, :4]
     for neighbour in (1, shape[-2]):
-        out = conv_block_eval(Tensor(x), conv, shortcut, np.array([4, neighbour])).data
+        out = residual_conv1d(Tensor(x), conv, shortcut, np.array([4, neighbour])).data
         assert np.array_equal(out[0, :4], alone), neighbour
 
 
 @pytest.mark.parametrize("c_in", [3, 4])
-def test_conv_block_eval_gradients(c_in, monkeypatch):
+def test_residual_conv1d_gradients(c_in, monkeypatch):
     """Finite differences through the projection (C_in 3) and the
     identity shortcut (C_in 4), one note per column chunk, with notes of
     one row, of every row and between."""
@@ -767,7 +772,8 @@ def test_conv_block_eval_gradients(c_in, monkeypatch):
     rows = np.array([1, 6, 3])
 
     def loss():
-        return (conv_block_eval(x, conv, shortcut, rows) ** 2).sum()
+        # + 1: the gradient past each chunk's cut, where the output is a constant 0, is not 0
+        return ((residual_conv1d(x, conv, shortcut, rows) + 1.0) ** 2).sum()
 
     tensors = [x, conv.kernels, conv.bias]
     if shortcut is not None:
@@ -779,10 +785,43 @@ def test_conv_block_eval_gradients(c_in, monkeypatch):
         t.grad = None
 
 
-def test_conv_block_eval_identity_shortcut_needs_matching_channels():
+def test_residual_conv1d_projection_covers_the_conv_cut(monkeypatch):
+    """With a small-GEMM bound of 100 multiply-adds the conv, three taps
+    deep, cuts each 1-row note at 3 rows, and the 1x1 projection, left to
+    the notes' `rows`, would cut it at 2: the join would read a row the
+    projection never computed. Finite differences check every gradient."""
+    monkeypatch.setattr(layers, "_SMALL_GEMM", 100)
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    rng = np.random.default_rng(5)
+    x = parameter(rng.standard_normal((3, 6, 3)))
+    conv, _, shortcut = make_block(18, 3, 4)
+    rows = np.array([1, 1, 1])
+    assert layers._ConvGemm(x.data, conv.kernels.data, rows).cut_rows().tolist() == [3, 3, 3]
+    assert layers._ConvGemm(x.data, shortcut.kernels.data, rows).cut_rows().tolist() == [2, 2, 2]
+
+    def loss():
+        return ((residual_conv1d(x, conv, shortcut, rows) + 1.0) ** 2).sum()
+
+    tensors = [x, conv.kernels, conv.bias, shortcut.kernels, shortcut.bias]
+    backward(loss(), tensors)
+    for t in tensors:
+        assert max_rel_err(t.grad, finite_diff_grad(loss, t)) < TOL
+        t.grad = None
+
+
+def test_residual_conv1d_identity_shortcut_needs_matching_channels():
     conv, _, _ = make_block(15, 3, 4)
     with pytest.raises(ConfigurationError):
-        conv_block_eval(Tensor(np.ones((2, 5, 3))), conv, None)
+        residual_conv1d(Tensor(np.ones((2, 5, 3))), conv, None)
+
+
+def test_conv1d_rows_and_shortcut_need_residual():
+    conv, _, shortcut = make_block(15, 3, 4)
+    x = Tensor(np.ones((2, 5, 3)))
+    with pytest.raises(ConfigurationError):
+        conv1d(x, conv, shortcut=shortcut)
+    with pytest.raises(ConfigurationError):
+        conv1d(x, conv, rows=np.array([2, 5]))
 
 
 # -- pooling ---------------------------------------------------------------------
@@ -803,12 +842,12 @@ def test_global_avg_pool_bit_identical_to_composition(shape):
     assert np.array_equal(grads[0], want_grads[0])
 
 
-def test_conv_block_eval_and_masked_pool_add_one_tape_node_each():
+def test_residual_conv1d_and_masked_pool_add_one_tape_node_each():
     rng = np.random.default_rng(10)
     x = parameter(rng.standard_normal((2, 5, 3)))
     conv, _, shortcut = make_block(17, 3, 4)
     start = Tensor(0.0)._id
-    y = conv_block_eval(x, conv, shortcut, np.array([2, 5]))
+    y = residual_conv1d(x, conv, shortcut, np.array([2, 5]))
     assert y._id == start + 1
     assert y._parents == (x, conv.kernels, conv.bias, shortcut.kernels, shortcut.bias)
     start = Tensor(0.0)._id
