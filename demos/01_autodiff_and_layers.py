@@ -18,16 +18,18 @@ loss = (w * w).sum()
 loss.backward()
 print("d/dw sum(w^2) =", w.grad, "(expect 2w)")
 
-# verify a composite expression against central finite differences
-x = parameter(np.random.default_rng(0).standard_normal(4))
+# verify a composite expression against central finite differences; the
+# sigmoid head reads an unbatched [D] vector and gives a 0-d probability
+rng = np.random.default_rng(0)
+x = parameter(rng.standard_normal(4))
+probe = DenseParams(weight=parameter(rng.standard_normal((4, 1))), bias=parameter(np.zeros(1)))
 
 
 def f():
-    return (x.tanh() * x.sigmoid() + (x * x + 1.0).log()).sum()
+    return dense_sigmoid(x * x - x, probe) + (x * x * 0.5).sum()
 
 
 loss = f()
-x.grad = None
 backward(loss, [x])
 h = 1e-5
 numeric = np.zeros(4)
@@ -68,9 +70,15 @@ def gru_dir(d, h):
 
 
 sequence = Tensor(rng.standard_normal((6, 8)))  # 6 documents over time
-outputs, final = bigru(sequence, BiGruParams(fwd=gru_dir(8, 4), bwd=gru_dir(8, 4)))
+gru = BiGruParams(fwd=gru_dir(8, 4), bwd=gru_dir(8, 4))
+outputs, final = bigru(sequence, gru)
 print("bigru: outputs", outputs.shape, "final state", final.shape)
 
+# one stay, unbatched: the probability is 0-d, and backward runs from it
 head = DenseParams(weight=parameter(rng.standard_normal((8, 1)) * 0.3),
                    bias=parameter(np.zeros(1)))
-print("mortality probability:", float(dense_sigmoid(final, head).data))
+prob = dense_sigmoid(final, head)
+print("mortality probability:", prob.item())
+prob.backward()
+print("d prob / d head weight:", head.weight.grad.ravel().round(4))
+print("gradient reaches the GRU:", gru.fwd.w_z.grad.shape, gru.bwd.u_h.grad.shape)

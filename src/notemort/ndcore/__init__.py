@@ -4,17 +4,17 @@ Exactly the layer set the mortality models need: 1-D convolution,
 channel dropout, batch normalization (folded into the convolution in
 eval mode, where the convolution also runs a conv block's residual
 join), the train-mode residual conv block as one op, masked pooling,
-bidirectional GRUs, a sigmoid head, an L2 weight penalty, and the
-AMSGrad optimizer.
+bidirectional GRUs, the sigmoid head as one op, an L2 weight penalty,
+and the AMSGrad optimizer. Besides these, only the generic ops the
+program records: `+`, `-`, `*`, `sum`, `mean`, `reshape`, indexing and
+`concat` (see `tensor`).
 Everything is float64 and deterministic given an explicit RNG.
 """
 
 from .tensor import (
     Tensor,
     parameter,
-    constant,
     concat,
-    stack,
     no_grad,
     backward,
 )
@@ -31,7 +31,6 @@ from .layers import (
     conv_block_train,
     global_avg_pool,
     bigru,
-    dense,
     dense_sigmoid,
     l2_penalty,
 )
@@ -41,9 +40,7 @@ from .checkpoint import save_checkpoint, load_checkpoint
 __all__ = [
     "Tensor",
     "parameter",
-    "constant",
     "concat",
-    "stack",
     "no_grad",
     "backward",
     "Conv1dParams",
@@ -58,7 +55,6 @@ __all__ = [
     "conv_block_train",
     "global_avg_pool",
     "bigru",
-    "dense",
     "dense_sigmoid",
     "l2_penalty",
     "AmsGrad",

@@ -708,20 +708,39 @@ def bigru(seq: Tensor, params: BiGruParams) -> tuple[Tensor, Tensor]:
 
 # -- dense head --------------------------------------------------------------------
 
-
-def dense(x: Tensor, params: DenseParams) -> Tensor:
-    return x @ params.weight + params.bias
+# float64 sigmoid rounds to exactly 0 or 1 beyond |logit| ~37; the head's
+# output is clamped this far inside the open interval
+HEAD_EPS = 1e-15
 
 
 def dense_sigmoid(x: Tensor, params: DenseParams) -> Tensor:
     """Sigmoid head: [..., D] -> probabilities strictly inside (0, 1).
 
-    float64 sigmoid rounds to exactly 0/1 for |logit| > ~37; the output
-    is nudged back into the open interval so downstream log-losses stay
-    finite.
+    One tape node for x @ weight + bias, the sigmoid, the clamp to
+    [HEAD_EPS, 1 - HEAD_EPS] (so downstream log-losses stay finite; no
+    gradient flows where it clamps) and the squeeze of the one output
+    column.
+    Value and backward run the array operations of that matmul / add /
+    sigmoid / clip / reshape chain in its order, so they carry its bits.
+    An unbatched [D] input (a single stay's `final`) gives a 0-d output.
     """
-    out = dense(x, params).sigmoid().clip(1e-15, 1.0 - 1e-15)
-    return out.reshape(out.shape[:-1])
+    weight, bias = params.weight, params.bias
+    prob = _sigmoid(x.data @ weight.data + bias.data)
+
+    def back(g):
+        kept = (prob >= HEAD_EPS) & (prob <= 1.0 - HEAD_EPS)
+        g = g.reshape(prob.shape) * kept * prob * (1.0 - prob)
+        if x.requires_grad:
+            x._accum(_unbroadcast(g @ weight.data.T, x.shape), fresh=True)
+        if weight.requires_grad:
+            dw = (np.outer(x.data, g) if x.data.ndim == 1
+                  else _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape))
+            weight._accum(dw, fresh=True)
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape), fresh=True)
+
+    out = np.clip(prob, HEAD_EPS, 1.0 - HEAD_EPS)
+    return _make(out.reshape(out.shape[:-1]), (x, weight, bias), "dense_sigmoid", back)
 
 
 # -- weight decay -------------------------------------------------------------------

@@ -5,6 +5,12 @@ and a closure that pushes the output gradient back into the parents.
 Tensors get strictly increasing ids in creation order, so the backward
 sweep is just "visit reachable nodes by descending id" -- no recursion,
 and parents are always visited after all of their consumers.
+
+The generic ops are only those the program records around its fused
+layers: `+`, unary and binary `-`, `*` (either operand an array or a
+number), `sum`, `mean`, `reshape`, indexing and `concat`. Every other
+step is a fused op of `layers` (or `traineval.weighted_bce`) with its
+own backward.
 """
 
 from __future__ import annotations
@@ -158,8 +164,6 @@ class Tensor:
         )
         return out
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         return _make(
             -self.data, (self,), "neg",
@@ -168,9 +172,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         return self + (-_as_tensor(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
@@ -186,93 +187,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        out = _make(
-            self.data / other.data, (self, other), "div",
-            lambda g, a=self, b=other: (
-                a._accum(_unbroadcast(g / b.data, a.shape), fresh=True)
-                if a.requires_grad else None,
-                b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
-                if b.requires_grad else None,
-            ),
-        )
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return _as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise ConfigurationError("only scalar exponents are supported")
-        return _make(
-            self.data ** exponent, (self,), "pow",
-            lambda g, a=self, e=exponent: a._accum(g * e * a.data ** (e - 1), fresh=True),
-        )
-
-    def __matmul__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-
-        def back(g, a=self, b=other):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), fresh=True)
-            if b.requires_grad:
-                b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), fresh=True)
-
-        return _make(self.data @ other.data, (self, other), "matmul", back)
-
-    # -- elementwise nonlinearities -------------------------------------------
-
-    def exp(self) -> "Tensor":
-        value = np.exp(self.data)
-        return _make(
-            value, (self,), "exp", lambda g, a=self, v=value: a._accum(g * v, fresh=True)
-        )
-
-    def log(self) -> "Tensor":
-        return _make(
-            np.log(self.data), (self,), "log",
-            lambda g, a=self: a._accum(g / a.data, fresh=True),
-        )
-
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-        return _make(
-            value, (self,), "sqrt",
-            lambda g, a=self, v=value: a._accum(g / (2.0 * v), fresh=True),
-        )
-
-    def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-        return _make(
-            value, (self,), "tanh",
-            lambda g, a=self, v=value: a._accum(g * (1.0 - v * v), fresh=True),
-        )
-
-    def sigmoid(self) -> "Tensor":
-        value = _sigmoid(self.data)
-        return _make(
-            value, (self,), "sigmoid",
-            lambda g, a=self, v=value: a._accum(g * v * (1.0 - v), fresh=True),
-        )
-
-    def relu(self) -> "Tensor":
-        value = np.maximum(self.data, 0.0)
-        return _make(
-            value, (self,), "relu",
-            lambda g, a=self: a._accum(g * (a.data > 0.0), fresh=True),
-        )
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        """Clamp values; gradient is zero outside [lo, hi]."""
-        value = np.clip(self.data, lo, hi)
-        return _make(
-            value, (self,), "clip",
-            lambda g, a=self: a._accum(
-                g * ((a.data >= lo) & (a.data <= hi)), fresh=True
-            ),
-        )
 
     # -- reductions and shape ops ----------------------------------------------
 
@@ -337,10 +251,6 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
@@ -356,21 +266,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(
         np.concatenate([t.data for t in tensors], axis=axis),
         tuple(tensors), "concat", back,
-    )
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-
-    def back(g):
-        parts = np.moveaxis(g, axis, 0)
-        for t, part in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(part)
-
-    return _make(
-        np.stack([t.data for t in tensors], axis=axis),
-        tuple(tensors), "stack", back,
     )
 
 

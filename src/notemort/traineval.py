@@ -27,6 +27,7 @@ from .cohort import FoldSplit, class_weights
 from .embed import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
 from .ndcore import AmsGrad, Tensor, backward, l2_penalty, no_grad
+from .ndcore.tensor import _make
 from .notesproc import PAD_ID
 
 # epochs at which the note models' learning rate drops tenfold
@@ -82,12 +83,26 @@ def weighted_bce(
 ) -> Tensor:
     """Mean of -[w_pos*y*ln(p) + w_neg*(1-y)*ln(1-p)] over the batch.
 
-    Probabilities exactly 0 or 1 are clamped to [eps, 1-eps] first.
+    Probabilities are clamped to [eps, 1-eps] first; no gradient flows
+    where the clamp acts. One tape node over `probs` (labels: its shape),
+    whose value and backward run the array operations of the clip / log /
+    mul / add / mean chain in its order, so they carry its bits.
     """
     y = np.asarray(labels, dtype=np.float64)
-    p = probs.clip(BCE_EPS, 1.0 - BCE_EPS)
-    losses = -(w_pos * y * p.log() + w_neg * (1.0 - y) * (1.0 - p).log())
-    return losses.mean()
+    p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
+    q = 1.0 - p  # the chain's 1 + (-p), the same bits
+    pos, neg = w_pos * y, w_neg * (1.0 - y)
+    losses = -(np.log(p) * pos + np.log(q) * neg)
+    scale = 1.0 / losses.size
+
+    def back(g):
+        m = -(g * scale)
+        dp = -(m * neg / q)
+        dp += m * pos / p
+        kept = (probs.data >= BCE_EPS) & (probs.data <= 1.0 - BCE_EPS)
+        probs._accum(dp * kept, fresh=True)
+
+    return _make(losses.sum() * scale, (probs,), "weighted_bce", back)
 
 
 # -- metrics -----------------------------------------------------------------------

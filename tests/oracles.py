@@ -3,7 +3,8 @@
 Everything here is written as plainly as possible (explicit loops,
 scalar math) and stays independent of the implementation paths it
 verifies. The `*_composed` references are the unfused tape compositions
-of generic ndcore ops that the fused layers replace.
+of generic ops that the fused layers replace: ndcore's own, and the ones
+ndcore no longer records, built below on `_make`.
 """
 
 import math
@@ -17,11 +18,79 @@ from notemort.cohort import (
 from notemort.errors import DataError
 from notemort.models import SPATIAL_DROPOUT, lookup_note_embeddings, temporal_forward
 from notemort.ndcore import (
-    Tensor, batchnorm, concat, constant, conv1d, dense_sigmoid, fold_batchnorm,
-    spatial_dropout, stack,
+    Tensor, batchnorm, concat, conv1d, dense_sigmoid, fold_batchnorm, spatial_dropout,
 )
-from notemort.ndcore.tensor import _make
+from notemort.ndcore.layers import HEAD_EPS
+from notemort.ndcore.tensor import _make, _sigmoid, _unbroadcast
 from notemort.notesproc import PAD_ID, read_csv_records, write_csv_records
+from notemort.traineval import BCE_EPS
+
+
+# -- tape ops the composed references are written in ------------------------------
+# ndcore records none of these itself any more; each is the generic node
+# the fused layers replaced, checked by finite differences in test_tensor.py.
+
+
+def matmul(a, b):
+    def back(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), fresh=True)
+        if b.requires_grad:
+            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), fresh=True)
+
+    return _make(a.data @ b.data, (a, b), "matmul", back)
+
+
+def div(a, b):
+    def back(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g / b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
+
+    return _make(a.data / b.data, (a, b), "div", back)
+
+
+def log(x):
+    return _make(np.log(x.data), (x,), "log", lambda g: x._accum(g / x.data, fresh=True))
+
+
+def sqrt(x):
+    value = np.sqrt(x.data)
+    return _make(value, (x,), "sqrt", lambda g: x._accum(g / (2.0 * value), fresh=True))
+
+
+def tanh(x):
+    value = np.tanh(x.data)
+    return _make(value, (x,), "tanh", lambda g: x._accum(g * (1.0 - value * value), fresh=True))
+
+
+def sigmoid(x):
+    value = _sigmoid(x.data)
+    return _make(value, (x,), "sigmoid", lambda g: x._accum(g * value * (1.0 - value), fresh=True))
+
+
+def relu(x):
+    return _make(
+        np.maximum(x.data, 0.0), (x,), "relu", lambda g: x._accum(g * (x.data > 0.0), fresh=True)
+    )
+
+
+def clip(x, lo, hi):
+    """Clamp values; the gradient is zero outside [lo, hi]."""
+    return _make(
+        np.clip(x.data, lo, hi), (x,), "clip",
+        lambda g: x._accum(g * ((x.data >= lo) & (x.data <= hi)), fresh=True),
+    )
+
+
+def stack(tensors, axis=0):
+    def back(g):
+        for t, part in zip(tensors, np.moveaxis(g, axis, 0)):
+            if t.requires_grad:
+                t._accum(part)
+
+    return _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), "stack", back)
 
 
 def finite_diff_grad(f, param, h=1e-5):
@@ -80,11 +149,11 @@ def conv1d_composed(x, params):
     length = x.shape[-2]
     pad = (k_size - 1) // 2
     if pad:
-        zeros = constant(np.zeros(x.shape[:-2] + (pad, x.shape[-1])))
+        zeros = Tensor(np.zeros(x.shape[:-2] + (pad, x.shape[-1])))
         x = concat([zeros, x, zeros], axis=-2)
     out = None
     for k in range(k_size):
-        term = x[..., k : k + length, :] @ kernels[k]
+        term = matmul(x[..., k : k + length, :], kernels[k])
         out = term if out is None else out + term
     return out + params.bias
 
@@ -146,7 +215,7 @@ def batchnorm_train_composed(x, params):
     mu = x.mean(axis=axes, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=axes, keepdims=True)
-    xhat = centered / (var + params.eps).sqrt()
+    xhat = div(centered, sqrt(var + params.eps))
     mom = params.momentum
     params.running_mean *= mom
     params.running_mean += (1.0 - mom) * mu.data.reshape(-1)
@@ -166,7 +235,7 @@ def batchnorm_eval_composed(x, params):
 def add_relu_composed(a, b):
     """The residual join as the generic add and relu nodes that the
     conv blocks replace."""
-    return (a + b).relu()
+    return relu(a + b)
 
 
 def global_avg_pool_composed(x, mask):
@@ -174,8 +243,8 @@ def global_avg_pool_composed(x, mask):
     node replaces."""
     mask = np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=-1)
-    weights = constant(mask.astype(np.float64)[..., None])
-    return (x * weights).sum(axis=-2) / counts[..., None]
+    weights = Tensor(mask.astype(np.float64)[..., None])
+    return div((x * weights).sum(axis=-2), Tensor(counts[..., None]))
 
 
 def conv_block_train_composed(x, conv, norm, shortcut, *, p, rng, conv_op=conv1d):
@@ -256,10 +325,10 @@ def gru_step_composed(x, h_prev, params):
     z = sigma(W_z x + U_z h + b_z); r = sigma(W_r x + U_r h + b_r);
     cand = tanh(W_h x + U_h (r*h) + b_h); h' = (1-z)*h + z*cand.
     """
-    z = (x @ params.w_z + h_prev @ params.u_z + params.b_z).sigmoid()
-    r = (x @ params.w_r + h_prev @ params.u_r + params.b_r).sigmoid()
-    cand = (x @ params.w_h + (r * h_prev) @ params.u_h + params.b_h).tanh()
-    return (1.0 - z) * h_prev + z * cand
+    z = sigmoid(matmul(x, params.w_z) + matmul(h_prev, params.u_z) + params.b_z)
+    r = sigmoid(matmul(x, params.w_r) + matmul(h_prev, params.u_r) + params.b_r)
+    cand = tanh(matmul(x, params.w_h) + matmul(r * h_prev, params.u_h) + params.b_h)
+    return (-z + 1.0) * h_prev + z * cand
 
 
 def bigru_composed(seq, params):
@@ -300,6 +369,22 @@ def l2_penalty_composed(weights, lam):
         term = (w * w).sum()
         total = term if total is None else total + term
     return total * lam
+
+
+def dense_sigmoid_composed(x, params):
+    """The sigmoid head as the matmul / add / sigmoid / clip / reshape
+    node chain the fused dense_sigmoid replaces."""
+    out = clip(sigmoid(matmul(x, params.weight) + params.bias), HEAD_EPS, 1.0 - HEAD_EPS)
+    return out.reshape(out.shape[:-1])
+
+
+def weighted_bce_composed(probs, labels, w_pos, w_neg):
+    """The class-weighted BCE as the clip / log / mul / add / mean node
+    chain the fused weighted_bce replaces."""
+    y = np.asarray(labels, dtype=np.float64)
+    p = clip(probs, BCE_EPS, 1.0 - BCE_EPS)
+    losses = -(w_pos * y * log(p) + w_neg * (1.0 - y) * log(-p + 1.0))
+    return losses.mean()
 
 
 def impute_timeseries_per_stay(hadm_id, observations, window_hours):

@@ -40,6 +40,7 @@ from oracles import (
     conv1d_unrolled,
     conv_block_eval_composed,
     conv_block_train_composed,
+    dense_sigmoid_composed,
     finite_diff_grad,
     global_avg_pool_composed,
     gru_scalar_step,
@@ -130,7 +131,8 @@ def test_conv1d_gradients(seed):
     params = make_conv(rng, 3, 3, 4)
 
     def loss():
-        return (conv1d(x, params) ** 2).sum()
+        y = conv1d(x, params)
+        return (y * y).sum()
 
     tensors = [x, params.kernels, params.bias]
     out = loss()
@@ -265,7 +267,8 @@ def test_spatial_dropout_gradient_with_frozen_mask():
     x = parameter(rng.standard_normal((3, 4)))
 
     def loss():
-        return (spatial_dropout(x, 0.5, training=True, rng=np.random.default_rng(42)) ** 2).sum()
+        y = spatial_dropout(x, 0.5, training=True, rng=np.random.default_rng(42))
+        return (y * y).sum()
 
     out = loss()
     backward(out, [x])
@@ -331,7 +334,8 @@ def test_batchnorm_gradients(seed):
     bn.beta = parameter(rng.standard_normal(2))
 
     def loss():
-        return (batchnorm(x, bn, training=True) ** 3).sum()
+        y = batchnorm(x, bn, training=True)
+        return (y * y * y).sum()
 
     tensors = [x, bn.gamma, bn.beta]
     out = loss()
@@ -612,7 +616,8 @@ def test_conv_block_train_gradients(c_in):
 
     def loss():
         mask_rng = np.random.default_rng(42)
-        return (conv_block_train(x, conv, norm, shortcut, p=0.5, rng=mask_rng) ** 2).sum()
+        y = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=mask_rng)
+        return (y * y).sum()
 
     tensors = [x] + block_leaves(conv, norm, shortcut)
     backward(loss(), tensors)
@@ -773,7 +778,8 @@ def test_residual_conv1d_gradients(c_in, monkeypatch):
 
     def loss():
         # + 1: the gradient past each chunk's cut, where the output is a constant 0, is not 0
-        return ((residual_conv1d(x, conv, shortcut, rows) + 1.0) ** 2).sum()
+        y = residual_conv1d(x, conv, shortcut, rows) + 1.0
+        return (y * y).sum()
 
     tensors = [x, conv.kernels, conv.bias]
     if shortcut is not None:
@@ -800,7 +806,8 @@ def test_residual_conv1d_projection_covers_the_conv_cut(monkeypatch):
     assert layers._ConvGemm(x.data, shortcut.kernels.data, rows).cut_rows().tolist() == [2, 2, 2]
 
     def loss():
-        return ((residual_conv1d(x, conv, shortcut, rows) + 1.0) ** 2).sum()
+        y = residual_conv1d(x, conv, shortcut, rows) + 1.0
+        return (y * y).sum()
 
     tensors = [x, conv.kernels, conv.bias, shortcut.kernels, shortcut.bias]
     backward(loss(), tensors)
@@ -877,7 +884,8 @@ def test_global_avg_pool_gradient_with_mask():
     mask[:, 0] = True
 
     def loss():
-        return (global_avg_pool(x, mask=mask) ** 2).sum()
+        y = global_avg_pool(x, mask=mask)
+        return (y * y).sum()
 
     out = loss()
     backward(out, [x])
@@ -1064,6 +1072,53 @@ def test_dense_sigmoid_strictly_inside_unit_interval(seed):
     )
     out = dense_sigmoid(Tensor(rng.standard_normal((10, 4)) * 5), params)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["unbatched", "batch"])
+def test_dense_sigmoid_gradients(shape):
+    """Finite differences for a batch and for one unbatched stay, whose
+    `final` is [D] and whose probability is 0-d."""
+    rng = np.random.default_rng(len(shape))
+    x = parameter(rng.standard_normal(shape))
+    params = DenseParams(
+        weight=parameter(rng.standard_normal((4, 1))), bias=parameter(rng.standard_normal(1))
+    )
+    w = rng.standard_normal(shape[:-1])
+
+    def loss():
+        return (dense_sigmoid(x, params) * w).sum()
+
+    leaves = [x, params.weight, params.bias]
+    backward(loss(), leaves)
+    for t in leaves:
+        assert max_rel_err(t.grad, finite_diff_grad(loss, t)) < TOL
+
+
+HEAD_CASES = {
+    "batch": ((6, 4), 1.0),
+    "batch-of-one": ((1, 4), 1.0),
+    "leading-axes": ((2, 3, 4), 1.0),
+    "saturated": ((40, 4), 25.0),  # logits beyond +-37, clamped both ways
+}
+
+
+@pytest.mark.parametrize("shape,scale", HEAD_CASES.values(), ids=list(HEAD_CASES))
+def test_dense_sigmoid_bit_identical_to_composition(shape, scale):
+    rng = np.random.default_rng(14)
+    arrays = [rng.standard_normal(shape), rng.standard_normal((4, 1)) * scale,
+              rng.standard_normal(1)]
+    logits = arrays[0] @ arrays[1] + arrays[2]
+    if scale > 1.0:
+        assert (logits > 37.0).any() and (logits < -37.0).any()
+    w = rng.standard_normal(shape[:-1])
+    results = []
+    for op in (dense_sigmoid, dense_sigmoid_composed):
+        x, weight, bias = (parameter(a.copy()) for a in arrays)
+        out = op(x, DenseParams(weight=weight, bias=bias))
+        backward((out * w).sum(), [x, weight, bias])
+        results.append([out.data, x.grad, weight.grad, bias.grad])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # -- l2 penalty -------------------------------------------------------------------

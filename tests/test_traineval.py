@@ -16,7 +16,7 @@ from notemort import models, traineval
 from notemort.cohort import N_TS_VARIABLES, FoldSplit
 from notemort.embed import EmbeddingMatrix
 from notemort.errors import ConfigurationError, DataError
-from notemort.ndcore import AmsGrad, Tensor, backward
+from notemort.ndcore import AmsGrad, DenseParams, Tensor, backward, dense_sigmoid, parameter
 from notemort.notesproc import PAD_ID
 from notemort.traineval import (
     StayData,
@@ -35,7 +35,7 @@ from notemort.traineval import (
     weighted_bce,
 )
 
-from oracles import auprc_sweep, auroc_pairwise
+from oracles import auprc_sweep, auroc_pairwise, weighted_bce_composed
 
 SRC = Path(traineval.__file__).resolve().parents[1]
 
@@ -78,6 +78,52 @@ class TestWeightedBce:
         backward(loss, [p])
         expected = np.array([-2.0 / 0.3, 3.0 / 0.3]) / 2.0
         np.testing.assert_allclose(p.grad, expected, rtol=1e-12)
+
+
+EDGE_PROBS = [0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.3, 0.7]
+BCE_CASES = {
+    "mixed": (EDGE_PROBS, [1, 0, 1, 0, 1, 0]),
+    "mixed-flipped": (EDGE_PROBS, [0, 1, 0, 1, 0, 1]),
+    "positives-only": (EDGE_PROBS, [1] * 6),
+    "negatives-only": (EDGE_PROBS, [0] * 6),
+    "batch-of-one": ([0.42], [1]),
+    "random-40": (np.random.default_rng(17).random(40), np.arange(40) % 3 == 0),
+}
+
+
+@pytest.mark.parametrize("probs,labels", BCE_CASES.values(), ids=list(BCE_CASES))
+def test_weighted_bce_bit_identical_to_composition(probs, labels):
+    """The fused loss against its clip / log / mul / mean chain, with
+    probabilities on and just inside both clamps and one-class batches."""
+    results = []
+    for op in (weighted_bce, weighted_bce_composed):
+        p = parameter(np.array(probs))
+        loss = op(p, np.array(labels), 2.5, 0.4)
+        backward(loss, [p])
+        results.append([loss.data, p.grad])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def tape_ops(root):
+    """Ops of the recorded nodes reachable from root."""
+    ops, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if node._backward is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops.append(node._op)
+        stack.extend(node._parents)
+    return sorted(ops)
+
+
+def test_head_and_loss_record_two_tape_nodes():
+    rng = np.random.default_rng(16)
+    x = parameter(rng.standard_normal((4, 3)))
+    head = DenseParams(weight=parameter(rng.standard_normal((3, 1))), bias=parameter(np.zeros(1)))
+    loss = weighted_bce(dense_sigmoid(x, head), np.array([1, 0, 0, 1]), 2.0, 0.5)
+    assert tape_ops(loss) == ["dense_sigmoid", "weighted_bce"]
 
 
 class TestLrSchedule:
