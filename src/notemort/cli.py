@@ -450,9 +450,10 @@ def cmd_evaluate(config: RunConfig) -> int:
     fold_records: list[dict] = []
     k = config.train_cfg.k
     for run_dir in sorted(train_dir.iterdir()):
-        if not run_dir.is_dir() or "_W" not in run_dir.name:
+        model, sep, window_str = run_dir.name.rpartition("_W")
+        # a run directory is named <model>_W<window>; skip anything else
+        if not (run_dir.is_dir() and sep and window_str.isdecimal()):
             continue
-        model, window_str = run_dir.name.rsplit("_W", 1)
         window = int(window_str)
         scores = require_stage(
             work, f"train_{model}_W{window}",

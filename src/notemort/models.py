@@ -16,6 +16,8 @@ MM-HCR both (BRANCHES); dropout precedes the head whenever CTS is there.
 from __future__ import annotations
 
 import hashlib
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ from .ndcore import (
     dense_sigmoid,
     fold_batchnorm,
     global_avg_pool,
+    no_grad,
     parameter,
     spatial_dropout,  # not called here: perfbench/spans.py traces models.spatial_dropout
 )
@@ -88,11 +91,10 @@ class ModelConfig:
                    *self.cts_hidden)
         if any(e < 1 for e in extents):
             raise ConfigurationError("all model extents must be positive")
-        # written as `not (ok)` so that a NaN fails each check
-        if not self.conv_decay >= 0.0:
-            raise ConfigurationError(f"conv_decay must be >= 0, got {self.conv_decay}")
-        if not self.cts_decay >= 0.0:
-            raise ConfigurationError(f"cts_decay must be >= 0, got {self.cts_decay}")
+        if not (math.isfinite(self.conv_decay) and self.conv_decay >= 0.0):
+            raise ConfigurationError(f"conv_decay must be finite and >= 0, got {self.conv_decay}")
+        if not (math.isfinite(self.cts_decay) and self.cts_decay >= 0.0):
+            raise ConfigurationError(f"cts_decay must be finite and >= 0, got {self.cts_decay}")
 
     def hash(self) -> str:
         text = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -285,21 +287,21 @@ def semantical_forward(
     pool over the lexical axis, over the `mask` positions when given,
     produces the document vector.
 
-    Each block is one tape node. In train mode it is `conv_block_train`,
-    whose values, gradients and running statistics carry the bits of
-    that chain. In eval mode SpatialDropout is the identity and BatchNorm
-    an affine map per channel, so each block is one residual `conv1d`
-    (the convolution with the shortcut add and the ReLU fused onto its
+    In train mode each block is one tape node, `conv_block_train`, whose
+    values, gradients and running statistics carry the bits of that
+    chain. Eval mode is a forward pass and must run under `no_grad`
+    (`forward` does so): SpatialDropout is the identity and BatchNorm an
+    affine map per channel, so each block is one residual `conv1d` (the
+    convolution with the shortcut add and the ReLU fused onto its
     output) whose kernels and bias have the norm folded in
     (`fold_batchnorm`); the outputs differ from the unfolded chain only
-    by rounding, and gradients still reach every parameter. With a mask,
-    eval mode skips each note's padded tail: the pooled rows, up to the
-    note's last unmasked position, read no input row further past it
-    than the blocks' reach (KERNEL_SIZE // 2 rows per block), so each
-    block computes its rows only up to there, and the document vectors
-    carry the bits of blocks that compute every row. Train mode computes
-    every row, because batchnorm's batch statistics read the pad rows
-    too. The masked pool is one node.
+    by rounding. With a mask, eval mode skips each note's padded tail:
+    the pooled rows, up to the note's last unmasked position, read no
+    input row further past it than the blocks' reach (KERNEL_SIZE // 2
+    rows per block), so each block computes its rows only up to there,
+    and the document vectors carry the bits of blocks that compute every
+    row. Train mode computes every row, because batchnorm's batch
+    statistics read the pad rows too. The masked pool is one node.
     """
     rows = None
     if mask is not None and not training:
@@ -358,23 +360,25 @@ def forward(
     pools over the ids that are not PAD_ID. CTS branch: standardized
     values/obs_masks [B, W, F]. The head reads [patient vector || cts
     features], with dropout first whenever the CTS branch is present.
+    Eval mode runs under `no_grad`: it records nothing.
     """
-    features = []
-    if model.temporal is not None:
-        n_files, n_notes, note_len = ids.shape
-        flat_ids = ids.reshape(n_files * n_notes, note_len)
-        embedded = lookup_note_embeddings(flat_ids, embeddings)
-        docs = semantical_forward(
-            embedded, model.semantical, training=training, rng=rng, mask=flat_ids != PAD_ID,
-        )
-        docs = docs.reshape((n_files, n_notes, cfg.filters))
-        features.append(temporal_forward(docs, model.temporal))
-    if model.cts is not None:
-        features.append(cts_forward(values, obs_masks, model.cts))
-    x = concat(features, axis=-1) if len(features) > 1 else features[0]
-    if model.cts is not None:
-        x = dropout(x, FUSION_DROPOUT, training=training, rng=rng)
-    return dense_sigmoid(x, model.head)
+    with nullcontext() if training else no_grad():
+        features = []
+        if model.temporal is not None:
+            n_files, n_notes, note_len = ids.shape
+            flat_ids = ids.reshape(n_files * n_notes, note_len)
+            embedded = lookup_note_embeddings(flat_ids, embeddings)
+            docs = semantical_forward(
+                embedded, model.semantical, training=training, rng=rng, mask=flat_ids != PAD_ID,
+            )
+            docs = docs.reshape((n_files, n_notes, cfg.filters))
+            features.append(temporal_forward(docs, model.temporal))
+        if model.cts is not None:
+            features.append(cts_forward(values, obs_masks, model.cts))
+        x = concat(features, axis=-1) if len(features) > 1 else features[0]
+        if model.cts is not None:
+            x = dropout(x, FUSION_DROPOUT, training=training, rng=rng)
+        return dense_sigmoid(x, model.head)
 
 
 # -- checkpoint wiring ---------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Minimal dense-tensor numerics with reverse-mode autodiff.
 
 Exactly the layer set the mortality models need: 1-D convolution,
-channel dropout, batch normalization (folded into the convolution in
-eval mode, where the convolution also runs a conv block's residual
-join), the train-mode residual conv block as one op, masked pooling,
-bidirectional GRUs, the sigmoid head as one op, an L2 weight penalty,
-and the AMSGrad optimizer. Besides these, only the generic ops the
-program records: `+`, `-`, `*`, `sum`, `mean`, `reshape`, indexing and
-`concat` (see `tensor`).
+channel dropout, train-mode batch normalization, the train-mode residual
+conv block as one op, masked pooling, bidirectional GRUs, the sigmoid
+head as one op, an L2 weight penalty, and the AMSGrad optimizer. Eval
+mode is a forward pass under `no_grad`: batch normalization is folded
+into the convolution's weights (`fold_batchnorm`), and the convolution
+also runs a conv block's residual join, with no backward. Besides
+these, only the generic ops of `tensor`: `+`, `-`, `*`, `sum`, `mean`,
+`reshape`, indexing and `concat`.
 Everything is float64 and deterministic given an explicit RNG.
 """
 

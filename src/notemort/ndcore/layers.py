@@ -117,18 +117,18 @@ class _ConvGemm:
     when the pass returns.
 
     `rows` [n], when given, asks only for the first rows[n] output rows
-    of each leading index. A chunk of one leading index (at paper shapes
-    one note's columns fill `_COLS_BYTES`) then unrolls and multiplies
-    only up to its cut, rows[n] but never fewer than `_min_gemm_rows`,
-    which reads the input up to (K-1)/2 rows further, and its output rows
-    past the cut are 0. A chunk of several is not cut: its first rows
-    would be strided views, over which the elementwise passes cost more
-    than the skipped rows save (at desk shapes, a few dozen notes of 64
-    rows per chunk). When no chunk is cut short of L, every pass runs as
-    without `rows`. Every unroll writes every cell of the part of the
-    buffer it uses, the taps' rows and the zero border rows of each
-    shifted tap, so the backward can also take the GEMM of the input
-    gradient into it.
+    of each leading index, and the forward is then all that may run. A
+    chunk of one leading index (at paper shapes one note's columns fill
+    `_COLS_BYTES`) unrolls and multiplies only up to its cut, rows[n] but
+    never fewer than `_min_gemm_rows`, which reads the input up to
+    (K-1)/2 rows further, and its output rows past the cut are 0. A chunk
+    of several is not cut: its first rows would be strided views, over
+    which the elementwise passes cost more than the skipped rows save (at
+    desk shapes, a few dozen notes of 64 rows per chunk). When no chunk
+    is cut short of L, the forward runs as without `rows`. Every unroll
+    writes every cell of the part of the buffer it uses, the taps' rows
+    and the zero border rows of each shifted tap, so the backward can
+    also take the GEMM of the input gradient into it.
     """
 
     def __init__(self, x: np.ndarray, kernels: np.ndarray, rows: np.ndarray | None = None):
@@ -164,13 +164,6 @@ class _ConvGemm:
         self.out_shape = (len(self.xs), length, c_out)
         # one pass's column buffer: the largest chunk's columns
         self.cols_shape = (min(step, len(self.xs)), length, k_size * c_in)
-
-    def cut_rows(self) -> np.ndarray:
-        """Each leading index's cut: the output rows computed for it."""
-        rows = np.empty(len(self.xs), dtype=np.intp)
-        for chunk, cut in self.spans:
-            rows[chunk] = cut
-        return rows
 
     def computed(self, a: np.ndarray) -> list[np.ndarray]:
         """The views of a [n, L, C] over the rows this GEMM computes: a
@@ -216,15 +209,14 @@ class _ConvGemm:
     def backward(self, g: np.ndarray, params: Conv1dParams, need_dx: bool) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
         g [n, L, C_out] into `params`; returns the input gradient
-        [n, L, C_in] when `need_dx`, else None. The GEMMs read only each
-        chunk's cut, so g must be 0 past it (the bias gradient sums every
-        row).
+        [n, L, C_in] when `need_dx`, else None. Only a GEMM built without
+        `rows` has a backward.
 
         The caller hands over g: when it has the input's shape (C_in ==
         C_out), the input gradient is written over it, each chunk once
         both GEMMs have read that chunk, and g itself is returned.
         """
-        k_size, c_in = len(self.taps), self.xs.shape[-1]
+        length, c_in = self.xs.shape[1:]
         if params.bias.requires_grad:
             params.bias._accum(g.sum(axis=(0, 1)), fresh=True)
         dx = None
@@ -232,18 +224,18 @@ class _ConvGemm:
             dx = g if g.shape == self.xs.shape else np.empty_like(self.xs)
         dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
         buf = np.empty(self.cols_shape)
-        for chunk, cut in self.spans:
-            g_part = g[chunk, :cut]
+        for chunk, _ in self.spans:
+            g_part = g[chunk]
             if dw is not None:
-                for cols, g_n in zip(self._unroll(self.xs[chunk], buf, cut), g_part):
+                for cols, g_n in zip(self._unroll(self.xs[chunk], buf, length), g_part):
                     dw += cols.T @ g_n
             if dx is not None:
-                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part), :cut]).reshape(
-                    -1, cut, k_size, c_in
+                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part)]).reshape(
+                    -1, length, len(self.taps), c_in
                 )
                 dx_part = dx[chunk]
                 dx_part.fill(0.0)
-                for k, dst, src, m in self._taps(cut):
+                for k, dst, src, m in self.taps:
                     dx_part[:, src : src + m] += gcols[:, dst : dst + m, k]
         if dw is not None:
             params.kernels._accum(dw.reshape(params.kernels.shape), fresh=True)
@@ -272,54 +264,48 @@ def conv1d(
     GEMMs, so each elementwise pass over a conv-sized array costs about
     twice its wall time in CPU seconds.
 
-    With `residual`, the node is an eval-mode residual conv block,
+    With `residual`, the result is an eval-mode residual conv block,
     relu(conv1d(x, params) + s), where `params` has the block's
     batchnorm folded in (`fold_batchnorm`) and s is x (`shortcut` None,
     the identity) or conv1d(x, shortcut) (a 1x1 projection). The
     shortcut add and the ReLU run in place over the convolution's
-    output, and the backward masks the gradient it is handed in place.
-    The train-mode block is `conv_block_train`.
+    output. The block has no backward: it raises ConfigurationError
+    where the tape would record it (x or a parameter needs a gradient
+    outside `no_grad`). The train-mode block is `conv_block_train`.
 
     `rows` [n] (residual only), one per leading index (n the product of
     the leading axes), asks for the first rows[n] output rows of each.
-    The convolutions may multiply a note only up to its cut (`_ConvGemm`),
-    rows[n] or more: its first cut rows carry the bits of the node that
-    computes every row, and the rest are 0.
+    The convolutions may multiply a note only up to their cuts
+    (`_ConvGemm`), rows[n] or more: its first rows[n] rows carry the
+    bits of the block that computes every row, and its rows past the
+    conv's cut are 0.
     """
-    if residual:
-        gemm, proj = _block_gemms(x, params, shortcut, rows)
-    elif rows is not None or shortcut is not None:
-        raise ConfigurationError("conv1d: rows and shortcut need residual=True")
-    else:
-        gemm, proj = _ConvGemm(x.data, params.kernels.data), None
-    out = gemm.forward(params.bias.data)
     parents = (x, params.kernels, params.bias)
     if residual:
+        if shortcut is not None:
+            parents += (shortcut.kernels, shortcut.bias)
+        if _recording(parents):
+            raise ConfigurationError(
+                "conv1d: the residual block has no backward; run it under no_grad"
+            )
+        gemm, proj = _block_gemms(x, params, shortcut, rows)
+        out = gemm.forward(params.bias.data)
         s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
         for part, s_part in zip(gemm.computed(out), gemm.computed(s)):
             part += s_part
             np.maximum(part, 0.0, out=part)
-        if shortcut is not None:
-            parents += (shortcut.kernels, shortcut.bias)
+        return Tensor(out.reshape(x.shape[:-1] + out.shape[-1:]))
+    if rows is not None or shortcut is not None:
+        raise ConfigurationError("conv1d: rows and shortcut need residual=True")
+    gemm = _ConvGemm(x.data, params.kernels.data)
+    out = gemm.forward(params.bias.data)
 
     def back(g):
-        g = g.reshape(out.shape)
-        if not residual:
-            dx = gemm.backward(g, params, x.requires_grad)
-            if dx is not None:
-                x._accum(dx.reshape(x.shape), fresh=True)
-            return
-        # the mask also zeroes g past each chunk's cut, which the
-        # backward needs: its bias gradient sums every row
-        np.multiply(g, out > 0.0, out=g)
-        # the conv may write its input gradient over what it is handed
-        dx = gemm.backward(g.copy() if x.requires_grad else g, params, x.requires_grad)
-        _join_backward(x, dx, g, proj, shortcut)
+        dx = gemm.backward(g.reshape(out.shape), params, x.requires_grad)
+        if dx is not None:
+            x._accum(dx.reshape(x.shape), fresh=True)
 
-    return _make(
-        out.reshape(x.shape[:-1] + out.shape[-1:]), parents,
-        "conv_block" if residual else "conv1d", back,
-    )
+    return _make(out.reshape(x.shape[:-1] + out.shape[-1:]), parents, "conv1d", back)
 
 
 # -- regularization ------------------------------------------------------------
@@ -371,28 +357,22 @@ def dropout(
 # -- batch normalization ---------------------------------------------------------
 
 
-def _eval_affine(params: BatchNormParams) -> tuple[Tensor, Tensor]:
-    """Eval-mode batchnorm as the per-channel map x * scale + shift, with
-    scale = gamma / sqrt(running_var + eps) and shift = beta - running_mean * scale.
-
-    Both are tape ops on the [C] parameters, so a recorded forward through
-    them still sends gradients to gamma and beta.
-    """
-    scale = params.gamma * (1.0 / np.sqrt(params.running_var + params.eps))
-    return scale, params.beta - params.running_mean * scale
-
-
 def fold_batchnorm(conv: Conv1dParams, norm: BatchNormParams) -> Conv1dParams:
     """The convolution equal to eval-mode batchnorm after `conv`.
 
-    batchnorm(conv1d(x, conv), norm, training=False) is conv1d(x, folded)
-    up to rounding, with W' = W * scale and b' = b * scale + shift per
-    output channel (Jacob et al. 2018, section 3.2). Built from tape ops
-    on the small parameter tensors: the kernels, bias, gamma and beta
-    still receive gradients through it.
+    Eval-mode batchnorm is the per-channel map y * scale + shift, with
+    scale = gamma / sqrt(running_var + eps) and
+    shift = beta - running_mean * scale, so after conv1d(x, conv) it is
+    conv1d(x, folded) up to rounding, with W' = W * scale and
+    b' = b * scale + shift per output channel (Jacob et al. 2018,
+    section 3.2). The folded kernels and bias are constants: no gradient
+    reaches the parameters through them.
     """
-    scale, shift = _eval_affine(norm)
-    return Conv1dParams(kernels=conv.kernels * scale, bias=conv.bias * scale + shift)
+    scale = norm.gamma.data * (1.0 / np.sqrt(norm.running_var + norm.eps))
+    shift = norm.beta.data - norm.running_mean * scale
+    return Conv1dParams(
+        kernels=Tensor(conv.kernels.data * scale), bias=Tensor(conv.bias.data * scale + shift)
+    )
 
 
 def _normalize(
@@ -451,16 +431,18 @@ def _normalize_backward(
 
 
 def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
-    """Normalize per channel over all leading axes of [..., L, C].
+    """Train-mode batchnorm: normalize per channel over all leading axes
+    of [..., L, C].
 
-    Train mode uses batch statistics and updates the running ones
-    (`_normalize`), as one tape node with the closed-form backward of
-    `_normalize_backward`; eval mode uses the running statistics, as the
-    affine map of `_eval_affine`.
+    Uses batch statistics and updates the running ones (`_normalize`),
+    as one tape node with the closed-form backward of
+    `_normalize_backward`. Eval mode is folded into the preceding
+    convolution (`fold_batchnorm`); `training=False` raises.
     """
     if not training:
-        scale, shift = _eval_affine(params)
-        return x * scale + shift
+        raise ConfigurationError(
+            "batchnorm runs in train mode only; fold eval mode into the conv with fold_batchnorm"
+        )
     flat = x.data.reshape(-1, x.shape[-1])
     xhat = np.empty_like(flat)
     sigma, out = _normalize(flat, params, xhat)
@@ -477,29 +459,13 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
 # -- the residual conv blocks and pooling -------------------------------------------
 
 
-def _join_backward(
-    x: Tensor, dx: np.ndarray | None, g: np.ndarray,
-    proj: _ConvGemm | None, shortcut: Conv1dParams | None,
-) -> None:
-    """The end of a block's backward: g [n, L, C_out] is the gradient of
-    y + s, dx the input gradient of the conv that made y (None when x
-    needs none). The shortcut s's input gradient, g itself or the
-    projection's (which may be written over g), is added into dx, which
-    goes to x."""
-    if proj is not None:
-        g = proj.backward(g, shortcut, x.requires_grad)
-    if dx is not None:
-        dx += g
-        x._accum(dx.reshape(x.shape), fresh=True)
-
-
 def _block_gemms(
     x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None,
     rows: np.ndarray | None = None,
 ) -> tuple[_ConvGemm, _ConvGemm | None]:
     """The conv and shortcut-projection (None: identity) GEMMs of a block
-    over x. The projection computes at least every row the conv does,
-    which the join reads: its chunks need not be the conv's."""
+    over x, both asked for the same `rows`. Their chunks and cuts need
+    not match, but each computes at least the rows asked for."""
     gemm = _ConvGemm(x.data, conv.kernels.data, rows)
     c_out = gemm.out_shape[-1]
     if shortcut is None and x.shape[-1] != c_out:
@@ -508,7 +474,6 @@ def _block_gemms(
         )
     if shortcut is None:
         return gemm, None
-    rows = gemm.cut_rows() if gemm.trimmed else None
     return gemm, _ConvGemm(x.data, shortcut.kernels.data, rows)
 
 
@@ -560,7 +525,14 @@ def conv_block_train(
         if scale is not None:
             dy *= scale
         dx = gemm.backward(dy, conv, x.requires_grad)
-        _join_backward(x, dx, g.reshape(gemm.out_shape), proj, shortcut)
+        # the shortcut's input gradient: g itself, or the projection's,
+        # which may be written over g
+        g = g.reshape(gemm.out_shape)
+        if proj is not None:
+            g = proj.backward(g, shortcut, x.requires_grad)
+        if dx is not None:
+            dx += g
+            x._accum(dx.reshape(x.shape), fresh=True)
 
     return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, "conv_block", back)
 

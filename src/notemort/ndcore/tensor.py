@@ -6,11 +6,11 @@ Tensors get strictly increasing ids in creation order, so the backward
 sweep is just "visit reachable nodes by descending id" -- no recursion,
 and parents are always visited after all of their consumers.
 
-The generic ops are only those the program records around its fused
-layers: `+`, unary and binary `-`, `*` (either operand an array or a
-number), `sum`, `mean`, `reshape`, indexing and `concat`. Every other
-step is a fused op of `layers` (or `traineval.weighted_bce`) with its
-own backward.
+The generic ops are those the program records around its fused layers
+and those the tests' reference chains are written in: `+`, unary and
+binary `-`, `*` (either operand an array or a number), `sum`, `mean`,
+`reshape`, indexing and `concat`. Every other step is a fused op of
+`layers` (or `traineval.weighted_bce`) with its own backward.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from . import models
 from .cohort import FoldSplit, class_weights
 from .embed import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
-from .ndcore import AmsGrad, Tensor, backward, l2_penalty, no_grad
+from .ndcore import AmsGrad, Tensor, backward, l2_penalty
 from .ndcore.tensor import _make
 from .notesproc import PAD_ID
 
@@ -315,13 +315,12 @@ def predict_scores(
 ) -> dict[int, float]:
     """Eval-mode probabilities, deterministic, no tape."""
     out: dict[int, float] = {}
-    with no_grad():
-        for batch in make_batches(kind, hadm_ids, dataset, batch_size):
-            probs = batch_forward(
-                kind, batch, dataset, params, model_cfg, embeddings, training=False
-            )
-            for h, p in zip(batch, probs.data):
-                out[h] = float(p)
+    for batch in make_batches(kind, hadm_ids, dataset, batch_size):
+        probs = batch_forward(
+            kind, batch, dataset, params, model_cfg, embeddings, training=False
+        )
+        for h, p in zip(batch, probs.data):
+            out[h] = float(p)
     return out
 
 

@@ -225,6 +225,18 @@ def test_evaluate_outputs_per_fold_rows(work):
         assert c["marker"] == ("**" if p < 0.01 else "*" if p < 0.05 else "†")
 
 
+def test_evaluate_skips_a_stray_train_directory(work, tmp_path):
+    """A directory under train/ whose name ends in no `_W<window>` is no
+    run: evaluate passes over it and writes the same eval/ bytes."""
+    work_dir, _ = work
+    args, copy = copy_run(work, tmp_path)
+    (copy / "train" / "notes-hcr_Wold").mkdir()
+    shutil.rmtree(copy / "eval")
+    assert main(args + ["evaluate"]) == 0
+    for name in ("report.txt", "report.jsonl"):
+        assert (copy / "eval" / name).read_bytes() == (work_dir / "eval" / name).read_bytes()
+
+
 def test_checkpoints_reload_against_config(work):
     work_dir, config_path = work
     from notemort.cli import parse_config as pc
@@ -573,6 +585,8 @@ FIXED_KEYS = {"model.bn_momentum", "synth.notes_per_stay_mean", "synth.extra_sta
     ("model.cts_hidden", "16,8,4", "train"),
     ("model.conv_decay", -0.5, "train"),
     ("model.cts_decay", -0.5, "train"),
+    ("model.conv_decay", "inf", "train"),
+    ("model.cts_decay", "inf", "train"),
     ("train.lr", -0.5, "train"),
     ("train.lr", 0, "train"),
     ("train.lr", "inf", "train"),

@@ -17,6 +17,7 @@ from notemort.ndcore import (
     bigru,
     conv1d,
     dense_sigmoid,
+    global_avg_pool,
     load_checkpoint,
     no_grad,
     layers,
@@ -163,10 +164,11 @@ class TestShapes:
     def test_semantical_output_shape(self):
         params = models.init_model(models.NOTES_HCR, TOY, seed=1)
         rng = np.random.default_rng(0)
-        out = models.semantical_forward(
-            Tensor(rng.standard_normal((5, 8, 4))), params.semantical,
-            training=False, mask=np.ones((5, 8), dtype=bool),
-        )
+        with no_grad():
+            out = models.semantical_forward(
+                Tensor(rng.standard_normal((5, 8, 4))), params.semantical,
+                training=False, mask=np.ones((5, 8), dtype=bool),
+            )
         assert out.shape == (5, TOY.filters)
 
     def test_patient_vector_shape(self):
@@ -236,6 +238,10 @@ def test_note_order_matters_to_temporal_module():
 
 
 def test_shared_weights_accumulate_gradients_across_notes():
+    """Each stay's notes run through the shared conv kernels, masked pool,
+    GRU and head (a chain without batchnorm, whose batch statistics would
+    couple the stays): the gradients of two stays together are the sums
+    of each alone's."""
     cfg = TOY
     emb = toy_embeddings()
     params = models.init_model(models.NOTES_HCR, cfg, seed=9)
@@ -244,12 +250,13 @@ def test_shared_weights_accumulate_gradients_across_notes():
     file_b = toy_file(n_notes=1, seed=11)
 
     def grads_for(files):
-        ids = np.stack([f[0].tokens for f in files])[:, None, :]
-        probs = models.forward(
-            params, cfg, emb, ids=ids, training=False
-        )
-        loss = probs.sum()
-        backward(loss, named.values())
+        ids = np.stack([f[0].tokens for f in files])
+        x = models.lookup_note_embeddings(ids, emb)
+        for block in params.semantical:
+            x = conv1d(x, block.conv)
+        docs = global_avg_pool(x, mask=ids != PAD_ID).reshape((len(files), 1, cfg.filters))
+        probs = dense_sigmoid(models.temporal_forward(docs, params.temporal), params.head)
+        backward(probs.sum(), named.values())
         out = {k: t.grad.copy() for k, t in named.items()}
         for t in named.values():
             t.grad = None
@@ -262,41 +269,16 @@ def test_shared_weights_accumulate_gradients_across_notes():
         np.testing.assert_allclose(
             g_ab[key], g_a[key] + g_b[key], rtol=1e-9, atol=1e-12
         )
-    # the eval-mode fold must not cut the kernels off the tape
     for i in range(models.CONV_BLOCKS):
         assert np.any(g_ab[f"semantical.block{i}.conv.kernels"] != 0.0)
 
 
-@pytest.mark.parametrize("block", range(models.CONV_BLOCKS))
-def test_eval_mode_gradients_through_the_fold(block):
-    """Finite differences of an eval-mode forward, whose batchnorm is
-    folded into the convolution, for one block's kernels, bias, gamma
-    and beta, at non-default running statistics."""
-    emb = toy_embeddings(seed=40)
-    params = models.init_model(models.NOTES_HCR, TOY, seed=41)
-    randomize_norms(params, seed=42)
-    ids = np.stack([n.tokens for n in toy_file(n_notes=2, seed=43)])[None]
-    blk = params.semantical[block]
-    tensors = {"kernels": blk.conv.kernels, "bias": blk.conv.bias,
-               "gamma": blk.norm.gamma, "beta": blk.norm.beta}
-
-    def loss():
-        probs = models.forward(params, TOY, emb, ids=ids, training=False)
-        return (probs * probs).sum()
-
-    backward(loss(), tensors.values())
-    for name, tensor in tensors.items():
-        assert np.any(tensor.grad != 0.0), name
-        err = max_rel_err(tensor.grad, finite_diff_grad(loss, tensor))
-        assert err < 1e-4, f"{name}: {err:.2e}"
-
-
 @pytest.mark.parametrize("training", [True, False])
 def test_notes_step_matches_oracle_composition(training):
-    """One toy notes-hcr step, loss with the L2 terms and backward: in
-    train mode the loss, every gradient and the running statistics carry
-    the bits of the generic-node composition; in eval mode they agree
-    with the unfolded chain within 1e-12."""
+    """One toy notes-hcr step, loss with the L2 terms: in train mode the
+    loss, every gradient of the backward and the running statistics carry
+    the bits of the generic-node composition; in eval mode, which has no
+    backward, the loss agrees with the unfolded chain within 1e-12."""
     emb = toy_embeddings(seed=50)
     ids = np.stack([
         np.stack([n.tokens for n in toy_file(n_notes=3, seed=51 + i)]) for i in range(2)
@@ -314,9 +296,10 @@ def test_notes_step_matches_oracle_composition(training):
         loss = traineval.weighted_bce(probs, labels, 2.0, 0.5)
         for weight, lam in models.decayed_weights(params, TOY):
             loss = loss + traineval.l2_penalty([weight], lam)
-        backward(loss, named.values())
-        arrays = {k: t.grad for k, t in named.items()}
-        arrays.update(models.named_buffers(params))
+        arrays = models.named_buffers(params)
+        if training:
+            backward(loss, named.values())
+            arrays.update({k: t.grad for k, t in named.items()})
         results.append((loss.item(), arrays))
     (loss, arrays), (want_loss, want_arrays) = results
     if training:
@@ -375,6 +358,26 @@ def test_eval_scores_bit_equal_to_untrimmed_folded_chain(cfg, one_note_per_chunk
                 params, cfg, emb, np.stack([dataset[h].note_ids for h in batch])
             )
         assert [scores[h] for h in batch] == want.data.tolist()
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_eval_forward_records_nothing(kind, monkeypatch):
+    """An eval-mode forward outside no_grad, over parameters that need
+    gradients, puts no node on the tape: of the Tensors it makes, each
+    Tensor id that `tensors_per_step` counts, none has parents."""
+    params = models.init_model(kind, TOY, seed=70)
+    inputs = stay_inputs(toy_file(n_notes=3, seed=71), toy_ts(seed=72))
+    made = []
+    init = Tensor.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", spy)
+    probs = models.forward(params, TOY, toy_embeddings(), **inputs)
+    assert probs in made
+    assert [t._id for t in made if t._parents] == []
 
 
 def test_eval_mode_is_deterministic():
@@ -619,7 +622,8 @@ class TestFullModelGradients:
 
         def loss():
             probs = models.forward(
-                params, TOY, values=values, obs_masks=mask, training=False
+                params, TOY, values=values, obs_masks=mask, training=True,
+                rng=np.random.default_rng(0),
             )
             return (probs * 2.0).sum()
 
