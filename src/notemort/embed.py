@@ -94,6 +94,10 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_count: int = 20) -> Vocabul
 
 # -- skip-gram training -------------------------------------------------------------
 
+# negatives per pair (word2vec's default, Mikolov et al. 2013), pairs per update
+NEGATIVES = 5
+BATCH_PAIRS = 256
+
 
 @dataclass
 class SkipgramResult:
@@ -126,9 +130,9 @@ def _collect_pairs(
     return np.repeat(sentence, keep.sum(axis=1)), sentence[positions[keep]]
 
 
-def _batches(sentences, window, batch_pairs, rng):
+def _batches(sentences, window, rng):
     """(centers, contexts) of whole sentences in corpus order, cut as
-    soon as a batch holds batch_pairs pairs. A sentence's radii are
+    soon as a batch holds BATCH_PAIRS pairs. A sentence's radii are
     drawn only after the previous batch has been used."""
     buf_c: list[np.ndarray] = []
     buf_x: list[np.ndarray] = []
@@ -140,7 +144,7 @@ def _batches(sentences, window, batch_pairs, rng):
         buf_c.append(c)
         buf_x.append(x)
         buffered += len(c)
-        if buffered >= batch_pairs:
+        if buffered >= BATCH_PAIRS:
             yield np.concatenate(buf_c), np.concatenate(buf_x)
             buf_c, buf_x, buffered = [], [], 0
     if buf_c:
@@ -153,24 +157,22 @@ def train_skipgram(
     dim: int = 200,
     window: int = 6,
     epochs: int = 100,
-    negatives: int = 5,
     lr: float = 0.3,
     seed: int = 0,
-    batch_pairs: int = 256,
 ) -> SkipgramResult:
     """Minimize the negative-sampling loss over (center, context) pairs.
 
     corpus holds sentences of vocabulary ids (out-of-vocabulary words
     already dropped). Updates are mini-batch SGD at a constant learning
-    rate (see `_sgd_batch`); negatives are drawn from the unigram^(3/4)
-    table. Returns the input-vector matrix plus per-epoch mean pair
-    losses. A non-finite batch loss raises FloatingPointError.
+    rate over batches of BATCH_PAIRS pairs (see `_sgd_batch`); each pair
+    draws NEGATIVES negatives from the unigram^(3/4) table. Returns the
+    input-vector matrix plus per-epoch mean pair losses. A non-finite
+    batch loss raises FloatingPointError.
     """
     for name, value, ok, rule in (
         ("dim", dim, dim >= 1, ">= 1"),
         ("window", window, window >= 1, ">= 1"),
         ("epochs", epochs, epochs >= 1, ">= 1"),
-        ("negatives", negatives, negatives >= 1, ">= 1"),
         ("lr", lr, math.isfinite(lr) and lr > 0, "finite and > 0"),
     ):
         if not ok:
@@ -196,8 +198,8 @@ def train_skipgram(
         for epoch in range(epochs):
             loss_sum = 0.0
             n_pairs = 0
-            for centers, contexts in _batches(sentences, window, batch_pairs, rng):
-                negs = np.searchsorted(cdf, rng.random((len(centers), negatives)))
+            for centers, contexts in _batches(sentences, window, rng):
+                negs = np.searchsorted(cdf, rng.random((len(centers), NEGATIVES)))
                 loss = _sgd_batch(vec_in, vec_out, centers, contexts, negs, lr, work)
                 if not math.isfinite(loss):
                     raise FloatingPointError(

@@ -277,15 +277,15 @@ def semantical_forward(
     *,
     training: bool,
     rng: np.random.Generator | None = None,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
 ) -> Tensor:
     """Embedded notes [N, L, d] (or [L, d]) -> document vectors [N, filters].
 
     Each block runs Conv1D, SpatialDropout, BatchNorm, then adds the
     block input (identity shortcut, or a 1x1 projection when channel
     counts differ) and applies ReLU after the addition. A global average
-    pool over the lexical axis, over the `mask` positions when given,
-    produces the document vector.
+    pool over the lexical axis, over the `mask` positions ([N, L] bool,
+    True at the real tokens), produces the document vector.
 
     In train mode each block is one tape node, `conv_block_train`, whose
     values, gradients and running statistics carry the bits of that
@@ -295,16 +295,16 @@ def semantical_forward(
     convolution with the shortcut add and the ReLU fused onto its
     output) whose kernels and bias have the norm folded in
     (`fold_batchnorm`); the outputs differ from the unfolded chain only
-    by rounding. With a mask, eval mode skips each note's padded tail:
-    the pooled rows, up to the note's last unmasked position, read no
-    input row further past it than the blocks' reach (KERNEL_SIZE // 2
-    rows per block), so each block computes its rows only up to there,
+    by rounding. Eval mode skips each note's padded tail: the pooled
+    rows, up to the note's last unmasked position, read no input row
+    further past it than the blocks' reach (KERNEL_SIZE // 2 rows per
+    block), so each block computes its rows only up to there,
     and the document vectors carry the bits of blocks that compute every
     row. Train mode computes every row, because batchnorm's batch
     statistics read the pad rows too. The masked pool is one node.
     """
     rows = None
-    if mask is not None and not training:
+    if not training:
         length = notes.shape[-2]
         reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
         # the last unmasked position + 1 + reach, at most L

@@ -537,14 +537,11 @@ def conv_block_train(
     return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, "conv_block", back)
 
 
-def global_avg_pool(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Per-channel mean over (unmasked) positions: [..., L, C] -> [..., C].
-
-    With a mask, one tape node with the bits of the composition
+def global_avg_pool(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Per-channel mean over the positions where `mask` [..., L] is True,
+    [..., L, C] -> [..., C]: one tape node with the bits of the composition
     `(x * weights).sum(axis=-2) / counts` (weights: the mask as 0/1).
     """
-    if mask is None:
-        return x.mean(axis=-2)
     mask = np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=-1)[..., None]
     if np.any(counts == 0):

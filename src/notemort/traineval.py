@@ -215,18 +215,18 @@ def significance_marker(p: float) -> str:
 
 @dataclass
 class StayData:
-    """Model-ready arrays for one hospital stay."""
+    """Model-ready arrays for one hospital stay; its series is None if it has no rows."""
 
     hadm_id: int
     label: bool
-    note_ids: np.ndarray | None = None  # [T, L] int32
+    note_ids: np.ndarray  # [T, L] int32
     ts_values: np.ndarray | None = None  # [W, F]
     ts_mask: np.ndarray | None = None  # [W, F] bool
 
     @property
-    def note_masks(self) -> np.ndarray | None:
+    def note_masks(self) -> np.ndarray:
         """[T, L] bool, True at the real tokens: the ids that are not PAD_ID."""
-        return None if self.note_ids is None else self.note_ids != PAD_ID
+        return self.note_ids != PAD_ID
 
 
 def fold_class_weights(
@@ -237,12 +237,20 @@ def fold_class_weights(
     return class_weights(train_labels)
 
 
-def _require_modalities(kind: str, stay: StayData) -> None:
-    has = models.branches(kind)
-    if "notes" in has and stay.note_ids is None:
-        raise DataError(f"hadm {stay.hadm_id}: notes required for {kind}")
-    if "cts" in has and stay.ts_values is None:
-        raise DataError(f"hadm {stay.hadm_id}: time series required for {kind}")
+def check_fold(kind: str, fold: FoldSplit, dataset: Mapping[int, StayData]) -> None:
+    """Refuse a fold that cannot be trained and scored: a role with no stay,
+    a train or test role of one class (no class weights, no test AUROC),
+    or, when `kind` has the CTS branch, a stay with no time series."""
+    for role in ("train", "val", "test"):
+        members = fold.members(role)
+        if not members:
+            raise DataError(f"fold {fold.fold}: the {role} role is empty")
+        if role != "val" and len({dataset[h].label for h in members}) < 2:
+            raise DataError(f"fold {fold.fold}: the {role} role holds one class only")
+    if "cts" in models.branches(kind):
+        missing = [h for h in sorted(fold.roles) if dataset[h].ts_values is None]
+        if missing:
+            raise DataError(f"fold {fold.fold}: hadm {missing[0]} has no time series for {kind}")
 
 
 def make_batches(
@@ -262,9 +270,7 @@ def make_batches(
         return [ids[i : i + batch_size].tolist() for i in range(0, len(ids), batch_size)]
     buckets: dict[int, list[int]] = {}
     for h in hadm_ids:
-        stay = dataset[h]
-        _require_modalities(kind, stay)
-        buckets.setdefault(stay.note_ids.shape[0], []).append(h)
+        buckets.setdefault(dataset[h].note_ids.shape[0], []).append(h)
     batches = []
     for t in sorted(buckets):
         members = np.array(buckets[t])
@@ -293,8 +299,6 @@ def batch_forward(
 ) -> Tensor:
     """Probabilities [B] for one batch of stays."""
     stays = [dataset[h] for h in batch]
-    for stay in stays:
-        _require_modalities(kind, stay)
     inputs = {}
     if "notes" in models.branches(kind):
         inputs["ids"] = np.stack([s.note_ids for s in stays])
@@ -359,10 +363,9 @@ def train_fold(
     batchnorm running statistics) restored to score the test stays.
     """
     train_cfg.validate()
+    check_fold(kind, fold_split, dataset)
     roles = fold_split.roles
     train_ids, val_ids, test_ids = map(fold_split.members, ("train", "val", "test"))
-    if not train_ids or not val_ids or not test_ids:
-        raise DataError(f"fold {fold_split.fold}: some role is empty")
     w_neg, w_pos = fold_class_weights(dataset, roles)
     val_labels = np.array([dataset[h].label for h in val_ids], dtype=np.float64)
 
@@ -450,8 +453,10 @@ def train(
     embeddings: EmbeddingMatrix | None = None,
     jobs: int = 1,
 ) -> list[FoldResult]:
-    """All folds, sequentially or in parallel processes. Per-fold seeds
-    derive from (seed, fold), so results do not depend on `jobs`."""
+    """All folds, checked first, sequentially or in parallel processes.
+    Per-fold seeds derive from (seed, fold), so results do not depend on `jobs`."""
+    for fold in folds:
+        check_fold(kind, fold, dataset)
     job_args = [
         (kind, fold, dataset, model_cfg, train_cfg, embeddings) for fold in folds
     ]

@@ -3,9 +3,12 @@ and the full small-pipeline smoke run."""
 
 import csv
 import hashlib
+import inspect
+import io
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,33 @@ model.cts_hidden = 6,4
 train.epochs = 2
 train.early_stop_patience = 2
 """
+
+
+# The defs under src/notemort that the `work` pipeline never enters, each
+# with the reason it stays. A def the program stops using fails
+# `test_every_function_the_pipeline_skips_is_listed` until it is deleted
+# or listed here.
+ERROR_PATH = "error path: runs only on a malformed input"
+REFERENCE = "generic Tensor op: the reference chains of tests/oracles.py and perfbench's probes"
+UNREACHED = {
+    "cohort._parse_observation": ERROR_PATH,
+    "notesproc._failed_column": ERROR_PATH,
+    "notesproc._Row.__getitem__": ERROR_PATH,
+    "ndcore.layers._min_gemm_rows": "paper shapes only: a column chunk of one note",
+    "ndcore.layers.batchnorm": "perfbench's spans and probes; conv_block_train shares its helpers",
+    "ndcore.layers.spatial_dropout": "perfbench's spans and probes; conv_block_train runs its rule",
+    "ndcore.layers.conv1d.<locals>.back": "perfbench's conv1d probe and the gradient tests",
+    "traineval.StayData.note_masks": "perfbench's paper-step batch",
+    "pipeline.build_dataset": "library entry point: demo 05 and perfbench",
+    "ndcore.checkpoint.load_checkpoint": "library entry point: the user's way back to the weights",
+    "ndcore.tensor.Tensor.sum": REFERENCE,
+    "ndcore.tensor.Tensor.mean": REFERENCE,
+    "ndcore.tensor.Tensor.__neg__": REFERENCE,
+    "ndcore.tensor.Tensor.__sub__": REFERENCE,
+    "ndcore.tensor.Tensor.__repr__": "debugging aid of the frozen Tensor surface",
+    "ndcore.tensor.Tensor.size": "read only by models.parameter_count",
+    "models.parameter_count": "demo 04 and the frozen parameter-count tests",
+}
 
 
 class TestConfigParsing:
@@ -103,18 +133,77 @@ class TestConfigParsing:
 
 
 @pytest.fixture(scope="module")
-def work(tmp_path_factory):
-    """One small pipeline run shared by the assertions below."""
+def entered() -> set:
+    """The code objects that the `work` pipeline enters."""
+    return set()
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory, entered):
+    """One small pipeline run shared by the assertions below. It records
+    every Python function it enters in `entered`."""
     root = tmp_path_factory.mktemp("cli")
     config_path = root / "run.cfg"
     config_path.write_text(SMALL_CONFIG + f"\nwork_dir = {root / 'run'}\n")
-    for command in ("synth", "preprocess", "embed", "cohort"):
-        assert main(["--config", str(config_path), command]) == 0
-    assert main(["--config", str(config_path), "train"]) == 0
-    assert main(["--config", str(config_path), "--model", "cts-rnn", "train"]) == 0
-    assert main(["--config", str(config_path), "--model", "mm-hcr", "train"]) == 0
-    assert main(["--config", str(config_path), "evaluate"]) == 0
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for command in ("synth", "preprocess", "embed", "cohort"):
+            assert main(["--config", str(config_path), command]) == 0
+        assert main(["--config", str(config_path), "train"]) == 0
+        assert main(["--config", str(config_path), "--model", "cts-rnn", "train"]) == 0
+        assert main(["--config", str(config_path), "--model", "mm-hcr", "train"]) == 0
+        assert main(["--config", str(config_path), "evaluate"]) == 0
+    finally:
+        sys.setprofile(previous)
     return root / "run", config_path
+
+
+PACKAGE = Path(cli.__file__).resolve().parent
+
+
+def def_key(code) -> tuple[str, str, int]:
+    """(module, qualname, first line) of a code object of the package."""
+    module = Path(code.co_filename).resolve().relative_to(PACKAGE).with_suffix("")
+    return ".".join(module.parts), code.co_qualname, code.co_firstlineno
+
+
+def package_defs() -> list[tuple[tuple, tuple | None]]:
+    """The def_key of every def in the package's source, with that of
+    the def it is nested in (None at module and class level)."""
+    found = []
+
+    def walk(code, enclosing):
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                is_def = const.co_flags & inspect.CO_OPTIMIZED and const.co_name[0] != "<"
+                if is_def:
+                    found.append((def_key(const), enclosing))
+                walk(const, def_key(const) if is_def else enclosing)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), None)
+    return found
+
+
+def test_every_function_the_pipeline_skips_is_listed(work, entered):
+    """The defs of the package that the `work` pipeline never enters,
+    leaving out those nested in another such def, are UNREACHED's keys."""
+    reached = {
+        def_key(code) for code in entered
+        if Path(code.co_filename).resolve().is_relative_to(PACKAGE)
+    }
+    skipped = {
+        f"{module}.{qualname}"
+        for (module, qualname, line), enclosing in package_defs()
+        if (module, qualname, line) not in reached and (enclosing is None or enclosing in reached)
+    }
+    assert skipped == set(UNREACHED)
 
 
 def test_pipeline_completes_and_writes_manifests(work):
@@ -516,6 +605,15 @@ def _empty_val_role(data: bytes) -> bytes:
     return data.replace(b'"0":"val"', b'"0":"train"')
 
 
+def _unobserved_first_stay(data: bytes) -> bytes:
+    """The first stay's time-series mask is all False: it has no series."""
+    mask = np.load(io.BytesIO(data))
+    mask[0] = False
+    out = io.BytesIO()
+    np.save(out, mask)
+    return out.getvalue()
+
+
 def _one_class_test_split(data: bytes) -> bytes:
     """Fold 0 tests on negatives only: its positive test stays train."""
     records = [json.loads(line) for line in data.splitlines()]
@@ -538,8 +636,7 @@ def _one_class_test_split(data: bytes) -> bytes:
     ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
      _cut_mid_line, "fold0.scores.jsonl"),
     ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _empty_val_role, "fold 0"),
-    ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _one_class_test_split,
-     "auroc undefined"),
+    ("cohorts/cohort_W24.jsonl", "cohort_W24", ["train"], _one_class_test_split, "fold 0"),
     ("embeddings/embeddings.txt", "embed", ["train"], _non_numeric_value,
      "embeddings.txt"),
     ("embeddings/embeddings.txt", "embed", ["train"], _bad_header, "embeddings.txt"),
@@ -551,6 +648,8 @@ def _one_class_test_split(data: bytes) -> bytes:
     ("train/notes-hcr_W24/fold0.scores.jsonl", "train_notes-hcr_W24", ["evaluate"],
      _label_two, "fold0.scores.jsonl"),
     ("embeddings/embeddings.txt", "embed", ["train"], _nonzero_pad_row, "embeddings.txt"),
+    ("cohorts/dataset_W24/ts_mask.npy", "cohort_W24", ["--model", "mm-hcr", "train"],
+     _unobserved_first_stay, "fold 0"),
 ])
 def test_malformed_artifact_is_a_data_error(
     work, tmp_path, capsys, artifact, producer, stage, fault, named
@@ -559,12 +658,16 @@ def test_malformed_artifact_is_a_data_error(
     path = copy / artifact
     path.write_bytes(fault(path.read_bytes()))
     rehash(copy, producer, artifact)
+    if stage[-1] == "train":
+        shutil.rmtree(copy / "train")
     capsys.readouterr()
 
     assert main(args + stage) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert f"{named}: " in err
+    if stage[-1] == "train":  # refused before the first fold trains
+        assert not list((copy / "train").glob("*/fold*"))
 
 
 # Former config keys that are now module constants: a value for one is

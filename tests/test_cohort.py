@@ -18,6 +18,7 @@ from notemort.cohort import (
     TS_SCALES,
     TS_VARIABLES,
     Admission,
+    FoldSplit,
     IcuStay,
     _passes_criteria,
     _read_timeseries_columns,
@@ -349,18 +350,23 @@ class TestImputeTimeseries:
         assert values[3, hr] == scaled(hr, 85.0)
 
     def test_empty_series_rejected(self):
-        # a stay without rows gets no series, which a CTS model refuses
+        # a stay without rows gets no series, which the fold check refuses
+        # for a CTS model before any training step
         values, mask = grid([], 4)
         assert not mask.any() and not values.any()
-        stay = pipeline.dataset_views(
-            {"note_counts": np.zeros(1, dtype=np.int64), "note_ids": np.zeros((0, 8)),
-             "ts_values": values[None], "ts_mask": mask[None]},
-            {1: False},
-        )[1]
-        assert stay.ts_values is None and stay.ts_mask is None
-        with pytest.raises(DataError):
-            traineval.batch_forward(models.CTS_RNN, [1], {1: stay}, None, None, None,
-                                    training=False)
+        observed_values, observed_mask = grid([(0.5, 0, 1.0)], 4)
+        dataset = pipeline.dataset_views(
+            {"note_counts": np.ones(5, dtype=np.int64),
+             "note_ids": np.ones((5, 8), dtype=np.int32),
+             "ts_values": np.stack([values] + [observed_values] * 4),
+             "ts_mask": np.stack([mask] + [observed_mask] * 4)},
+            {1: False, 2: True, 3: False, 4: True, 5: False},
+        )
+        assert dataset[1].ts_values is None and dataset[1].ts_mask is None
+        fold = FoldSplit(fold=3, roles={1: "test", 2: "test", 3: "train", 4: "train", 5: "val"})
+        with pytest.raises(DataError, match="fold 3: hadm 1 has no time series"):
+            traineval.check_fold(models.CTS_RNN, fold, dataset)
+        traineval.check_fold(models.NOTES_HCR, fold, dataset)
         with pytest.raises(DataError):
             grid([(99.0, 0, 1.0)], 4)  # outside window
 

@@ -793,12 +793,14 @@ def test_residual_conv1d_and_masked_pool_add_one_tape_node_each():
 
 def test_global_avg_pool_examples():
     x = Tensor(np.array([[1.0, 3.0], [2.0, 4.0]]))
-    np.testing.assert_allclose(global_avg_pool(x).data, [1.5, 3.5])
+    np.testing.assert_allclose(global_avg_pool(x, mask=np.ones(2, dtype=bool)).data, [1.5, 3.5])
     np.testing.assert_allclose(
         global_avg_pool(x, mask=np.array([True, False])).data, [1.0, 3.0]
     )
     const = Tensor(np.full((5, 3), 2.5))
-    np.testing.assert_allclose(global_avg_pool(const).data, [2.5, 2.5, 2.5])
+    np.testing.assert_allclose(
+        global_avg_pool(const, mask=np.ones(5, dtype=bool)).data, [2.5, 2.5, 2.5]
+    )
 
 
 def test_global_avg_pool_all_masked_rejected():

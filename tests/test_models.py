@@ -24,7 +24,7 @@ from notemort.ndcore import (
     save_checkpoint,
 )
 from notemort.notesproc import OOV_ID, PAD_ID, CleanNote, truncate_pad
-from notemort.cohort import N_TS_VARIABLES, standardize_values
+from notemort.cohort import N_TS_VARIABLES, FoldSplit, standardize_values
 
 from oracles import (
     add_relu_composed,
@@ -424,17 +424,23 @@ def test_mm_reduces_to_notes_when_cts_branch_zeroed():
 
 
 def test_mm_requires_both_modalities():
-    inputs = stay_inputs(toy_file())
-    notes_only = traineval.StayData(
-        hadm_id=1, label=True,
-        note_ids=inputs["ids"][0],
-    )
-    with pytest.raises(DataError):
-        traineval.batch_forward(
-            models.MM_HCR, [1], {1: notes_only},
-            models.init_model(models.MM_HCR, TOY, 1), TOY,
-            toy_embeddings(), training=False,
+    """The fold check refuses an mm-hcr fold in which a stay has notes but
+    no time series, and passes the same fold for notes-hcr."""
+    values, mask = toy_ts()
+    dataset = {
+        h: traineval.StayData(
+            hadm_id=h, label=bool(h % 2),
+            note_ids=stay_inputs(toy_file(hadm=h, seed=h))["ids"][0],
+            ts_values=None if h == 3 else standardize_values(values),
+            ts_mask=None if h == 3 else mask,
         )
+        for h in range(1, 7)
+    }
+    fold = FoldSplit(fold=2, roles={1: "train", 2: "train", 3: "val", 4: "val",
+                                    5: "test", 6: "test"})
+    with pytest.raises(DataError, match="fold 2: hadm 3 has no time series"):
+        traineval.check_fold(models.MM_HCR, fold, dataset)
+    traineval.check_fold(models.NOTES_HCR, fold, dataset)
 
 
 @pytest.mark.parametrize("training", [False, True])

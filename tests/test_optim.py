@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from notemort.ndcore import AmsGrad, parameter
+from notemort.ndcore.optim import BETA1, BETA2, EPS
 
 
 def test_single_step_hand_evaluation():
     p = parameter(np.array([1.0]))
-    opt = AmsGrad({"w": p}, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = AmsGrad({"w": p}, lr=1e-3)
     p.grad = np.array([0.5])
     opt.step()
     # m_hat = 0.5, sqrt(vhat_corrected) = 0.5 -> update magnitude ~ lr
@@ -49,8 +50,8 @@ def test_vhat_nondecreasing_under_shrinking_gradients():
 
 def test_bias_correction_matches_manual_two_steps():
     p = parameter(np.array([0.0]))
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    opt = AmsGrad({"w": p}, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 0.01, BETA1, BETA2, EPS
+    opt = AmsGrad({"w": p}, lr=lr)
     grads = [0.3, -0.2]
     m = v = vhat = 0.0
     x = 0.0

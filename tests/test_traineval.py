@@ -494,11 +494,49 @@ class TestTrainFold:
         assert len(previous) > 2
 
 
+def count_forwards(monkeypatch) -> list:
+    """The `training` flag of each `traineval.batch_forward` call from now on."""
+    real_forward = traineval.batch_forward
+    calls = []
+
+    def spy(*args, training, **kwargs):
+        calls.append(training)
+        return real_forward(*args, training=training, **kwargs)
+
+    monkeypatch.setattr(traineval, "batch_forward", spy)
+    return calls
+
+
+class TestCheckFold:
+    def test_one_class_test_role_stops_train_before_any_fold_trains(self, monkeypatch):
+        dataset = toy_dataset()
+        folds = [toy_fold(dataset, 0), toy_fold(dataset, 1)]
+        for h in folds[1].members("test"):
+            dataset[h].label = False
+        calls = count_forwards(monkeypatch)
+        cfg = TrainConfig(epochs=2, seed=0)
+        with pytest.raises(DataError, match="fold 1: the test role holds one class only"):
+            traineval.train(models.NOTES_HCR, folds, dataset, TOY_CFG, cfg, toy_emb())
+        assert not calls
+
+    @pytest.mark.parametrize("kind", [models.CTS_RNN, models.MM_HCR])
+    def test_stay_without_series_stops_train_fold_before_any_step(self, kind, monkeypatch):
+        dataset = toy_dataset()
+        fold = toy_fold(dataset)
+        last_test = fold.members("test")[-1]
+        dataset[last_test].ts_values = dataset[last_test].ts_mask = None
+        calls = count_forwards(monkeypatch)
+        cfg = TrainConfig(epochs=6, seed=0)
+        emb = toy_emb() if kind != models.CTS_RNN else None
+        with pytest.raises(DataError, match=f"fold 0: hadm {last_test} has no time series"):
+            train_fold(kind, fold, dataset, TOY_CFG, cfg, emb)
+        assert not calls
+
+
 def test_note_masks_are_the_non_pad_ids():
     ids = np.array([[4, 2, 0, 0], [-1, 3, 5, 0]], dtype=np.int32)  # -1: out of vocabulary
     stay = StayData(hadm_id=1, label=False, note_ids=ids)
     np.testing.assert_array_equal(stay.note_masks, ids != PAD_ID)
-    assert StayData(hadm_id=2, label=False).note_masks is None
 
 
 def test_class_weights_ignore_val_and_test_labels():
