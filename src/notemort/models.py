@@ -43,7 +43,7 @@ from .ndcore import (
     parameter,
     spatial_dropout,  # not called here: perfbench/spans.py traces models.spatial_dropout
 )
-from .ndcore.layers import dropout
+from .ndcore.layers import dropout, notes_per_chunk
 from .notesproc import OOV_ID, PAD_ID
 from .cohort import N_TS_VARIABLES
 
@@ -285,36 +285,60 @@ def semantical_forward(
     block input (identity shortcut, or a 1x1 projection when channel
     counts differ) and applies ReLU after the addition. A global average
     pool over the lexical axis, over the `mask` positions ([N, L] bool,
-    True at the real tokens), produces the document vector.
+    True at the real tokens), produces the document vector. The masked
+    pool is one node.
 
     In train mode each block is one tape node, `conv_block_train`, whose
     values, gradients and running statistics carry the bits of that
-    chain. Eval mode is a forward pass and must run under `no_grad`
-    (`forward` does so): SpatialDropout is the identity and BatchNorm an
-    affine map per channel, so each block is one residual `conv1d` (the
-    convolution with the shortcut add and the ReLU fused onto its
-    output) whose kernels and bias have the norm folded in
-    (`fold_batchnorm`); the outputs differ from the unfolded chain only
-    by rounding. Eval mode skips each note's padded tail: the pooled
-    rows, up to the note's last unmasked position, read no input row
-    further past it than the blocks' reach (KERNEL_SIZE // 2 rows per
-    block), so each block computes its rows only up to there,
-    and the document vectors carry the bits of blocks that compute every
-    row. Train mode computes every row, because batchnorm's batch
-    statistics read the pad rows too. The masked pool is one node.
+    chain when it computes every row. It computes each note's padded tail
+    once instead where that pays: when every block's conv unrolls one
+    note per column chunk (`notes_per_chunk`; paper shapes), `notes`
+    needs no gradient, and some note's tail is longer than the rows kept.
+    A note's tail is its rows past the last that is unmasked or nonzero.
+    Its input rows are 0 there (the PAD embedding) and no pooled row
+    reads them, so after each block the tail holds one repeated row but
+    for the block reach of rows at either end, and so does each block's
+    gradient but for twice the reach (reach: KERNEL_SIZE // 2 rows per
+    block). Each note keeps its real rows, 2 * reach rows after them, one
+    row standing for the rest of the tail with its multiplicity, and its
+    last 2 * reach rows (`conv_block_train`'s `rows` and `end`), and the
+    blocks carry the bits of the uncut chain up to rounding. Batchnorm's
+    statistics still count every pad row.
+
+    Eval mode is a forward pass and must run under `no_grad` (`forward`
+    does so): SpatialDropout is the identity and BatchNorm an affine map
+    per channel, so each block is one residual `conv1d` (the convolution
+    with the shortcut add and the ReLU fused onto its output) whose
+    kernels and bias have the norm folded in (`fold_batchnorm`); the
+    outputs differ from the unfolded chain only by rounding. Eval mode
+    skips each note's padded tail: the pooled rows, up to the note's last
+    unmasked position, read no input row further past it than the
+    blocks' reach, so each block computes its rows only up to there, and
+    the document vectors carry the bits of blocks that compute every row.
     """
-    rows = None
+    length = notes.shape[-2]
+    reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
+    mask = np.asarray(mask)
+    rows = end = None
     if not training:
-        length = notes.shape[-2]
-        reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
         # the last unmasked position + 1 + reach, at most L
-        rows = length + reach - np.argmax(np.asarray(mask)[..., ::-1], axis=-1).reshape(-1)
+        rows = length + reach - np.argmax(mask[..., ::-1], axis=-1).reshape(-1)
+        np.minimum(rows, length, out=rows)
+    elif not notes.requires_grad and all(
+        notes_per_chunk(length, block.conv.kernels.shape) == 1 for block in blocks
+    ):
+        end = 2 * reach
+        real = mask | notes.data.any(axis=-1)
+        # the tail's first row + 2 * reach, the weighted row and the last
+        # 2 * reach rows, at most L
+        rows = length + 2 * end + 1 - np.argmax(real[..., ::-1], axis=-1).reshape(-1)
         np.minimum(rows, length, out=rows)
     x = notes
     for block in blocks:
         if training:
             x = conv_block_train(
-                x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng
+                x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng,
+                rows=rows, end=end,
             )
         else:
             x = conv1d(

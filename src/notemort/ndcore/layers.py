@@ -103,6 +103,31 @@ def _min_gemm_rows(rows: int, depth: int, width: int) -> int:
     return min(rows, _SMALL_GEMM // (depth * width) + 1)
 
 
+def notes_per_chunk(length: int, kernels_shape: tuple[int, ...]) -> int:
+    """The leading indices (notes) of [..., length, C_in] whose unrolled
+    columns a conv1d with kernels [K, C_in, C_out] builds at a time: as
+    many as fill `_COLS_BYTES`, at least one."""
+    k_size, c_in = kernels_shape[:2]
+    return max(1, _COLS_BYTES // (length * k_size * c_in * 8))
+
+
+def _row_sum(parts, others=None, tail=None) -> np.ndarray:
+    """Per-channel sum over the rows of the [n_i, C] arrays `parts` (of
+    their products with `others`), in order. `tail` (reps, extra), when
+    given, counts row reps[i] of parts[i] extra[i] times more."""
+    total = None
+    for i, part in enumerate(parts):
+        term = part.sum(axis=0) if others is None else np.einsum("nc,nc->c", part, others[i])
+        total = term if total is None else total + term
+    if tail is not None:
+        reps, extra = tail
+        rep = np.stack([part[r] for part, r in zip(parts, reps)])
+        if others is not None:
+            rep *= np.stack([other[r] for other, r in zip(others, reps)])
+        total += extra @ rep
+    return total
+
+
 class _ConvGemm:
     """The arrays of one same-length conv1d over x [..., L, C_in].
 
@@ -111,27 +136,47 @@ class _ConvGemm:
     columns cols[n, i, k, :] = x[n, i + k - K//2, :] (zero outside the
     input) and multiplied by the flattened kernel in one GEMM per leading
     index n (Chellapilla, Puri & Simard 2006). Columns are built a few
-    leading indices at a time (about `_COLS_BYTES`) and rebuilt in the
+    leading indices at a time (`notes_per_chunk`) and rebuilt in the
     backward pass, so they are never held whole: each pass fills one
     column buffer the size of a chunk, reused by every chunk and dropped
     when the pass returns.
 
-    `rows` [n], when given, asks only for the first rows[n] output rows
-    of each leading index, and the forward is then all that may run. A
-    chunk of one leading index (at paper shapes one note's columns fill
-    `_COLS_BYTES`) unrolls and multiplies only up to its cut, rows[n] but
-    never fewer than `_min_gemm_rows`, which reads the input up to
-    (K-1)/2 rows further, and its output rows past the cut are 0. A chunk
-    of several is not cut: its first rows would be strided views, over
-    which the elementwise passes cost more than the skipped rows save (at
-    desk shapes, a few dozen notes of 64 rows per chunk). When no chunk
-    is cut short of L, the forward runs as without `rows`. Every unroll
-    writes every cell of the part of the buffer it uses, the taps' rows
-    and the zero border rows of each shifted tap, so the backward can
-    also take the GEMM of the input gradient into it.
+    `rows` [n] cuts notes short in one of two ways, and a GEMM with a cut
+    note computes and zeroes its rows chunk by chunk (`computed`):
+
+    - Eval (`end` None): only the first rows[n] output rows of each
+      leading index are asked for, and the forward is then all that may
+      run. A chunk of one leading index (at paper shapes one note's
+      columns fill `_COLS_BYTES`) unrolls and multiplies only up to its
+      cut, rows[n] but never fewer than `_min_gemm_rows`, which reads the
+      input up to (K-1)/2 rows further, and its output rows past the cut
+      are 0. A chunk of several is not cut: its first rows would be
+      strided views, over which the elementwise passes cost more than the
+      skipped rows save (at desk shapes, a few dozen notes of 64 rows per
+      chunk). When no chunk is cut short of L, the forward runs as
+      without `rows`.
+    - Train (`end` given, `conv_block_train`): the first rows[n] rows of
+      note n hold a compacted note, a sequence of its own: its first
+      rows[n] - end rows, then its last `end` rows, with the rows between
+      cut out. Row rows[n] - end - 1 stands for itself and the
+      L - rows[n] cut rows (`tail`), which must all equal it, and it must
+      be at least K//2 rows from both ends of the sequence. Every note is
+      then its own chunk, multiplied over its rows[n] rows with zero
+      padding at both ends, and its output rows past them are 0. The
+      backward reads and writes only those rows, weights that row's
+      terms of the kernel and bias gradients by its multiplicity, and
+      writes zeros past them in the input gradient. When no note is cut
+      short of L, the GEMM runs as without `rows`.
+
+    Every unroll writes every cell of the part of the buffer it uses, the
+    taps' rows and the zero border rows of each shifted tap, so the
+    backward can also take the GEMM of the input gradient into it.
     """
 
-    def __init__(self, x: np.ndarray, kernels: np.ndarray, rows: np.ndarray | None = None):
+    def __init__(
+        self, x: np.ndarray, kernels: np.ndarray, rows: np.ndarray | None = None,
+        end: int | None = None,
+    ):
         k_size, c_in, c_out = kernels.shape
         if k_size % 2 == 0:
             raise ConfigurationError(f"kernel size must be odd, got {k_size}")
@@ -151,13 +196,23 @@ class _ConvGemm:
             self.taps.append((k, dst, dst + shift, m))
         self.xs = x.reshape(-1, length, c_in)
         self.w2 = kernels.reshape(k_size * c_in, c_out)
-        step = max(1, _COLS_BYTES // (length * k_size * c_in * self.xs.itemsize))
-        starts = range(0, len(self.xs), step)
-        cuts = [length] * len(starts)
-        if rows is not None and step == 1:
-            least = _min_gemm_rows(length, k_size * c_in, c_out)
-            cuts = [min(max(r, least), length) for r in rows.tolist()]
+        step = notes_per_chunk(length, kernels.shape)
+        # the weighted row of each compacted note and its extra count
+        self.tail = None
+        if end is not None and rows.min() < length:
+            step = 1
+            cuts = rows.tolist()
+            reps = rows - end - 1
+            if reps.min() < k_size // 2 or end < k_size // 2:
+                raise ConfigurationError("conv1d: a compacted note's weighted row is too near its ends")
+            self.tail = (reps.tolist(), (length - rows).astype(np.float64))
+        else:
+            cuts = [length] * len(range(0, len(self.xs), step))
+            if rows is not None and end is None and step == 1:
+                least = _min_gemm_rows(length, k_size * c_in, c_out)
+                cuts = [min(max(r, least), length) for r in rows.tolist()]
         # (chunk, its cut: the output rows its GEMMs produce)
+        starts = range(0, len(self.xs), step)
         self.spans = [(slice(i, i + step), cut) for i, cut in zip(starts, cuts)]
         # whether any chunk is cut short of L
         self.trimmed = any(cut < length for cut in cuts)
@@ -172,11 +227,27 @@ class _ConvGemm:
             return [a]
         return [a[chunk, :cut] for chunk, cut in self.spans]
 
+    def flat(self, a: np.ndarray) -> list[np.ndarray]:
+        """`computed` as [rows, C] views, for `_row_sum`."""
+        return [part.reshape(-1, a.shape[-1]) for part in self.computed(a)]
+
+    def scale(self, a: np.ndarray, factor: np.ndarray) -> None:
+        """Multiply the computed rows of a [n, L, C] by factor [n, 1, C]."""
+        if not self.trimmed:
+            a *= factor
+            return
+        for (chunk, _), part in zip(self.spans, self.computed(a)):
+            part *= factor[chunk]
+
     def _taps(self, cut: int):
-        """The taps (k, dst, src, m) cut to output rows [0, cut)."""
+        """The taps (k, dst, src, m) cut to output rows [0, cut); a
+        compacted note's taps also read no input row past the cut."""
         if cut == self.out_shape[1]:
             return self.taps
-        return [(k, dst, src, max(min(m, cut - dst), 0)) for k, dst, src, m in self.taps]
+        return [
+            (k, dst, src, max(min(m, cut - (dst if self.tail is None else max(dst, src))), 0))
+            for k, dst, src, m in self.taps
+        ]
 
     def _unroll(self, part: np.ndarray, buf: np.ndarray, cut: int) -> np.ndarray:
         """The columns of the first `cut` output rows of `part` [n, L, C_in],
@@ -209,33 +280,42 @@ class _ConvGemm:
     def backward(self, g: np.ndarray, params: Conv1dParams, need_dx: bool) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
         g [n, L, C_out] into `params`; returns the input gradient
-        [n, L, C_in] when `need_dx`, else None. Only a GEMM built without
-        `rows` has a backward.
+        [n, L, C_in] when `need_dx`, else None. An eval GEMM cut short
+        of L has no backward; a compacted one reads g only over its
+        computed rows.
 
         The caller hands over g: when it has the input's shape (C_in ==
         C_out), the input gradient is written over it, each chunk once
         both GEMMs have read that chunk, and g itself is returned.
         """
-        length, c_in = self.xs.shape[1:]
+        c_in = self.xs.shape[-1]
         if params.bias.requires_grad:
-            params.bias._accum(g.sum(axis=(0, 1)), fresh=True)
+            params.bias._accum(_row_sum(self.flat(g), tail=self.tail), fresh=True)
         dx = None
         if need_dx:
             dx = g if g.shape == self.xs.shape else np.empty_like(self.xs)
         dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
+        if dw is not None and self.tail is not None:
+            # the weighted rows' extra terms, taken before dx overwrites g:
+            # their columns are their windows, inside their notes' sequences
+            reps, extra = self.tail
+            notes = np.arange(len(reps))
+            half = len(self.taps) // 2
+            windows = self.xs[notes[:, None], np.add.outer(reps, np.arange(-half, half + 1))]
+            dw += windows.reshape(len(reps), -1).T @ (g[notes, reps] * extra[:, None])
         buf = np.empty(self.cols_shape)
-        for chunk, _ in self.spans:
-            g_part = g[chunk]
+        for chunk, cut in self.spans:
+            g_part = g[chunk, :cut]
             if dw is not None:
-                for cols, g_n in zip(self._unroll(self.xs[chunk], buf, length), g_part):
+                for cols, g_n in zip(self._unroll(self.xs[chunk], buf, cut), g_part):
                     dw += cols.T @ g_n
             if dx is not None:
-                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part)]).reshape(
-                    -1, length, len(self.taps), c_in
+                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part), :cut]).reshape(
+                    -1, cut, len(self.taps), c_in
                 )
                 dx_part = dx[chunk]
                 dx_part.fill(0.0)
-                for k, dst, src, m in self.taps:
+                for k, dst, src, m in self._taps(cut):
                     dx_part[:, src : src + m] += gcols[:, dst : dst + m, k]
         if dw is not None:
             params.kernels._accum(dw.reshape(params.kernels.shape), fresh=True)
@@ -376,58 +456,65 @@ def fold_batchnorm(conv: Conv1dParams, norm: BatchNormParams) -> Conv1dParams:
 
 
 def _normalize(
-    flat: np.ndarray, params: BatchNormParams, xhat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Train-mode batchnorm of flat [n, C] by its batch statistics.
+    parts: list[np.ndarray], params: BatchNormParams, count: int, outs: list[np.ndarray],
+    tail=None,
+) -> np.ndarray:
+    """Train-mode batchnorm by batch statistics over `count` rows, held
+    by the [n_i, C] arrays `parts` (`_row_sum` with `tail` counts them).
 
-    Writes xhat = (flat - mean) / sigma into `xhat` (which may be `flat`
-    itself), updates the running statistics by exponential moving
-    average (the running variance from the unbiased batch variance), and
-    returns sigma and the new array xhat * gamma + beta.
+    Normalizes each part in place into xhat = (part - mean) / sigma,
+    writes xhat * gamma + beta into the matching array of `outs`, updates
+    the running statistics by exponential moving average (the running
+    variance from the unbiased batch variance), and returns sigma.
     """
-    count = len(flat)
     if count < 2:
         raise DataError(
             f"batchnorm train mode needs >= 2 values per channel, got {count}"
         )
-    mu = flat.sum(axis=0) * (1.0 / count)
-    np.subtract(flat, mu, out=xhat)
-    var = np.einsum("nc,nc->c", xhat, xhat) * (1.0 / count)
+    mu = _row_sum(parts, tail=tail) * (1.0 / count)
+    for part in parts:
+        part -= mu
+    var = _row_sum(parts, parts, tail) * (1.0 / count)
     sigma = np.sqrt(var + params.eps)
-    xhat /= sigma
+    for part in parts:
+        part /= sigma
     mom = params.momentum
     params.running_mean *= mom
     params.running_mean += (1.0 - mom) * mu
     unbiased = var * (count / (count - 1))
     params.running_var *= mom
     params.running_var += (1.0 - mom) * unbiased
-    out = xhat * params.gamma.data
-    out += params.beta.data
-    return sigma, out
+    for xhat, out in zip(parts, outs):
+        np.multiply(xhat, params.gamma.data, out=out)
+        out += params.beta.data
+    return sigma
 
 
 def _normalize_backward(
-    g: np.ndarray, xhat: np.ndarray, sigma: np.ndarray, params: BatchNormParams,
-    dx: np.ndarray | None,
+    gs: list[np.ndarray], xhats: list[np.ndarray], sigma: np.ndarray, params: BatchNormParams,
+    count: int, dxs: list[np.ndarray] | None, tail=None,
 ) -> None:
-    """Accumulate the gamma and beta gradients of output gradient g [n, C]
-    into `params`, and write the input gradient into `dx` (which may be
-    `xhat` itself) unless it is None. The closed form is
+    """Accumulate the gamma and beta gradients of the output gradients
+    `gs` (laid out as `_normalize`'s parts) into `params`, and write the
+    input gradients into `dxs` (which may be `xhats` itself) unless it is
+    None. The closed form is
     dx = (gamma*g - mean(gamma*g) - xhat * mean(gamma*g * xhat)) / sigma.
     """
-    count = len(g)
-    dgamma = np.einsum("nc,nc->c", g, xhat)
-    dbeta = g.sum(axis=0)
+    dgamma = _row_sum(gs, xhats, tail)
+    dbeta = _row_sum(gs, tail=tail)
     if params.gamma.requires_grad:
         params.gamma._accum(dgamma, fresh=True)
     if params.beta.requires_grad:
         params.beta._accum(dbeta, fresh=True)
-    if dx is not None:
+    if dxs is not None:
         # mean(gamma*g) = gamma*dbeta/n and mean(gamma*g*xhat) = gamma*dgamma/n
-        np.multiply(xhat, dgamma * (1.0 / count), out=dx)
-        dx -= g
-        dx += dbeta * (1.0 / count)
-        dx *= -(params.gamma.data / sigma)
+        mean_gx, mean_g = dgamma * (1.0 / count), dbeta * (1.0 / count)
+        factor = -(params.gamma.data / sigma)
+        for g, xhat, dx in zip(gs, xhats, dxs):
+            np.multiply(xhat, mean_gx, out=dx)
+            dx -= g
+            dx += mean_g
+            dx *= factor
 
 
 def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
@@ -443,13 +530,16 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
         raise ConfigurationError(
             "batchnorm runs in train mode only; fold eval mode into the conv with fold_batchnorm"
         )
-    flat = x.data.reshape(-1, x.shape[-1])
-    xhat = np.empty_like(flat)
-    sigma, out = _normalize(flat, params, xhat)
+    xhat = x.data.reshape(-1, x.shape[-1]).copy()
+    out = np.empty_like(xhat)
+    sigma = _normalize([xhat], params, len(xhat), [out])
 
     def back(g):
         dx = np.empty_like(xhat) if x.requires_grad else None
-        _normalize_backward(g.reshape(flat.shape), xhat, sigma, params, dx)
+        _normalize_backward(
+            [g.reshape(xhat.shape)], [xhat], sigma, params, len(xhat),
+            None if dx is None else [dx],
+        )
         if dx is not None:
             x._accum(dx.reshape(x.shape), fresh=True)
 
@@ -461,12 +551,13 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
 
 def _block_gemms(
     x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray | None = None, end: int | None = None,
 ) -> tuple[_ConvGemm, _ConvGemm | None]:
     """The conv and shortcut-projection (None: identity) GEMMs of a block
-    over x, both asked for the same `rows`. Their chunks and cuts need
-    not match, but each computes at least the rows asked for."""
-    gemm = _ConvGemm(x.data, conv.kernels.data, rows)
+    over x, both asked for the same `rows` (and `end`). In eval their
+    chunks and cuts need not match, but each computes at least the rows
+    asked for; compacted, both compute exactly those rows."""
+    gemm = _ConvGemm(x.data, conv.kernels.data, rows, end)
     c_out = gemm.out_shape[-1]
     if shortcut is None and x.shape[-1] != c_out:
         raise ConfigurationError(
@@ -474,41 +565,59 @@ def _block_gemms(
         )
     if shortcut is None:
         return gemm, None
-    return gemm, _ConvGemm(x.data, shortcut.kernels.data, rows)
+    return gemm, _ConvGemm(x.data, shortcut.kernels.data, rows, end)
 
 
 def conv_block_train(
     x: Tensor, conv: Conv1dParams, norm: BatchNormParams, shortcut: Conv1dParams | None,
     *, p: float, rng: np.random.Generator | None,
+    rows: np.ndarray | None = None, end: int | None = None,
 ) -> Tensor:
     """One train-mode residual conv block as one tape node:
     relu(batchnorm(spatial_dropout(conv1d(x, conv))) + s), where s is x
     (identity shortcut) or conv1d(x, shortcut) (a 1x1 projection).
 
-    x: [..., L, C_in] -> [..., L, C_out]. Values, gradients, running
-    statistics and the rng draw carry the bits of that composition. The
-    node keeps two conv-sized arrays, xhat and its output, where the
-    composition keeps five: the conv output is scaled by the dropout
-    factor and normalized in place into xhat, and the affine map, the
-    shortcut add and the ReLU run in place on the output. Every row is
-    computed: batchnorm's batch statistics read every row, pad rows
-    included. The backward allocates no conv-sized array of its own: it
-    masks the gradient it is handed in place, turns xhat into the
-    gradient of the conv output in place (so it runs at most once per
+    x: [..., L, C_in] -> [..., L, C_out]. Without `rows`, values,
+    gradients, running statistics and the rng draw carry the bits of that
+    composition, and every row is computed: batchnorm's batch statistics
+    read every row, pad rows included. The node keeps two conv-sized
+    arrays, xhat and its output, where the composition keeps five: the
+    conv output is scaled by the dropout factor and normalized in place
+    into xhat, and the affine map, the shortcut add and the ReLU run in
+    place on the output. The backward allocates no conv-sized array of
+    its own: it masks the gradient it is handed in place, turns xhat into
+    the gradient of the conv output in place (so it runs at most once per
     node), and at C_in == C_out the conv writes its input gradient over
     xhat and a projection over the masked gradient; the shortcut's
     gradient is added into the conv's input gradient.
+
+    `rows` [n] and `end`, one row count per leading index (n the product
+    of the leading axes), compute compacted notes (`_ConvGemm`, train):
+    row rows[n] - end - 1 of note n stands for itself and the L - rows[n]
+    rows cut out after it, so x must hold the same value on all of them,
+    and so must the gradient this node's output receives. A stack of
+    blocks over zero-padded notes keeps that true (`semantical_forward`
+    sizes the cut). Each note then computes only its first rows[n] rows,
+    and batchnorm's statistics and backward and the kernel, bias, gamma
+    and beta gradients weight that row by its multiplicity: up to
+    rounding, the block over the uncut notes, whose statistics read every
+    row. The output and the input gradient are 0 past rows[n]. When no
+    note is cut short of L, the block runs as without `rows`.
     """
-    gemm, proj = _block_gemms(x, conv, shortcut)
+    gemm, proj = _block_gemms(x, conv, shortcut, rows, end)
     c_out = gemm.out_shape[-1]
+    count = gemm.out_shape[0] * gemm.out_shape[1]
     scale = _keep_scale(p, True, rng, _channel_mask(gemm.out_shape))
     y = gemm.forward(conv.bias.data)
     if scale is not None:
-        y *= scale
-    xhat = y.reshape(-1, c_out)
-    sigma, out = _normalize(xhat, norm, xhat)
-    out += (x.data if proj is None else proj.forward(shortcut.bias.data)).reshape(out.shape)
-    np.maximum(out, 0.0, out=out)
+        gemm.scale(y, scale)
+    xhat = y
+    out = (np.zeros if gemm.trimmed else np.empty)(gemm.out_shape)
+    sigma = _normalize(gemm.flat(xhat), norm, count, gemm.flat(out), gemm.tail)
+    s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
+    for part, s_part in zip(gemm.computed(out), gemm.computed(s)):
+        part += s_part
+        np.maximum(part, 0.0, out=part)
     parents = (x, conv.kernels, conv.bias, norm.gamma, norm.beta)
     if shortcut is not None:
         parents += (shortcut.kernels, shortcut.bias)
@@ -518,20 +627,21 @@ def conv_block_train(
         if xhat is None:
             raise ConfigurationError("conv_block_train: backward ran twice through one node")
         dy, xhat = xhat, None
-        g = g.reshape(out.shape)
-        np.multiply(g, out > 0.0, out=g)
-        _normalize_backward(g, dy, sigma, norm, dy)
-        dy = dy.reshape(gemm.out_shape)
+        g = g.reshape(gemm.out_shape)
+        for g_part, part in zip(gemm.computed(g), gemm.computed(out)):
+            np.multiply(g_part, part > 0.0, out=g_part)
+        dys = gemm.flat(dy)
+        _normalize_backward(gemm.flat(g), dys, sigma, norm, count, dys, gemm.tail)
         if scale is not None:
-            dy *= scale
+            gemm.scale(dy, scale)
         dx = gemm.backward(dy, conv, x.requires_grad)
         # the shortcut's input gradient: g itself, or the projection's,
         # which may be written over g
-        g = g.reshape(gemm.out_shape)
         if proj is not None:
             g = proj.backward(g, shortcut, x.requires_grad)
         if dx is not None:
-            dx += g
+            for part, g_part in zip(gemm.computed(dx), gemm.computed(g)):
+                part += g_part
             x._accum(dx.reshape(x.shape), fresh=True)
 
     return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, "conv_block", back)
