@@ -277,12 +277,16 @@ class _ConvGemm:
                 out[chunk, cut:] = 0.0
         return out
 
-    def backward(self, g: np.ndarray, params: Conv1dParams, need_dx: bool) -> np.ndarray | None:
+    def backward(
+        self, g: np.ndarray, params: Conv1dParams, need_dx: bool, keep: np.ndarray | None = None,
+    ) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
         g [n, L, C_out] into `params`; returns the input gradient
         [n, L, C_in] when `need_dx`, else None. An eval GEMM cut short
         of L has no backward; a compacted one reads g only over its
-        computed rows.
+        computed rows, and with `keep` [n, 1, C_out], where g is 0 in
+        every channel that keep is 0 in (spatial dropout's), both of its
+        GEMMs multiply only each note's other channels.
 
         The caller hands over g: when it has the input's shape (C_in ==
         C_out), the input gradient is written over it, each chunk once
@@ -305,12 +309,15 @@ class _ConvGemm:
             dw += windows.reshape(len(reps), -1).T @ (g[notes, reps] * extra[:, None])
         buf = np.empty(self.cols_shape)
         for chunk, cut in self.spans:
-            g_part = g[chunk, :cut]
+            g_part, w2, kept = g[chunk, :cut], self.w2, slice(None)
+            if self.tail is not None and keep is not None:
+                kept = np.flatnonzero(keep[chunk.start, 0])
+                g_part, w2 = g_part[..., kept], w2[:, kept]
             if dw is not None:
                 for cols, g_n in zip(self._unroll(self.xs[chunk], buf, cut), g_part):
-                    dw += cols.T @ g_n
+                    dw[:, kept] += cols.T @ g_n
             if dx is not None:
-                gcols = np.matmul(g_part, self.w2.T, out=buf[: len(g_part), :cut]).reshape(
+                gcols = np.matmul(g_part, w2.T, out=buf[: len(g_part), :cut]).reshape(
                     -1, cut, len(self.taps), c_in
                 )
                 dx_part = dx[chunk]
@@ -634,7 +641,7 @@ def conv_block_train(
         _normalize_backward(gemm.flat(g), dys, sigma, norm, count, dys, gemm.tail)
         if scale is not None:
             gemm.scale(dy, scale)
-        dx = gemm.backward(dy, conv, x.requires_grad)
+        dx = gemm.backward(dy, conv, x.requires_grad, scale)
         # the shortcut's input gradient: g itself, or the projection's,
         # which may be written over g
         if proj is not None:
