@@ -297,12 +297,17 @@ def batch_forward(
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Probabilities [B] for one batch of stays."""
+    """Probabilities [B] for one batch of stays. A kind with the CTS
+    branch refuses a stay with no time series (`check_fold` refuses its
+    fold before training)."""
     stays = [dataset[h] for h in batch]
     inputs = {}
     if "notes" in models.branches(kind):
         inputs["ids"] = np.stack([s.note_ids for s in stays])
     if "cts" in models.branches(kind):
+        missing = next((h for h, s in zip(batch, stays) if s.ts_values is None), None)
+        if missing is not None:
+            raise DataError(f"hadm {missing} has no time series for {kind}")
         inputs["values"] = np.stack([s.ts_values for s in stays])
         inputs["obs_masks"] = np.stack([s.ts_mask for s in stays])
     return models.forward(params, model_cfg, embeddings, training=training, rng=rng, **inputs)

@@ -533,6 +533,22 @@ class TestCheckFold:
         assert not calls
 
 
+@pytest.mark.parametrize("kind", [models.CTS_RNN, models.MM_HCR])
+@pytest.mark.parametrize("n_stays", [1, 4])
+def test_scoring_a_stay_without_series_names_it(kind, n_stays):
+    """A direct caller that skips `check_fold` gets a DataError naming the
+    first series-less stay, with one stay in the batch or several."""
+    dataset = toy_dataset(n=4)
+    hadms = sorted(dataset)[:n_stays]
+    for h in hadms[-2:]:
+        dataset[h].ts_values = dataset[h].ts_mask = None
+    first = hadms[-2:][0]
+    params = models.init_model(kind, TOY_CFG, seed=0)
+    emb = toy_emb() if kind != models.CTS_RNN else None
+    with pytest.raises(DataError, match=f"hadm {first} has no time series for {kind}"):
+        traineval.predict_scores(kind, hadms, dataset, params, TOY_CFG, emb)
+
+
 def test_note_masks_are_the_non_pad_ids():
     ids = np.array([[4, 2, 0, 0], [-1, 3, 5, 0]], dtype=np.int32)  # -1: out of vocabulary
     stay = StayData(hadm_id=1, label=False, note_ids=ids)
