@@ -43,7 +43,7 @@ from .ndcore import (
     parameter,
     spatial_dropout,  # not called here: perfbench/spans.py traces models.spatial_dropout
 )
-from .ndcore.layers import dropout, notes_per_chunk
+from .ndcore.layers import column_chunk_notes, dropout
 from .notesproc import OOV_ID, PAD_ID
 from .cohort import N_TS_VARIABLES
 
@@ -292,7 +292,7 @@ def semantical_forward(
     values, gradients and running statistics carry the bits of that
     chain when it computes every row. It computes each note's padded tail
     once instead where that pays: when every block's conv unrolls one
-    note per column chunk (`notes_per_chunk`; paper shapes), `notes`
+    note per column chunk (`column_chunk_notes`; paper shapes), `notes`
     needs no gradient, and some note's tail is longer than the rows kept.
     A note's tail is its rows past the last that is unmasked or nonzero.
     Its input rows are 0 there (the PAD embedding) and no pooled row
@@ -325,7 +325,7 @@ def semantical_forward(
         rows = length + reach - np.argmax(mask[..., ::-1], axis=-1).reshape(-1)
         np.minimum(rows, length, out=rows)
     elif not notes.requires_grad and all(
-        notes_per_chunk(length, block.conv.kernels.shape) == 1 for block in blocks
+        column_chunk_notes(length, block.conv.kernels.shape) == 1 for block in blocks
     ):
         end = 2 * reach
         real = mask | notes.data.any(axis=-1)

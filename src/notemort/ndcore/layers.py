@@ -103,7 +103,7 @@ def _min_gemm_rows(rows: int, depth: int, width: int) -> int:
     return min(rows, _SMALL_GEMM // (depth * width) + 1)
 
 
-def notes_per_chunk(length: int, kernels_shape: tuple[int, ...]) -> int:
+def column_chunk_notes(length: int, kernels_shape: tuple[int, ...]) -> int:
     """The leading indices (notes) of [..., length, C_in] whose unrolled
     columns a conv1d with kernels [K, C_in, C_out] builds at a time: as
     many as fill `_COLS_BYTES`, at least one."""
@@ -136,7 +136,7 @@ class _ConvGemm:
     columns cols[n, i, k, :] = x[n, i + k - K//2, :] (zero outside the
     input) and multiplied by the flattened kernel in one GEMM per leading
     index n (Chellapilla, Puri & Simard 2006). Columns are built a few
-    leading indices at a time (`notes_per_chunk`) and rebuilt in the
+    leading indices at a time (`column_chunk_notes`) and rebuilt in the
     backward pass, so they are never held whole: each pass fills one
     column buffer the size of a chunk, reused by every chunk and dropped
     when the pass returns.
@@ -196,7 +196,7 @@ class _ConvGemm:
             self.taps.append((k, dst, dst + shift, m))
         self.xs = x.reshape(-1, length, c_in)
         self.w2 = kernels.reshape(k_size * c_in, c_out)
-        step = notes_per_chunk(length, kernels.shape)
+        step = column_chunk_notes(length, kernels.shape)
         # the weighted row of each compacted note and its extra count
         self.tail = None
         if end is not None and rows.min() < length:

@@ -623,6 +623,161 @@ def test_conv_block_train_identity_shortcut_needs_matching_channels():
         )
 
 
+# -- the compacted train-mode block: each note's padded tail once ------------------
+
+
+def tailed_input(shape, seed):
+    """x [N, L, C] whose notes are 0 from a random row on, the first note
+    nowhere (no tail), and each note's count of leading rows that are not."""
+    rng = np.random.default_rng(seed)
+    n, length, _ = shape
+    real = rng.integers(1, length // 2, n)
+    real[0] = length
+    x = rng.standard_normal(shape) * 2.0 + 0.5
+    x[np.arange(length) >= real[:, None]] = 0.0
+    return x, real
+
+
+def uncut(a, rows, end):
+    """A compacted [N, L, C] array as the uncut notes: each note's weighted
+    row repeated over the rows cut out after it."""
+    length = a.shape[1]
+    return np.stack([
+        np.concatenate([note[: r - end], np.repeat(note[r - end - 1 : r - end], length - r, 0),
+                        note[r - end : r]])
+        for note, r in zip(a, rows)
+    ])
+
+
+# one block: the tail's rows after the first 2 * reach = 2 hold one value and
+# one gradient but for the last, so each note keeps 2 rows after its tail's
+# first, the weighted row and its last 2 rows
+BLOCK_END = 2
+# |compacted - uncut| over the largest |uncut| entry, per array: at most
+# 1.1e-14 over 20 seeds of the identity and projection cases below
+COMPACT_TOL = 1e-13
+
+
+def compact_rows(real, length, end=BLOCK_END):
+    return np.minimum(real + 2 * end + 1, length)
+
+
+def assert_close_to(got, want, tol=COMPACT_TOL):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("c_in,c_out,x_grad", [(4, 4, True), (3, 4, True), (3, 4, False)])
+def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, monkeypatch):
+    """Two steps of the block over compacted zero-tailed notes and of the
+    separate nodes over the uncut notes, under an output gradient that is
+    0 on every tail (as the masked pool's): outputs and the gradient of x
+    (both laid out uncut), every parameter gradient and the running
+    statistics agree within COMPACT_TOL, and the two draw the same masks."""
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    shape = (5, 40, c_in)
+    data = np.random.default_rng(c_in)
+    steps = [tailed_input(shape, seed) for seed in (1, 2)]
+    grad_outs = [data.standard_normal(shape[:-1] + (c_out,)) * (np.arange(shape[1]) < real[:, None])[..., None]
+                 for _, real in steps]
+    results = []
+    for compact in (True, False):
+        conv, norm, shortcut = make_block(7, c_in, c_out)
+        leaves = block_leaves(conv, norm, shortcut)
+        rng = np.random.default_rng(8)
+        arrays = []
+        for (x_data, real), grad_out in zip(steps, grad_outs):
+            x = Tensor(x_data.copy(), requires_grad=x_grad)
+            if compact:
+                rows = compact_rows(real, shape[1])
+                out = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=rng, rows=rows, end=BLOCK_END)
+            else:
+                out = conv_block_train_composed(x, conv, norm, shortcut, p=0.5, rng=rng)
+            (out * grad_out).sum().backward()
+            got = [out.data] + ([x.grad] if x_grad else [])
+            if compact:
+                assert np.all(out.data[np.arange(shape[1]) >= rows[:, None]] == 0.0)
+                got = [uncut(a, rows, BLOCK_END) for a in got]
+            arrays.append(got + [t.grad for t in leaves]
+                          + [norm.running_mean.copy(), norm.running_var.copy()])
+            for t in leaves:
+                t.grad = None
+        results.append((arrays, rng.bit_generator.state))
+    (got_steps, got_rng), (want_steps, want_rng) = results
+    assert got_rng == want_rng
+    for got_arrays, want_arrays in zip(got_steps, want_steps):
+        for got, want in zip(got_arrays, want_arrays, strict=True):
+            assert_close_to(got, want)
+
+
+@pytest.mark.parametrize("c_in", [3, 4])
+def test_compacted_conv_block_train_gradients(c_in):
+    """Finite differences through the block over compacted zero-tailed
+    notes, the projection (C_in 3) and the identity shortcut (C_in 4),
+    under one frozen dropout mask and a loss that reads no tail row: every
+    parameter, and x on the rows before each tail."""
+    length = 16
+    x_data, real = tailed_input((3, length, c_in), c_in)
+    rows = compact_rows(real, length)
+    assert rows.min() < length
+    head = (np.arange(length) < real[:, None])[..., None]
+    x = parameter(x_data)
+    conv, norm, shortcut = make_block(13, c_in, 4)
+
+    def loss():
+        mask_rng = np.random.default_rng(42)
+        y = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=mask_rng, rows=rows, end=BLOCK_END)
+        return (y * y * Tensor(head * 1.0)).sum()
+
+    tensors = [x] + block_leaves(conv, norm, shortcut)
+    backward(loss(), tensors)
+    for t in tensors:
+        numeric = finite_diff_grad(loss, t)
+        if t is x:  # a tail row stands for others: only the real rows are x's
+            t.grad, numeric = t.grad * head, numeric * head
+        assert max_rel_err(t.grad, numeric) < TOL
+        t.grad = None
+
+
+def test_compacted_conv_block_train_multiplies_each_note_over_its_rows(monkeypatch):
+    """Each GEMM pass of a compacted block unrolls note n over rows[n]
+    rows, fewer than N * L in all, and the conv and the projection
+    multiply both passes so."""
+    x_data, real = tailed_input((4, 30, 3), 5)
+    rows = compact_rows(real, 30)
+    unrolled = []
+    unroll = layers._ConvGemm._unroll
+
+    def counting(self, part, buf, cut):
+        unrolled.append(len(part) * cut)
+        return unroll(self, part, buf, cut)
+
+    monkeypatch.setattr(layers._ConvGemm, "_unroll", counting)
+    conv, norm, shortcut = make_block(3, 3, 4)
+    out = conv_block_train(parameter(x_data), conv, norm, shortcut, p=0.5,
+                           rng=np.random.default_rng(0), rows=rows, end=BLOCK_END)
+    out.sum().backward()
+    # forward and kernel-gradient passes of the conv and the projection
+    assert unrolled == rows.tolist() * 4
+    assert sum(rows) < 4 * 30
+
+
+def test_conv_block_train_with_no_cut_note_runs_the_uncut_block(monkeypatch):
+    """`rows` that cut no note short of L leave the block's bits as without them."""
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    x_data, _ = tailed_input((3, 9, 4), 6)
+    results = []
+    for rows in (np.full(3, 9), None):
+        conv, norm, _ = make_block(4, 4, 4)
+        x = parameter(x_data.copy())
+        out = conv_block_train(x, conv, norm, None, p=0.5, rng=np.random.default_rng(1),
+                               rows=rows, end=None if rows is None else BLOCK_END)
+        (out * out).sum().backward()
+        results.append([out.data, x.grad, *(t.grad for t in block_leaves(conv, norm, None)),
+                        norm.running_mean, norm.running_var])
+    for got, want in zip(*results, strict=True):
+        assert np.array_equal(got, want)
+
+
 # -- the eval-mode conv block: conv1d with the residual join -----------------------------
 
 

@@ -326,6 +326,86 @@ def ragged_ids(note_len, vocab, seed):
     ids[2, 0] = OOV_ID
     return ids.reshape(3, 3, note_len)
 
+# notes with PAD tails long enough to cut at the blocks' reach of 3: a note
+# keeps its real rows and 13 more (`semantical_forward`)
+TAILED = ModelConfig(note_len=40, embed_dim=5, filters=6, temporal_hidden=3, cts_hidden=(3, 2))
+# |compacted - uncut| over the largest |uncut| entry, per array: at most
+# 9.7e-14 over 20 seeds of the test below
+STEP_TOL = 1e-12
+
+
+def notes_train_steps(forward, cfg, emb, ids, labels, seed, steps=2):
+    """The loss (with the L2 terms), every gradient and the running
+    statistics after each of `steps` notes-hcr training steps of
+    `forward(params, rng)`, from one initialisation."""
+    params = models.init_model(models.NOTES_HCR, cfg, seed=seed)
+    randomize_norms(params, seed=seed + 1)
+    named = models.named_parameters(params)
+    rng = np.random.default_rng(seed + 2)
+    out = []
+    for _ in range(steps):
+        loss = traineval.weighted_bce(forward(params, rng), labels, 2.0, 0.5)
+        for weight, lam in models.decayed_weights(params, cfg):
+            loss = loss + traineval.l2_penalty([weight], lam)
+        backward(loss, named.values())
+        arrays = {"loss": np.array(loss.item())}
+        arrays.update({k: t.grad for k, t in named.items()})
+        arrays.update({k: b.copy() for k, b in models.named_buffers(params).items()})
+        out.append(arrays)
+        for t in named.values():
+            t.grad = None
+    return out
+
+
+def test_compacted_notes_step_matches_oracle_composition(monkeypatch):
+    """Two notes-hcr training steps over notes with long PAD tails, with
+    every conv unrolling one note per column chunk, so that each block
+    computes each note's tail once: the losses, every gradient and the
+    running statistics agree with the generic-node composition over every
+    row within STEP_TOL."""
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    cuts = []
+    block = models.conv_block_train
+
+    def spy(*args, rows, end, **kwargs):
+        cuts.append(None if rows is None else rows.min())
+        return block(*args, rows=rows, end=end, **kwargs)
+
+    monkeypatch.setattr(models, "conv_block_train", spy)
+    emb = toy_embeddings(dim=TAILED.embed_dim, seed=60)
+    ids = ragged_ids(TAILED.note_len, 12, seed=61)
+    labels = np.array([1.0, 0.0, 1.0])
+    got, want = (
+        notes_train_steps(forward, TAILED, emb, ids, labels, seed=62) for forward in (
+            lambda m, rng: models.forward(m, TAILED, emb, ids=ids, training=True, rng=rng),
+            lambda m, rng: notes_forward_composed(m, TAILED, emb, ids, training=True, rng=rng),
+        )
+    )
+    assert cuts == [14] * (2 * models.CONV_BLOCKS)  # the note ending at position 0
+    for got_arrays, want_arrays in zip(got, want):
+        for name, array in want_arrays.items():
+            assert np.max(np.abs(got_arrays[name] - array)) <= STEP_TOL * np.max(np.abs(array)), name
+
+
+def test_notes_step_with_no_long_tail_keeps_its_bits_at_one_note_chunks(monkeypatch):
+    """At one note per column chunk, a batch whose tails are all too short
+    to cut trains with the bits of the default chunks."""
+    emb = toy_embeddings(seed=70)
+    ids = ragged_ids(TOY.note_len, 12, seed=71)
+    labels = np.array([1.0, 0.0, 1.0])
+
+    def steps():
+        return notes_train_steps(
+            lambda m, rng: models.forward(m, TOY, emb, ids=ids, training=True, rng=rng),
+            TOY, emb, ids, labels, seed=72,
+        )
+
+    want = steps()
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    for got_arrays, want_arrays in zip(steps(), want):
+        for name, array in want_arrays.items():
+            assert np.array_equal(got_arrays[name], array), name
+
 
 @pytest.mark.parametrize("cfg,one_note_per_chunk", [(TOY, False), (TOY, True), (WIDE, True)],
                          ids=["toy", "toy-one-note-per-chunk", "wide-one-note-per-chunk"])
