@@ -264,7 +264,8 @@ class _ConvGemm:
 
     def forward(self, bias: np.ndarray) -> np.ndarray:
         """The convolution [n, L, C_out], n the product of the leading axes."""
-        out = np.empty(self.out_shape)
+        # a compacted GEMM's rows past its cuts are zero pages never written
+        out = (np.empty if self.tail is None else np.zeros)(self.out_shape)
         buf = np.empty(self.cols_shape)
         for chunk, cut in self.spans:
             np.matmul(self._unroll(self.xs[chunk], buf, cut), self.w2, out=out[chunk, :cut])
@@ -272,7 +273,7 @@ class _ConvGemm:
         # BLAS worker spins, at twice its CPU cost (`conv1d`)
         for part in self.computed(out):
             part += bias
-        if self.trimmed:
+        if self.trimmed and self.tail is None:
             for chunk, cut in self.spans:
                 out[chunk, cut:] = 0.0
         return out
@@ -297,7 +298,11 @@ class _ConvGemm:
             params.bias._accum(_row_sum(self.flat(g), tail=self.tail), fresh=True)
         dx = None
         if need_dx:
-            dx = g if g.shape == self.xs.shape else np.empty_like(self.xs)
+            # a compacted GEMM writes dx only up to its cuts: past them it
+            # is g's rows, 0 in the arrays `conv_block_train` hands over
+            # (never written), or zero pages
+            dx = g if g.shape == self.xs.shape else (
+                np.empty if self.tail is None else np.zeros)(self.xs.shape)
         dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
         if dw is not None and self.tail is not None:
             # the weighted rows' extra terms, taken before dx overwrites g:
@@ -320,7 +325,7 @@ class _ConvGemm:
                 gcols = np.matmul(g_part, w2.T, out=buf[: len(g_part), :cut]).reshape(
                     -1, cut, len(self.taps), c_in
                 )
-                dx_part = dx[chunk]
+                dx_part = dx[chunk, :cut]
                 dx_part.fill(0.0)
                 for k, dst, src, m in self._taps(cut):
                     dx_part[:, src : src + m] += gcols[:, dst : dst + m, k]

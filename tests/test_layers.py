@@ -672,7 +672,8 @@ def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, mon
     separate nodes over the uncut notes, under an output gradient that is
     0 on every tail (as the masked pool's): outputs and the gradient of x
     (both laid out uncut), every parameter gradient and the running
-    statistics agree within COMPACT_TOL, and the two draw the same masks."""
+    statistics agree within COMPACT_TOL, and the two draw the same masks.
+    The compacted output and gradient of x are 0 past each note's rows."""
     monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     shape = (5, 40, c_in)
     data = np.random.default_rng(c_in)
@@ -695,7 +696,8 @@ def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, mon
             (out * grad_out).sum().backward()
             got = [out.data] + ([x.grad] if x_grad else [])
             if compact:
-                assert np.all(out.data[np.arange(shape[1]) >= rows[:, None]] == 0.0)
+                past = np.arange(shape[1]) >= rows[:, None]
+                assert all(np.all(a[past] == 0.0) for a in got)
                 got = [uncut(a, rows, BLOCK_END) for a in got]
             arrays.append(got + [t.grad for t in leaves]
                           + [norm.running_mean.copy(), norm.running_var.copy()])
