@@ -141,8 +141,8 @@ class _ConvGemm:
     column buffer the size of a chunk, reused by every chunk and dropped
     when the pass returns.
 
-    `rows` [n] cuts notes short in one of two ways, and a GEMM with a cut
-    note computes and zeroes its rows chunk by chunk (`computed`):
+    `rows` [n] cuts notes short in one of two ways (`computed` gives the
+    rows a GEMM then computes):
 
     - Eval (`end` None): only the first rows[n] output rows of each
       leading index are asked for, and the forward is then all that may
@@ -197,22 +197,23 @@ class _ConvGemm:
         self.xs = x.reshape(-1, length, c_in)
         self.w2 = kernels.reshape(k_size * c_in, c_out)
         step = column_chunk_notes(length, kernels.shape)
-        # the weighted row of each compacted note and its extra count
+        cuts = None
+        # compacted: each note's weighted row and the count it adds
         self.tail = None
         if end is not None and rows.min() < length:
-            step = 1
-            cuts = rows.tolist()
+            step, cuts = 1, rows.tolist()
             reps = rows - end - 1
             if reps.min() < k_size // 2 or end < k_size // 2:
-                raise ConfigurationError("conv1d: a compacted note's weighted row is too near its ends")
+                raise ConfigurationError(
+                    "conv1d: a weighted row lies within K//2 of its note's ends"
+                )
             self.tail = (reps.tolist(), (length - rows).astype(np.float64))
-        else:
-            cuts = [length] * len(range(0, len(self.xs), step))
-            if rows is not None and end is None and step == 1:
-                least = _min_gemm_rows(length, k_size * c_in, c_out)
-                cuts = [min(max(r, least), length) for r in rows.tolist()]
+        elif rows is not None and end is None and step == 1:
+            least = _min_gemm_rows(length, k_size * c_in, c_out)
+            cuts = [min(max(r, least), length) for r in rows.tolist()]
         # (chunk, its cut: the output rows its GEMMs produce)
         starts = range(0, len(self.xs), step)
+        cuts = cuts or [length] * len(starts)
         self.spans = [(slice(i, i + step), cut) for i, cut in zip(starts, cuts)]
         # whether any chunk is cut short of L
         self.trimmed = any(cut < length for cut in cuts)
@@ -231,7 +232,7 @@ class _ConvGemm:
         """`computed` as [rows, C] views, for `_row_sum`."""
         return [part.reshape(-1, a.shape[-1]) for part in self.computed(a)]
 
-    def scale(self, a: np.ndarray, factor: np.ndarray) -> None:
+    def multiply(self, a: np.ndarray, factor: np.ndarray) -> None:
         """Multiply the computed rows of a [n, L, C] by factor [n, 1, C]."""
         if not self.trimmed:
             a *= factor
@@ -620,10 +621,9 @@ def conv_block_train(
     c_out = gemm.out_shape[-1]
     count = gemm.out_shape[0] * gemm.out_shape[1]
     scale = _keep_scale(p, True, rng, _channel_mask(gemm.out_shape))
-    y = gemm.forward(conv.bias.data)
+    xhat = gemm.forward(conv.bias.data)
     if scale is not None:
-        gemm.scale(y, scale)
-    xhat = y
+        gemm.multiply(xhat, scale)
     out = (np.zeros if gemm.trimmed else np.empty)(gemm.out_shape)
     sigma = _normalize(gemm.flat(xhat), norm, count, gemm.flat(out), gemm.tail)
     s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
@@ -645,7 +645,7 @@ def conv_block_train(
         dys = gemm.flat(dy)
         _normalize_backward(gemm.flat(g), dys, sigma, norm, count, dys, gemm.tail)
         if scale is not None:
-            gemm.scale(dy, scale)
+            gemm.multiply(dy, scale)
         dx = gemm.backward(dy, conv, x.requires_grad, scale)
         # the shortcut's input gradient: g itself, or the projection's,
         # which may be written over g

@@ -678,8 +678,9 @@ def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, mon
     shape = (5, 40, c_in)
     data = np.random.default_rng(c_in)
     steps = [tailed_input(shape, seed) for seed in (1, 2)]
-    grad_outs = [data.standard_normal(shape[:-1] + (c_out,)) * (np.arange(shape[1]) < real[:, None])[..., None]
-                 for _, real in steps]
+    # 0 on every tail, as the masked pool's gradient
+    grad_outs = [data.standard_normal(shape[:-1] + (c_out,))
+                 * (np.arange(shape[1]) < real[:, None])[..., None] for _, real in steps]
     results = []
     for compact in (True, False):
         conv, norm, shortcut = make_block(7, c_in, c_out)
@@ -690,7 +691,9 @@ def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, mon
             x = Tensor(x_data.copy(), requires_grad=x_grad)
             if compact:
                 rows = compact_rows(real, shape[1])
-                out = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=rng, rows=rows, end=BLOCK_END)
+                out = conv_block_train(
+                    x, conv, norm, shortcut, p=0.5, rng=rng, rows=rows, end=BLOCK_END
+                )
             else:
                 out = conv_block_train_composed(x, conv, norm, shortcut, p=0.5, rng=rng)
             (out * grad_out).sum().backward()

@@ -384,7 +384,8 @@ def test_compacted_notes_step_matches_oracle_composition(monkeypatch):
     assert cuts == [14] * (2 * models.CONV_BLOCKS)  # the note ending at position 0
     for got_arrays, want_arrays in zip(got, want):
         for name, array in want_arrays.items():
-            assert np.max(np.abs(got_arrays[name] - array)) <= STEP_TOL * np.max(np.abs(array)), name
+            error = np.max(np.abs(got_arrays[name] - array))
+            assert error <= STEP_TOL * np.max(np.abs(array)), name
 
 
 def test_notes_step_with_no_long_tail_keeps_its_bits_at_one_note_chunks(monkeypatch):
