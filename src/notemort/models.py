@@ -329,8 +329,8 @@ def semantical_forward(
     ):
         end = 2 * reach
         real = mask | notes.data.any(axis=-1)
-        # the tail's first row + 2 * reach, the weighted row and the last
-        # 2 * reach rows, at most L
+        # each note's real rows, 2 * reach more, the weighted row and its
+        # last 2 * reach rows, at most L
         rows = length + 2 * end + 1 - np.argmax(real[..., ::-1], axis=-1).reshape(-1)
         np.minimum(rows, length, out=rows)
     x = notes
