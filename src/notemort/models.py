@@ -290,49 +290,49 @@ def semantical_forward(
 
     In train mode each block is one tape node, `conv_block_train`, whose
     values, gradients and running statistics carry the bits of that
-    chain when it computes every row. It computes each note's padded tail
-    once instead where that pays: when every block's conv unrolls one
-    note per column chunk (`column_chunk_notes`; paper shapes), `notes`
-    needs no gradient, and some note's tail is longer than the rows kept.
-    A note's tail is its rows past the last that is unmasked or nonzero.
-    Its input rows are 0 there (the PAD embedding) and no pooled row
-    reads them, so after each block the tail holds one repeated row but
-    for the block reach of rows at either end, and so does each block's
-    gradient but for twice the reach (reach: KERNEL_SIZE // 2 rows per
-    block). Each note keeps its real rows, 2 * reach rows after them, one
-    row standing for the rest of the tail with its multiplicity, and its
-    last 2 * reach rows (`conv_block_train`'s `rows` and `end`), and the
-    blocks carry the bits of the uncut chain up to rounding. Batchnorm's
-    statistics still count every pad row.
+    chain when it computes every row. Eval mode is a forward pass and
+    must run under `no_grad` (`forward` does so): SpatialDropout is the
+    identity and BatchNorm an affine map per channel, so each block is
+    one residual `conv1d` (the convolution with the shortcut add and the
+    ReLU fused onto its output) whose kernels and bias have the norm
+    folded in (`fold_batchnorm`); the outputs differ from the unfolded
+    chain only by rounding.
 
-    Eval mode is a forward pass and must run under `no_grad` (`forward`
-    does so): SpatialDropout is the identity and BatchNorm an affine map
-    per channel, so each block is one residual `conv1d` (the convolution
-    with the shortcut add and the ReLU fused onto its output) whose
-    kernels and bias have the norm folded in (`fold_batchnorm`); the
-    outputs differ from the unfolded chain only by rounding. Eval mode
-    skips each note's padded tail: the pooled rows, up to the note's last
-    unmasked position, read no input row further past it than the
-    blocks' reach, so each block computes its rows only up to there, and
-    the document vectors carry the bits of blocks that compute every row.
+    Both modes cut each note's padded tail where that pays: when every
+    block's conv unrolls one note per column chunk (`column_chunk_notes`;
+    paper shapes) and `notes` needs no gradient. Each block then computes
+    note n as a sequence of its own, its first rows[n] rows: its rows up
+    to its last real one and `extra` more (reach: KERNEL_SIZE // 2 rows
+    per block), at most L and floored per block (`_block_gemms`).
+
+    - Eval: a real row is an unmasked one and extra is the reach. The
+      pooled rows read no input row further past the last than the
+      reach, so the document vectors carry the bits of blocks that
+      compute every row.
+    - Train: a real row is unmasked or nonzero. Past the last, the input
+      rows are 0 (the PAD embedding) and no pooled row reads them, so
+      after each block the tail holds one repeated row but for the reach
+      at either end, and so does each block's gradient but for twice
+      the reach. A note keeps its real rows, `end` = 2 * reach rows after
+      them, one row standing for the rest of the tail with its
+      multiplicity, and its last `end` rows: extra is 2 * end + 1
+      (`conv_block_train`'s `rows` and `end`). The blocks carry the bits
+      of the uncut chain up to rounding, and batchnorm's statistics still
+      count every pad row.
     """
     length = notes.shape[-2]
     reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
     mask = np.asarray(mask)
     rows = end = None
-    if not training:
-        # the last unmasked position + 1 + reach, at most L
-        rows = length + reach - np.argmax(mask[..., ::-1], axis=-1).reshape(-1)
-        np.minimum(rows, length, out=rows)
-    elif not notes.requires_grad and all(
+    if not notes.requires_grad and all(
         column_chunk_notes(length, block.conv.kernels.shape) == 1 for block in blocks
     ):
-        end = 2 * reach
-        real = mask | notes.data.any(axis=-1)
-        # each note's real rows, 2 * reach more, the weighted row and its
-        # last 2 * reach rows, at most L
-        rows = length + 2 * end + 1 - np.argmax(real[..., ::-1], axis=-1).reshape(-1)
-        np.minimum(rows, length, out=rows)
+        real, extra = mask, reach
+        if training:
+            end = 2 * reach
+            real, extra = mask | notes.data.any(axis=-1), 2 * end + 1
+        # the last real row + 1 + extra, at most L
+        rows = np.minimum(length + extra - np.argmax(real[..., ::-1], axis=-1).reshape(-1), length)
     x = notes
     for block in blocks:
         if training:

@@ -87,11 +87,12 @@ _COLS_BYTES = 4 << 20
 # OpenBLAS 0.3.31 with its Haswell kernels multiplies a GEMM of at most
 # 100**3 multiply-adds with its small-matrix kernel, which sums in another
 # order than its blocked one once the inner dimension spans more than one
-# block, and numpy multiplies a one-row matrix by GEMV. A GEMM cut to
-# fewer rows stays on the uncut one's side of both lines (`_ConvGemm`),
-# so that each of its rows carries the uncut product's bits. The bound
-# was measured on that build only: other OpenBLAS CPU kernels and other
-# BLAS libraries may switch elsewhere and need it measured again.
+# block, and numpy multiplies a one-row matrix by GEMV. `_block_gemms`
+# floors a block's cut notes once, for its conv and its projection alike,
+# so that both GEMMs stay on the uncut ones' side of both lines and each
+# of their rows carries the uncut product's bits. The bound was measured
+# on that build only: other OpenBLAS CPU kernels and other BLAS libraries
+# may switch elsewhere and need it measured again.
 _SMALL_GEMM = 100**3
 
 
@@ -141,32 +142,22 @@ class _ConvGemm:
     column buffer the size of a chunk, reused by every chunk and dropped
     when the pass returns.
 
-    `rows` [n] cuts notes short in one of two ways (`computed` gives the
-    rows a GEMM then computes):
+    `rows` [n] cuts note n to a sequence of its own, its first rows[n]
+    rows with zero padding at both ends. Every note is then its own
+    column chunk, multiplied over its rows[n] rows (`computed`), and its
+    output rows past them are never written (zero pages). The backward
+    reads and writes only those rows, and writes zeros past them in the
+    input gradient. When no note is cut short of L, the GEMM runs as
+    without `rows`.
 
-    - Eval (`end` None): only the first rows[n] output rows of each
-      leading index are asked for, and the forward is then all that may
-      run. A chunk of one leading index (at paper shapes one note's
-      columns fill `_COLS_BYTES`) unrolls and multiplies only up to its
-      cut, rows[n] but never fewer than `_min_gemm_rows`, which reads the
-      input up to (K-1)/2 rows further, and its output rows past the cut
-      are 0. A chunk of several is not cut: its first rows would be
-      strided views, over which the elementwise passes cost more than the
-      skipped rows save (at desk shapes, a few dozen notes of 64 rows per
-      chunk). When no chunk is cut short of L, the forward runs as
-      without `rows`.
-    - Train (`end` given, `conv_block_train`): the first rows[n] rows of
-      note n hold a compacted note, a sequence of its own: its first
-      rows[n] - end rows, then its last `end` rows, with the rows between
-      cut out. Row rows[n] - end - 1 stands for itself and the
-      L - rows[n] cut rows (`tail`), which must all equal it, and it must
-      be at least K//2 rows from both ends of the sequence. Every note is
-      then its own chunk, multiplied over its rows[n] rows with zero
-      padding at both ends, and its output rows past them are 0. The
-      backward reads and writes only those rows, weights that row's
-      terms of the kernel and bias gradients by its multiplicity, and
-      writes zeros past them in the input gradient. When no note is cut
-      short of L, the GEMM runs as without `rows`.
+    `end` (train mode, `conv_block_train`) reads each cut note as a
+    compacted one: its first rows[n] - end rows, then its last `end`
+    rows, with the rows between cut out. Row rows[n] - end - 1 stands
+    for itself and the L - rows[n] cut rows (`tail`), which must all
+    equal it, and it must be at least K//2 rows from both ends of the
+    sequence. The forward does not read it; the backward weights that
+    row's terms of the kernel and bias gradients by its multiplicity, as
+    `conv_block_train` does in batchnorm.
 
     Every unroll writes every cell of the part of the buffer it uses, the
     taps' rows and the zero border rows of each shifted tap, so the
@@ -197,26 +188,23 @@ class _ConvGemm:
         self.xs = x.reshape(-1, length, c_in)
         self.w2 = kernels.reshape(k_size * c_in, c_out)
         step = column_chunk_notes(length, kernels.shape)
-        cuts = None
+        # whether any note is cut short of L: then each is its own chunk
+        self.trimmed = rows is not None and bool(np.any(rows < length))
         # compacted: each note's weighted row and the count it adds
         self.tail = None
-        if end is not None and rows.min() < length:
-            step, cuts = 1, rows.tolist()
-            reps = rows - end - 1
-            if reps.min() < k_size // 2 or end < k_size // 2:
-                raise ConfigurationError(
-                    "conv1d: a weighted row lies within K//2 of its note's ends"
-                )
-            self.tail = (reps.tolist(), (length - rows).astype(np.float64))
-        elif rows is not None and end is None and step == 1:
-            least = _min_gemm_rows(length, k_size * c_in, c_out)
-            cuts = [min(max(r, least), length) for r in rows.tolist()]
+        if self.trimmed:
+            step = 1
+            if end is not None:
+                reps = rows - end - 1
+                if reps.min() < k_size // 2 or end < k_size // 2:
+                    raise ConfigurationError(
+                        "conv1d: a weighted row lies within K//2 of its note's ends"
+                    )
+                self.tail = (reps.tolist(), (length - rows).astype(np.float64))
         # (chunk, its cut: the output rows its GEMMs produce)
         starts = range(0, len(self.xs), step)
-        cuts = cuts or [length] * len(starts)
+        cuts = rows.tolist() if self.trimmed else [length] * len(starts)
         self.spans = [(slice(i, i + step), cut) for i, cut in zip(starts, cuts)]
-        # whether any chunk is cut short of L
-        self.trimmed = any(cut < length for cut in cuts)
         self.out_shape = (len(self.xs), length, c_out)
         # one pass's column buffer: the largest chunk's columns
         self.cols_shape = (min(step, len(self.xs)), length, k_size * c_in)
@@ -232,23 +220,22 @@ class _ConvGemm:
         """`computed` as [rows, C] views, for `_row_sum`."""
         return [part.reshape(-1, a.shape[-1]) for part in self.computed(a)]
 
-    def multiply(self, a: np.ndarray, factor: np.ndarray) -> None:
-        """Multiply the computed rows of a [n, L, C] by factor [n, 1, C]."""
-        if not self.trimmed:
-            a *= factor
-            return
-        for (chunk, _), part in zip(self.spans, self.computed(a)):
-            part *= factor[chunk]
+    def join(self, out: np.ndarray, proj: _ConvGemm | None, shortcut: Conv1dParams | None) -> None:
+        """The residual join of a block whose conv this is, in place over
+        the computed rows of out [n, L, C_out]: relu(out + s), where s is
+        the input (`proj` None) or the projection `proj` with the bias of
+        `shortcut`."""
+        s = self.xs if proj is None else proj.forward(shortcut.bias.data)
+        for part, s_part in zip(self.computed(out), self.computed(s)):
+            part += s_part
+            np.maximum(part, 0.0, out=part)
 
     def _taps(self, cut: int):
-        """The taps (k, dst, src, m) cut to output rows [0, cut); a
-        compacted note's taps also read no input row past the cut."""
+        """The taps (k, dst, src, m) of a sequence of `cut` rows: output
+        rows [0, cut) from input rows [0, cut)."""
         if cut == self.out_shape[1]:
             return self.taps
-        return [
-            (k, dst, src, max(min(m, cut - (dst if self.tail is None else max(dst, src))), 0))
-            for k, dst, src, m in self.taps
-        ]
+        return [(k, dst, src, max(min(m, cut - max(dst, src)), 0)) for k, dst, src, m in self.taps]
 
     def _unroll(self, part: np.ndarray, buf: np.ndarray, cut: int) -> np.ndarray:
         """The columns of the first `cut` output rows of `part` [n, L, C_in],
@@ -263,10 +250,12 @@ class _ConvGemm:
             taps[:, dst + m :, k] = 0.0
         return cols
 
-    def forward(self, bias: np.ndarray) -> np.ndarray:
-        """The convolution [n, L, C_out], n the product of the leading axes."""
-        # a compacted GEMM's rows past its cuts are zero pages never written
-        out = (np.empty if self.tail is None else np.zeros)(self.out_shape)
+    def forward(self, bias: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        """The convolution [n, L, C_out], n the product of the leading
+        axes, multiplied by keep [n, 1, C_out] when given (spatial
+        dropout's factor)."""
+        # the rows past the cuts are zero pages never written
+        out = (np.zeros if self.trimmed else np.empty)(self.out_shape)
         buf = np.empty(self.cols_shape)
         for chunk, cut in self.spans:
             np.matmul(self._unroll(self.xs[chunk], buf, cut), self.w2, out=out[chunk, :cut])
@@ -274,9 +263,10 @@ class _ConvGemm:
         # BLAS worker spins, at twice its CPU cost (`conv1d`)
         for part in self.computed(out):
             part += bias
-        if self.trimmed and self.tail is None:
-            for chunk, cut in self.spans:
-                out[chunk, cut:] = 0.0
+        if keep is not None:
+            # keep has one row: its computed views are each chunk's factors
+            for part, factor in zip(self.computed(out), self.computed(keep)):
+                part *= factor
         return out
 
     def backward(
@@ -284,26 +274,29 @@ class _ConvGemm:
     ) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
         g [n, L, C_out] into `params`; returns the input gradient
-        [n, L, C_in] when `need_dx`, else None. An eval GEMM cut short
-        of L has no backward; a compacted one reads g only over its
-        computed rows, and with `keep` [n, 1, C_out], where g is 0 in
-        every channel that keep is 0 in (spatial dropout's), both of its
-        GEMMs multiply only each note's other channels.
+        [n, L, C_in] when `need_dx`, else None. With `keep` (the
+        forward's), g is first multiplied by it. A cut GEMM reads g only
+        over its computed rows, and with `keep`, both of its GEMMs
+        multiply only each note's channels that keep is not 0 in.
 
-        The caller hands over g: when it has the input's shape (C_in ==
-        C_out), the input gradient is written over it, each chunk once
-        both GEMMs have read that chunk, and g itself is returned.
+        The caller hands over g: it is multiplied in place, and when it
+        has the input's shape (C_in == C_out), the input gradient is
+        written over it, each chunk once both GEMMs have read that chunk,
+        and g itself is returned.
         """
         c_in = self.xs.shape[-1]
+        if keep is not None:
+            for part, factor in zip(self.computed(g), self.computed(keep)):
+                part *= factor
         if params.bias.requires_grad:
             params.bias._accum(_row_sum(self.flat(g), tail=self.tail), fresh=True)
         dx = None
         if need_dx:
-            # a compacted GEMM writes dx only up to its cuts: past them it
-            # is g's rows, 0 in the arrays `conv_block_train` hands over
+            # a cut GEMM writes dx only up to its cuts: past them it is
+            # g's rows, 0 in the arrays `conv_block_train` hands over
             # (never written), or zero pages
             dx = g if g.shape == self.xs.shape else (
-                np.empty if self.tail is None else np.zeros)(self.xs.shape)
+                np.zeros if self.trimmed else np.empty)(self.xs.shape)
         dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
         if dw is not None and self.tail is not None:
             # the weighted rows' extra terms, taken before dx overwrites g:
@@ -316,7 +309,7 @@ class _ConvGemm:
         buf = np.empty(self.cols_shape)
         for chunk, cut in self.spans:
             g_part, w2, kept = g[chunk, :cut], self.w2, slice(None)
-            if self.tail is not None and keep is not None:
+            if self.trimmed and keep is not None:
                 kept = np.flatnonzero(keep[chunk.start, 0])
                 g_part, w2 = g_part[..., kept], w2[:, kept]
             if dw is not None:
@@ -367,11 +360,10 @@ def conv1d(
     outside `no_grad`). The train-mode block is `conv_block_train`.
 
     `rows` [n] (residual only), one per leading index (n the product of
-    the leading axes), asks for the first rows[n] output rows of each.
-    The convolutions may multiply a note only up to their cuts
-    (`_ConvGemm`), rows[n] or more: its first rows[n] rows carry the
-    bits of the block that computes every row, and its rows past the
-    conv's cut are 0.
+    the leading axes), cuts each note to a sequence of its own, its
+    first rows[n] rows, or more (`_block_gemms`): its output rows past
+    the cut are 0, and those below rows[n] carry the bits of the block
+    over x with the note's rows past the cut set to 0.
     """
     parents = (x, params.kernels, params.bias)
     if residual:
@@ -383,10 +375,7 @@ def conv1d(
             )
         gemm, proj = _block_gemms(x, params, shortcut, rows)
         out = gemm.forward(params.bias.data)
-        s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
-        for part, s_part in zip(gemm.computed(out), gemm.computed(s)):
-            part += s_part
-            np.maximum(part, 0.0, out=part)
+        gemm.join(out, proj, shortcut)
         return Tensor(out.reshape(x.shape[:-1] + out.shape[-1:]))
     if rows is not None or shortcut is not None:
         raise ConfigurationError("conv1d: rows and shortcut need residual=True")
@@ -567,9 +556,21 @@ def _block_gemms(
     rows: np.ndarray | None = None, end: int | None = None,
 ) -> tuple[_ConvGemm, _ConvGemm | None]:
     """The conv and shortcut-projection (None: identity) GEMMs of a block
-    over x, both asked for the same `rows` (and `end`). In eval their
-    chunks and cuts need not match, but each computes at least the rows
-    asked for; compacted, both compute exactly those rows."""
+    over x, both cutting each note to `rows` (with `end`; `_ConvGemm`).
+    `rows` [n] holds one count in [1, L] per leading index. It is floored
+    once for both GEMMs to the fewest rows at which each of their rows
+    keeps its bits (`_min_gemm_rows`), so that both compute the same rows."""
+    if rows is not None:
+        length = x.shape[-2]
+        rows = np.asarray(rows)
+        if (rows.shape != (int(np.prod(x.shape[:-2])),) or rows.dtype.kind not in "iu"
+                or np.any((rows < 1) | (rows > length))):
+            raise ConfigurationError(
+                f"conv1d: rows must hold one count in [1, {length}] per leading index"
+            )
+        shapes = [conv.kernels.shape] + ([] if shortcut is None else [shortcut.kernels.shape])
+        rows = np.maximum(rows, max(_min_gemm_rows(length, k * c_in, c_out)
+                                    for k, c_in, c_out in shapes))
     gemm = _ConvGemm(x.data, conv.kernels.data, rows, end)
     c_out = gemm.out_shape[-1]
     if shortcut is None and x.shape[-1] != c_out:
@@ -605,31 +606,29 @@ def conv_block_train(
     gradient is added into the conv's input gradient.
 
     `rows` [n] and `end`, one row count per leading index (n the product
-    of the leading axes), compute compacted notes (`_ConvGemm`, train):
-    row rows[n] - end - 1 of note n stands for itself and the L - rows[n]
-    rows cut out after it, so x must hold the same value on all of them,
-    and so must the gradient this node's output receives. A stack of
-    blocks over zero-padded notes keeps that true (`semantical_forward`
-    sizes the cut). Each note then computes only its first rows[n] rows,
-    and batchnorm's statistics and backward and the kernel, bias, gamma
-    and beta gradients weight that row by its multiplicity: up to
-    rounding, the block over the uncut notes, whose statistics read every
-    row. The output and the input gradient are 0 past rows[n]. When no
-    note is cut short of L, the block runs as without `rows`.
+    of the leading axes), cut each note to a compacted one (`_ConvGemm`,
+    `_block_gemms`): row rows[n] - end - 1 of note n stands for itself
+    and the L - rows[n] rows cut out after it, so x must hold the same
+    value on all of them, and so must the gradient this node's output
+    receives. A stack of blocks over zero-padded notes keeps that true
+    (`semantical_forward` sizes the cut). Each note then computes only
+    its first rows[n] rows, and batchnorm's statistics and backward and
+    the kernel, bias, gamma and beta gradients weight that row by its
+    multiplicity: up to rounding, the block over the uncut notes, whose
+    statistics read every row. The output and the input gradient are 0
+    past the cut. When no note is cut short of L, the block runs as
+    without `rows`.
     """
+    if rows is not None and end is None:
+        raise ConfigurationError("conv_block_train: rows needs end")
     gemm, proj = _block_gemms(x, conv, shortcut, rows, end)
     c_out = gemm.out_shape[-1]
     count = gemm.out_shape[0] * gemm.out_shape[1]
     scale = _keep_scale(p, True, rng, _channel_mask(gemm.out_shape))
-    xhat = gemm.forward(conv.bias.data)
-    if scale is not None:
-        gemm.multiply(xhat, scale)
+    xhat = gemm.forward(conv.bias.data, scale)
     out = (np.zeros if gemm.trimmed else np.empty)(gemm.out_shape)
     sigma = _normalize(gemm.flat(xhat), norm, count, gemm.flat(out), gemm.tail)
-    s = gemm.xs if proj is None else proj.forward(shortcut.bias.data)
-    for part, s_part in zip(gemm.computed(out), gemm.computed(s)):
-        part += s_part
-        np.maximum(part, 0.0, out=part)
+    gemm.join(out, proj, shortcut)
     parents = (x, conv.kernels, conv.bias, norm.gamma, norm.beta)
     if shortcut is not None:
         parents += (shortcut.kernels, shortcut.bias)
@@ -644,8 +643,6 @@ def conv_block_train(
             np.multiply(g_part, part > 0.0, out=g_part)
         dys = gemm.flat(dy)
         _normalize_backward(gemm.flat(g), dys, sigma, norm, count, dys, gemm.tail)
-        if scale is not None:
-            gemm.multiply(dy, scale)
         dx = gemm.backward(dy, conv, x.requires_grad, scale)
         # the shortcut's input gradient: g itself, or the projection's,
         # which may be written over g

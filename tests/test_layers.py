@@ -847,10 +847,10 @@ def test_residual_conv1d_refuses_to_record(case):
 
 # (input shape, C_out, rows, leading indices per column chunk; None: the
 # default): the identity shortcut and the projection, notes of one row
-# and of every row, chunks of one, two and all notes (only chunks of one
-# note are cut). At C = 200 a GEMM of fewer than 9 rows would take the
-# BLAS's small-matrix kernel, which sums in another order than the uncut
-# GEMM of 40 rows.
+# and of every row, chunks of one, two and all notes (a cut note is its
+# own chunk whatever the chunk size). At C = 200 a GEMM of fewer than 9
+# rows would take the BLAS's small-matrix kernel, which sums in another
+# order than the uncut GEMM of 40 rows.
 EVAL_ROWS_CASES = [
     ((5, 9, 4), 4, [1, 4, 9, 2, 6], None),
     ((5, 9, 3), 4, [1, 4, 9, 2, 6], 1),
@@ -871,27 +871,32 @@ def eval_rows_case(shape, c_out, per_chunk, monkeypatch):
 
 @pytest.mark.parametrize("shape,c_out,rows,per_chunk", EVAL_ROWS_CASES)
 def test_residual_conv1d_rows_match_untrimmed_block(shape, c_out, rows, per_chunk, monkeypatch):
-    """Below each note's `rows`, the block carries the bits of the block
-    that computes every row; past its column chunk's cut it is exactly 0."""
+    """Each note is a sequence of its own, cut to its `rows` or to the
+    floor: below rows[n] the block carries the bits of the block that
+    computes every row over x with the note's rows past its cut set to 0,
+    and past the cut it is exactly 0."""
     x, conv, shortcut = eval_rows_case(shape, c_out, per_chunk, monkeypatch)
     rows = np.array(rows)
+    gemm, _ = layers._block_gemms(Tensor(x), conv, shortcut, rows)
+    cuts = np.array([cut for _, cut in gemm.spans])
+    assert len(cuts) == len(x)
+    cut_x = np.where((np.arange(shape[1]) < cuts[:, None])[..., None], x, 0.0)
     with no_grad():
         got = residual_conv1d(Tensor(x), conv, shortcut, rows).data
-        want = conv_block_eval_composed(Tensor(x), conv, shortcut).data
-    for chunk, cut in layers._ConvGemm(x, conv.kernels.data, rows).spans:
-        for n in range(*chunk.indices(len(x))):
-            assert rows[n] <= cut
-            assert np.array_equal(got[n, : rows[n]], want[n, : rows[n]]), n
-            assert np.any(got[n, : rows[n]] != 0.0), n
-            assert np.all(got[n, cut:] == 0.0), n
+        want = conv_block_eval_composed(Tensor(cut_x), conv, shortcut).data
+    for n, cut in enumerate(cuts):
+        assert rows[n] <= cut
+        assert np.array_equal(got[n, : rows[n]], want[n, : rows[n]]), n
+        assert np.any(got[n, : rows[n]] != 0.0), n
+        assert np.all(got[n, cut:] == 0.0), n
 
 
 @pytest.mark.parametrize("shape,c_out", [((2, 9, 4), 4), ((2, 40, 200), 200)])
 def test_residual_conv1d_note_bits_do_not_depend_on_chunk_neighbours(shape, c_out, monkeypatch):
-    """A note of 4 rows alone, in a chunk cut to 4 rows (9 at C = 200,
-    the row bound), and beside a neighbour of one row or of every row, in
-    one chunk of two that is not cut: its first 4 rows carry the same
-    bits."""
+    """A note cut to 4 rows (9 at C = 200, the row floor) carries the
+    same bits in its first 4 rows alone and beside a neighbour of one row
+    or of every row, at column chunks that would hold both notes: a cut
+    note is its own chunk."""
     x, conv, shortcut = eval_rows_case(shape, c_out, None, monkeypatch)
     assert layers._COLS_BYTES >= x.nbytes * 3  # both notes in one chunk
     with no_grad():
@@ -905,6 +910,59 @@ def test_residual_conv1d_identity_shortcut_needs_matching_channels():
     conv, _, _ = make_block(15, 3, 4)
     with no_grad(), pytest.raises(ConfigurationError, match="identity shortcut"):
         residual_conv1d(Tensor(np.ones((2, 5, 3))), conv, None)
+
+
+# `rows` for 2 of 3 notes, for 4, a count of 0, one past L, and not whole
+MALFORMED_ROWS = {
+    "short": np.array([4, 9]),
+    "long": np.array([4, 9, 9, 9]),
+    "zero": np.array([0, 9, 9]),
+    "past-length": np.array([4, 10, 9]),
+    "fractional": np.array([4.0, 9.0, 9.0]),
+}
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("case", list(MALFORMED_ROWS))
+def test_conv_blocks_refuse_malformed_rows(case, train, monkeypatch):
+    """Both blocks refuse `rows` that does not hold one count in [1, L]
+    per note, at one note per column chunk, where notes are cut."""
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    x = Tensor(np.random.default_rng(9).standard_normal((3, 9, 4)))
+    conv, norm, _ = make_block(5, 4, 4)
+    with pytest.raises(ConfigurationError, match="rows must hold"):
+        if train:
+            conv_block_train(x, conv, norm, None, p=0.5, rng=np.random.default_rng(0),
+                             rows=MALFORMED_ROWS[case], end=BLOCK_END)
+        else:
+            with no_grad():
+                residual_conv1d(x, conv, None, MALFORMED_ROWS[case])
+
+
+def test_conv_block_train_rows_need_end():
+    """A train-mode cut needs the weighted row that stands for the rest."""
+    conv, norm, _ = make_block(5, 4, 4)
+    with pytest.raises(ConfigurationError, match="end"):
+        conv_block_train(Tensor(np.ones((3, 9, 4))), conv, norm, None, p=0.5,
+                         rng=np.random.default_rng(0), rows=np.array([4, 9, 9]))
+
+
+@pytest.mark.parametrize("end", [None, BLOCK_END], ids=["eval", "train"])
+def test_block_gemms_floor_the_conv_and_projection_alike(end):
+    """The conv and the 1x1 projection of a block compute the same rows:
+    `rows` floored once, to the larger of their two floors (51 rows for
+    the projection's [100 x 200] product, 17 for the conv's)."""
+    length, c_in, c_out = 60, 100, 200
+    conv, _, shortcut = make_block(11, c_in, c_out)
+    floors = [layers._min_gemm_rows(length, k * c, d)
+              for k, c, d in (conv.kernels.shape, shortcut.kernels.shape)]
+    assert floors == [17, 51]
+    rows = np.array([5, 30, 55, 60])
+    gemm, proj = layers._block_gemms(
+        Tensor(np.zeros((4, length, c_in))), conv, shortcut, rows, end
+    )
+    assert gemm.spans == proj.spans
+    assert [cut for _, cut in gemm.spans] == [51, 51, 55, 60]
 
 
 def test_conv1d_rows_and_shortcut_need_residual():

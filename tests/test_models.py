@@ -408,6 +408,48 @@ def test_notes_step_with_no_long_tail_keeps_its_bits_at_one_note_chunks(monkeypa
             assert np.array_equal(got_arrays[name], array), name
 
 
+@pytest.mark.parametrize("one_note_per_chunk", [False, True], ids=["default-chunks", "one-note"])
+def test_both_modes_cut_notes_by_one_rule(one_note_per_chunk, monkeypatch):
+    """Every block of both modes is handed one `rows`: None at the default
+    (desk-like) chunks, which hold many notes, and at one note per column
+    chunk each note's last real row + 1 + the blocks' reach in eval, and
+    + 1 + 4 * reach + 1 in train (`end` = 2 * reach), at most L."""
+    if one_note_per_chunk:
+        monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    handed = {False: [], True: []}
+    conv1d, block = models.conv1d, models.conv_block_train
+
+    def eval_spy(*args, rows, **kwargs):
+        handed[False].append(rows)
+        return conv1d(*args, rows=rows, **kwargs)
+
+    def train_spy(*args, rows, **kwargs):
+        handed[True].append(rows)
+        return block(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(models, "conv1d", eval_spy)
+    monkeypatch.setattr(models, "conv_block_train", train_spy)
+    emb = toy_embeddings(dim=TAILED.embed_dim, seed=80)
+    ids = ragged_ids(TAILED.note_len, 12, seed=81)
+    params = models.init_model(models.NOTES_HCR, TAILED, seed=82)
+    for training in (False, True):
+        models.forward(params, TAILED, emb, ids=ids, training=training,
+                       rng=np.random.default_rng(83))
+    length = TAILED.note_len
+    last = length - 1 - np.argmax(ids.reshape(-1, length)[:, ::-1] != PAD_ID, axis=-1)
+    reach = models.CONV_BLOCKS * (models.KERNEL_SIZE // 2)
+    for training, extra in ((False, reach), (True, 4 * reach + 1)):
+        got = handed[training]
+        assert len(got) == models.CONV_BLOCKS
+        if not one_note_per_chunk:
+            assert got == [None] * models.CONV_BLOCKS
+            continue
+        want = np.minimum(last + 1 + extra, length)
+        assert want.min() < length and want.max() == length
+        for rows in got:
+            assert np.array_equal(rows, want), training
+
+
 @pytest.mark.parametrize("cfg,one_note_per_chunk", [(TOY, False), (TOY, True), (WIDE, True)],
                          ids=["toy", "toy-one-note-per-chunk", "wide-one-note-per-chunk"])
 def test_eval_scores_bit_equal_to_untrimmed_folded_chain(cfg, one_note_per_chunk, monkeypatch):
