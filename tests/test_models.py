@@ -417,15 +417,15 @@ def test_both_modes_cut_notes_by_one_rule(one_note_per_chunk, monkeypatch):
     if one_note_per_chunk:
         monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     handed = {False: [], True: []}
-    conv1d, block = models.conv1d, models.conv_block_train
+    eval_block, train_block = models.conv1d, models.conv_block_train
 
     def eval_spy(*args, rows, **kwargs):
         handed[False].append(rows)
-        return conv1d(*args, rows=rows, **kwargs)
+        return eval_block(*args, rows=rows, **kwargs)
 
     def train_spy(*args, rows, **kwargs):
         handed[True].append(rows)
-        return block(*args, rows=rows, **kwargs)
+        return train_block(*args, rows=rows, **kwargs)
 
     monkeypatch.setattr(models, "conv1d", eval_spy)
     monkeypatch.setattr(models, "conv_block_train", train_spy)
