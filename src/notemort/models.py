@@ -303,7 +303,7 @@ def semantical_forward(
     paper shapes) and `notes` needs no gradient. Each block then computes
     note n as a sequence of its own, its first rows[n] rows: its rows up
     to its last real one and `extra` more (reach: KERNEL_SIZE // 2 rows
-    per block), at most L and floored per block (`_block_gemms`).
+    per block), at most L, and in eval floored (`_block_gemms`).
 
     - Eval: a real row is an unmasked one and extra is the reach. The
       pooled rows read no input row further past the last than the

@@ -87,12 +87,12 @@ _COLS_BYTES = 4 << 20
 # OpenBLAS 0.3.31 with its Haswell kernels multiplies a GEMM of at most
 # 100**3 multiply-adds with its small-matrix kernel, which sums in another
 # order than its blocked one once the inner dimension spans more than one
-# block, and numpy multiplies a one-row matrix by GEMV. `_block_gemms`
-# floors a block's cut notes once, for its conv and its projection alike,
-# so that both GEMMs stay on the uncut ones' side of both lines and each
-# of their rows carries the uncut product's bits. The bound was measured
-# on that build only: other OpenBLAS CPU kernels and other BLAS libraries
-# may switch elsewhere and need it measured again.
+# block, and numpy multiplies a one-row matrix by GEMV. An eval block's
+# cut notes are floored once, for its conv and its projection alike
+# (`_block_gemms`), so that both GEMMs stay on the uncut ones' side of
+# both lines and each row carries the uncut product's bits. The bound
+# was measured on that build only: other OpenBLAS CPU kernels and other
+# BLAS libraries may switch elsewhere and need it measured again.
 _SMALL_GEMM = 100**3
 
 
@@ -557,9 +557,10 @@ def _block_gemms(
 ) -> tuple[_ConvGemm, _ConvGemm | None]:
     """The conv and shortcut-projection (None: identity) GEMMs of a block
     over x, both cutting each note to `rows` (with `end`; `_ConvGemm`).
-    `rows` [n] holds one count in [1, L] per leading index. It is floored
-    once for both GEMMs to the fewest rows at which each of their rows
-    keeps its bits (`_min_gemm_rows`), so that both compute the same rows."""
+    `rows` [n] holds one count in [1, L] per leading index. In eval it is
+    floored once for both GEMMs to the fewest rows at which each of their
+    rows keeps its bits (`_min_gemm_rows`). Compacted, it is not: each
+    block of a stack must read the layout the one before it wrote."""
     if rows is not None:
         length = x.shape[-2]
         rows = np.asarray(rows)
@@ -568,6 +569,7 @@ def _block_gemms(
             raise ConfigurationError(
                 f"conv1d: rows must hold one count in [1, {length}] per leading index"
             )
+    if rows is not None and end is None:
         shapes = [conv.kernels.shape] + ([] if shortcut is None else [shortcut.kernels.shape])
         rows = np.maximum(rows, max(_min_gemm_rows(length, k * c_in, c_out)
                                     for k, c_in, c_out in shapes))

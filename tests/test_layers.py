@@ -947,11 +947,13 @@ def test_conv_block_train_rows_need_end():
                          rng=np.random.default_rng(0), rows=np.array([4, 9, 9]))
 
 
-@pytest.mark.parametrize("end", [None, BLOCK_END], ids=["eval", "train"])
-def test_block_gemms_floor_the_conv_and_projection_alike(end):
+@pytest.mark.parametrize("end,cuts", [(None, [51, 51, 55, 60]), (BLOCK_END, [5, 30, 55, 60])],
+                         ids=["eval", "train"])
+def test_block_gemms_floor_the_conv_and_projection_alike(end, cuts):
     """The conv and the 1x1 projection of a block compute the same rows:
-    `rows` floored once, to the larger of their two floors (51 rows for
-    the projection's [100 x 200] product, 17 for the conv's)."""
+    in eval `rows` floored once, to the larger of their two floors (51
+    rows for the projection's [100 x 200] product, 17 for the conv's),
+    and compacted `rows` itself, as every block of a stack must."""
     length, c_in, c_out = 60, 100, 200
     conv, _, shortcut = make_block(11, c_in, c_out)
     floors = [layers._min_gemm_rows(length, k * c, d)
@@ -962,7 +964,7 @@ def test_block_gemms_floor_the_conv_and_projection_alike(end):
         Tensor(np.zeros((4, length, c_in))), conv, shortcut, rows, end
     )
     assert gemm.spans == proj.spans
-    assert [cut for _, cut in gemm.spans] == [51, 51, 55, 60]
+    assert [cut for _, cut in gemm.spans] == cuts
 
 
 def test_conv1d_rows_and_shortcut_need_residual():

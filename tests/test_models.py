@@ -363,6 +363,23 @@ def test_compacted_notes_step_matches_oracle_composition(monkeypatch):
     computes each note's tail once: the losses, every gradient and the
     running statistics agree with the generic-node composition over every
     row within STEP_TOL."""
+    assert_compacted_step_matches_composition(monkeypatch)
+
+
+def test_compacted_notes_step_takes_no_row_floor(monkeypatch):
+    """As above with the row floor raised, so that block 1's 1x1
+    projection would floor the 14-row note to 21 rows and the convs
+    would not: every block must read the same compacted layout, so train
+    mode takes no floor."""
+    monkeypatch.setattr(layers, "_SMALL_GEMM", 600)
+    length, k = TAILED.note_len, models.KERNEL_SIZE
+    assert layers._min_gemm_rows(length, TAILED.embed_dim, TAILED.filters) == 21
+    assert layers._min_gemm_rows(length, k * TAILED.embed_dim, TAILED.filters) < 14
+    assert layers._min_gemm_rows(length, k * TAILED.filters, TAILED.filters) < 14
+    assert_compacted_step_matches_composition(monkeypatch)
+
+
+def assert_compacted_step_matches_composition(monkeypatch):
     monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     cuts = []
     block = models.conv_block_train
