@@ -23,6 +23,7 @@ dependency artifact, 4 runtime/data error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -174,12 +175,33 @@ def _clock() -> tuple[float, float]:
     return time.perf_counter(), time.process_time()
 
 
+def _blas_corename() -> str | None:
+    """The name of the CPU kernel the loaded OpenBLAS runs, which a
+    DYNAMIC_ARCH build picks at load time and which the build's own name
+    does not tell; None where numpy's BLAS exports no such function."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return (get() or b"").decode() or None
+    return None
+
+
 def _environment() -> dict:
-    """The numpy version, its BLAS and the thread-count variables."""
+    """The numpy version, its BLAS (with the kernel it runs, where OpenBLAS
+    names it) and the thread-count variables."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    record = {"name": blas["name"], "version": blas["version"]}
+    corename = _blas_corename()
+    if corename is not None:
+        record["corename"] = corename
     return {
         "numpy": np.__version__,
-        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas": record,
         "num_threads": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
     }
 

@@ -43,7 +43,7 @@ from .ndcore import (
     parameter,
     spatial_dropout,  # not called here: perfbench/spans.py traces models.spatial_dropout
 )
-from .ndcore.layers import column_chunk_notes, dropout
+from .ndcore.layers import NoteRows, column_chunk_notes, dropout
 from .notesproc import OOV_ID, PAD_ID
 from .cohort import N_TS_VARIABLES
 
@@ -272,21 +272,21 @@ def lookup_note_embeddings(ids: np.ndarray, embeddings: EmbeddingMatrix) -> Tens
 
 
 def semantical_forward(
-    notes: Tensor,
+    ids: np.ndarray,
+    embeddings: EmbeddingMatrix,
     blocks: list[ConvBlockParams],
     *,
     training: bool,
     rng: np.random.Generator | None = None,
-    mask: np.ndarray,
 ) -> Tensor:
-    """Embedded notes [N, L, d] (or [L, d]) -> document vectors [N, filters].
+    """Token ids [N, L] -> document vectors [N, filters].
 
-    Each block runs Conv1D, SpatialDropout, BatchNorm, then adds the
-    block input (identity shortcut, or a 1x1 projection when channel
-    counts differ) and applies ReLU after the addition. A global average
-    pool over the lexical axis, over the `mask` positions ([N, L] bool,
-    True at the real tokens), produces the document vector. The masked
-    pool is one node.
+    The notes are embedded (`lookup_note_embeddings`), and each block
+    runs Conv1D, SpatialDropout, BatchNorm, then adds the block input
+    (identity shortcut, or a 1x1 projection when channel counts differ)
+    and applies ReLU after the addition. A global average pool over the
+    lexical axis, over the positions whose id is not PAD_ID (the real
+    tokens), produces the document vector. The masked pool is one node.
 
     In train mode each block is one tape node, `conv_block_train`, whose
     values, gradients and running statistics carry the bits of that
@@ -300,52 +300,56 @@ def semantical_forward(
 
     Both modes cut each note's padded tail where that pays: when every
     block's conv unrolls one note per column chunk (`column_chunk_notes`;
-    paper shapes) and `notes` needs no gradient. Each block then computes
-    note n as a sequence of its own, its first rows[n] rows: its rows up
-    to its last real one and `extra` more (reach: KERNEL_SIZE // 2 rows
-    per block), at most L, and in eval floored (`_block_gemms`).
+    paper shapes). Each block then computes note n as a sequence of its
+    own, its rows up to its last real one and `extra` more (reach:
+    KERNEL_SIZE // 2 rows per block), at most L, and in eval floored for
+    every GEMM of the stack (`NoteRows`). The embedding lookup gathers
+    only those rows, and the blocks and the pool pass them on packed,
+    [R, C] with R the sum of the notes' rows: no array holds a row that
+    no block computes. Otherwise nothing is cut and the arrays are
+    [N, L, C].
 
-    - Eval: a real row is an unmasked one and extra is the reach. The
-      pooled rows read no input row further past the last than the
-      reach, so the document vectors carry the bits of blocks that
-      compute every row.
-    - Train: a real row is unmasked or nonzero. Past the last, the input
-      rows are 0 (the PAD embedding) and no pooled row reads them, so
-      after each block the tail holds one repeated row but for the reach
-      at either end, and so does each block's gradient but for twice
-      the reach. A note keeps its real rows, `end` = 2 * reach rows after
-      them, one row standing for the rest of the tail with its
-      multiplicity, and its last `end` rows: extra is 2 * end + 1
-      (`conv_block_train`'s `rows` and `end`). The blocks carry the bits
-      of the uncut chain up to rounding, and batchnorm's statistics still
-      count every pad row.
+    - Eval: extra is the reach. The pooled rows read no input row
+      further past the last than the reach, so the document vectors
+      carry the bits of blocks that compute every row.
+    - Train: past the last real row the input rows are 0 (the PAD
+      embedding) and no pooled row reads them, so after each block the
+      tail holds one repeated row but for the reach at either end, and
+      so does each block's gradient but for twice the reach. A note
+      keeps its real rows, `end` = 2 * reach rows after them, one row
+      standing for the rest of the tail with its multiplicity, and its
+      last `end` rows: extra is 2 * end + 1 (`conv_block_train`). The
+      blocks carry the bits of the uncut chain up to rounding, and
+      batchnorm's statistics still count every pad row.
     """
-    length = notes.shape[-2]
-    reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
-    mask = np.asarray(mask)
-    rows = end = None
-    if not notes.requires_grad and all(
-        column_chunk_notes(length, block.conv.kernels.shape) == 1 for block in blocks
-    ):
-        real, extra = mask, reach
+    ids = np.asarray(ids)
+    n_notes, length = ids.shape
+    mask = ids != PAD_ID
+    counts, end, kernels = np.full(n_notes, length), None, ()
+    if all(column_chunk_notes(length, block.conv.kernels.shape) == 1 for block in blocks):
+        reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
+        # the last real row + 1
+        last = length - np.argmax(mask[:, ::-1], axis=-1)
         if training:
             end = 2 * reach
-            real, extra = mask | notes.data.any(axis=-1), 2 * end + 1
-        # the last real row + 1 + extra, at most L
-        rows = np.minimum(length + extra - np.argmax(real[..., ::-1], axis=-1).reshape(-1), length)
-    x = notes
+            counts = np.minimum(last + 2 * end + 1, length)
+        else:
+            counts = np.minimum(last + reach, length)
+            kernels = tuple(params.kernels.shape for block in blocks
+                            for params in (block.conv, block.shortcut) if params is not None)
+    rows = NoteRows(counts, length, end=end, kernels=kernels)
+    x = lookup_note_embeddings(rows.pack(ids), embeddings)
     for block in blocks:
         if training:
             x = conv_block_train(
-                x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng,
-                rows=rows, end=end,
+                x, block.conv, block.norm, block.shortcut, p=SPATIAL_DROPOUT, rng=rng, rows=rows,
             )
         else:
             x = conv1d(
                 x, fold_batchnorm(block.conv, block.norm), rows=rows,
                 residual=True, shortcut=block.shortcut,
             )
-    return global_avg_pool(x, mask=mask)
+    return global_avg_pool(x, mask=mask, rows=rows)
 
 
 def temporal_forward(doc_vectors: Tensor, params: BiGruParams) -> Tensor:
@@ -390,10 +394,9 @@ def forward(
         features = []
         if model.temporal is not None:
             n_files, n_notes, note_len = ids.shape
-            flat_ids = ids.reshape(n_files * n_notes, note_len)
-            embedded = lookup_note_embeddings(flat_ids, embeddings)
             docs = semantical_forward(
-                embedded, model.semantical, training=training, rng=rng, mask=flat_ids != PAD_ID,
+                ids.reshape(n_files * n_notes, note_len), embeddings, model.semantical,
+                training=training, rng=rng,
             )
             docs = docs.reshape((n_files, n_notes, cfg.filters))
             features.append(temporal_forward(docs, model.temporal))

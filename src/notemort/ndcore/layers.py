@@ -84,15 +84,17 @@ class DenseParams:
 
 # bytes of unrolled columns built at a time: small enough to stay in cache
 _COLS_BYTES = 4 << 20
-# OpenBLAS 0.3.31 with its Haswell kernels multiplies a GEMM of at most
-# 100**3 multiply-adds with its small-matrix kernel, which sums in another
-# order than its blocked one once the inner dimension spans more than one
-# block, and numpy multiplies a one-row matrix by GEMV. An eval block's
-# cut notes are floored once, for its conv and its projection alike
-# (`_block_gemms`), so that both GEMMs stay on the uncut ones' side of
-# both lines and each row carries the uncut product's bits. The bound
-# was measured on that build only: other OpenBLAS CPU kernels and other
-# BLAS libraries may switch elsewhere and need it measured again.
+# OpenBLAS 0.3.31 multiplies a GEMM of at most 100**3 multiply-adds with
+# its small-matrix kernel, which sums in another order than its blocked
+# one once the inner dimension spans more than one block, and numpy
+# multiplies a one-row matrix by GEMV. An eval layout's cut notes are
+# floored once, for every GEMM of the stack alike (`NoteRows`), so that
+# each GEMM stays on the uncut ones' side of both lines and each row
+# carries the uncut product's bits. The bound was measured with numpy's
+# bundled OpenBLAS 0.3.31 (built for Haswell) running its SkylakeX and
+# Sandybridge kernels. Under its Haswell, Katmai and Nehalem kernels a
+# cut GEMM's rows do not keep the uncut bits; other BLAS libraries may
+# switch elsewhere too and need the bound measured again.
 _SMALL_GEMM = 100**3
 
 
@@ -112,62 +114,94 @@ def column_chunk_notes(length: int, kernels_shape: tuple[int, ...]) -> int:
     return max(1, _COLS_BYTES // (length * k_size * c_in * 8))
 
 
-def _row_sum(parts, others=None, tail=None) -> np.ndarray:
-    """Per-channel sum over the rows of the [n_i, C] arrays `parts` (of
-    their products with `others`), in order. `tail` (reps, extra), when
-    given, counts row reps[i] of parts[i] extra[i] times more."""
-    total = None
-    for i, part in enumerate(parts):
-        term = part.sum(axis=0) if others is None else np.einsum("nc,nc->c", part, others[i])
-        total = term if total is None else total + term
-    if tail is not None:
-        reps, extra = tail
-        rep = np.stack([part[r] for part, r in zip(parts, reps)])
-        if others is not None:
-            rep *= np.stack([other[r] for other, r in zip(others, reps)])
-        total += extra @ rep
-    return total
+class NoteRows:
+    """The rows of N notes of L rows that a stack of conv blocks computes,
+    and where they lie in the packed [R, C] arrays the blocks pass on.
+
+    Note n keeps counts[n] rows, at packed rows [offsets[n], offsets[n+1]),
+    so R = sum(counts). Without `end` (eval) they are its first counts[n]
+    rows. With `end` (train, `conv_block_train`) the note is compacted:
+    its first counts[n] - end rows, then its last `end` rows, with the
+    rows between cut out. Its row counts[n] - end - 1 then stands for
+    itself and the L - counts[n] rows cut out after it: `tail` holds each
+    note's standing packed row and that extra count, or None when no note
+    is cut. Every written row is one the blocks compute, and the rows of a
+    note are contiguous (Krell et al. 2021 pack sequences so; here each
+    note stays a sequence of its own).
+
+    When no note is cut short of L (`cut` False), R = N * L and the packed
+    array is the [N, L, C] one reshaped: `pack` returns its argument.
+
+    `kernels`, the shapes [K, C_in, C_out] of the eval GEMMs that run over
+    the layout, raise each count once to the fewest rows at which each row
+    of every one of them keeps its bits (`_min_gemm_rows`): all blocks of
+    a stack read one layout.
+    """
+
+    def __init__(
+        self, counts: np.ndarray, length: int, *, end: int | None = None,
+        kernels: tuple[tuple[int, ...], ...] = (),
+    ):
+        counts = np.asarray(counts)
+        if (counts.ndim != 1 or counts.dtype.kind not in "iu"
+                or np.any((counts < 1) | (counts > length))):
+            raise ConfigurationError(f"rows must hold one count in [1, {length}] per note")
+        if kernels:
+            counts = np.maximum(counts, max(_min_gemm_rows(length, k * c_in, c_out)
+                                            for k, c_in, c_out in kernels))
+        self.counts, self.length, self.end = counts, length, end
+        self.cut = bool(np.any(counts < length))
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.size = int(self.offsets[-1])
+        self.tail = None
+        if self.cut and end is not None:
+            self.tail = (self.offsets[:-1] + counts - end - 1, (length - counts).astype(np.float64))
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """The packed rows [R, ...] of a [N, L, ...]: each note's first
+        counts[n] rows, or a itself when no note is cut. For a compacted
+        note these are its rows as laid out (its first counts[n] - end
+        rows, then its last `end`) where its rows from the standing one on
+        are all equal, as a zero-padded note's tail is."""
+        if a.shape[:2] != (len(self.counts), self.length):
+            raise ConfigurationError(
+                f"rows must hold one count in [1, {self.length}] per note, not {a.shape[:2]}"
+            )
+        if not self.cut:
+            return a
+        return np.concatenate([note[:count] for note, count in zip(a, self.counts.tolist())])
 
 
 class _ConvGemm:
-    """The arrays of one same-length conv1d over x [..., L, C_in].
+    """The arrays of one same-length conv1d over the notes of x.
 
-    Zero padding of (K-1)/2 on each side; kernel size must be odd.
+    x is [..., L, C_in] (its leading indices the notes), or the packed
+    rows [R, C_in] of the notes `rows` lays out (`NoteRows`). Zero padding
+    of (K-1)/2 on each side of each note; kernel size must be odd.
     out[i] = sum_k x[i + k - K//2] . W[k]. The windows are unrolled into
     columns cols[n, i, k, :] = x[n, i + k - K//2, :] (zero outside the
-    input) and multiplied by the flattened kernel in one GEMM per leading
-    index n (Chellapilla, Puri & Simard 2006). Columns are built a few
-    leading indices at a time (`column_chunk_notes`) and rebuilt in the
-    backward pass, so they are never held whole: each pass fills one
-    column buffer the size of a chunk, reused by every chunk and dropped
-    when the pass returns.
+    note) and multiplied by the flattened kernel in one GEMM per note
+    (Chellapilla, Puri & Simard 2006). Columns are built a few notes at a
+    time (`column_chunk_notes`) and rebuilt in the backward pass, so they
+    are never held whole: each pass fills one column buffer the size of a
+    chunk, reused by every chunk and dropped when the pass returns. The
+    output, and the input gradient, are [R, C]: every row is written.
 
-    `rows` [n] cuts note n to a sequence of its own, its first rows[n]
-    rows with zero padding at both ends. Every note is then its own
-    column chunk, multiplied over its rows[n] rows (`computed`), and its
-    output rows past them are never written (zero pages). The backward
-    reads and writes only those rows, and writes zeros past them in the
-    input gradient. When no note is cut short of L, the GEMM runs as
-    without `rows`.
-
-    `end` (train mode, `conv_block_train`) reads each cut note as a
-    compacted one: its first rows[n] - end rows, then its last `end`
-    rows, with the rows between cut out. Row rows[n] - end - 1 stands
-    for itself and the L - rows[n] cut rows (`tail`), which must all
-    equal it, and it must be at least K//2 rows from both ends of the
-    sequence. The forward does not read it; the backward weights that
-    row's terms of the kernel and bias gradients by its multiplicity, as
-    `conv_block_train` does in batchnorm.
+    When `rows` cuts a note, the note is a sequence of its own, its
+    counts[n] packed rows with zero padding at both ends, and each note is
+    its own column chunk, multiplied over its own rows. A compacted note
+    (`rows.end`, train mode) is read as laid out: the forward does not
+    treat its standing row apart; the backward weights that row's terms
+    of the kernel and bias gradients by its multiplicity (`rows.tail`), as
+    `conv_block_train` does in batchnorm, and the row must be at least
+    K//2 rows from both ends of its note.
 
     Every unroll writes every cell of the part of the buffer it uses, the
     taps' rows and the zero border rows of each shifted tap, so the
     backward can also take the GEMM of the input gradient into it.
     """
 
-    def __init__(
-        self, x: np.ndarray, kernels: np.ndarray, rows: np.ndarray | None = None,
-        end: int | None = None,
-    ):
+    def __init__(self, x: np.ndarray, kernels: np.ndarray, rows: NoteRows | None = None):
         k_size, c_in, c_out = kernels.shape
         if k_size % 2 == 0:
             raise ConfigurationError(f"kernel size must be odd, got {k_size}")
@@ -175,9 +209,17 @@ class _ConvGemm:
             raise ConfigurationError(
                 f"input has {x.shape[-1]} channels, kernel expects {c_in}"
             )
-        length = x.shape[-2]
-        if length < 1:
-            raise ConfigurationError("conv1d needs at least one position")
+        if rows is None:
+            if x.ndim < 2 or x.shape[-2] < 1:
+                raise ConfigurationError("conv1d needs at least one position")
+            rows = NoteRows(np.full(int(np.prod(x.shape[:-2])), x.shape[-2]), x.shape[-2])
+        self.x, self.rows = x.reshape(-1, c_in), rows
+        if len(self.x) != rows.size:
+            raise ConfigurationError(
+                f"conv1d: rows must hold one count per note of x, which has {len(self.x)} "
+                f"rows where rows lays out {rows.size}"
+            )
+        length, notes = rows.length, len(rows.counts)
         # tap k reads input rows [src, src + m) into output rows [dst, dst + m)
         self.taps = []
         for k in range(k_size):
@@ -185,61 +227,49 @@ class _ConvGemm:
             m = max(length - abs(shift), 0)
             dst = max(-shift, 0)
             self.taps.append((k, dst, dst + shift, m))
-        self.xs = x.reshape(-1, length, c_in)
         self.w2 = kernels.reshape(k_size * c_in, c_out)
-        step = column_chunk_notes(length, kernels.shape)
-        # whether any note is cut short of L: then each is its own chunk
-        self.trimmed = rows is not None and bool(np.any(rows < length))
-        # compacted: each note's weighted row and the count it adds
-        self.tail = None
-        if self.trimmed:
+        # (its notes, its packed rows, the rows of each note) of each chunk
+        if rows.cut:
             step = 1
-            if end is not None:
-                reps = rows - end - 1
-                if reps.min() < k_size // 2 or end < k_size // 2:
-                    raise ConfigurationError(
-                        "conv1d: a weighted row lies within K//2 of its note's ends"
-                    )
-                self.tail = (reps.tolist(), (length - rows).astype(np.float64))
-        # (chunk, its cut: the output rows its GEMMs produce)
-        starts = range(0, len(self.xs), step)
-        cuts = rows.tolist() if self.trimmed else [length] * len(starts)
-        self.spans = [(slice(i, i + step), cut) for i, cut in zip(starts, cuts)]
-        self.out_shape = (len(self.xs), length, c_out)
+            if rows.tail is not None and (rows.end < k_size // 2
+                                          or (rows.counts - rows.end - 1).min() < k_size // 2):
+                raise ConfigurationError(
+                    "conv1d: a weighted row lies within K//2 of its note's ends"
+                )
+            bounds = zip(rows.offsets.tolist(), rows.counts.tolist())
+            self.spans = [(slice(n, n + 1), slice(at, at + cut), cut)
+                          for n, (at, cut) in enumerate(bounds)]
+        else:
+            step = column_chunk_notes(length, kernels.shape)
+            self.spans = [(slice(n, min(n + step, notes)),
+                           slice(n * length, min(n + step, notes) * length), length)
+                          for n in range(0, notes, step)]
         # one pass's column buffer: the largest chunk's columns
-        self.cols_shape = (min(step, len(self.xs)), length, k_size * c_in)
-
-    def computed(self, a: np.ndarray) -> list[np.ndarray]:
-        """The views of a [n, L, C] over the rows this GEMM computes: a
-        itself when no chunk is cut short."""
-        if not self.trimmed:
-            return [a]
-        return [a[chunk, :cut] for chunk, cut in self.spans]
-
-    def flat(self, a: np.ndarray) -> list[np.ndarray]:
-        """`computed` as [rows, C] views, for `_row_sum`."""
-        return [part.reshape(-1, a.shape[-1]) for part in self.computed(a)]
+        cut = max((cut for _, _, cut in self.spans), default=length)
+        self.cols_shape = (min(step, notes), cut, k_size * c_in)
 
     def join(self, out: np.ndarray, proj: _ConvGemm | None, shortcut: Conv1dParams | None) -> None:
         """The residual join of a block whose conv this is, in place over
-        the computed rows of out [n, L, C_out]: relu(out + s), where s is
-        the input (`proj` None) or the projection `proj` with the bias of
-        `shortcut`."""
-        s = self.xs if proj is None else proj.forward(shortcut.bias.data)
-        for part, s_part in zip(self.computed(out), self.computed(s)):
-            part += s_part
-            np.maximum(part, 0.0, out=part)
+        out [R, C_out]: relu(out + s), where s is the input (`proj` None)
+        or the projection `proj` with the bias of `shortcut`."""
+        out += self.x if proj is None else proj.forward(shortcut.bias.data)
+        np.maximum(out, 0.0, out=out)
 
     def _taps(self, cut: int):
         """The taps (k, dst, src, m) of a sequence of `cut` rows: output
         rows [0, cut) from input rows [0, cut)."""
-        if cut == self.out_shape[1]:
+        if cut == self.rows.length:
             return self.taps
         return [(k, dst, src, max(min(m, cut - max(dst, src)), 0)) for k, dst, src, m in self.taps]
 
+    @staticmethod
+    def _notes(a: np.ndarray, span: slice, cut: int) -> np.ndarray:
+        """A chunk's packed rows of a [R, C] as its notes [n, cut, C]."""
+        return a[span].reshape(-1, cut, a.shape[-1])
+
     def _unroll(self, part: np.ndarray, buf: np.ndarray, cut: int) -> np.ndarray:
-        """The columns of the first `cut` output rows of `part` [n, L, C_in],
-        written over the start of buf."""
+        """The columns of the notes part [n, cut, C_in], written over the
+        start of buf."""
         n, _, c_in = part.shape
         # contiguous: a chunk is cut only when it holds one note
         cols = buf[:n, :cut]
@@ -250,76 +280,72 @@ class _ConvGemm:
             taps[:, dst + m :, k] = 0.0
         return cols
 
+    def _scale(self, a: np.ndarray, keep: np.ndarray) -> None:
+        """Multiply each note's rows of a [R, C_out] in place by its row of
+        keep [N, 1, C_out]."""
+        for notes, span, cut in self.spans:
+            part = self._notes(a, span, cut)
+            part *= keep[notes]
+
     def forward(self, bias: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        """The convolution [n, L, C_out], n the product of the leading
-        axes, multiplied by keep [n, 1, C_out] when given (spatial
-        dropout's factor)."""
-        # the rows past the cuts are zero pages never written
-        out = (np.zeros if self.trimmed else np.empty)(self.out_shape)
+        """The convolution [R, C_out], multiplied by keep [N, 1, C_out]
+        when given (spatial dropout's factor)."""
+        out = np.empty((len(self.x), self.w2.shape[1]))
         buf = np.empty(self.cols_shape)
-        for chunk, cut in self.spans:
-            np.matmul(self._unroll(self.xs[chunk], buf, cut), self.w2, out=out[chunk, :cut])
+        for _, span, cut in self.spans:
+            np.matmul(self._unroll(self._notes(self.x, span, cut), buf, cut), self.w2,
+                      out=self._notes(out, span, cut))
         # after all GEMMs: a pass between two of them runs while the idle
         # BLAS worker spins, at twice its CPU cost (`conv1d`)
-        for part in self.computed(out):
-            part += bias
+        out += bias
         if keep is not None:
-            # keep has one row: its computed views are each chunk's factors
-            for part, factor in zip(self.computed(out), self.computed(keep)):
-                part *= factor
+            self._scale(out, keep)
         return out
 
     def backward(
         self, g: np.ndarray, params: Conv1dParams, need_dx: bool, keep: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Accumulate the kernel and bias gradients of output gradient
-        g [n, L, C_out] into `params`; returns the input gradient
-        [n, L, C_in] when `need_dx`, else None. With `keep` (the
-        forward's), g is first multiplied by it. A cut GEMM reads g only
-        over its computed rows, and with `keep`, both of its GEMMs
-        multiply only each note's channels that keep is not 0 in.
+        g [R, C_out] into `params`; returns the input gradient [R, C_in]
+        when `need_dx`, else None. With `keep` (the forward's), g is first
+        multiplied by it, and both GEMMs of a cut note multiply only its
+        channels that keep is not 0 in.
 
         The caller hands over g: it is multiplied in place, and when it
         has the input's shape (C_in == C_out), the input gradient is
         written over it, each chunk once both GEMMs have read that chunk,
         and g itself is returned.
         """
-        c_in = self.xs.shape[-1]
+        c_in = self.x.shape[-1]
         if keep is not None:
-            for part, factor in zip(self.computed(g), self.computed(keep)):
-                part *= factor
+            self._scale(g, keep)
         if params.bias.requires_grad:
-            params.bias._accum(_row_sum(self.flat(g), tail=self.tail), fresh=True)
+            params.bias._accum(_row_sum(g, tail=self.rows.tail), fresh=True)
         dx = None
         if need_dx:
-            # a cut GEMM writes dx only up to its cuts: past them it is
-            # g's rows, 0 in the arrays `conv_block_train` hands over
-            # (never written), or zero pages
-            dx = g if g.shape == self.xs.shape else (
-                np.zeros if self.trimmed else np.empty)(self.xs.shape)
+            dx = g if g.shape == self.x.shape else np.empty(self.x.shape)
         dw = np.zeros_like(self.w2) if params.kernels.requires_grad else None
-        if dw is not None and self.tail is not None:
+        if dw is not None and self.rows.tail is not None:
             # the weighted rows' extra terms, taken before dx overwrites g:
             # their columns are their windows, inside their notes' sequences
-            reps, extra = self.tail
-            notes = np.arange(len(reps))
+            standing, extra = self.rows.tail
             half = len(self.taps) // 2
-            windows = self.xs[notes[:, None], np.add.outer(reps, np.arange(-half, half + 1))]
-            dw += windows.reshape(len(reps), -1).T @ (g[notes, reps] * extra[:, None])
+            windows = self.x[np.add.outer(standing, np.arange(-half, half + 1))]
+            dw += windows.reshape(len(standing), -1).T @ (g[standing] * extra[:, None])
         buf = np.empty(self.cols_shape)
-        for chunk, cut in self.spans:
-            g_part, w2, kept = g[chunk, :cut], self.w2, slice(None)
-            if self.trimmed and keep is not None:
-                kept = np.flatnonzero(keep[chunk.start, 0])
+        for notes, span, cut in self.spans:
+            g_part, w2, kept = self._notes(g, span, cut), self.w2, slice(None)
+            if self.rows.cut and keep is not None:
+                kept = np.flatnonzero(keep[notes.start, 0])
                 g_part, w2 = g_part[..., kept], w2[:, kept]
             if dw is not None:
-                for cols, g_n in zip(self._unroll(self.xs[chunk], buf, cut), g_part):
+                for cols, g_n in zip(self._unroll(self._notes(self.x, span, cut), buf, cut), g_part):
                     dw[:, kept] += cols.T @ g_n
             if dx is not None:
                 gcols = np.matmul(g_part, w2.T, out=buf[: len(g_part), :cut]).reshape(
                     -1, cut, len(self.taps), c_in
                 )
-                dx_part = dx[chunk, :cut]
+                dx_part = self._notes(dx, span, cut)
                 dx_part.fill(0.0)
                 for k, dst, src, m in self._taps(cut):
                     dx_part[:, src : src + m] += gcols[:, dst : dst + m, k]
@@ -329,7 +355,7 @@ class _ConvGemm:
 
 
 def conv1d(
-    x: Tensor, params: Conv1dParams, *, rows: np.ndarray | None = None,
+    x: Tensor, params: Conv1dParams, *, rows: NoteRows | None = None,
     residual: bool = False, shortcut: Conv1dParams | None = None,
 ) -> Tensor:
     """Same-length cross-correlation along the lexical axis, as one tape node.
@@ -359,11 +385,12 @@ def conv1d(
     where the tape would record it (x or a parameter needs a gradient
     outside `no_grad`). The train-mode block is `conv_block_train`.
 
-    `rows` [n] (residual only), one per leading index (n the product of
-    the leading axes), cuts each note to a sequence of its own, its
-    first rows[n] rows, or more (`_block_gemms`): its output rows past
-    the cut are 0, and those below rows[n] carry the bits of the block
-    over x with the note's rows past the cut set to 0.
+    `rows` (residual only; `NoteRows` without `end`) lays out the notes
+    of x: when it cuts them, x and the result are their packed rows
+    [R, C], and each note is a sequence of its own, its first counts[n]
+    rows. Its rows carry the bits of the block over the uncut note with
+    its rows past the cut set to 0, provided `rows` is floored for this
+    block's GEMMs (`NoteRows`'s `kernels`).
     """
     parents = (x, params.kernels, params.bias)
     if residual:
@@ -409,12 +436,6 @@ def _keep_scale(
     return keep / (1.0 - p)
 
 
-def _channel_mask(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Spatial dropout's mask shape for [..., L, C]: one draw per channel
-    of each sample, shared along the lexical axis."""
-    return shape[:-2] + (1, shape[-1])
-
-
 def spatial_dropout(
     x: Tensor, p: float, *, training: bool, rng: np.random.Generator | None = None
 ) -> Tensor:
@@ -424,7 +445,7 @@ def spatial_dropout(
     with probability p and survivors are scaled by 1/(1-p); eval mode is
     the exact identity.
     """
-    scale = _keep_scale(p, training, rng, _channel_mask(x.shape))
+    scale = _keep_scale(p, training, rng, x.shape[:-2] + (1, x.shape[-1]))
     return x if scale is None else x * scale
 
 
@@ -457,66 +478,71 @@ def fold_batchnorm(conv: Conv1dParams, norm: BatchNormParams) -> Conv1dParams:
     )
 
 
+def _row_sum(a: np.ndarray, other: np.ndarray | None = None, tail=None) -> np.ndarray:
+    """Per-channel sum over the rows of a [R, C] (of its product with
+    `other`), in row order. `tail` (rows, extra), when given, counts row
+    rows[i] of a extra[i] times more (`NoteRows.tail`)."""
+    total = a.sum(axis=0) if other is None else np.einsum("nc,nc->c", a, other)
+    if tail is not None:
+        rows, extra = tail
+        total += extra @ (a[rows] if other is None else a[rows] * other[rows])
+    return total
+
+
 def _normalize(
-    parts: list[np.ndarray], params: BatchNormParams, count: int, outs: list[np.ndarray],
-    tail=None,
+    x: np.ndarray, params: BatchNormParams, count: int, out: np.ndarray, tail=None,
 ) -> np.ndarray:
     """Train-mode batchnorm by batch statistics over `count` rows, held
-    by the [n_i, C] arrays `parts` (`_row_sum` with `tail` counts them).
+    by the rows of x [R, C] (`_row_sum` with `tail` counts them).
 
-    Normalizes each part in place into xhat = (part - mean) / sigma,
-    writes xhat * gamma + beta into the matching array of `outs`, updates
-    the running statistics by exponential moving average (the running
-    variance from the unbiased batch variance), and returns sigma.
+    Normalizes x in place into xhat = (x - mean) / sigma, writes
+    xhat * gamma + beta into `out`, updates the running statistics by
+    exponential moving average (the running variance from the unbiased
+    batch variance), and returns sigma.
     """
     if count < 2:
         raise DataError(
             f"batchnorm train mode needs >= 2 values per channel, got {count}"
         )
-    mu = _row_sum(parts, tail=tail) * (1.0 / count)
-    for part in parts:
-        part -= mu
-    var = _row_sum(parts, parts, tail) * (1.0 / count)
+    mu = _row_sum(x, tail=tail) * (1.0 / count)
+    x -= mu
+    var = _row_sum(x, x, tail) * (1.0 / count)
     sigma = np.sqrt(var + params.eps)
-    for part in parts:
-        part /= sigma
+    x /= sigma
     mom = params.momentum
     params.running_mean *= mom
     params.running_mean += (1.0 - mom) * mu
     unbiased = var * (count / (count - 1))
     params.running_var *= mom
     params.running_var += (1.0 - mom) * unbiased
-    for xhat, out in zip(parts, outs):
-        np.multiply(xhat, params.gamma.data, out=out)
-        out += params.beta.data
+    np.multiply(x, params.gamma.data, out=out)
+    out += params.beta.data
     return sigma
 
 
 def _normalize_backward(
-    gs: list[np.ndarray], xhats: list[np.ndarray], sigma: np.ndarray, params: BatchNormParams,
-    count: int, dxs: list[np.ndarray] | None, tail=None,
+    g: np.ndarray, xhat: np.ndarray, sigma: np.ndarray, params: BatchNormParams,
+    count: int, dx: np.ndarray | None, tail=None,
 ) -> None:
-    """Accumulate the gamma and beta gradients of the output gradients
-    `gs` (laid out as `_normalize`'s parts) into `params`, and write the
-    input gradients into `dxs` (which may be `xhats` itself) unless it is
+    """Accumulate the gamma and beta gradients of the output gradient
+    g [R, C] (laid out as `_normalize`'s x) into `params`, and write the
+    input gradient into `dx` (which may be `xhat` itself) unless it is
     None. The closed form is
     dx = (gamma*g - mean(gamma*g) - xhat * mean(gamma*g * xhat)) / sigma.
     """
-    dgamma = _row_sum(gs, xhats, tail)
-    dbeta = _row_sum(gs, tail=tail)
+    dgamma = _row_sum(g, xhat, tail)
+    dbeta = _row_sum(g, tail=tail)
     if params.gamma.requires_grad:
         params.gamma._accum(dgamma, fresh=True)
     if params.beta.requires_grad:
         params.beta._accum(dbeta, fresh=True)
-    if dxs is not None:
+    if dx is not None:
         # mean(gamma*g) = gamma*dbeta/n and mean(gamma*g*xhat) = gamma*dgamma/n
         mean_gx, mean_g = dgamma * (1.0 / count), dbeta * (1.0 / count)
-        factor = -(params.gamma.data / sigma)
-        for g, xhat, dx in zip(gs, xhats, dxs):
-            np.multiply(xhat, mean_gx, out=dx)
-            dx -= g
-            dx += mean_g
-            dx *= factor
+        np.multiply(xhat, mean_gx, out=dx)
+        dx -= g
+        dx += mean_g
+        dx *= -(params.gamma.data / sigma)
 
 
 def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
@@ -534,14 +560,11 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
         )
     xhat = x.data.reshape(-1, x.shape[-1]).copy()
     out = np.empty_like(xhat)
-    sigma = _normalize([xhat], params, len(xhat), [out])
+    sigma = _normalize(xhat, params, len(xhat), out)
 
     def back(g):
         dx = np.empty_like(xhat) if x.requires_grad else None
-        _normalize_backward(
-            [g.reshape(xhat.shape)], [xhat], sigma, params, len(xhat),
-            None if dx is None else [dx],
-        )
+        _normalize_backward(g.reshape(xhat.shape), xhat, sigma, params, len(xhat), dx)
         if dx is not None:
             x._accum(dx.reshape(x.shape), fresh=True)
 
@@ -552,48 +575,30 @@ def batchnorm(x: Tensor, params: BatchNormParams, *, training: bool) -> Tensor:
 
 
 def _block_gemms(
-    x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None,
-    rows: np.ndarray | None = None, end: int | None = None,
+    x: Tensor, conv: Conv1dParams, shortcut: Conv1dParams | None, rows: NoteRows | None = None,
 ) -> tuple[_ConvGemm, _ConvGemm | None]:
     """The conv and shortcut-projection (None: identity) GEMMs of a block
-    over x, both cutting each note to `rows` (with `end`; `_ConvGemm`).
-    `rows` [n] holds one count in [1, L] per leading index. In eval it is
-    floored once for both GEMMs to the fewest rows at which each of their
-    rows keeps its bits (`_min_gemm_rows`). Compacted, it is not: each
-    block of a stack must read the layout the one before it wrote."""
-    if rows is not None:
-        length = x.shape[-2]
-        rows = np.asarray(rows)
-        if (rows.shape != (int(np.prod(x.shape[:-2])),) or rows.dtype.kind not in "iu"
-                or np.any((rows < 1) | (rows > length))):
-            raise ConfigurationError(
-                f"conv1d: rows must hold one count in [1, {length}] per leading index"
-            )
-    if rows is not None and end is None:
-        shapes = [conv.kernels.shape] + ([] if shortcut is None else [shortcut.kernels.shape])
-        rows = np.maximum(rows, max(_min_gemm_rows(length, k * c_in, c_out)
-                                    for k, c_in, c_out in shapes))
-    gemm = _ConvGemm(x.data, conv.kernels.data, rows, end)
-    c_out = gemm.out_shape[-1]
+    over the notes of x, laid out by `rows` (`_ConvGemm`)."""
+    gemm = _ConvGemm(x.data, conv.kernels.data, rows)
+    c_out = gemm.w2.shape[1]
     if shortcut is None and x.shape[-1] != c_out:
         raise ConfigurationError(
             f"identity shortcut needs {c_out} input channels, got {x.shape[-1]}"
         )
     if shortcut is None:
         return gemm, None
-    return gemm, _ConvGemm(x.data, shortcut.kernels.data, rows, end)
+    return gemm, _ConvGemm(x.data, shortcut.kernels.data, gemm.rows)
 
 
 def conv_block_train(
     x: Tensor, conv: Conv1dParams, norm: BatchNormParams, shortcut: Conv1dParams | None,
-    *, p: float, rng: np.random.Generator | None,
-    rows: np.ndarray | None = None, end: int | None = None,
+    *, p: float, rng: np.random.Generator | None, rows: NoteRows | None = None,
 ) -> Tensor:
     """One train-mode residual conv block as one tape node:
     relu(batchnorm(spatial_dropout(conv1d(x, conv))) + s), where s is x
     (identity shortcut) or conv1d(x, shortcut) (a 1x1 projection).
 
-    x: [..., L, C_in] -> [..., L, C_out]. Without `rows`, values,
+    x: [..., L, C_in] -> [..., L, C_out]. Without a cut, values,
     gradients, running statistics and the rng draw carry the bits of that
     composition, and every row is computed: batchnorm's batch statistics
     read every row, pad rows included. The node keeps two conv-sized
@@ -607,29 +612,27 @@ def conv_block_train(
     xhat and a projection over the masked gradient; the shortcut's
     gradient is added into the conv's input gradient.
 
-    `rows` [n] and `end`, one row count per leading index (n the product
-    of the leading axes), cut each note to a compacted one (`_ConvGemm`,
-    `_block_gemms`): row rows[n] - end - 1 of note n stands for itself
-    and the L - rows[n] rows cut out after it, so x must hold the same
-    value on all of them, and so must the gradient this node's output
-    receives. A stack of blocks over zero-padded notes keeps that true
-    (`semantical_forward` sizes the cut). Each note then computes only
-    its first rows[n] rows, and batchnorm's statistics and backward and
-    the kernel, bias, gamma and beta gradients weight that row by its
-    multiplicity: up to rounding, the block over the uncut notes, whose
-    statistics read every row. The output and the input gradient are 0
-    past the cut. When no note is cut short of L, the block runs as
-    without `rows`.
+    `rows` (`NoteRows` with `end`) that cuts the notes makes x, the
+    output and the input gradient their packed compacted rows [R, C]:
+    each note's standing row stands for itself and the L - counts[n] rows
+    cut out after it, so x must hold the same value on all of them, and
+    so must the gradient this node's output receives. A stack of blocks
+    over zero-padded notes keeps that true (`semantical_forward` sizes
+    the cut). Batchnorm's statistics and backward and the kernel, bias,
+    gamma and beta gradients weight that row by its multiplicity: up to
+    rounding, the block over the uncut notes, whose statistics read every
+    row. When no note is cut short of L, the block runs as without `rows`.
     """
-    if rows is not None and end is None:
-        raise ConfigurationError("conv_block_train: rows needs end")
-    gemm, proj = _block_gemms(x, conv, shortcut, rows, end)
-    c_out = gemm.out_shape[-1]
-    count = gemm.out_shape[0] * gemm.out_shape[1]
-    scale = _keep_scale(p, True, rng, _channel_mask(gemm.out_shape))
+    if rows is not None and rows.cut and rows.end is None:
+        raise ConfigurationError("conv_block_train: a cut needs the standing rows of end")
+    gemm, proj = _block_gemms(x, conv, shortcut, rows)
+    rows = gemm.rows
+    c_out = gemm.w2.shape[1]
+    count = len(rows.counts) * rows.length
+    scale = _keep_scale(p, True, rng, (len(rows.counts), 1, c_out))
     xhat = gemm.forward(conv.bias.data, scale)
-    out = (np.zeros if gemm.trimmed else np.empty)(gemm.out_shape)
-    sigma = _normalize(gemm.flat(xhat), norm, count, gemm.flat(out), gemm.tail)
+    out = np.empty_like(xhat)
+    sigma = _normalize(xhat, norm, count, out, rows.tail)
     gemm.join(out, proj, shortcut)
     parents = (x, conv.kernels, conv.bias, norm.gamma, norm.beta)
     if shortcut is not None:
@@ -640,39 +643,56 @@ def conv_block_train(
         if xhat is None:
             raise ConfigurationError("conv_block_train: backward ran twice through one node")
         dy, xhat = xhat, None
-        g = g.reshape(gemm.out_shape)
-        for g_part, part in zip(gemm.computed(g), gemm.computed(out)):
-            np.multiply(g_part, part > 0.0, out=g_part)
-        dys = gemm.flat(dy)
-        _normalize_backward(gemm.flat(g), dys, sigma, norm, count, dys, gemm.tail)
+        g = g.reshape(out.shape)
+        np.multiply(g, out > 0.0, out=g)
+        _normalize_backward(g, dy, sigma, norm, count, dy, rows.tail)
         dx = gemm.backward(dy, conv, x.requires_grad, scale)
         # the shortcut's input gradient: g itself, or the projection's,
         # which may be written over g
         if proj is not None:
             g = proj.backward(g, shortcut, x.requires_grad)
         if dx is not None:
-            for part, g_part in zip(gemm.computed(dx), gemm.computed(g)):
-                part += g_part
+            dx += g
             x._accum(dx.reshape(x.shape), fresh=True)
 
     return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, "conv_block", back)
 
 
-def global_avg_pool(x: Tensor, mask: np.ndarray) -> Tensor:
+def global_avg_pool(x: Tensor, mask: np.ndarray, rows: NoteRows | None = None) -> Tensor:
     """Per-channel mean over the positions where `mask` [..., L] is True,
     [..., L, C] -> [..., C]: one tape node with the bits of the composition
     `(x * weights).sum(axis=-2) / counts` (weights: the mask as 0/1).
+
+    When `rows` (`NoteRows`) cuts the notes, x is their packed rows
+    [R, C] and mask [N, L]: each note's packed rows are weighted and
+    summed in row order, the composition's sums but for the zero terms of
+    the rows cut out, and the gradient is 0 on every packed row the mask
+    leaves out.
     """
     mask = np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=-1)[..., None]
     if np.any(counts == 0):
         raise DataError("global_avg_pool: some input has every position masked")
     weights = mask.astype(np.float64)[..., None]
+    packed = rows is not None and rows.cut
+    if packed:
+        weights = rows.pack(weights)
+        sums = np.empty(counts.shape[:-1] + x.shape[-1:])
+        for n, (start, stop) in enumerate(zip(rows.offsets[:-1], rows.offsets[1:])):
+            sums[n] = (x.data[start:stop] * weights[start:stop]).sum(axis=0)
+    else:
+        sums = (x.data * weights).sum(axis=-2)
 
     def back(g):
-        x._accum(_unbroadcast((g / counts)[..., None, :] * weights, x.shape), fresh=True)
+        g = g / counts
+        if packed:
+            dx = np.repeat(g, rows.counts, axis=0)
+            dx *= weights
+            x._accum(dx, fresh=True)
+        else:
+            x._accum(_unbroadcast(g[..., None, :] * weights, x.shape), fresh=True)
 
-    return _make((x.data * weights).sum(axis=-2) / counts, (x,), "global_avg_pool", back)
+    return _make(sums / counts, (x,), "global_avg_pool", back)
 
 
 # -- recurrent layers -------------------------------------------------------------

@@ -229,6 +229,19 @@ def test_pipeline_completes_and_writes_manifests(work):
             assert len(digest) == 64
 
 
+def test_manifests_name_the_blas_kernel_or_nothing(work, monkeypatch):
+    """`environment.blas.corename`, the CPU kernel the loaded OpenBLAS
+    runs, is a non-empty string, or absent where the library names none."""
+    work_dir, _ = work
+    manifests = sorted(work_dir.glob("*.manifest.json"))
+    assert manifests
+    for path in manifests:
+        blas = json.loads(path.read_text())["environment"]["blas"]
+        assert "corename" not in blas or (isinstance(blas["corename"], str) and blas["corename"])
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    assert "corename" not in cli._environment()["blas"]
+
+
 def test_manifest_environment_is_recorded_and_never_checked(tmp_path, monkeypatch):
     """The thread variables set for a stage are recorded; a later stage
     accepts its predecessor's manifest whatever environment it names."""

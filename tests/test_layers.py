@@ -29,6 +29,7 @@ from notemort.ndcore import (
     spatial_dropout,
 )
 
+from notemort.ndcore.layers import NoteRows
 from notemort.ndcore.tensor import _sigmoid
 
 from oracles import (
@@ -662,18 +663,29 @@ def compact_rows(real, length, end=BLOCK_END):
     return np.minimum(real + 2 * end + 1, length)
 
 
+def unpack(a, layout):
+    """The packed rows of `layout`'s notes laid out as [N, L, C]: each
+    note's rows first, 0 past them."""
+    a = a.reshape(-1, a.shape[-1])
+    out = np.zeros((len(layout.counts), layout.length, a.shape[-1]))
+    for n, (start, stop) in enumerate(zip(layout.offsets[:-1], layout.offsets[1:])):
+        out[n, : stop - start] = a[start:stop]
+    return out
+
+
 def assert_close_to(got, want, tol=COMPACT_TOL):
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("c_in,c_out,x_grad", [(4, 4, True), (3, 4, True), (3, 4, False)])
 def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, monkeypatch):
-    """Two steps of the block over compacted zero-tailed notes and of the
-    separate nodes over the uncut notes, under an output gradient that is
-    0 on every tail (as the masked pool's): outputs and the gradient of x
-    (both laid out uncut), every parameter gradient and the running
-    statistics agree within COMPACT_TOL, and the two draw the same masks.
-    The compacted output and gradient of x are 0 past each note's rows."""
+    """Two steps of the block over packed compacted zero-tailed notes and
+    of the separate nodes over the uncut notes, under an output gradient
+    that is 0 on every tail (as the masked pool's): outputs and the
+    gradient of x (both laid out uncut), every parameter gradient and the
+    running statistics agree within COMPACT_TOL, and the two draw the same
+    masks. The compacted output and gradient of x hold each note's rows
+    only."""
     monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     shape = (5, 40, c_in)
     data = np.random.default_rng(c_in)
@@ -688,17 +700,19 @@ def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, mon
         rng = np.random.default_rng(8)
         arrays = []
         for (x_data, real), grad_out in zip(steps, grad_outs):
-            x = Tensor(x_data.copy(), requires_grad=x_grad)
             if compact:
                 rows = compact_rows(real, shape[1])
-                out = conv_block_train(
-                    x, conv, norm, shortcut, p=0.5, rng=rng, rows=rows, end=BLOCK_END
-                )
+                layout = NoteRows(rows, shape[1], end=BLOCK_END)
+                x = Tensor(layout.pack(x_data), requires_grad=x_grad)
+                out = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=rng, rows=layout)
+                grad_out = layout.pack(grad_out)
             else:
+                x = Tensor(x_data.copy(), requires_grad=x_grad)
                 out = conv_block_train_composed(x, conv, norm, shortcut, p=0.5, rng=rng)
             (out * grad_out).sum().backward()
             got = [out.data] + ([x.grad] if x_grad else [])
             if compact:
+                got = [unpack(a, layout) for a in got]
                 past = np.arange(shape[1]) >= rows[:, None]
                 assert all(np.all(a[past] == 0.0) for a in got)
                 got = [uncut(a, rows, BLOCK_END) for a in got]
@@ -724,13 +738,14 @@ def test_compacted_conv_block_train_gradients(c_in):
     x_data, real = tailed_input((3, length, c_in), c_in)
     rows = compact_rows(real, length)
     assert rows.min() < length
-    head = (np.arange(length) < real[:, None])[..., None]
-    x = parameter(x_data)
+    layout = NoteRows(rows, length, end=BLOCK_END)
+    head = layout.pack((np.arange(length) < real[:, None])[..., None])
+    x = parameter(layout.pack(x_data))
     conv, norm, shortcut = make_block(13, c_in, 4)
 
     def loss():
         mask_rng = np.random.default_rng(42)
-        y = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=mask_rng, rows=rows, end=BLOCK_END)
+        y = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=mask_rng, rows=layout)
         return (y * y * Tensor(head * 1.0)).sum()
 
     tensors = [x] + block_leaves(conv, norm, shortcut)
@@ -758,8 +773,9 @@ def test_compacted_conv_block_train_multiplies_each_note_over_its_rows(monkeypat
 
     monkeypatch.setattr(layers._ConvGemm, "_unroll", counting)
     conv, norm, shortcut = make_block(3, 3, 4)
-    out = conv_block_train(parameter(x_data), conv, norm, shortcut, p=0.5,
-                           rng=np.random.default_rng(0), rows=rows, end=BLOCK_END)
+    layout = NoteRows(rows, 30, end=BLOCK_END)
+    out = conv_block_train(parameter(layout.pack(x_data)), conv, norm, shortcut, p=0.5,
+                           rng=np.random.default_rng(0), rows=layout)
     out.sum().backward()
     # forward and kernel-gradient passes of the conv and the projection
     assert unrolled == rows.tolist() * 4
@@ -775,7 +791,7 @@ def test_conv_block_train_with_no_cut_note_runs_the_uncut_block(monkeypatch):
         conv, norm, _ = make_block(4, 4, 4)
         x = parameter(x_data.copy())
         out = conv_block_train(x, conv, norm, None, p=0.5, rng=np.random.default_rng(1),
-                               rows=rows, end=None if rows is None else BLOCK_END)
+                               rows=None if rows is None else NoteRows(rows, 9, end=BLOCK_END))
         (out * out).sum().backward()
         results.append([out.data, x.grad, *(t.grad for t in block_leaves(conv, norm, None)),
                         norm.running_mean, norm.running_var])
@@ -786,9 +802,21 @@ def test_conv_block_train_with_no_cut_note_runs_the_uncut_block(monkeypatch):
 # -- the eval-mode conv block: conv1d with the residual join -----------------------------
 
 
+def eval_layout(rows, length, conv, shortcut):
+    """The notes cut to `rows`, floored for the block's GEMMs."""
+    kernels = (conv.kernels.shape,) + (() if shortcut is None else (shortcut.kernels.shape,))
+    return NoteRows(rows, length, kernels=kernels)
+
+
 def residual_conv1d(x, conv, shortcut, rows=None):
-    """The eval-mode residual conv block over folded parameters."""
-    return conv1d(x, conv, rows=rows, residual=True, shortcut=shortcut)
+    """The eval-mode residual conv block over folded parameters; with
+    `rows`, over the packed notes of x cut to them (`eval_layout`), laid
+    out as [N, L, C] (`unpack`)."""
+    if rows is None:
+        return conv1d(x, conv, residual=True, shortcut=shortcut)
+    layout = eval_layout(rows, x.shape[-2], conv, shortcut)
+    out = conv1d(Tensor(layout.pack(x.data)), conv, rows=layout, residual=True, shortcut=shortcut)
+    return Tensor(unpack(out.data, layout))
 
 
 # (C_in, x requires grad, parameters require grad): the identity shortcut
@@ -877,8 +905,7 @@ def test_residual_conv1d_rows_match_untrimmed_block(shape, c_out, rows, per_chun
     and past the cut it is exactly 0."""
     x, conv, shortcut = eval_rows_case(shape, c_out, per_chunk, monkeypatch)
     rows = np.array(rows)
-    gemm, _ = layers._block_gemms(Tensor(x), conv, shortcut, rows)
-    cuts = np.array([cut for _, cut in gemm.spans])
+    cuts = eval_layout(rows, shape[1], conv, shortcut).counts
     assert len(cuts) == len(x)
     cut_x = np.where((np.arange(shape[1]) < cuts[:, None])[..., None], x, 0.0)
     with no_grad():
@@ -926,17 +953,18 @@ MALFORMED_ROWS = {
 @pytest.mark.parametrize("case", list(MALFORMED_ROWS))
 def test_conv_blocks_refuse_malformed_rows(case, train, monkeypatch):
     """Both blocks refuse `rows` that does not hold one count in [1, L]
-    per note, at one note per column chunk, where notes are cut."""
+    per note of x, at one note per column chunk, where notes are cut."""
     monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     x = Tensor(np.random.default_rng(9).standard_normal((3, 9, 4)))
     conv, norm, _ = make_block(5, 4, 4)
     with pytest.raises(ConfigurationError, match="rows must hold"):
+        layout = NoteRows(MALFORMED_ROWS[case], 9, end=BLOCK_END if train else None)
         if train:
             conv_block_train(x, conv, norm, None, p=0.5, rng=np.random.default_rng(0),
-                             rows=MALFORMED_ROWS[case], end=BLOCK_END)
+                             rows=layout)
         else:
             with no_grad():
-                residual_conv1d(x, conv, None, MALFORMED_ROWS[case])
+                conv1d(x, conv, rows=layout, residual=True)
 
 
 def test_conv_block_train_rows_need_end():
@@ -944,27 +972,30 @@ def test_conv_block_train_rows_need_end():
     conv, norm, _ = make_block(5, 4, 4)
     with pytest.raises(ConfigurationError, match="end"):
         conv_block_train(Tensor(np.ones((3, 9, 4))), conv, norm, None, p=0.5,
-                         rng=np.random.default_rng(0), rows=np.array([4, 9, 9]))
+                         rng=np.random.default_rng(0), rows=NoteRows(np.array([4, 9, 9]), 9))
 
 
 @pytest.mark.parametrize("end,cuts", [(None, [51, 51, 55, 60]), (BLOCK_END, [5, 30, 55, 60])],
                          ids=["eval", "train"])
 def test_block_gemms_floor_the_conv_and_projection_alike(end, cuts):
     """The conv and the 1x1 projection of a block compute the same rows:
-    in eval `rows` floored once, to the larger of their two floors (51
-    rows for the projection's [100 x 200] product, 17 for the conv's),
-    and compacted `rows` itself, as every block of a stack must."""
+    in eval `rows` floored once (`NoteRows`'s `kernels`), to the larger of
+    their two floors (51 rows for the projection's [100 x 200] product, 17
+    for the conv's), and compacted `rows` itself, as every block of a
+    stack must."""
     length, c_in, c_out = 60, 100, 200
     conv, _, shortcut = make_block(11, c_in, c_out)
     floors = [layers._min_gemm_rows(length, k * c, d)
               for k, c, d in (conv.kernels.shape, shortcut.kernels.shape)]
     assert floors == [17, 51]
     rows = np.array([5, 30, 55, 60])
+    layout = (eval_layout(rows, length, conv, shortcut) if end is None
+              else NoteRows(rows, length, end=end))
     gemm, proj = layers._block_gemms(
-        Tensor(np.zeros((4, length, c_in))), conv, shortcut, rows, end
+        Tensor(np.zeros((layout.size, c_in))), conv, shortcut, layout
     )
     assert gemm.spans == proj.spans
-    assert [cut for _, cut in gemm.spans] == cuts
+    assert [cut for _, _, cut in gemm.spans] == cuts
 
 
 def test_conv1d_rows_and_shortcut_need_residual():
@@ -994,20 +1025,57 @@ def test_global_avg_pool_bit_identical_to_composition(shape):
     assert np.array_equal(grads[0], want_grads[0])
 
 
+# (N, L, C) notes whose real tokens end at rows 0, 5, 12 and L - 1, with
+# holes (PAD) before the end in the second and third
+POOL_LASTS = [0, 5, 12, 29]
+
+
+@pytest.mark.parametrize("end", [None, BLOCK_END], ids=["eval", "compacted"])
+@pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
+def test_packed_global_avg_pool_bit_identical_to_composition(cut, end):
+    """Over notes packed by `NoteRows`, cut or not: the pool carries the
+    bits of the composition over the uncut notes, and its gradient those
+    of the composition's on the real rows and 0 on every other packed row."""
+    rng = np.random.default_rng(21)
+    length, c = 30, 3
+    mask = np.arange(length) <= np.array(POOL_LASTS)[:, None]
+    mask[1, 2:4] = mask[2, 7] = False
+    x_data = rng.standard_normal((len(POOL_LASTS), length, c))
+    counts = np.full(len(POOL_LASTS), length)
+    if cut:
+        counts = np.minimum(np.array(POOL_LASTS) + 1 + 2 * BLOCK_END + 1, length)
+    layout = NoteRows(counts, length, end=end)
+    assert layout.cut == cut
+    grad_out = rng.standard_normal((len(POOL_LASTS), c))
+    x = parameter(layout.pack(x_data))
+    out, (grad,) = forward_and_grads(
+        lambda: global_avg_pool(x, mask=mask, rows=layout), [x], grad_out
+    )
+    x_uncut = parameter(x_data)
+    want, (want_grad,) = forward_and_grads(
+        lambda: global_avg_pool_composed(x_uncut, mask), [x_uncut], grad_out
+    )
+    assert np.array_equal(out, want)
+    real = layout.pack(mask[..., None])[..., 0]
+    assert np.array_equal(grad[real], layout.pack(want_grad)[real])
+    assert np.all(grad[~real] == 0.0)
+
+
 def test_residual_conv1d_and_masked_pool_add_one_tape_node_each():
-    """The residual conv1d makes one Tensor and records nothing; the
-    masked pool is one tape node."""
+    """The residual conv1d over packed notes makes one Tensor and records
+    nothing; the masked pool over them is one tape node."""
     rng = np.random.default_rng(10)
-    x = parameter(rng.standard_normal((2, 5, 3)))
+    layout = NoteRows(np.array([2, 5]), 5)
+    x = parameter(layout.pack(rng.standard_normal((2, 5, 3))))
     conv, _, shortcut = make_block(17, 3, 4)
     start = Tensor(0.0)._id
     with no_grad():
-        y = residual_conv1d(x, conv, shortcut, np.array([2, 5]))
+        y = conv1d(x, conv, rows=layout, residual=True, shortcut=shortcut)
     assert y._id == start + 1
     assert y._parents == () and not y.requires_grad
     y = parameter(y.data)
     start = Tensor(0.0)._id
-    pooled = global_avg_pool(y, mask=np.ones((2, 5), dtype=bool))
+    pooled = global_avg_pool(y, mask=np.ones((2, 5), dtype=bool), rows=layout)
     assert pooled._id == start + 1 and pooled._parents == (y,)
 
 

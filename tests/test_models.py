@@ -2,6 +2,7 @@
 oracle, branch ablation, checkpoint round trips, gradient checks."""
 
 import re
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -166,8 +167,7 @@ class TestShapes:
         rng = np.random.default_rng(0)
         with no_grad():
             out = models.semantical_forward(
-                Tensor(rng.standard_normal((5, 8, 4))), params.semantical,
-                training=False, mask=np.ones((5, 8), dtype=bool),
+                rng.integers(1, 12, (5, 8)), toy_embeddings(), params.semantical, training=False,
             )
         assert out.shape == (5, TOY.filters)
 
@@ -384,9 +384,9 @@ def assert_compacted_step_matches_composition(monkeypatch):
     cuts = []
     block = models.conv_block_train
 
-    def spy(*args, rows, end, **kwargs):
-        cuts.append(None if rows is None else rows.min())
-        return block(*args, rows=rows, end=end, **kwargs)
+    def spy(*args, rows, **kwargs):
+        cuts.append(rows.counts.min() if rows.cut else None)
+        return block(*args, rows=rows, **kwargs)
 
     monkeypatch.setattr(models, "conv_block_train", spy)
     emb = toy_embeddings(dim=TAILED.embed_dim, seed=60)
@@ -425,12 +425,47 @@ def test_notes_step_with_no_long_tail_keeps_its_bits_at_one_note_chunks(monkeypa
             assert np.array_equal(got_arrays[name], array), name
 
 
+# long notes whose real tokens fill their first 20 of 400 rows: a compacted
+# block computes 20 + 13 rows of each (`semantical_forward`), 8 % of them
+LONG = ModelConfig(note_len=400, embed_dim=16, filters=16, temporal_hidden=3, cts_hidden=(3, 2))
+# the largest share of the unpadded step's tracemalloc peak that the padded
+# step may take: 0.107 packed, where [N, L, C] arrays took 0.997
+PACKED_PEAK_SHARE = 0.25
+
+
+def test_compacted_step_memory_follows_the_packed_rows(monkeypatch):
+    """A compacted notes-hcr training step at one note per column chunk,
+    over notes that are 95 % padding, allocates (its tracemalloc peak)
+    less than PACKED_PEAK_SHARE of the same step over the same notes
+    with no padding: its arrays hold only the rows the blocks compute."""
+    monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    emb = toy_embeddings(dim=LONG.embed_dim, seed=90)
+    full = np.random.default_rng(91).integers(1, emb.vocab_size, (3, 4, LONG.note_len))
+    padded = full.copy()
+    padded[..., 20:] = PAD_ID
+    labels = np.array([1.0, 0.0, 1.0])
+    peaks = []
+    for ids in (padded, full):
+        params = models.init_model(models.NOTES_HCR, LONG, seed=92)
+        named = models.named_parameters(params)
+        tracemalloc.start()
+        try:
+            probs = models.forward(params, LONG, emb, ids=ids, training=True,
+                                   rng=np.random.default_rng(93))
+            backward(traineval.weighted_bce(probs, labels, 2.0, 0.5), named.values())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < PACKED_PEAK_SHARE * peaks[1]
+
+
 @pytest.mark.parametrize("one_note_per_chunk", [False, True], ids=["default-chunks", "one-note"])
 def test_both_modes_cut_notes_by_one_rule(one_note_per_chunk, monkeypatch):
-    """Every block of both modes is handed one `rows`: None at the default
-    (desk-like) chunks, which hold many notes, and at one note per column
-    chunk each note's last real row + 1 + the blocks' reach in eval, and
-    + 1 + 4 * reach + 1 in train (`end` = 2 * reach), at most L."""
+    """Every block of both modes is handed one `rows`: one that cuts no
+    note at the default (desk-like) chunks, which hold many notes, and at
+    one note per column chunk each note's last real row + 1 + the blocks'
+    reach in eval, and + 1 + 4 * reach + 1 in train (`end` = 2 * reach),
+    at most L."""
     if one_note_per_chunk:
         monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     handed = {False: [], True: []}
@@ -458,13 +493,14 @@ def test_both_modes_cut_notes_by_one_rule(one_note_per_chunk, monkeypatch):
     for training, extra in ((False, reach), (True, 4 * reach + 1)):
         got = handed[training]
         assert len(got) == models.CONV_BLOCKS
+        assert all(rows is got[0] for rows in got)
         if not one_note_per_chunk:
-            assert got == [None] * models.CONV_BLOCKS
+            assert not got[0].cut and np.all(got[0].counts == length)
             continue
         want = np.minimum(last + 1 + extra, length)
         assert want.min() < length and want.max() == length
-        for rows in got:
-            assert np.array_equal(rows, want), training
+        assert np.array_equal(got[0].counts, want), training
+        assert got[0].end == (2 * reach if training else None)
 
 
 @pytest.mark.parametrize("cfg,one_note_per_chunk", [(TOY, False), (TOY, True), (WIDE, True)],
