@@ -186,7 +186,7 @@ def _blas_corename() -> str | None:
     for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
         get = getattr(lib, name, None)
         if get is not None:
-            get.restype = ctypes.c_char_p
+            get.argtypes, get.restype = [], ctypes.c_char_p
             return (get() or b"").decode() or None
     return None
 
