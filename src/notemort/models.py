@@ -302,16 +302,17 @@ def semantical_forward(
     block's conv unrolls one note per column chunk (`column_chunk_notes`;
     paper shapes). Each block then computes note n as a sequence of its
     own, its rows up to its last real one and `extra` more (reach:
-    KERNEL_SIZE // 2 rows per block), at most L, and in eval floored for
-    every GEMM of the stack (`NoteRows`). The embedding lookup gathers
-    only those rows, and the blocks and the pool pass them on packed,
-    [R, C] with R the sum of the notes' rows: no array holds a row that
-    no block computes. Otherwise nothing is cut and the arrays are
-    [N, L, C].
+    KERNEL_SIZE // 2 rows per block), at most L. The embedding lookup
+    gathers only those rows, and the blocks and the pool pass them on
+    packed, [R, C] with R the sum of the notes' rows: no array holds a
+    row that no block computes. A cut note's GEMMs sum in another order
+    than the uncut chain's, so in both modes its values match that
+    chain's up to rounding (`NoteRows`). Otherwise nothing is cut, the
+    arrays are [N, L, C] and the blocks keep the uncut chain's bits.
 
     - Eval: extra is the reach. The pooled rows read no input row
-      further past the last than the reach, so the document vectors
-      carry the bits of blocks that compute every row.
+      further past the last than the reach, so the document vectors are
+      those of blocks that compute every row.
     - Train: past the last real row the input rows are 0 (the PAD
       embedding) and no pooled row reads them, so after each block the
       tail holds one repeated row but for the reach at either end, and
@@ -325,7 +326,7 @@ def semantical_forward(
     ids = np.asarray(ids)
     n_notes, length = ids.shape
     mask = ids != PAD_ID
-    counts, end, kernels = np.full(n_notes, length), None, ()
+    counts, end = np.full(n_notes, length), None
     if all(column_chunk_notes(length, block.conv.kernels.shape) == 1 for block in blocks):
         reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
         # the last real row + 1
@@ -335,9 +336,7 @@ def semantical_forward(
             counts = np.minimum(last + 2 * end + 1, length)
         else:
             counts = np.minimum(last + reach, length)
-            kernels = tuple(params.kernels.shape for block in blocks
-                            for params in (block.conv, block.shortcut) if params is not None)
-    rows = NoteRows(counts, length, end=end, kernels=kernels)
+    rows = NoteRows(counts, length, end=end)
     x = lookup_note_embeddings(rows.pack(ids), embeddings)
     for block in blocks:
         if training:

@@ -84,26 +84,6 @@ class DenseParams:
 
 # bytes of unrolled columns built at a time: small enough to stay in cache
 _COLS_BYTES = 4 << 20
-# OpenBLAS 0.3.31 multiplies a GEMM of at most 100**3 multiply-adds with
-# its small-matrix kernel, which sums in another order than its blocked
-# one once the inner dimension spans more than one block, and numpy
-# multiplies a one-row matrix by GEMV. An eval layout's cut notes are
-# floored once, for every GEMM of the stack alike (`NoteRows`), so that
-# each GEMM stays on the uncut ones' side of both lines and each row
-# carries the uncut product's bits. The bound was measured with numpy's
-# bundled OpenBLAS 0.3.31 (built for Haswell) running its SkylakeX and
-# Sandybridge kernels. Under its Haswell, Katmai and Nehalem kernels a
-# cut GEMM's rows do not keep the uncut bits; other BLAS libraries may
-# switch elsewhere too and need the bound measured again.
-_SMALL_GEMM = 100**3
-
-
-def _min_gemm_rows(rows: int, depth: int, width: int) -> int:
-    """The fewest of `rows` that a [rows, depth] @ [depth, width] GEMM
-    can be cut to while each row keeps its bits (`_SMALL_GEMM`)."""
-    if rows * depth * width <= _SMALL_GEMM:
-        return min(rows, 2)
-    return min(rows, _SMALL_GEMM // (depth * width) + 1)
 
 
 def column_chunk_notes(length: int, kernels_shape: tuple[int, ...]) -> int:
@@ -132,23 +112,17 @@ class NoteRows:
     When no note is cut short of L (`cut` False), R = N * L and the packed
     array is the [N, L, C] one reshaped: `pack` returns its argument.
 
-    `kernels`, the shapes [K, C_in, C_out] of the eval GEMMs that run over
-    the layout, raise each count once to the fewest rows at which each row
-    of every one of them keeps its bits (`_min_gemm_rows`): all blocks of
-    a stack read one layout.
+    All blocks of a stack read one layout. A cut note's GEMMs multiply
+    its own rows, which a BLAS may sum in another order than a GEMM over
+    every row (Higham 1993): in both modes its rows carry the uncut
+    chain's values up to rounding.
     """
 
-    def __init__(
-        self, counts: np.ndarray, length: int, *, end: int | None = None,
-        kernels: tuple[tuple[int, ...], ...] = (),
-    ):
+    def __init__(self, counts: np.ndarray, length: int, *, end: int | None = None):
         counts = np.asarray(counts)
         if (counts.ndim != 1 or counts.dtype.kind not in "iu"
                 or np.any((counts < 1) | (counts > length))):
             raise ConfigurationError(f"rows must hold one count in [1, {length}] per note")
-        if kernels:
-            counts = np.maximum(counts, max(_min_gemm_rows(length, k * c_in, c_out)
-                                            for k, c_in, c_out in kernels))
         self.counts, self.length, self.end = counts, length, end
         self.cut = bool(np.any(counts < length))
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -388,9 +362,8 @@ def conv1d(
     `rows` (residual only; `NoteRows` without `end`) lays out the notes
     of x: when it cuts them, x and the result are their packed rows
     [R, C], and each note is a sequence of its own, its first counts[n]
-    rows. Its rows carry the bits of the block over the uncut note with
-    its rows past the cut set to 0, provided `rows` is floored for this
-    block's GEMMs (`NoteRows`'s `kernels`).
+    rows. Its rows equal, up to rounding (`NoteRows`), those of the block
+    over the uncut note with its rows past the cut set to 0.
     """
     parents = (x, params.kernels, params.bias)
     if residual:

@@ -58,7 +58,6 @@ UNREACHED = {
     "cohort._parse_observation": ERROR_PATH,
     "notesproc._failed_column": ERROR_PATH,
     "notesproc._Row.__getitem__": ERROR_PATH,
-    "ndcore.layers._min_gemm_rows": "paper shapes only: a column chunk of one note",
     "ndcore.layers.batchnorm": "perfbench's spans and probes; conv_block_train shares its helpers",
     "ndcore.layers.spatial_dropout": "perfbench's spans and probes; conv_block_train runs its rule",
     "ndcore.layers.conv1d.<locals>.back": "perfbench's conv1d probe and the gradient tests",
