@@ -968,19 +968,20 @@ def test_conv_block_train_rows_need_end():
                          rng=np.random.default_rng(0), rows=NoteRows(np.array([4, 9, 9]), 9))
 
 
-def test_block_gemms_cut_the_conv_and_projection_alike():
+@pytest.mark.parametrize("end", [None, BLOCK_END], ids=["eval", "train"])
+def test_block_gemms_floor_the_conv_and_projection_alike(end):
     """The conv and the 1x1 projection of a block compute the same rows,
-    those of `rows` in both modes, as every block of a stack must."""
+    as every block of a stack must: those of `rows` itself, with no row
+    floor raising either GEMM's count, in eval and in train alike."""
     length, c_in, c_out = 60, 100, 200
     conv, _, shortcut = make_block(11, c_in, c_out)
     rows = np.array([5, 30, 55, 60])
-    for end in (None, BLOCK_END):
-        layout = NoteRows(rows, length, end=end)
-        gemm, proj = layers._block_gemms(
-            Tensor(np.zeros((layout.size, c_in))), conv, shortcut, layout
-        )
-        assert gemm.spans == proj.spans
-        assert [cut for _, _, cut in gemm.spans] == rows.tolist(), end
+    layout = NoteRows(rows, length, end=end)
+    gemm, proj = layers._block_gemms(
+        Tensor(np.zeros((layout.size, c_in))), conv, shortcut, layout
+    )
+    assert gemm.spans == proj.spans
+    assert [cut for _, _, cut in gemm.spans] == rows.tolist()
 
 
 def test_conv1d_rows_and_shortcut_need_residual():
