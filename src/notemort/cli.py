@@ -542,9 +542,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            if not args.config.exists():
-                raise ConfigurationError(f"config file {args.config} does not exist")
-            config = parse_config(args.config.read_text())
+            try:
+                config = parse_config(args.config.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigurationError(f"config file {args.config} cannot be read: {exc}")
         else:
             config = RunConfig()
         for flag in ("seed", "jobs", "window", "model"):

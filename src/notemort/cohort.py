@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .notesproc import (
-    CleanNote, format_timestamp, parse_timestamp, read_csv_records, write_csv_records,
+    CleanNote, format_timestamp, open_text, parse_timestamp, read_csv_records, write_csv_records,
 )
 
 EARLY_DEATH_HOURS = 72
@@ -371,7 +371,7 @@ def _read_timeseries_columns(path) -> np.ndarray | None:
     every field must convert, every name must be known and every number
     finite. numpy converts a subset of the numbers int() and float()
     accept, to the same values, and hands the name field over verbatim."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path, newline="") as handle:
         if handle.readline().rstrip("\r\n") != _TS_HEADER:
             return None
         try:

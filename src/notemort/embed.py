@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .ndcore.tensor import _sigmoid
-from .notesproc import OOV_ID, PAD_ID
+from .notesproc import OOV_ID, PAD_ID, open_text
 
 PAD_TOKEN = "<pad>"
 
@@ -308,7 +308,7 @@ def read_vocab(path) -> Vocabulary:
     naming the file and the line."""
     id_to_token: list[str] = []
     frequencies: list[int] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
                 token, idx, freq = line.rstrip("\n").split("\t")
@@ -336,7 +336,7 @@ def load_embeddings(path) -> tuple[list[str], EmbeddingMatrix]:
     """The file `save_embeddings` writes; a malformed line is a DataError
     naming the file and the line."""
     tokens = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         line = 1
         try:
             header = handle.readline().split()
@@ -351,6 +351,8 @@ def load_embeddings(path) -> tuple[list[str], EmbeddingMatrix]:
                     raise ValueError(f"row {idx} has wrong dimension")
                 tokens.append(parts[0])
                 vectors[idx] = [float(p) for p in parts[1:]]
+        except UnicodeDecodeError:
+            raise  # open_text names its line
         except ValueError as exc:
             raise DataError(f"{path}: {exc} (line {line})") from exc
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))

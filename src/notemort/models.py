@@ -43,7 +43,7 @@ from .ndcore import (
     parameter,
     spatial_dropout,  # not called here: perfbench/spans.py traces models.spatial_dropout
 )
-from .ndcore.layers import NoteRows, column_chunk_notes, dropout
+from .ndcore.layers import NoteRows, dropout
 from .notesproc import OOV_ID, PAD_ID
 from .cohort import N_TS_VARIABLES
 
@@ -298,45 +298,15 @@ def semantical_forward(
     folded in (`fold_batchnorm`); the outputs differ from the unfolded
     chain only by rounding.
 
-    Both modes cut each note's padded tail where that pays: when every
-    block's conv unrolls one note per column chunk (`column_chunk_notes`;
-    paper shapes). Each block then computes note n as a sequence of its
-    own, its rows up to its last real one and `extra` more (reach:
-    KERNEL_SIZE // 2 rows per block), at most L. The embedding lookup
-    gathers only those rows, and the blocks and the pool pass them on
-    packed, [R, C] with R the sum of the notes' rows: no array holds a
-    row that no block computes. A cut note's GEMMs sum in another order
-    than the uncut chain's, so in both modes its values match that
-    chain's up to rounding (`NoteRows`). Otherwise nothing is cut, the
-    arrays are [N, L, C] and the blocks keep the uncut chain's bits.
-
-    - Eval: extra is the reach. The pooled rows read no input row
-      further past the last than the reach, so the document vectors are
-      those of blocks that compute every row.
-    - Train: past the last real row the input rows are 0 (the PAD
-      embedding) and no pooled row reads them, so after each block the
-      tail holds one repeated row but for the reach at either end, and
-      so does each block's gradient but for twice the reach. A note
-      keeps its real rows, `end` = 2 * reach rows after them, one row
-      standing for the rest of the tail with its multiplicity, and its
-      last `end` rows: extra is 2 * end + 1 (`conv_block_train`). The
-      blocks carry the bits of the uncut chain up to rounding, and
-      batchnorm's statistics still count every pad row.
+    Both modes cut each note's padded tail where that pays, by the layout
+    `NoteRows` builds from the real-token mask and the blocks' kernels:
+    the lookup gathers only its rows, which the blocks and the pool pass
+    on packed. Cut notes match the chain over every row up to rounding,
+    and uncut ones keep its bits.
     """
     ids = np.asarray(ids)
-    n_notes, length = ids.shape
     mask = ids != PAD_ID
-    counts, end = np.full(n_notes, length), None
-    if all(column_chunk_notes(length, block.conv.kernels.shape) == 1 for block in blocks):
-        reach = sum(block.conv.kernels.shape[0] // 2 for block in blocks)
-        # the last real row + 1
-        last = length - np.argmax(mask[:, ::-1], axis=-1)
-        if training:
-            end = 2 * reach
-            counts = np.minimum(last + 2 * end + 1, length)
-        else:
-            counts = np.minimum(last + reach, length)
-    rows = NoteRows(counts, length, end=end)
+    rows = NoteRows(mask, [block.conv.kernels.shape for block in blocks], training=training)
     x = lookup_note_embeddings(rows.pack(ids), embeddings)
     for block in blocks:
         if training:

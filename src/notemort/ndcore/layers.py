@@ -86,7 +86,7 @@ class DenseParams:
 _COLS_BYTES = 4 << 20
 
 
-def column_chunk_notes(length: int, kernels_shape: tuple[int, ...]) -> int:
+def _column_chunk_notes(length: int, kernels_shape: tuple[int, ...]) -> int:
     """The leading indices (notes) of [..., length, C_in] whose unrolled
     columns a conv1d with kernels [K, C_in, C_out] builds at a time: as
     many as fill `_COLS_BYTES`, at least one."""
@@ -98,31 +98,47 @@ class NoteRows:
     """The rows of N notes of L rows that a stack of conv blocks computes,
     and where they lie in the packed [R, C] arrays the blocks pass on.
 
-    Note n keeps counts[n] rows, at packed rows [offsets[n], offsets[n+1]),
-    so R = sum(counts). Without `end` (eval) they are its first counts[n]
-    rows. With `end` (train, `conv_block_train`) the note is compacted:
-    its first counts[n] - end rows, then its last `end` rows, with the
-    rows between cut out. Its row counts[n] - end - 1 then stands for
-    itself and the L - counts[n] rows cut out after it: `tail` holds each
-    note's standing packed row and that extra count, or None when no note
-    is cut. Every written row is one the blocks compute, and the rows of a
-    note are contiguous (Krell et al. 2021 pack sequences so; here each
-    note stays a sequence of its own).
+    Built from the notes' real-token mask [N, L] and the kernel shapes of
+    the stack's convs by the one cut rule. Notes are cut only when every
+    conv takes one note per column chunk (`_column_chunk_notes`; paper
+    shapes). Note n then keeps its rows up to `last`, its last real row
+    + 1 (L if it has none), and a margin, at most L rows in all; `reach`
+    is the stack's sum of K//2.
 
-    When no note is cut short of L (`cut` False), R = N * L and the packed
-    array is the [N, L, C] one reshaped: `pack` returns its argument.
+    - Eval keeps last + reach rows: no pooled row reads an input row
+      further past the last real one.
+    - Train keeps last + 2 * end + 1 rows, `end` = 2 * reach. Past `last`
+      the input rows are 0 (the PAD embedding) and no pooled row reads
+      them, so after each block the tail holds one repeated row but for
+      the reach at either end, and so does each block's gradient but for
+      twice the reach. The note is compacted: its first counts[n] - end
+      rows, then its last `end`, the rows between cut out. Its row
+      counts[n] - end - 1 stands for itself and the L - counts[n] rows
+      cut out after it, and lies at least `end` >= K//2 rows from both
+      ends of the note: `tail` holds each note's standing packed row and
+      that extra count (None when no note is cut), by which batchnorm's
+      statistics and the gradients weight the row (`conv_block_train`).
 
-    All blocks of a stack read one layout. A cut note's GEMMs multiply
-    its own rows, which a BLAS may sum in another order than a GEMM over
-    every row (Higham 1993): in both modes its rows carry the uncut
-    chain's values up to rounding.
+    So every count lies in [1, L]. Note n's rows lie at packed rows
+    [offsets[n], offsets[n+1]), R = sum(counts): every written row is one
+    the blocks compute, and the rows of a note are contiguous (Krell et
+    al. 2021 pack sequences so; here each note stays a sequence of its
+    own). When no note is cut (`cut` False), R = N * L and `pack` returns
+    its argument, the [N, L, C] array.
+
+    A cut note's GEMMs multiply its own rows, which a BLAS may sum in
+    another order than a GEMM over every row (Higham 1993): in both modes
+    its rows carry the uncut chain's values up to rounding.
     """
 
-    def __init__(self, counts: np.ndarray, length: int, *, end: int | None = None):
-        counts = np.asarray(counts)
-        if (counts.ndim != 1 or counts.dtype.kind not in "iu"
-                or np.any((counts < 1) | (counts > length))):
-            raise ConfigurationError(f"rows must hold one count in [1, {length}] per note")
+    def __init__(self, mask: np.ndarray, kernel_shapes, *, training: bool):
+        notes, length = mask.shape
+        counts, end = np.full(notes, length), None
+        if all(_column_chunk_notes(length, shape) == 1 for shape in kernel_shapes):
+            reach = sum(shape[0] // 2 for shape in kernel_shapes)
+            last = length - np.argmax(mask[:, ::-1], axis=-1)
+            end = 2 * reach if training else None
+            counts = np.minimum(last + (reach if end is None else 2 * end + 1), length)
         self.counts, self.length, self.end = counts, length, end
         self.cut = bool(np.any(counts < length))
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -139,7 +155,7 @@ class NoteRows:
         are all equal, as a zero-padded note's tail is."""
         if a.shape[:2] != (len(self.counts), self.length):
             raise ConfigurationError(
-                f"rows must hold one count in [1, {self.length}] per note, not {a.shape[:2]}"
+                f"a layout of {len(self.counts)} notes of {self.length} rows, not {a.shape[:2]}"
             )
         if not self.cut:
             return a
@@ -156,7 +172,7 @@ class _ConvGemm:
     columns cols[n, i, k, :] = x[n, i + k - K//2, :] (zero outside the
     note) and multiplied by the flattened kernel in one GEMM per note
     (Chellapilla, Puri & Simard 2006). Columns are built a few notes at a
-    time (`column_chunk_notes`) and rebuilt in the backward pass, so they
+    time (`_column_chunk_notes`) and rebuilt in the backward pass, so they
     are never held whole: each pass fills one column buffer the size of a
     chunk, reused by every chunk and dropped when the pass returns. The
     output, and the input gradient, are [R, C]: every row is written.
@@ -167,8 +183,7 @@ class _ConvGemm:
     (`rows.end`, train mode) is read as laid out: the forward does not
     treat its standing row apart; the backward weights that row's terms
     of the kernel and bias gradients by its multiplicity (`rows.tail`), as
-    `conv_block_train` does in batchnorm, and the row must be at least
-    K//2 rows from both ends of its note.
+    `conv_block_train` does in batchnorm.
 
     Every unroll writes every cell of the part of the buffer it uses, the
     taps' rows and the zero border rows of each shifted tap, so the
@@ -186,7 +201,8 @@ class _ConvGemm:
         if rows is None:
             if x.ndim < 2 or x.shape[-2] < 1:
                 raise ConfigurationError("conv1d needs at least one position")
-            rows = NoteRows(np.full(int(np.prod(x.shape[:-2])), x.shape[-2]), x.shape[-2])
+            mask = np.ones((int(np.prod(x.shape[:-2])), x.shape[-2]), dtype=bool)
+            rows = NoteRows(mask, [kernels.shape], training=False)
         self.x, self.rows = x.reshape(-1, c_in), rows
         if len(self.x) != rows.size:
             raise ConfigurationError(
@@ -202,22 +218,13 @@ class _ConvGemm:
             dst = max(-shift, 0)
             self.taps.append((k, dst, dst + shift, m))
         self.w2 = kernels.reshape(k_size * c_in, c_out)
-        # (its notes, its packed rows, the rows of each note) of each chunk
-        if rows.cut:
-            step = 1
-            if rows.tail is not None and (rows.end < k_size // 2
-                                          or (rows.counts - rows.end - 1).min() < k_size // 2):
-                raise ConfigurationError(
-                    "conv1d: a weighted row lies within K//2 of its note's ends"
-                )
-            bounds = zip(rows.offsets.tolist(), rows.counts.tolist())
-            self.spans = [(slice(n, n + 1), slice(at, at + cut), cut)
-                          for n, (at, cut) in enumerate(bounds)]
-        else:
-            step = column_chunk_notes(length, kernels.shape)
-            self.spans = [(slice(n, min(n + step, notes)),
-                           slice(n * length, min(n + step, notes) * length), length)
-                          for n in range(0, notes, step)]
+        # (its notes, its packed rows, the rows of each note) of each
+        # chunk: a cut note is a chunk of its own
+        step = 1 if rows.cut else _column_chunk_notes(length, kernels.shape)
+        starts = list(range(0, notes, step))
+        offsets, counts = rows.offsets.tolist(), rows.counts.tolist()
+        self.spans = [(slice(n, stop), slice(offsets[n], offsets[stop]), counts[n])
+                      for n, stop in zip(starts, starts[1:] + [notes])]
         # one pass's column buffer: the largest chunk's columns
         cut = max((cut for _, _, cut in self.spans), default=length)
         self.cols_shape = (min(step, notes), cut, k_size * c_in)
@@ -359,7 +366,7 @@ def conv1d(
     where the tape would record it (x or a parameter needs a gradient
     outside `no_grad`). The train-mode block is `conv_block_train`.
 
-    `rows` (residual only; `NoteRows` without `end`) lays out the notes
+    `rows` (residual only; an eval `NoteRows`) lays out the notes
     of x: when it cuts them, x and the result are their packed rows
     [R, C], and each note is a sequence of its own, its first counts[n]
     rows. Its rows equal, up to rounding (`NoteRows`), those of the block
@@ -585,16 +592,16 @@ def conv_block_train(
     xhat and a projection over the masked gradient; the shortcut's
     gradient is added into the conv's input gradient.
 
-    `rows` (`NoteRows` with `end`) that cuts the notes makes x, the
+    `rows` (a train `NoteRows`) that cuts the notes makes x, the
     output and the input gradient their packed compacted rows [R, C]:
     each note's standing row stands for itself and the L - counts[n] rows
     cut out after it, so x must hold the same value on all of them, and
     so must the gradient this node's output receives. A stack of blocks
-    over zero-padded notes keeps that true (`semantical_forward` sizes
-    the cut). Batchnorm's statistics and backward and the kernel, bias,
-    gamma and beta gradients weight that row by its multiplicity: up to
-    rounding, the block over the uncut notes, whose statistics read every
-    row. When no note is cut short of L, the block runs as without `rows`.
+    over zero-padded notes keeps that true (`NoteRows` sizes the cut).
+    Batchnorm's statistics and backward and the kernel, bias, gamma and
+    beta gradients weight that row by its multiplicity: up to rounding,
+    the block over the uncut notes, whose statistics read every row.
+    When no note is cut short of L, the block runs as without `rows`.
     """
     if rows is not None and rows.cut and rows.end is None:
         raise ConfigurationError("conv_block_train: a cut needs the standing rows of end")

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from typing import Iterable, Iterator
@@ -206,12 +207,29 @@ def _failed_column(parse, header: list[str], fields: list[str]) -> str:
     return row.last
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """The file at path open to read as UTF-8 text; a byte that is not
+    UTF-8 is a DataError naming the file and the line that holds it."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        # a text read decodes a block at a time, so exc does not know the
+        # line: it is the first whose bytes do not survive a decode
+        with open(path, "rb") as handle:
+            for line, raw in enumerate(handle, start=1):
+                if raw.decode("utf-8", errors="replace").encode("utf-8") != raw:
+                    break
+        raise DataError(f"{path}: not UTF-8: {exc.reason} (line {line})") from exc
+
+
 def read_csv_records(path, columns: list[str], parse) -> Iterator:
     """parse(row) for each data row of a header-first CSV table; a missing
     column, a row of the wrong length or a ValueError from parse is a
     DataError naming the file and the row's first line, and a field that
     fails to convert also names its column."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         missing = set(columns) - set(header)
@@ -248,7 +266,7 @@ def read_jsonl(path, parse) -> Iterator:
     """parse(record) for each line of a JSON-lines file; a line that is not
     JSON, or whose record parse cannot read, is a DataError naming the
     file and the line."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line, text in enumerate(handle, start=1):
             try:
                 record = parse(json.loads(text))

@@ -883,3 +883,19 @@ def test_data_error_exit_code(tmp_path):
 
 def test_missing_config_file(capsys):
     assert main(["--config", "/nonexistent/path.cfg", "synth"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["undecodable", "directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, bad):
+    """A config file with a byte that is not UTF-8, or a directory in its
+    place, is a configuration error that names the file."""
+    config = tmp_path / "c.cfg"
+    if bad == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(f"work_dir = {tmp_path / 'w'}\nseed = 1\xff\n".encode("latin-1"))
+
+    assert main(["--config", str(config), "synth"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error:") and str(config) in err

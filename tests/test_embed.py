@@ -348,3 +348,16 @@ def test_embedding_loader_validates_dimensions(tmp_path):
     path.write_text("2 3\nfoo 1.0 2.0\nbar 1.0 2.0 3.0\n")
     with pytest.raises(DataError):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("reader", [read_vocab, load_embeddings])
+def test_readers_name_the_line_of_an_undecodable_byte(tmp_path, reader):
+    """A byte that is not UTF-8 on line 3 is a DataError naming the file
+    and line 3, not the line a text read was on when it decoded it."""
+    path = tmp_path / "words.txt"
+    text = "<pad>\t0\t0\nab\t1\t5\ncd\xff\t2\t4\n"
+    if reader is load_embeddings:
+        text = "2 1\n<pad> 0.0\ncd\xff 2.0\n"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(DataError, match=r"words\.txt: not UTF-8: .*\(line 3\)"):
+        reader(path)

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from notemort.errors import ConfigurationError, DataError
 from notemort.ndcore import layers
@@ -661,8 +663,20 @@ BLOCK_END = 2
 COMPACT_TOL = 1e-13
 
 
-def compact_rows(real, length, end=BLOCK_END):
-    return np.minimum(real + 2 * end + 1, length)
+def block_kernels(c_in, c_out=4):
+    """The kernel shapes of one block of `make_block`: its conv's K is 3,
+    so its reach is 1 and a train layout's `end` is BLOCK_END."""
+    return [(3, c_in, c_out)]
+
+
+def cut_layout(monkeypatch, real, length, kernel_shapes, *, training):
+    """The `NoteRows` of notes whose real tokens fill their first real[n]
+    rows, built at one note per column chunk, where notes are cut; the
+    column chunks are restored afterwards."""
+    mask = np.arange(length) < np.asarray(real)[:, None]
+    with monkeypatch.context() as patch:
+        patch.setattr(layers, "_COLS_BYTES", 1)
+        return NoteRows(mask, kernel_shapes, training=training)
 
 
 def unpack(a, layout):
@@ -703,8 +717,9 @@ def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, mon
         arrays = []
         for (x_data, real), grad_out in zip(steps, grad_outs):
             if compact:
-                rows = compact_rows(real, shape[1])
-                layout = NoteRows(rows, shape[1], end=BLOCK_END)
+                layout = cut_layout(monkeypatch, real, shape[1], block_kernels(c_in, c_out),
+                                    training=True)
+                rows = layout.counts
                 x = Tensor(layout.pack(x_data), requires_grad=x_grad)
                 out = conv_block_train(x, conv, norm, shortcut, p=0.5, rng=rng, rows=layout)
                 grad_out = layout.pack(grad_out)
@@ -731,16 +746,15 @@ def test_compacted_conv_block_train_matches_composition(c_in, c_out, x_grad, mon
 
 
 @pytest.mark.parametrize("c_in", [3, 4])
-def test_compacted_conv_block_train_gradients(c_in):
+def test_compacted_conv_block_train_gradients(c_in, monkeypatch):
     """Finite differences through the block over compacted zero-tailed
     notes, the projection (C_in 3) and the identity shortcut (C_in 4),
     under one frozen dropout mask and a loss that reads no tail row: every
     parameter, and x on the rows before each tail."""
     length = 16
     x_data, real = tailed_input((3, length, c_in), c_in)
-    rows = compact_rows(real, length)
-    assert rows.min() < length
-    layout = NoteRows(rows, length, end=BLOCK_END)
+    layout = cut_layout(monkeypatch, real, length, block_kernels(c_in), training=True)
+    assert layout.cut
     head = layout.pack((np.arange(length) < real[:, None])[..., None])
     x = parameter(layout.pack(x_data))
     conv, norm, shortcut = make_block(13, c_in, 4)
@@ -765,7 +779,8 @@ def test_compacted_conv_block_train_multiplies_each_note_over_its_rows(monkeypat
     rows, fewer than N * L in all, and the conv and the projection
     multiply both passes so."""
     x_data, real = tailed_input((4, 30, 3), 5)
-    rows = compact_rows(real, 30)
+    layout = cut_layout(monkeypatch, real, 30, block_kernels(3), training=True)
+    rows = layout.counts
     unrolled = []
     unroll = layers._ConvGemm._unroll
 
@@ -775,7 +790,6 @@ def test_compacted_conv_block_train_multiplies_each_note_over_its_rows(monkeypat
 
     monkeypatch.setattr(layers._ConvGemm, "_unroll", counting)
     conv, norm, shortcut = make_block(3, 3, 4)
-    layout = NoteRows(rows, 30, end=BLOCK_END)
     out = conv_block_train(parameter(layout.pack(x_data)), conv, norm, shortcut, p=0.5,
                            rng=np.random.default_rng(0), rows=layout)
     out.sum().backward()
@@ -789,11 +803,13 @@ def test_conv_block_train_with_no_cut_note_runs_the_uncut_block(monkeypatch):
     monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     x_data, _ = tailed_input((3, 9, 4), 6)
     results = []
-    for rows in (np.full(3, 9), None):
+    full = NoteRows(np.ones((3, 9), dtype=bool), block_kernels(4), training=True)
+    assert full.end == BLOCK_END and not full.cut
+    for rows in (full, None):
         conv, norm, _ = make_block(4, 4, 4)
         x = parameter(x_data.copy())
         out = conv_block_train(x, conv, norm, None, p=0.5, rng=np.random.default_rng(1),
-                               rows=None if rows is None else NoteRows(rows, 9, end=BLOCK_END))
+                               rows=rows)
         (out * out).sum().backward()
         results.append([out.data, x.grad, *(t.grad for t in block_leaves(conv, norm, None)),
                         norm.running_mean, norm.running_var])
@@ -804,13 +820,16 @@ def test_conv_block_train_with_no_cut_note_runs_the_uncut_block(monkeypatch):
 # -- the eval-mode conv block: conv1d with the residual join -----------------------------
 
 
-def residual_conv1d(x, conv, shortcut, rows=None):
+def residual_conv1d(x, conv, shortcut, rows=None, monkeypatch=None):
     """The eval-mode residual conv block over folded parameters; with
-    `rows`, over the packed notes of x cut to them, laid out as [N, L, C]
-    (`unpack`)."""
+    `rows`, over the packed notes of x cut to those counts (`cut_layout`,
+    from notes of rows[n] - 1 real rows: the block's reach is 1), laid out
+    as [N, L, C] (`unpack`)."""
     if rows is None:
         return conv1d(x, conv, residual=True, shortcut=shortcut)
-    layout = NoteRows(rows, x.shape[-2])
+    layout = cut_layout(monkeypatch, np.asarray(rows) - 1, x.shape[-2],
+                        [conv.kernels.shape], training=False)
+    assert np.array_equal(layout.counts, rows)
     out = conv1d(Tensor(layout.pack(x.data)), conv, rows=layout, residual=True, shortcut=shortcut)
     return Tensor(unpack(out.data, layout))
 
@@ -870,15 +889,16 @@ def test_residual_conv1d_refuses_to_record(case):
 
 
 # (input shape, C_out, rows, leading indices per column chunk; None: the
-# default): the identity shortcut and the projection, notes of one row
-# and of every row, chunks of one, two and all notes (a cut note is its
-# own chunk whatever the chunk size). At C = 200 the GEMMs of the notes
-# cut to 4 and 9 rows can take the BLAS's small-matrix kernel, which sums
-# in another order than the uncut GEMM of 40 rows.
+# default): the identity shortcut and the projection, notes of the
+# fewest rows a mask yields (2: one real row and the reach) and of every
+# row, chunks of one, two and all notes (a cut note is its own chunk
+# whatever the chunk size). At C = 200 the GEMMs of the notes cut to 4
+# and 9 rows can take the BLAS's small-matrix kernel, which sums in
+# another order than the uncut GEMM of 40 rows.
 EVAL_ROWS_CASES = [
-    ((5, 9, 4), 4, [1, 4, 9, 2, 6], None),
-    ((5, 9, 3), 4, [1, 4, 9, 2, 6], 1),
-    ((5, 9, 4), 4, [3, 9, 1, 1, 5], 2),
+    ((5, 9, 4), 4, [2, 4, 9, 2, 6], None),
+    ((5, 9, 3), 4, [2, 4, 9, 2, 6], 1),
+    ((5, 9, 4), 4, [3, 9, 2, 2, 5], 2),
     ((3, 40, 200), 200, [4, 9, 40], 1),
 ]
 
@@ -904,7 +924,7 @@ def test_residual_conv1d_rows_match_untrimmed_block(shape, c_out, rows, per_chun
     kept = np.arange(shape[1]) < rows[:, None]
     cut_x = np.where(kept[..., None], x, 0.0)
     with no_grad():
-        got = residual_conv1d(Tensor(x), conv, shortcut, rows).data
+        got = residual_conv1d(Tensor(x), conv, shortcut, rows, monkeypatch).data
         want = conv_block_eval_composed(Tensor(cut_x), conv, shortcut).data
     assert_close_to(got[kept], want[kept])
     for n, cut in enumerate(rows):
@@ -915,14 +935,16 @@ def test_residual_conv1d_rows_match_untrimmed_block(shape, c_out, rows, per_chun
 @pytest.mark.parametrize("shape,c_out", [((2, 9, 4), 4), ((2, 40, 200), 200)])
 def test_residual_conv1d_note_bits_do_not_depend_on_chunk_neighbours(shape, c_out, monkeypatch):
     """A note cut to 4 rows carries the same bits in its first 4 rows
-    alone and beside a neighbour of one row or of every row, at column
-    chunks that would hold both notes: a cut note is its own chunk."""
+    alone and beside a neighbour of the fewest rows or of every row, at
+    column chunks that would hold both notes: a cut note is its own chunk."""
     x, conv, shortcut = eval_rows_case(shape, c_out, None, monkeypatch)
     assert layers._COLS_BYTES >= x.nbytes * 3  # both notes in one chunk
     with no_grad():
-        alone = residual_conv1d(Tensor(x[:1]), conv, shortcut, np.array([4])).data[0, :4]
-        for neighbour in (1, shape[-2]):
-            out = residual_conv1d(Tensor(x), conv, shortcut, np.array([4, neighbour])).data
+        alone = residual_conv1d(Tensor(x[:1]), conv, shortcut, np.array([4]), monkeypatch)
+        alone = alone.data[0, :4]
+        for neighbour in (2, shape[-2]):
+            out = residual_conv1d(Tensor(x), conv, shortcut, np.array([4, neighbour]),
+                                  monkeypatch).data
             assert np.array_equal(out[0, :4], alone), neighbour
 
 
@@ -932,26 +954,24 @@ def test_residual_conv1d_identity_shortcut_needs_matching_channels():
         residual_conv1d(Tensor(np.ones((2, 5, 3))), conv, None)
 
 
-# `rows` for 2 of 3 notes, for 4, a count of 0, one past L, and not whole
+# the real rows of the notes of a layout for 2 of 3 notes, and for 4
 MALFORMED_ROWS = {
-    "short": np.array([4, 9]),
-    "long": np.array([4, 9, 9, 9]),
-    "zero": np.array([0, 9, 9]),
-    "past-length": np.array([4, 10, 9]),
-    "fractional": np.array([4.0, 9.0, 9.0]),
+    "short": np.array([3, 9]),
+    "long": np.array([3, 9, 9, 9]),
 }
 
 
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("case", list(MALFORMED_ROWS))
 def test_conv_blocks_refuse_malformed_rows(case, train, monkeypatch):
-    """Both blocks refuse `rows` that does not hold one count in [1, L]
-    per note of x, at one note per column chunk, where notes are cut."""
+    """Both blocks refuse a cut layout of another number of notes than x
+    holds, at one note per column chunk, where notes are cut."""
     monkeypatch.setattr(layers, "_COLS_BYTES", 1)
     x = Tensor(np.random.default_rng(9).standard_normal((3, 9, 4)))
     conv, norm, _ = make_block(5, 4, 4)
+    layout = cut_layout(monkeypatch, MALFORMED_ROWS[case], 9, block_kernels(4), training=train)
+    assert layout.cut
     with pytest.raises(ConfigurationError, match="rows must hold"):
-        layout = NoteRows(MALFORMED_ROWS[case], 9, end=BLOCK_END if train else None)
         if train:
             conv_block_train(x, conv, norm, None, p=0.5, rng=np.random.default_rng(0),
                              rows=layout)
@@ -960,28 +980,93 @@ def test_conv_blocks_refuse_malformed_rows(case, train, monkeypatch):
                 conv1d(x, conv, rows=layout, residual=True)
 
 
-def test_conv_block_train_rows_need_end():
-    """A train-mode cut needs the weighted row that stands for the rest."""
+def test_conv_block_train_rows_need_end(monkeypatch):
+    """A train-mode cut needs the weighted row that stands for the rest:
+    the block refuses a cut eval layout."""
     conv, norm, _ = make_block(5, 4, 4)
+    layout = cut_layout(monkeypatch, np.array([3, 9, 9]), 9, block_kernels(4), training=False)
+    assert layout.cut and layout.end is None
     with pytest.raises(ConfigurationError, match="end"):
         conv_block_train(Tensor(np.ones((3, 9, 4))), conv, norm, None, p=0.5,
-                         rng=np.random.default_rng(0), rows=NoteRows(np.array([4, 9, 9]), 9))
+                         rng=np.random.default_rng(0), rows=layout)
 
 
-@pytest.mark.parametrize("end", [None, BLOCK_END], ids=["eval", "train"])
-def test_block_gemms_floor_the_conv_and_projection_alike(end):
+# the counts of notes of 4, 29, 54 and 60 real rows under one block
+BLOCK_GEMM_ROWS = {False: [5, 30, 55, 60], True: [9, 34, 59, 60]}
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_block_gemms_floor_the_conv_and_projection_alike(training, monkeypatch):
     """The conv and the 1x1 projection of a block compute the same rows,
     as every block of a stack must: those of `rows` itself, with no row
     floor raising either GEMM's count, in eval and in train alike."""
     length, c_in, c_out = 60, 100, 200
     conv, _, shortcut = make_block(11, c_in, c_out)
-    rows = np.array([5, 30, 55, 60])
-    layout = NoteRows(rows, length, end=end)
+    rows = BLOCK_GEMM_ROWS[training]
+    layout = cut_layout(monkeypatch, np.array([4, 29, 54, 60]), length,
+                        [conv.kernels.shape], training=training)
     gemm, proj = layers._block_gemms(
         Tensor(np.zeros((layout.size, c_in))), conv, shortcut, layout
     )
     assert gemm.spans == proj.spans
-    assert [cut for _, _, cut in gemm.spans] == rows.tolist()
+    assert [cut for _, _, cut in gemm.spans] == rows
+
+
+@st.composite
+def masks_and_stacks(draw):
+    """(mask [N, L], kernel shapes, column chunk bytes): notes whose last
+    real row is drawn (none: an all-PAD note) with PAD drawn inside them,
+    a stack of odd kernels, and chunks of one note or of a drawn size."""
+    notes, length = draw(st.integers(1, 5)), draw(st.integers(1, 60))
+    lasts = np.array(draw(st.lists(st.integers(0, length), min_size=notes, max_size=notes)))
+    inside = draw(st.lists(st.booleans(), min_size=notes * length, max_size=notes * length))
+    mask = np.array(inside).reshape(notes, length) & (np.arange(length) < lasts[:, None])
+    mask[lasts > 0, lasts[lasts > 0] - 1] = True
+    kernels = draw(st.lists(st.sampled_from([1, 3, 5, 7]), min_size=1, max_size=3))
+    c_ins = draw(st.lists(st.integers(1, 8), min_size=len(kernels), max_size=len(kernels)))
+    cols_bytes = draw(st.one_of(st.just(1), st.integers(1, 1 << 14)))
+    return mask, [(k, c, 4) for k, c in zip(kernels, c_ins)], cols_bytes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=masks_and_stacks(), training=st.booleans())
+def test_note_rows_from_a_mask_keep_what_the_blocks_read(case, training):
+    """Every layout built from a mask: counts in [1, L], and no cut unless
+    every conv takes one note per column chunk. A cut eval note keeps at
+    least the stack's reach (sum of K//2) rows past its last real row. In
+    train, past the last real row values are constant from reach rows on
+    and gradients from 2 * reach rows on, up to as many rows before L: a
+    cut note's standing row and the rows it stands for lie there, and
+    every standing row lies at least `end` >= K//2 rows of each kernel
+    from both ends of its note. `pack` keeps each note's first rows."""
+    mask, shapes, cols_bytes = case
+    notes, length = mask.shape
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "_COLS_BYTES", cols_bytes)
+        layout = NoteRows(mask, shapes, training=training)
+        chunked = any(layers._column_chunk_notes(length, shape) > 1 for shape in shapes)
+    counts = layout.counts
+    assert np.all((counts >= 1) & (counts <= length))
+    if chunked:
+        assert not layout.cut and np.all(counts == length)
+    reach = sum(k // 2 for k, _, _ in shapes)
+    last = np.array([np.flatnonzero(note).max(initial=-1) + 1 for note in mask])
+    cut = counts < length
+    if not training:
+        assert layout.end is None and layout.tail is None
+        assert np.all(counts[cut] - last[cut] >= reach)
+    elif layout.cut:
+        end, (standing, extra) = layout.end, layout.tail
+        standing = standing - layout.offsets[:-1]
+        assert np.array_equal(extra, length - counts)
+        assert np.all(standing[cut] - last[cut] >= 2 * reach)
+        assert np.all(standing[cut] + extra[cut] < length - 2 * reach)
+        assert end >= max(k // 2 for k, _, _ in shapes)
+        assert np.all(standing >= end) and np.all(counts - 1 - standing >= end)
+    a = np.arange(notes * length * 2.0).reshape(notes, length, 2)
+    packed = layout.pack(a).reshape(-1, 2)
+    assert len(packed) == layout.size
+    assert np.array_equal(packed, np.concatenate([a[n, :c] for n, c in enumerate(counts)]))
 
 
 def test_conv1d_rows_and_shortcut_need_residual():
@@ -1016,21 +1101,22 @@ def test_global_avg_pool_bit_identical_to_composition(shape):
 POOL_LASTS = [0, 5, 12, 29]
 
 
-@pytest.mark.parametrize("end", [None, BLOCK_END], ids=["eval", "compacted"])
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "compacted"])
 @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
-def test_packed_global_avg_pool_bit_identical_to_composition(cut, end):
-    """Over notes packed by `NoteRows`, cut or not: the pool carries the
-    bits of the composition over the uncut notes, and its gradient those
-    of the composition's on the real rows and 0 on every other packed row."""
+def test_packed_global_avg_pool_bit_identical_to_composition(cut, training, monkeypatch):
+    """Over notes packed by `NoteRows` from their mask, cut (at one note
+    per column chunk) or not (at the default chunks, which hold every
+    note): the pool carries the bits of the composition over the uncut
+    notes, and its gradient those of the composition's on the real rows
+    and 0 on every other packed row."""
     rng = np.random.default_rng(21)
     length, c = 30, 3
     mask = np.arange(length) <= np.array(POOL_LASTS)[:, None]
     mask[1, 2:4] = mask[2, 7] = False
     x_data = rng.standard_normal((len(POOL_LASTS), length, c))
-    counts = np.full(len(POOL_LASTS), length)
     if cut:
-        counts = np.minimum(np.array(POOL_LASTS) + 1 + 2 * BLOCK_END + 1, length)
-    layout = NoteRows(counts, length, end=end)
+        monkeypatch.setattr(layers, "_COLS_BYTES", 1)
+    layout = NoteRows(mask, block_kernels(c), training=training)
     assert layout.cut == cut
     grad_out = rng.standard_normal((len(POOL_LASTS), c))
     x = parameter(layout.pack(x_data))
@@ -1047,11 +1133,12 @@ def test_packed_global_avg_pool_bit_identical_to_composition(cut, end):
     assert np.all(grad[~real] == 0.0)
 
 
-def test_residual_conv1d_and_masked_pool_add_one_tape_node_each():
+def test_residual_conv1d_and_masked_pool_add_one_tape_node_each(monkeypatch):
     """The residual conv1d over packed notes makes one Tensor and records
     nothing; the masked pool over them is one tape node."""
     rng = np.random.default_rng(10)
-    layout = NoteRows(np.array([2, 5]), 5)
+    layout = cut_layout(monkeypatch, np.array([1, 5]), 5, block_kernels(3), training=False)
+    assert layout.counts.tolist() == [2, 5]
     x = parameter(layout.pack(rng.standard_normal((2, 5, 3))))
     conv, _, shortcut = make_block(17, 3, 4)
     start = Tensor(0.0)._id

@@ -178,3 +178,17 @@ def test_clean_notes_round_trip(tmp_path):
         np.testing.assert_array_equal(original.tokens, back.tokens)
         assert original.n_tokens() == back.n_tokens()
         assert original.charted_at == back.charted_at
+
+
+@pytest.mark.parametrize("reader", ["csv", "jsonl"])
+def test_readers_name_the_line_of_an_undecodable_byte(tmp_path, reader):
+    """A byte that is not UTF-8 on line 3, past the first block a text
+    read decodes, is a DataError naming the file and line 3."""
+    path = tmp_path / f"table.{reader}"
+    lines = ['"a"', '"' + "x" * 10_000 + '"', '"b\xff"', '"c"']
+    path.write_bytes("\n".join(lines).encode("latin-1"))
+    with pytest.raises(DataError, match=r"table\.%s: not UTF-8: .*\(line 3\)" % reader):
+        if reader == "csv":
+            list(notesproc.read_csv_records(path, ["a"], lambda row: row))
+        else:
+            list(notesproc.read_jsonl(path, lambda record: record))
